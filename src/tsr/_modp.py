@@ -1,9 +1,11 @@
 """Dense linear algebra over the prime fields F_p (small p), numpy-backed.
 
-All routines take integer matrices (any dtype convertible to int64),
-reduce them mod p and work with exact arithmetic.  Sizes here stay in
-the low thousands, so plain row reduction with vectorized updates is
-fast enough.
+One elimination kernel serves every caller: ``SpanTracker`` keeps a row
+space in reduced row echelon form (unit pivots, every pivot column zero
+in the other rows) as vectors are added one at a time.  ``rank_mod``
+and ``nullspace_mod`` feed a matrix's rows through it.  Entries stay in
+[0, p), and the sizes here stay in the low thousands, so int64
+arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -11,129 +13,85 @@ from __future__ import annotations
 import numpy as np
 
 
-def _as_modp(mat, p: int) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.int64) % p
+class SpanTracker:
+    """Incrementally maintained row space over F_p with membership tests.
+
+    The rows are kept fully reduced, so reducing a vector against them is
+    one step, ``v - v[pivots] @ rows``.  At most ``max_rank`` rows are
+    stored (default ``dim``); the space for them is allocated up front.
+    """
+
+    def __init__(self, dim: int, p: int, max_rank: int | None = None):
+        self.p = p
+        self.dim = dim
+        cap = dim if max_rank is None else min(dim, max_rank)
+        self._rows = np.zeros((cap, dim), dtype=np.int64)
+        self._pivots = np.zeros(cap, dtype=np.intp)
+        self.rank = 0
+
+    def _reduce(self, vec) -> np.ndarray:
+        v = np.asarray(vec, dtype=np.int64) % self.p
+        r = self.rank
+        if r:
+            v -= v[self._pivots[:r]] @ self._rows[:r]
+            v %= self.p
+        return v
+
+    def contains(self, vec) -> bool:
+        return not self._reduce(vec).any()
+
+    def add(self, vec) -> bool:
+        """Add a vector; returns True if it enlarged the span."""
+        v = self._reduce(vec)
+        nz = np.flatnonzero(v)
+        if nz.size == 0:
+            return False
+        c = int(nz[0])
+        if v[c] != 1:
+            v = (v * pow(int(v[c]), self.p - 2, self.p)) % self.p
+        r = self.rank
+        hit = np.flatnonzero(self._rows[:r, c])  # clear column c in the old rows
+        if hit.size:
+            self._rows[hit] = (self._rows[hit] - np.outer(self._rows[hit, c], v)) % self.p
+        self._rows[r] = v
+        self._pivots[r] = c
+        self.rank = r + 1
+        return True
+
+
+def _row_space(a: np.ndarray, p: int) -> SpanTracker:
+    tracker = SpanTracker(a.shape[1], p, max_rank=a.shape[0])
+    for row in a:
+        tracker.add(row)
+    return tracker
+
+
+def _matrix(mat) -> np.ndarray:
+    a = np.asarray(mat, dtype=np.int64)
     if a.ndim != 2:
         raise ValueError("expected a 2-dimensional matrix")
     return a
 
 
-def rref_mod(mat, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form over F_p.
-
-    Returns (R, pivots) where R has unit pivot entries, zeros above and
-    below each pivot, and pivots lists the pivot column of each nonzero
-    row.
-    """
-    a = _as_modp(mat, p).copy()
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        other = np.nonzero(a[:, c])[0]
-        other = other[other != r]
-        if other.size:
-            a[other] = (a[other] - np.outer(a[other, c], a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a[: len(pivots)], pivots
-
-
 def rank_mod(mat, p: int) -> int:
-    a = _as_modp(mat, p)
-    if a.size == 0:
-        return 0
-    # Row reduction only needs zeros below pivots; skip the "above" pass.
-    a = a.copy()
-    rows, cols = a.shape
-    if cols < rows:
-        a = a.T.copy()
-        rows, cols = a.shape
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
-            continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        below = r + 1 + np.nonzero(a[r + 1 :, c])[0]
-        if below.size:
-            a[below] = (a[below] - np.outer(a[below, c], a[r])) % p
-        r += 1
-    return r
+    a = _matrix(mat)
+    if a.shape[1] < a.shape[0]:
+        a = a.T  # fewer, longer rows: fewer reduction steps
+    return _row_space(a, p).rank
 
 
 def nullspace_mod(mat, p: int) -> np.ndarray:
     """Basis of the right null space over F_p, one vector per row of the
-    returned array.  The basis is the canonical one read off the RREF,
-    so it is deterministic."""
-    a = _as_modp(mat, p)
-    rows, cols = a.shape
+    returned array.  The basis is the canonical one read off the RREF
+    (the identity on the free columns), so it is deterministic."""
+    a = _matrix(mat)
+    cols = a.shape[1]
     if cols == 0:
         return np.zeros((0, 0), dtype=np.int64)
-    red, pivots = rref_mod(a, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, c in enumerate(free):
-        basis[k, c] = 1
-        for i, pc in enumerate(pivots):
-            basis[k, pc] = (-int(red[i, c])) % p
+    span = _row_space(a, p)
+    pivots = span._pivots[:span.rank]
+    free = np.setdiff1d(np.arange(cols), pivots)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivots] = (-span._rows[:span.rank][:, free].T) % p
     return basis
-
-
-class SpanTracker:
-    """Incrementally maintained row space over F_p with membership tests."""
-
-    def __init__(self, dim: int, p: int):
-        self.p = p
-        self.dim = dim
-        self._rows = np.zeros((0, dim), dtype=np.int64)
-        self._pivots: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._pivots)
-
-    def _reduce(self, vec: np.ndarray) -> np.ndarray:
-        v = vec.copy() % self.p
-        for i, c in enumerate(self._pivots):
-            if v[c]:
-                v = (v - v[c] * self._rows[i]) % self.p
-        return v
-
-    def contains(self, vec) -> bool:
-        v = self._reduce(np.asarray(vec, dtype=np.int64))
-        return not v.any()
-
-    def add(self, vec) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
-        v = self._reduce(np.asarray(vec, dtype=np.int64))
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        v = (v * pow(int(v[c]), self.p - 2, self.p)) % self.p
-        # keep rows reduced against the new one
-        if self.rank:
-            coeff = self._rows[:, c].copy()
-            hit = np.nonzero(coeff)[0]
-            if hit.size:
-                self._rows[hit] = (self._rows[hit] - np.outer(coeff[hit], v)) % self.p
-        self._rows = np.vstack([self._rows, v[None, :]])
-        self._pivots.append(c)
-        return True

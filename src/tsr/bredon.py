@@ -266,7 +266,8 @@ def _int_inverse(mat: np.ndarray) -> np.ndarray:
             aug[[col, piv]] = aug[[piv, col]]
         if aug[col, col] < 0:
             aug[col] = -aug[col]
-        assert aug[col, col] == 1, "basis is not unimodular-triangularizable"
+        if aug[col, col] != 1:
+            raise AssertionError("basis is not unimodular-triangularizable")
         for r in range(n):
             if r != col and aug[r, col] != 0:
                 aug[r] = aug[r] - aug[r, col] * aug[col]

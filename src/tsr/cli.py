@@ -17,9 +17,8 @@ from . import __version__
 from .bredon import (AbelianGroup, BlockSplitError, bredon_complex,
                      bredon_homology_formula, chen_ruan_dims, homology,
                      k_homology, split_blocks)
-from .complexes import (ComplexSchemaError, classify_component,
-                        connected_components, parse_complex,
-                        serialize_complex, torsion_subcomplex)
+from .complexes import (_is_int, classify_component, connected_components,
+                        parse_complex, serialize_complex, torsion_subcomplex)
 from .reduction import reduce_complex, replay
 from .series import (CensusError, SubgroupCensus, e2_page,
                      equivariant_graph_cohomology_oracle, poincare_2torsion,
@@ -74,6 +73,21 @@ def _load_census(args) -> SubgroupCensus:
     if not isinstance(doc, dict):
         raise CensusError("census must be a JSON object")
     return SubgroupCensus.from_dict(doc)
+
+
+def _json_option(text: str, flag: str):
+    try:
+        return json.loads(text) if text else {}
+    except json.JSONDecodeError as exc:
+        raise CliError(f"invalid {flag} JSON: {exc.msg}")
+
+
+def _check_dims(labelled) -> None:
+    """Each (label, value) pair must carry a dimension: a non-negative
+    integer."""
+    for label, val in labelled:
+        if not _is_int(val) or val < 0:
+            raise CliError(f"{label} must be a non-negative integer, got {json.dumps(val)}")
 
 
 def _emit_json(doc) -> None:
@@ -186,16 +200,17 @@ def _cmd_khomology(args) -> int:
 
 def _cmd_chenruan(args) -> int:
     census = _load_census(args)
-    try:
-        qdims = json.loads(args.quotient_dims) if args.quotient_dims else {}
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid --quotient-dims JSON: {exc.msg}")
+    qdims = _json_option(args.quotient_dims, "--quotient-dims")
     if isinstance(qdims, list):
-        qdims = {d: int(v) for d, v in enumerate(qdims)}
+        qdims = dict(enumerate(qdims))
     elif isinstance(qdims, dict):
-        qdims = {int(k): int(v) for k, v in qdims.items()}
+        for k in qdims:
+            if not k.isdecimal():
+                raise CliError(f"--quotient-dims: degree {k!r} is not a non-negative integer")
+        qdims = {int(k): v for k, v in qdims.items()}
     else:
         raise CliError("--quotient-dims must be a JSON list or object")
+    _check_dims((f"--quotient-dims: the dimension in degree {d}", v) for d, v in qdims.items())
     dims = chen_ruan_dims(census, qdims, complexified=not args.real)
     if args.json:
         _emit_json({str(d): dims[d] for d in sorted(dims)})
@@ -209,11 +224,14 @@ def _cmd_chenruan(args) -> int:
 
 def _cmd_e2page(args) -> int:
     census = _load_census(args)
-    try:
-        xs_rows = json.loads(args.xs_rows) if args.xs_rows else {}
-    except json.JSONDecodeError as exc:
-        raise CliError(f"invalid --xs-rows JSON: {exc.msg}")
+    xs_rows = _json_option(args.xs_rows, "--xs-rows")
+    if not isinstance(xs_rows, dict):
+        raise CliError("--xs-rows must be a JSON object")
     defaults = {"E01": 0, "E11": 0, "E03": 0, "E13": 0, "H2Xsprime": 0}
+    unknown = sorted(set(xs_rows) - set(defaults))
+    if unknown:
+        raise CliError(f"--xs-rows: unknown keys {unknown}")
+    _check_dims((f"--xs-rows: {k}", v) for k, v in xs_rows.items())
     defaults.update(xs_rows)
     page = e2_page(census, args.chi_xs, defaults)
     if args.json:
@@ -321,11 +339,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ComplexSchemaError, CensusError, FileNotFoundError, ValueError,
-            ZeroDivisionError) as exc:
+    except (CliError, FileNotFoundError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (AssertionError, BlockSplitError) as exc:

@@ -103,6 +103,10 @@ def _require(cond: bool, message: str, path: str):
         raise ComplexSchemaError(message, path)
 
 
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)  # JSON true is no integer
+
+
 def parse_complex(text: str) -> OrbitComplex:
     """Parse the JSON document format; schema errors carry a field path."""
     try:
@@ -123,7 +127,7 @@ def parse_complex(text: str) -> OrbitComplex:
         extra = set(raw) - {"id", "dim", "stabilizer", "self_identified"}
         _require(not extra, f"unknown keys {sorted(extra)}", path)
         _require(isinstance(raw.get("id"), str) and raw["id"], "id must be a string", path)
-        _require(isinstance(raw.get("dim"), int) and raw["dim"] >= 0,
+        _require(_is_int(raw.get("dim")) and raw["dim"] >= 0,
                  "dim must be a non-negative integer", path)
         _require(raw.get("stabilizer") in TAG_ORDERS,
                  f"stabilizer must be one of {sorted(TAG_ORDERS)}", path)
@@ -140,7 +144,7 @@ def parse_complex(text: str) -> OrbitComplex:
         _require(isinstance(raw.get("face"), str), "face must be a string", path)
         _require(isinstance(raw.get("coface"), str), "coface must be a string", path)
         mult = raw.get("multiplicity", 1)
-        _require(isinstance(mult, int) and mult >= 1,
+        _require(_is_int(mult) and mult >= 1,
                  "multiplicity must be a positive integer", path)
         incs.append(Incidence(raw["face"], raw["coface"], mult))
     try:

@@ -136,7 +136,8 @@ def catalog_group(tag: str) -> FiniteGroup:
         raise ValueError(f"unknown catalog tag {tag!r}")
     degree, gens = _CATALOG_GENERATORS[tag]
     g = generate(degree, gens, tag)
-    assert g.order == TAG_ORDERS[tag]
+    if g.order != TAG_ORDERS[tag]:
+        raise AssertionError(f"pinned generators of {tag} give order {g.order}")
     return g
 
 
@@ -394,24 +395,16 @@ def dihedral_mod_ell_homology(n: int, ell: int, q: int) -> int:
 
 
 RESOURCE_BOUND = 10 ** 5
-_BAR_FEASIBLE = 1300  # largest (|G|-1)^(q_max+1) handled by the bar path
 
 
-def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int,
-                                method: str = "auto") -> list[int]:
+def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[int]:
     """dim_{F_ell} H_q(G; F_ell) for 0 <= q <= q_max.
 
-    Two interchangeable strategies sit behind one contract:
-
-    * ``bar``: the normalized bar complex with rank computation over
-      F_ell.  Exact but the chain groups grow like (|G|-1)^q, so it is
-      only used at small scale.
-    * ``resolution``: a free resolution over the group algebra F_ell[G]
-      built degree by degree from kernel computations, tensored down to
-      F_ell.  Same outputs, tiny matrices.
-
-    ``auto`` picks the bar complex whenever it is cheap and the
-    resolution otherwise; the two are cross-checked in the test suite.
+    Builds a free resolution of F_ell over the group algebra F_ell[G]
+    degree by degree from kernel computations, tensors it down to
+    F_ell and reads the dimensions off the ranks.  The matrices stay
+    small: each degree's kernel is generated as a module, not as a
+    vector space.
     """
     _check_prime(ell)
     if q_max < 0:
@@ -420,50 +413,6 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int,
         raise ValueError(
             f"resource bound exceeded: |G|^(q_max+1) = {G.order ** (q_max + 1)}"
             f" > {RESOURCE_BOUND}")
-    if method == "auto":
-        method = "bar" if (G.order - 1) ** (q_max + 1) <= _BAR_FEASIBLE else "resolution"
-    if method == "bar":
-        return _homology_via_bar(G, ell, q_max)
-    if method == "resolution":
-        return _homology_via_resolution(G, ell, q_max)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _homology_via_bar(G: FiniteGroup, p: int, q_max: int) -> list[int]:
-    ident = G.identity
-    nontriv = [g for g in G.elements if g != ident]
-    m = len(nontriv)
-    if m == 0:
-        return [1] + [0] * q_max
-    index = {g: i for i, g in enumerate(nontriv)}
-    prod = [[index.get(compose(a, b)) for b in nontriv] for a in nontriv]
-
-    def pos(tup: tuple[int, ...]) -> int:
-        k = 0
-        for t in tup:
-            k = k * m + t
-        return k
-
-    ranks = [0] * (q_max + 2)
-    for q in range(1, q_max + 2):
-        rows, cols = m ** (q - 1), m ** q
-        d = np.zeros((rows, cols), dtype=np.int64)
-        for ci, tup in enumerate(itertools.product(range(m), repeat=q)):
-            d[pos(tup[1:]), ci] += 1
-            for i in range(q - 1):
-                j = prod[tup[i]][tup[i + 1]]
-                if j is not None:  # identity products vanish (normalized)
-                    merged = tup[:i] + (j,) + tup[i + 2:]
-                    d[pos(merged), ci] += (-1) ** (i + 1)
-            d[pos(tup[:-1]), ci] += (-1) ** q
-        ranks[q] = rank_mod(d, p)
-    dims = [1 - ranks[1]]
-    for q in range(1, q_max + 1):
-        dims.append(m ** q - ranks[q] - ranks[q + 1])
-    return dims
-
-
-def _homology_via_resolution(G: FiniteGroup, p: int, q_max: int) -> list[int]:
     elems = list(G.elements)
     n = len(elems)
     index = {g: i for i, g in enumerate(elems)}
@@ -478,7 +427,7 @@ def _homology_via_resolution(G: FiniteGroup, p: int, q_max: int) -> list[int]:
         return out
 
     def module_generators(basis: np.ndarray, slots: int) -> list[np.ndarray]:
-        tracker = SpanTracker(n * slots, p)
+        tracker = SpanTracker(n * slots, ell)
         gens = []
         for v in basis:
             if tracker.contains(v):
@@ -489,7 +438,7 @@ def _homology_via_resolution(G: FiniteGroup, p: int, q_max: int) -> list[int]:
         return gens
 
     aug = np.ones((1, n), dtype=np.int64)
-    kernel = nullspace_mod(aug, p)
+    kernel = nullspace_mod(aug, ell)
     ranks = [1]
     tensored: list[np.ndarray] = []
     slots = 1
@@ -499,7 +448,7 @@ def _homology_via_resolution(G: FiniteGroup, p: int, q_max: int) -> list[int]:
         T = np.zeros((slots, r_new), dtype=np.int64)
         for k, v in enumerate(gens):
             for s in range(slots):
-                T[s, k] = int(v[s * n:(s + 1) * n].sum() % p)
+                T[s, k] = int(v[s * n:(s + 1) * n].sum() % ell)
         tensored.append(T)
         if r_new == 0:
             kernel = np.zeros((0, 0), dtype=np.int64)
@@ -510,10 +459,10 @@ def _homology_via_resolution(G: FiniteGroup, p: int, q_max: int) -> list[int]:
         for k, v in enumerate(gens):
             for gi in range(n):
                 phi[:, k * n + gi] = left_act(v, gi, slots)
-        kernel = nullspace_mod(phi, p)
+        kernel = nullspace_mod(phi, ell)
         ranks.append(r_new)
         slots = r_new
-    t_ranks = [rank_mod(T, p) if T.size else 0 for T in tensored]
+    t_ranks = [rank_mod(T, ell) for T in tensored]
     dims = [ranks[0] - t_ranks[0]]
     for q in range(1, q_max + 1):
         ker_dim = ranks[q] - t_ranks[q - 1]
@@ -525,7 +474,3 @@ def _check_prime(ell: int) -> None:
     if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
         raise ValueError(f"{ell} is not prime")
 
-
-def mod_ell_cohomology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[int]:
-    """Cohomology dims; equal to homology dims over a field."""
-    return mod_ell_homology_bruteforce(G, ell, q_max)

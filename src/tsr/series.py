@@ -16,7 +16,7 @@ from math import comb, gcd
 import numpy as np
 
 from ._modp import rank_mod
-from .complexes import OrbitComplex
+from .complexes import OrbitComplex, _is_int
 from .groups import dihedral_mod_ell_homology, _check_prime
 
 
@@ -179,18 +179,6 @@ class RationalSeries:
 ZERO_SERIES = RationalSeries(())
 
 
-def series_add(a: RationalSeries, b: RationalSeries) -> RationalSeries:
-    return a + b
-
-
-def series_scale(c, s: RationalSeries) -> RationalSeries:
-    return s.scale(c)
-
-
-def series_expand(s: RationalSeries, n: int) -> list[Fraction]:
-    return s.expand(n)
-
-
 # --------------------------------------------------------------------------
 # Canonical component series
 
@@ -273,7 +261,7 @@ class SubgroupCensus:
     def validate(self) -> "SubgroupCensus":
         for name in self.__dataclass_fields__:
             val = getattr(self, name)
-            if not isinstance(val, int) or val < 0:
+            if not _is_int(val) or val < 0:
                 raise CensusError(f"{name} must be a non-negative integer")
         if self.lambda4star > self.lambda4:
             raise CensusError("lambda4star exceeds lambda4")

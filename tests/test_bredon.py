@@ -1,5 +1,7 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -106,6 +108,17 @@ def test_splitting_first_basis_vector_is_regular():
     for tag in ("C2", "C3", "D2", "D3", "A4"):
         inv = _int_inverse(splitting_basis(tag))
         assert inv[:, 0].tolist() == list(rep_ring(tag).degrees), tag
+
+
+def test_int_inverse_rejects_non_unimodular_under_optimize():
+    # python -O strips bare asserts; the unimodularity check must survive it
+    code = ("import numpy as np\n"
+            "from tsr.bredon import _int_inverse\n"
+            "_int_inverse(np.array([[2]]))\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError: basis is not unimodular" in proc.stderr
 
 
 def test_all_inclusions_block_diagonal():

@@ -117,6 +117,25 @@ def test_e2page():
     assert "a3 = 4" in out.decode()
 
 
+@pytest.mark.parametrize("argv", [
+    ["e2page", "--chi-xs", "1", "--xs-rows", "[1]"],
+    ["e2page", "--chi-xs", "1", "--xs-rows", '{"E01": "x"}'],
+    ["e2page", "--chi-xs", "1", "--xs-rows", '{"E01": 1.5}'],
+    ["e2page", "--chi-xs", "1", "--xs-rows", '{"E01": -1}'],
+    ["e2page", "--chi-xs", "1", "--xs-rows", '{"E11": true}'],
+    ["e2page", "--chi-xs", "1", "--xs-rows", '{"BOGUS": 3}'],
+    ["chenruan", "--quotient-dims", "[[1]]"],
+    ["chenruan", "--quotient-dims", '{"0": 1.5}'],
+    ["chenruan", "--quotient-dims", '{"x": 1}'],
+])
+def test_malformed_json_option_exits_one(argv):
+    code, out, err = run_cli(*argv, "--census", '{"lambda4":1}')
+    lines = err.decode().splitlines()
+    assert code == 1, err.decode()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert b"Traceback" not in err and out == b""
+
+
 def test_oracle_command():
     code, out, _ = run_cli("oracle", "--prime", "3",
                            "--input", "bianchi_edge3.json", "--degrees", "6")

@@ -54,6 +54,13 @@ def test_sl3_fixture_contents():
      '"self_identified": false}], "incidences": [{"face": "a", "coface": "b"}]}',
      "coface"),
     ('not json', "JSON"),
+    # JSON true is a Python int; it must not pass as 1
+    ('{"rigid": true, "cells": [{"id": "a", "dim": true, "stabilizer": "C2", '
+     '"self_identified": false}], "incidences": []}', "dim must be"),
+    ('{"rigid": true, "cells": [{"id": "a", "dim": 0, "stabilizer": "C2", '
+     '"self_identified": false}, {"id": "e", "dim": 1, "stabilizer": "C2", '
+     '"self_identified": false}], "incidences": [{"face": "a", "coface": "e", '
+     '"multiplicity": true}]}', "multiplicity must be"),
 ])
 def test_schema_errors(text, fragment):
     with pytest.raises(ComplexSchemaError) as err:

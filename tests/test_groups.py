@@ -1,7 +1,13 @@
 """Tests for the finite group engine and the homology oracle."""
 
+import itertools
+import subprocess
+import sys
+
+import numpy as np
 import pytest
 
+from tsr._modp import rank_mod
 from tsr.groups import (TAG_ORDERS, FiniteGroup, are_isomorphic, catalog_group,
                         center, compose, dihedral_group,
                         dihedral_mod_ell_homology, has_trivial_mod_ell_cohomology,
@@ -38,6 +44,17 @@ def test_catalog_s4_full_symmetric():
 def test_catalog_unknown_tag():
     with pytest.raises(ValueError):
         catalog_group("D5")
+
+
+def test_broken_pinned_generators_raise_under_optimize():
+    # python -O strips bare asserts; the order check must survive it
+    code = ("import tsr.groups as g\n"
+            "g._CATALOG_GENERATORS['C3'] = (3, ((1, 0, 2),))\n"
+            "g.catalog_group('C3')\n")
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode != 0
+    assert "AssertionError: pinned generators of C3 give order 2" in proc.stderr
 
 
 def test_normal_subgroups_c2():
@@ -207,13 +224,48 @@ def test_bruteforce_resource_bound():
         mod_ell_homology_bruteforce(catalog_group("S4"), 2, 3)
 
 
+def homology_via_bar(G, p, q_max):
+    """Reference oracle: the normalized bar complex, ranked over F_p.
+    Its chain groups grow like (|G|-1)^q, so it only suits tiny cases."""
+    ident = G.identity
+    nontriv = [g for g in G.elements if g != ident]
+    m = len(nontriv)
+    if m == 0:
+        return [1] + [0] * q_max
+    index = {g: i for i, g in enumerate(nontriv)}
+    prod = [[index.get(compose(a, b)) for b in nontriv] for a in nontriv]
+
+    def pos(tup):
+        k = 0
+        for t in tup:
+            k = k * m + t
+        return k
+
+    ranks = [0] * (q_max + 2)
+    for q in range(1, q_max + 2):
+        d = np.zeros((m ** (q - 1), m ** q), dtype=np.int64)
+        for ci, tup in enumerate(itertools.product(range(m), repeat=q)):
+            d[pos(tup[1:]), ci] += 1
+            for i in range(q - 1):
+                j = prod[tup[i]][tup[i + 1]]
+                if j is not None:  # identity products vanish (normalized)
+                    merged = tup[:i] + (j,) + tup[i + 2:]
+                    d[pos(merged), ci] += (-1) ** (i + 1)
+            d[pos(tup[:-1]), ci] += (-1) ** q
+        ranks[q] = rank_mod(d, p)
+    dims = [1 - ranks[1]]
+    for q in range(1, q_max + 1):
+        dims.append(m ** q - ranks[q] - ranks[q + 1])
+    return dims
+
+
 def test_bar_and_resolution_agree():
     cases = [("C2", 2, 3), ("C2", 3, 3), ("C3", 2, 3), ("C3", 3, 3),
              ("C4", 2, 3), ("D2", 2, 3), ("D3", 2, 3), ("D3", 3, 3)]
     for tag, ell, q_max in cases:
         G = catalog_group(tag)
-        bar = mod_ell_homology_bruteforce(G, ell, q_max, method="bar")
-        res = mod_ell_homology_bruteforce(G, ell, q_max, method="resolution")
+        bar = homology_via_bar(G, ell, q_max)
+        res = mod_ell_homology_bruteforce(G, ell, q_max)
         assert bar == res, (tag, ell)
 
 
