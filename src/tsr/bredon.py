@@ -10,12 +10,12 @@ reciprocity, block structure), not trusted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .complexes import OrbitComplex, edge_end_assignments
+from .complexes import OrbitComplex, _is_int, edge_end_assignments
 from .series import SubgroupCensus
 
 # --------------------------------------------------------------------------
@@ -336,6 +336,10 @@ class AbelianGroup:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
+        if self.free_rank < 0:
+            raise ValueError(f"free rank must be non-negative, got {self.free_rank}")
+        if any(n < 1 for n in self.torsion):
+            raise ValueError(f"torsion coefficients must be positive, got {list(self.torsion)}")
         object.__setattr__(self, "torsion", _invariant_factors(self.torsion))
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
@@ -581,12 +585,12 @@ class SplitBlocks:
     three: IntegerChainComplex
 
 
-def split_blocks(bc: BredonComplex, bases=None) -> SplitBlocks:
-    """Base-change the Bredon differentials and split them into the
-    orbit-space block and the 2- and 3-torsion blocks.  Block diagonality
-    is checked entry by entry, not assumed."""
-    if bases is None:
-        bases = {tag: splitting_basis(tag) for tag in SUPPORTED_VERTEX_TAGS}
+def split_blocks(bc: BredonComplex) -> SplitBlocks:
+    """Base-change the Bredon differentials into the pinned splitting
+    bases and split them into the orbit-space block and the 2- and
+    3-torsion blocks.  Block diagonality is checked entry by entry, not
+    assumed."""
+    bases = {tag: splitting_basis(tag) for tag in SUPPORTED_VERTEX_TAGS}
 
     def blockdiag(cells, invert=False):
         mats = []
@@ -682,7 +686,13 @@ def chen_ruan_dims(census: SubgroupCensus, quotient_dims: dict[int, int],
     sector adds a point contribution (degree 0) and each circle-type
     sector a circle contribution (degrees 0 and 1)."""
     census.validate()
-    dims = {int(k): int(v) for k, v in quotient_dims.items()}
+    for d, v in quotient_dims.items():
+        if not _is_int(d) or d < 0:
+            raise ValueError(f"quotient degree {d!r} is not a non-negative integer")
+        if not _is_int(v) or v < 0:
+            raise ValueError(f"quotient dimension {v!r} in degree {d} "
+                             "is not a non-negative integer")
+    dims = dict(quotient_dims)
     circle3 = 2 * census.lambda6 - census.lambda6star
     if complexified:
         add = {2: census.lambda4 + circle3,

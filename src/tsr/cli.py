@@ -15,8 +15,7 @@ from pathlib import Path
 
 from . import __version__
 from .bredon import (AbelianGroup, BlockSplitError, bredon_complex,
-                     bredon_homology_formula, chen_ruan_dims, homology,
-                     k_homology, split_blocks)
+                     chen_ruan_dims, homology, k_homology, split_blocks)
 from .complexes import (_is_int, classify_component, connected_components,
                         parse_complex, serialize_complex, torsion_subcomplex)
 from .reduction import reduce_complex, replay
@@ -210,7 +209,6 @@ def _cmd_chenruan(args) -> int:
         qdims = {int(k): v for k, v in qdims.items()}
     else:
         raise CliError("--quotient-dims must be a JSON list or object")
-    _check_dims((f"--quotient-dims: the dimension in degree {d}", v) for d, v in qdims.items())
     dims = chen_ruan_dims(census, qdims, complexified=not args.real)
     if args.json:
         _emit_json({str(d): dims[d] for d in sorted(dims)})

@@ -10,7 +10,7 @@ the graph cohomology oracle) reads only this quotient data.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import TAG_ORDERS
 
@@ -61,6 +61,11 @@ class OrbitComplex:
         if len(set(pairs)) != len(pairs):
             raise ComplexSchemaError(
                 "duplicate incidence records (use multiplicity instead)")
+        # each cell's faces and cofaces in incidence order (no entry when
+        # there are none); faces() and cofaces() hand these lists out, so
+        # callers read them and do not mutate them
+        faces: dict[str, list[Incidence]] = {}
+        cofaces: dict[str, list[Incidence]] = {}
         for inc in self.incidences:
             if inc.face not in by_id:
                 raise ComplexSchemaError(f"unknown face {inc.face!r}")
@@ -71,12 +76,14 @@ class OrbitComplex:
                     f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
             if inc.multiplicity < 1:
                 raise ComplexSchemaError("multiplicity must be >= 1")
+            faces.setdefault(inc.coface, []).append(inc)
+            cofaces.setdefault(inc.face, []).append(inc)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_faces", faces)
+        object.__setattr__(self, "_cofaces", cofaces)
 
     def cell(self, cell_id: str) -> OrbitCell:
-        for c in self.cells:
-            if c.id == cell_id:
-                return c
-        raise KeyError(cell_id)
+        return self._by_id[cell_id]
 
     @property
     def dimension(self) -> int:
@@ -86,10 +93,10 @@ class OrbitComplex:
         return [c for c in self.cells if c.dim == d]
 
     def cofaces(self, cell_id: str) -> list[Incidence]:
-        return [i for i in self.incidences if i.face == cell_id]
+        return self._cofaces.get(cell_id, [])
 
     def faces(self, cell_id: str) -> list[Incidence]:
-        return [i for i in self.incidences if i.coface == cell_id]
+        return self._faces.get(cell_id, [])
 
     def without_cells(self, drop: set[str]) -> "OrbitComplex":
         cells = tuple(c for c in self.cells if c.id not in drop)
@@ -179,10 +186,8 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
     with incidences restricted accordingly."""
     if not cx.rigid:
         raise ValueError("torsion subcomplex extraction requires a rigid complex")
-    keep = {c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell == 0}
-    cells = tuple(c for c in cx.cells if c.id in keep)
-    incs = tuple(i for i in cx.incidences if i.face in keep and i.coface in keep)
-    return OrbitComplex(cells, incs, cx.rigid)
+    return cx.without_cells({c.id for c in cx.cells
+                             if TAG_ORDERS[c.stabilizer] % ell != 0})
 
 
 def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
@@ -241,11 +246,10 @@ def edge_end_assignments(cx: OrbitComplex) -> dict[str, list[tuple[str, int, int
         slots[e.id] = ends
     # per-vertex embedding counters, grouped by edge tag
     counters: dict[tuple[str, str], int] = {}
-    by_id = {c.id: c for c in cx.cells}
     assignment: dict[str, list[tuple[str, int, int]]] = {e.id: [] for e in edges}
     for e in sorted(edges, key=lambda c: c.id):
         for pos, (vid, _slot) in enumerate(slots[e.id]):
-            vtag = by_id[vid].stabilizer
+            vtag = cx.cell(vid).stabilizer
             classes = EMBEDDING_CLASSES.get((vtag, e.stabilizer), 1)
             key = (vid, e.stabilizer)
             emb = counters.get(key, 0) % classes

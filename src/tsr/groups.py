@@ -11,7 +11,6 @@ by the homology oracle.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from math import gcd
 
 import numpy as np

@@ -146,40 +146,30 @@ def _check_b_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | None:
 # Condition A and the moves
 
 
-def _cells_above(cx: OrbitComplex, cell_id: str) -> set[str]:
-    """Ids of cells reachable upward from cell_id via coface chains."""
-    seen: set[str] = set()
-    frontier = [cell_id]
-    while frontier:
-        nxt = []
-        for cid in frontier:
-            for inc in cx.cofaces(cid):
-                if inc.coface not in seen:
-                    seen.add(inc.coface)
-                    nxt.append(inc.coface)
-        frontier = nxt
-    return seen
-
-
 def _touched_by_higher(cx: OrbitComplex, sigma: str) -> bool:
     # "no higher-dimensional cells touch sigma" read as: no cell of
-    # dimension >= dim(sigma) + 2 upward-incident to sigma
-    dim = cx.cell(sigma).dim
-    return any(cx.cell(cid).dim >= dim + 2 for cid in _cells_above(cx, sigma))
+    # dimension >= dim(sigma) + 2 upward-incident to sigma; every
+    # incidence raises the dimension by exactly 1, so that is a coface
+    # of a coface
+    return any(cx.cofaces(inc.coface) for inc in cx.cofaces(sigma))
+
+
+def _bounds_exactly(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
+    """Adjacency shape of condition A: sigma bounds exactly the two
+    distinct cells tau1 and tau2, one dimension up."""
+    dim = cx.cell(sigma).dim + 1
+    if cx.cell(tau1).dim != dim or cx.cell(tau2).dim != dim:
+        raise ValueError("tau cells must have dimension dim(sigma) + 1")
+    cofs = cx.cofaces(sigma)  # distinct cofaces, by the schema
+    return len(cofs) == 2 and {c.coface for c in cofs} == {tau1, tau2}
 
 
 def check_condition_A(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
-    s = cx.cell(sigma)
+    if not _bounds_exactly(cx, sigma, tau1, tau2):
+        return False
+    if any(c.multiplicity != 1 for c in cx.cofaces(sigma)):
+        return False
     t1, t2 = cx.cell(tau1), cx.cell(tau2)
-    if t1.dim != s.dim + 1 or t2.dim != s.dim + 1:
-        raise ValueError("tau cells must have dimension dim(sigma) + 1")
-    if tau1 == tau2:
-        return False
-    cofs = cx.cofaces(sigma)
-    if len(cofs) != 2 or {c.coface for c in cofs} != {tau1, tau2}:
-        return False
-    if any(c.multiplicity != 1 for c in cofs):
-        return False
     if t1.self_identified or t2.self_identified:
         return False
     if _touched_by_higher(cx, sigma):
@@ -196,46 +186,14 @@ def _unique_merged_id(cx: OrbitComplex, base: str) -> str:
     return new_id
 
 
-def merge(cx: OrbitComplex, cand: MergeCandidate, ell: int) -> OrbitComplex:
-    """Replace sigma, tau1, tau2 by one cell carrying tau1's stabilizer;
-    its boundary is the union of both tau boundaries minus sigma."""
-    if not check_condition_A(cx, cand.sigma, cand.tau1, cand.tau2):
-        raise ValueError("condition A fails for the merge candidate")
-    s = cx.cell(cand.sigma)
-    t1 = cx.cell(cand.tau1)
-    if check_condition_B_prime(s.stabilizer, t1.stabilizer, ell) is None:
-        raise ValueError("condition B' fails for the merge candidate")
-    boundary: dict[str, int] = {}
-    for tau in (cand.tau1, cand.tau2):
-        for inc in cx.faces(tau):
-            if inc.face != cand.sigma:
-                boundary[inc.face] = boundary.get(inc.face, 0) + inc.multiplicity
-    merged_id = _unique_merged_id(cx, cand.tau1)
-    merged = OrbitCell(merged_id, t1.dim, t1.stabilizer, False)
-    base = cx.without_cells({cand.sigma, cand.tau1, cand.tau2})
-    cells = base.cells + (merged,)
-    incs = base.incidences + tuple(
-        Incidence(face, merged_id, mult) for face, mult in sorted(boundary.items()))
-    return OrbitComplex(cells, incs, cx.rigid)
-
-
-def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
-    """Forced merge that skips the stabilizer-isomorphism gate of
-    condition A (adjacency shape is still validated).  Used to replay
-    reduction steps that the rule engine cannot derive on its own, such
-    as eliminating a vertex between two edges of unlike stabilizers."""
-    s = cx.cell(sigma)
-    t1, t2 = cx.cell(tau1), cx.cell(tau2)
-    if t1.dim != s.dim + 1 or t2.dim != s.dim + 1 or tau1 == tau2:
-        raise ValueError("bad adjacency for scripted merge")
-    cofs = cx.cofaces(sigma)
-    if len(cofs) != 2 or {c.coface for c in cofs} != {tau1, tau2}:
-        raise ValueError("sigma must bound exactly tau1 and tau2")
+def _merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
+    """The body of merge and scripted_merge, which check the triple first."""
     boundary: dict[str, int] = {}
     for tau in (tau1, tau2):
         for inc in cx.faces(tau):
             if inc.face != sigma:
                 boundary[inc.face] = boundary.get(inc.face, 0) + inc.multiplicity
+    t1 = cx.cell(tau1)
     merged_id = _unique_merged_id(cx, tau1)
     merged = OrbitCell(merged_id, t1.dim, t1.stabilizer, False)
     base = cx.without_cells({sigma, tau1, tau2})
@@ -244,23 +202,50 @@ def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitC
         cx.rigid)
 
 
+def merge(cx: OrbitComplex, cand: MergeCandidate, ell: int) -> OrbitComplex:
+    """Replace sigma, tau1, tau2 by one cell carrying tau1's stabilizer;
+    its boundary is the union of both tau boundaries minus sigma."""
+    if not check_condition_A(cx, cand.sigma, cand.tau1, cand.tau2):
+        raise ValueError("condition A fails for the merge candidate")
+    if check_condition_B_prime(cx.cell(cand.sigma).stabilizer,
+                               cx.cell(cand.tau1).stabilizer, ell) is None:
+        raise ValueError("condition B' fails for the merge candidate")
+    return _merge(cx, cand.sigma, cand.tau1, cand.tau2)
+
+
+def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
+    """Forced merge that skips the stabilizer-isomorphism gate of
+    condition A (adjacency shape is still validated).  Used to replay
+    reduction steps that the rule engine cannot derive on its own, such
+    as eliminating a vertex between two edges of unlike stabilizers."""
+    if not _bounds_exactly(cx, sigma, tau1, tau2):
+        raise ValueError("sigma must bound exactly tau1 and tau2")
+    return _merge(cx, sigma, tau1, tau2)
+
+
+def _terminal_coface(cx: OrbitComplex, sigma: str) -> str | None:
+    """The unique coface tau of a terminal cell sigma, or None: sigma has
+    exactly one coface, with multiplicity 1, and no higher cell over it."""
+    cofs = cx.cofaces(sigma)
+    if len(cofs) != 1 or cofs[0].multiplicity != 1 or _touched_by_higher(cx, sigma):
+        return None
+    return cofs[0].coface
+
+
 def find_terminal_cells(cx: OrbitComplex) -> list[tuple[str, str]]:
     """All (sigma, tau) pairs where sigma has exactly one coface tau with
     multiplicity 1 and no higher-dimensional cells over it."""
     out = []
     for c in sorted(cx.cells, key=lambda c: (c.dim, c.id)):
-        cofs = cx.cofaces(c.id)
-        if len(cofs) != 1 or cofs[0].multiplicity != 1:
-            continue
-        if _touched_by_higher(cx, c.id):
-            continue
-        out.append((c.id, cofs[0].coface))
+        tau = _terminal_coface(cx, c.id)
+        if tau is not None:
+            out.append((c.id, tau))
     return out
 
 
 def cut(cx: OrbitComplex, sigma: str, tau: str, ell: int) -> OrbitComplex:
     """Remove the terminal cell sigma together with its unique coface."""
-    if (sigma, tau) not in find_terminal_cells(cx):
+    if _terminal_coface(cx, sigma) != tau:
         raise ValueError(f"({sigma}, {tau}) is not a terminal pair")
     s, t = cx.cell(sigma), cx.cell(tau)
     if check_condition_B_prime(s.stabilizer, t.stabilizer, ell) is None:
@@ -274,14 +259,10 @@ def _find_merge_candidates(cx: OrbitComplex) -> list[MergeCandidate]:
         cofs = cx.cofaces(c.id)
         if len(cofs) != 2:
             continue
+        # two distinct cofaces one dimension up, as the schema guarantees
         tau1, tau2 = sorted(i.coface for i in cofs)
-        if tau1 == tau2:
-            continue
-        try:
-            if check_condition_A(cx, c.id, tau1, tau2):
-                out.append(MergeCandidate(c.id, tau1, tau2))
-        except ValueError:
-            continue
+        if check_condition_A(cx, c.id, tau1, tau2):
+            out.append(MergeCandidate(c.id, tau1, tau2))
     return out
 
 

@@ -191,6 +191,17 @@ def test_abelian_group_invariant_factors():
     assert AbelianGroup(0, (4, 6)).torsion == (2, 12)
 
 
+def test_abelian_group_rejects_negative_free_rank():
+    with pytest.raises(ValueError, match="free rank"):
+        AbelianGroup(-3)
+
+
+@pytest.mark.parametrize("torsion", [(0,), (-2,), (2, 0, 1)])
+def test_abelian_group_rejects_nonpositive_torsion(torsion):
+    with pytest.raises(ValueError, match="torsion"):
+        AbelianGroup(0, torsion)
+
+
 def test_homology_rejects_non_chain():
     psi1 = np.array([[1, 0], [0, 1]])
     psi2 = np.array([[1], [0]])
@@ -329,3 +340,19 @@ def test_chen_ruan_examples():
     assert dims == {0: 1, 2: 3, 3: 2}
     dims = chen_ruan_dims(SubgroupCensus(lambda4=1), {0: 1}, False)
     assert dims == {0: 2, 1: 1}
+
+
+@pytest.mark.parametrize("quotient_dims", [
+    {0: 1.5}, {0: "3"}, {0: True}, {0: -1},
+])
+def test_chen_ruan_rejects_invalid_dimension(quotient_dims):
+    with pytest.raises(ValueError, match="dimension"):
+        chen_ruan_dims(SubgroupCensus(), quotient_dims, True)
+
+
+@pytest.mark.parametrize("quotient_dims", [
+    {"2": 3}, {1.0: 1}, {True: 1}, {-1: 1},
+])
+def test_chen_ruan_rejects_invalid_degree(quotient_dims):
+    with pytest.raises(ValueError, match="degree"):
+        chen_ruan_dims(SubgroupCensus(), quotient_dims, True)

@@ -103,6 +103,18 @@ def test_khomology_report():
     assert out.decode() == "K_0 = Z^3\nK_1 = Z^3\n"
 
 
+@pytest.mark.parametrize("flags", [
+    ["--h1-free", "-3"],
+    ["--h1-torsion=-2,0,1"],
+])
+def test_khomology_invalid_h1_exits_one(flags):
+    code, out, err = run_cli("khomology", "--census", '{"beta1":2}', *flags)
+    lines = err.decode().splitlines()
+    assert code == 1, err.decode()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert out == b""
+
+
 def test_chenruan_real():
     code, out, _ = run_cli("chenruan", "--census", '{"lambda4":1}', "--real",
                            "--quotient-dims", "[1]")

@@ -79,6 +79,23 @@ def test_incidence_dimension_check():
                      (Incidence("a", "b"),))
 
 
+def test_lookups_match_a_scan_in_incidence_order():
+    for name in ALL_FIXTURES:
+        cx = load(name)
+        for c in cx.cells:
+            assert cx.cell(c.id) is c
+            assert cx.faces(c.id) == [i for i in cx.incidences if i.coface == c.id]
+            assert cx.cofaces(c.id) == [i for i in cx.incidences if i.face == c.id]
+
+
+def test_lookups_of_an_unknown_id():
+    cx = load("path_c2_d3_c2.json")
+    with pytest.raises(KeyError):
+        cx.cell("nope")
+    assert cx.faces("nope") == []
+    assert cx.cofaces("nope") == []
+
+
 def test_torsion_subcomplex_sl3():
     cx = load("sl3z_soule.json")
     sub = torsion_subcomplex(cx, 2)

@@ -3,11 +3,14 @@
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsr.complexes import (Incidence, OrbitCell, OrbitComplex,
                            classify_component, parse_complex,
                            serialize_complex, torsion_subcomplex)
-from tsr.groups import catalog_group, mod_ell_homology_bruteforce
+from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
+                        catalog_group, mod_ell_homology_bruteforce)
 from tsr.reduction import (MergeCandidate, Move, ReductionLog,
                            check_condition_A, check_condition_B_prime, cut,
                            find_terminal_cells, merge, reduce_complex, replay,
@@ -265,3 +268,123 @@ def test_scripted_merge_reaches_final_chain():
 def test_scripted_merge_validates_adjacency():
     with pytest.raises(ValueError):
         scripted_merge(load("graphfive.json"), "u", "a", "b")
+
+
+# --------------------------------------------------------------------------
+# Differential test against a reference search that scans every record
+
+
+def reference_reduce(cx: OrbitComplex, ell: int):
+    """The reduction loop with each lookup a linear scan and the
+    higher-cell test an upward search through the whole complex; moves
+    are applied here too, so nothing but the records is shared."""
+
+    def cell(cid):
+        return next(c for c in cx.cells if c.id == cid)
+
+    def cofaces(cid):
+        return [i for i in cx.incidences if i.face == cid]
+
+    def touched_by_higher(cid):
+        seen, frontier = set(), [cid]
+        while frontier:
+            frontier = [i.coface for f in frontier for i in cofaces(f)
+                        if i.coface not in seen]
+            seen.update(frontier)
+        return any(cell(c).dim >= cell(cid).dim + 2 for c in seen)
+
+    def without(drop):
+        return OrbitComplex(
+            tuple(c for c in cx.cells if c.id not in drop),
+            tuple(i for i in cx.incidences
+                  if i.face not in drop and i.coface not in drop), cx.rigid)
+
+    def next_move():
+        order = sorted(cx.cells, key=lambda c: (c.dim, c.id))
+        for c in order:
+            cofs = cofaces(c.id)
+            if len(cofs) == 1 and cofs[0].multiplicity == 1 \
+                    and not touched_by_higher(c.id):
+                tau = cofs[0].coface
+                clause = check_condition_B_prime(c.stabilizer, cell(tau).stabilizer, ell)
+                if clause is not None:
+                    return Move("cut", c.id, (tau,), clause)
+        for c in order:
+            cofs = cofaces(c.id)
+            if len(cofs) != 2 or any(i.multiplicity != 1 for i in cofs):
+                continue
+            t1, t2 = (cell(t) for t in sorted(i.coface for i in cofs))
+            if t1.self_identified or t2.self_identified or touched_by_higher(c.id):
+                continue
+            if not are_isomorphic(catalog_group(t1.stabilizer),
+                                  catalog_group(t2.stabilizer)):
+                continue
+            clause = check_condition_B_prime(c.stabilizer, t1.stabilizer, ell)
+            if clause is not None:
+                merged = t1.id + "+"
+                while any(x.id == merged for x in cx.cells):
+                    merged += "+"
+                return Move("merge", c.id, (t1.id, t2.id), clause, merged)
+        return None
+
+    cx = without({c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell})
+    moves = []
+    while (move := next_move()) is not None:
+        moves.append(move)
+        if move.kind == "cut":
+            cx = without({move.sigma, *move.taus})
+            continue
+        boundary = {}
+        for i in cx.incidences:
+            if i.coface in move.taus and i.face != move.sigma:
+                boundary[i.face] = boundary.get(i.face, 0) + i.multiplicity
+        t1 = cell(move.taus[0])
+        base = without({move.sigma, *move.taus})
+        cx = OrbitComplex(
+            base.cells + (OrbitCell(move.merged, t1.dim, t1.stabilizer),),
+            base.incidences + tuple(Incidence(f, move.merged, m)
+                                    for f, m in sorted(boundary.items())),
+            cx.rigid)
+    return cx, ReductionLog(tuple(moves))
+
+
+@st.composite
+def random_complexes(draw):
+    """A prime ell in {2, 3} and a complex of dimension 0 to 2 with loops,
+    multiplicity-2 incidences and self-identified cells, cells and
+    incidences in random order.  Stabilizers come from a palette of a
+    few catalog tags, mostly of order divisible by ell, so that like
+    tags meet often enough for merges."""
+    ell = draw(st.sampled_from((2, 3)))
+    torsion_tags = [t for t in CATALOG_TAGS if TAG_ORDERS[t] % ell == 0]
+    palette = draw(st.lists(st.sampled_from(torsion_tags), min_size=1, max_size=2))
+    tag = st.sampled_from(palette + draw(st.sampled_from(([], [], ["C1"], list(CATALOG_TAGS)))))
+    self_identified = st.integers(0, 7).map(lambda k: k == 0)
+    mult = st.sampled_from((1,) * 7 + (2,))
+    n0, n1 = draw(st.integers(1, 6)), draw(st.integers(0, 8))
+    n2 = draw(st.integers(0, 2)) if n1 else 0
+    cells = [OrbitCell(f"v{k}", 0, draw(tag), draw(self_identified)) for k in range(n0)]
+    cells += [OrbitCell(f"e{k}", 1, draw(tag), draw(self_identified)) for k in range(n1)]
+    cells += [OrbitCell(f"t{k}", 2, draw(tag), draw(self_identified)) for k in range(n2)]
+    incs = []
+    for k in range(n1):
+        ends = draw(st.lists(st.integers(0, n0 - 1), min_size=1, max_size=2, unique=True))
+        if len(ends) == 1:  # a loop
+            incs.append(Incidence(f"v{ends[0]}", f"e{k}", 2))
+        else:
+            incs += [Incidence(f"v{v}", f"e{k}", draw(mult)) for v in ends]
+    for k in range(n2):
+        sides = draw(st.lists(st.integers(0, n1 - 1), min_size=1, max_size=4, unique=True))
+        incs += [Incidence(f"e{e}", f"t{k}", draw(mult)) for e in sides]
+    return ell, OrbitComplex(tuple(draw(st.permutations(cells))),
+                             tuple(draw(st.permutations(incs))))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_complexes())
+def test_reduce_matches_reference_search(ell_and_complex):
+    ell, cx = ell_and_complex
+    reduced, log = reduce_complex(cx, ell)
+    ref_reduced, ref_log = reference_reduce(cx, ell)
+    assert log == ref_log
+    assert serialize_complex(reduced) == serialize_complex(ref_reduced)
