@@ -1,97 +1,107 @@
-"""Dense linear algebra over the prime fields F_p (small p), numpy-backed.
+"""Exact sparse elimination over Z and over the prime fields F_p.
 
-One elimination kernel serves every caller: ``SpanTracker`` keeps a row
-space in reduced row echelon form (unit pivots, every pivot column zero
-in the other rows) as vectors are added one at a time.  ``rank_mod``
-and ``nullspace_mod`` feed a matrix's rows through it.  Entries stay in
-[0, p), and the sizes here stay in the low thousands, so int64
-arithmetic is exact.
+One kernel serves every caller: ``SpanTracker(p)`` keeps a row space in
+reduced echelon form as rows are added one at a time (p = 0 means Z).
+Rows are ``{column: entry}`` dicts.  A pivot must be a unit (any nonzero
+residue over F_p, +-1 over Z); a row's pivot is its least unit column,
+scaled to 1 and cleared from every other row.  Over Z a reduced row
+with no unit joins the ``core``, which also stays zero in every pivot
+column, so the elementary divisors are one 1 per pivot plus those of
+the core (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).
+``rank_mod`` and ``nullspace_mod`` feed a matrix's rows through it.
 """
 
 from __future__ import annotations
 
-import numpy as np
+
+def _row(vec, p: int) -> dict[int, int]:
+    """The nonzero entries of a dense or dict row, reduced mod p if p > 0."""
+    items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+    out = {j: int(x) % p if p else int(x) for j, x in items if x}
+    return {j: x for j, x in out.items() if x} if p else out
+
+
+def _subtract(row: dict[int, int], a: int, v: dict[int, int], p: int) -> None:
+    """row -= a * v in place (mod p if p > 0)."""
+    for j, x in v.items():
+        y = row.get(j, 0) - a * x
+        if p:
+            y %= p
+        if y:
+            row[j] = y
+        else:
+            del row[j]
 
 
 class SpanTracker:
-    """Incrementally maintained row space over F_p with membership tests.
+    """Incrementally maintained row space over F_p, or row lattice over
+    Z (p = 0).  ``pivots`` maps each pivot column to its row; ``rank``
+    counts the pivots (over Z the core adds to the rank of the lattice)."""
 
-    The rows are kept fully reduced, so reducing a vector against them is
-    one step, ``v - v[pivots] @ rows``.  At most ``max_rank`` rows are
-    stored (default ``dim``); the space for them is allocated up front.
-    """
-
-    def __init__(self, dim: int, p: int, max_rank: int | None = None):
+    def __init__(self, p: int, rows=()):
         self.p = p
-        self.dim = dim
-        cap = dim if max_rank is None else min(dim, max_rank)
-        self._rows = np.zeros((cap, dim), dtype=np.int64)
-        self._pivots = np.zeros(cap, dtype=np.intp)
-        self.rank = 0
+        self.pivots: dict[int, dict[int, int]] = {}
+        self.core: list[dict[int, int]] = []
+        for row in rows:
+            self.add(row)
 
-    def _reduce(self, vec) -> np.ndarray:
-        v = np.asarray(vec, dtype=np.int64) % self.p
-        r = self.rank
-        if r:
-            v -= v[self._pivots[:r]] @ self._rows[:r]
-            v %= self.p
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+    def _reduce(self, vec) -> dict[int, int]:
+        # each pivot row is zero in the other pivot columns, so the
+        # coefficients are the vector's own entries there
+        v = _row(vec, self.p)
+        for c in [c for c in v if c in self.pivots]:
+            _subtract(v, v[c], self.pivots[c], self.p)
         return v
 
     def contains(self, vec) -> bool:
-        return not self._reduce(vec).any()
+        if not self.p:
+            raise ValueError("membership is only decided over F_p")
+        return not self._reduce(vec)
 
     def add(self, vec) -> bool:
-        """Add a vector; returns True if it enlarged the span."""
+        """Add a row; returns True if it enlarged the span."""
         v = self._reduce(vec)
-        nz = np.flatnonzero(v)
-        if nz.size == 0:
+        if not v:
             return False
-        c = int(nz[0])
-        if v[c] != 1:
-            v = (v * pow(int(v[c]), self.p - 2, self.p)) % self.p
-        r = self.rank
-        hit = np.flatnonzero(self._rows[:r, c])  # clear column c in the old rows
-        if hit.size:
-            self._rows[hit] = (self._rows[hit] - np.outer(self._rows[hit, c], v)) % self.p
-        self._rows[r] = v
-        self._pivots[r] = c
-        self.rank = r + 1
+        p = self.p
+        units = [j for j, x in v.items() if p or x in (1, -1)]
+        if not units:
+            self.core.append(v)
+            return True
+        c = min(units)
+        inv = pow(v[c], -1, p) if p else v[c]
+        if inv != 1:
+            v = {j: x * inv % p if p else -x for j, x in v.items()}
+        for row in (*self.pivots.values(), *self.core):
+            if c in row:
+                _subtract(row, row[c], v, p)
+        self.pivots[c] = v
         return True
 
 
-def _row_space(a: np.ndarray, p: int) -> SpanTracker:
-    tracker = SpanTracker(a.shape[1], p, max_rank=a.shape[0])
-    for row in a:
-        tracker.add(row)
-    return tracker
-
-
-def _matrix(mat) -> np.ndarray:
-    a = np.asarray(mat, dtype=np.int64)
-    if a.ndim != 2:
-        raise ValueError("expected a 2-dimensional matrix")
-    return a
-
-
 def rank_mod(mat, p: int) -> int:
-    a = _matrix(mat)
-    if a.shape[1] < a.shape[0]:
-        a = a.T  # fewer, longer rows: fewer reduction steps
-    return _row_space(a, p).rank
+    """Rank over F_p of a matrix given as a list of rows."""
+    return SpanTracker(p, mat).rank
 
 
-def nullspace_mod(mat, p: int) -> np.ndarray:
-    """Basis of the right null space over F_p, one vector per row of the
-    returned array.  The basis is the canonical one read off the RREF
-    (the identity on the free columns), so it is deterministic."""
-    a = _matrix(mat)
-    cols = a.shape[1]
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.int64)
-    span = _row_space(a, p)
-    pivots = span._pivots[:span.rank]
-    free = np.setdiff1d(np.arange(cols), pivots)
-    basis = np.zeros((free.size, cols), dtype=np.int64)
-    basis[np.arange(free.size), free] = 1
-    basis[:, pivots] = (-span._rows[:span.rank][:, free].T) % p
+def nullspace_mod(mat, p: int, cols: int) -> list[list[int]]:
+    """Basis of the right null space over F_p of a matrix with ``cols``
+    columns, one vector per returned row.  The basis is the canonical one
+    read off the RREF (the identity on the free columns), so it is
+    deterministic."""
+    pivots = SpanTracker(p, mat).pivots
+    basis = []
+    for f in range(cols):
+        if f in pivots:
+            continue
+        vec = [0] * cols
+        vec[f] = 1
+        for c, row in pivots.items():
+            if f in row:
+                vec[c] = p - row[f]
+        basis.append(vec)
     return basis

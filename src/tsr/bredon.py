@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-import numpy as np
-
+from ._modp import SpanTracker, _row
 from .complexes import OrbitComplex, _is_int, edge_end_assignments
 from .series import SubgroupCensus
 
@@ -175,7 +175,7 @@ class InductionBlock:
     source: str
     target: str
     embedding: int
-    matrix: np.ndarray  # rank(target) x rank(source)
+    matrix: list[list[int]]  # rank(target) x rank(source), as rows
 
 
 def embedding_count(source: str, target: str) -> int:
@@ -194,7 +194,7 @@ def induction_matrix(source: str, target: str, embedding: int = 0) -> InductionB
     src = rep_ring(source)
     tgt = rep_ring(target)
     src_elems = _SOURCE_ELEMENT_CHARS[source]
-    mat = np.zeros((tgt.rank, src.rank), dtype=np.int64)
+    mat = [[0] * src.rank for _ in range(tgt.rank)]
     for i, psi in enumerate(tgt.characters):
         for j in range(src.rank):
             acc = _cyc(0)
@@ -205,7 +205,7 @@ def induction_matrix(source: str, target: str, embedding: int = 0) -> InductionB
                 raise AssertionError(
                     f"induction {source}->{target} produced non-integral "
                     f"multiplicity {val}")
-            mat[i, j] = int(val[0])
+            mat[i][j] = int(val[0])
     block = InductionBlock(source, target, embedding, mat)
     _verify_degree_preservation(block, src, tgt)
     return block
@@ -214,9 +214,9 @@ def induction_matrix(source: str, target: str, embedding: int = 0) -> InductionB
 def _verify_degree_preservation(block: InductionBlock, src: RepRing,
                                 tgt: RepRing) -> None:
     index = tgt.order // src.order
-    lhs = np.array(tgt.degrees, dtype=np.int64) @ block.matrix
-    rhs = index * np.array(src.degrees, dtype=np.int64)
-    if not np.array_equal(lhs, rhs):
+    lhs = [sum(d * row[j] for d, row in zip(tgt.degrees, block.matrix))
+           for j in range(src.rank)]
+    if lhs != [index * d for d in src.degrees]:
         raise AssertionError(
             f"induction {src.group}->{tgt.group} does not scale degrees by "
             f"the index {index}")
@@ -249,40 +249,60 @@ BLOCK_PARTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 }
 
 
-def splitting_basis(tag: str) -> np.ndarray:
+def splitting_basis(tag: str) -> list[list[int]]:
     """The pinned unimodular base change of the representation ring."""
     if tag not in _SPLITTING_BASES:
         raise ValueError(f"no splitting basis for {tag!r}")
-    return np.array(_SPLITTING_BASES[tag], dtype=np.int64)
+    return [list(row) for row in _SPLITTING_BASES[tag]]
 
 
-def _int_inverse(mat: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    aug = np.concatenate([mat.astype(object), np.eye(n, dtype=object)], axis=1)
-    # exact Gauss-Jordan; valid because the bases are unimodular
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r, col] != 0)
-        if piv != col:
-            aug[[col, piv]] = aug[[piv, col]]
-        if aug[col, col] < 0:
-            aug[col] = -aug[col]
-        if aug[col, col] != 1:
-            raise AssertionError("basis is not unimodular-triangularizable")
-        for r in range(n):
-            if r != col and aug[r, col] != 0:
-                aug[r] = aug[r] - aug[r, col] * aug[col]
-    return aug[:, n:].astype(np.int64)
+def _det(mat: list[list[int]]) -> int:
+    # Laplace expansion along the first row; the bases are at most 4 x 4
+    if not mat:
+        return 1
+    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in mat[1:]])
+               for j, x in enumerate(mat[0]) if x)
 
 
-def transformed_induction(source: str, target: str, embedding: int = 0) -> np.ndarray:
+def _int_inverse(mat) -> list[list[int]]:
+    """Exact inverse of a unimodular matrix, as the signed adjugate."""
+    m = [[int(x) for x in row] for row in mat]
+    det = _det(m)
+    if det not in (1, -1):
+        raise AssertionError(f"basis is not unimodular (determinant {det})")
+
+    def cofactor(i, j):  # signed determinant of m without row i and column j
+        return (-1) ** (i + j) * _det([r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i])
+
+    return [[det * cofactor(j, i) for j in range(len(m))] for i in range(len(m))]
+
+
+def _matmul(a, b) -> list[dict[int, int]]:
+    """a @ b as sparse rows; a and b are lists of dense or sparse rows."""
+    b = [_row(r, 0) for r in b]
+    out = []
+    for r in a:
+        acc: dict[int, int] = {}
+        for k, x in _row(r, 0).items():
+            for j, y in b[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        out.append({j: x for j, x in acc.items() if x})
+    return out
+
+
+def _dense(rows: list[dict[int, int]], cols) -> list[list[int]]:
+    return [[r.get(j, 0) for j in cols] for r in rows]
+
+
+def transformed_induction(source: str, target: str, embedding: int = 0) -> list[list[int]]:
     """U_target @ M @ U_source^{-1}: the induced map in the split bases."""
     block = induction_matrix(source, target, embedding)
-    u_t = splitting_basis(target)
     u_s_inv = _int_inverse(splitting_basis(source))
-    return u_t @ block.matrix @ u_s_inv
+    prod = _matmul(_matmul(splitting_basis(target), block.matrix), u_s_inv)
+    return _dense(prod, range(len(u_s_inv)))
 
 
-def check_block_diagonal(mat: np.ndarray, target: str, source: str) -> None:
+def check_block_diagonal(mat, target: str, source: str) -> None:
     """Raise BlockSplitError if mat has entries outside the diagonal
     (1 | 2-part | 3-part) blocks."""
     rparts = BLOCK_PARTS[target]
@@ -293,9 +313,9 @@ def check_block_diagonal(mat: np.ndarray, target: str, source: str) -> None:
                 continue
             for r in rows:
                 for c in cols:
-                    if mat[r, c] != 0:
+                    if mat[r][c] != 0:
                         raise BlockSplitError(
-                            f"off-block entry {mat[r, c]} at ({r}, {c}) in the "
+                            f"off-block entry {mat[r][c]} at ({r}, {c}) in the "
                             f"base-changed {source}->{target} induction")
 
 
@@ -360,102 +380,100 @@ class AbelianGroup:
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def smith_normal_form(mat) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """(U, D, V) with U, V unimodular, D = U @ mat @ V diagonal with a
-    divisibility chain.  Exact integer arithmetic throughout."""
-    a = np.array(mat, dtype=object)
-    if a.ndim != 2:
+    divisibility chain, each as a list of rows.  Exact integer arithmetic
+    throughout; the reference the sparse elimination is tested against."""
+    a = [[int(x) for x in row] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
         raise ValueError("expected a matrix")
-    rows, cols = a.shape
-    u = np.eye(rows, dtype=object)
-    v = np.eye(cols, dtype=object)
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
 
-    def swap_rows(i, j):
-        a[[i, j]] = a[[j, i]]
-        u[[i, j]] = u[[j, i]]
-
-    def swap_cols(i, j):
-        a[:, [i, j]] = a[:, [j, i]]
-        v[:, [i, j]] = v[:, [j, i]]
+    def axpy(x, q, y):  # the row x + q * y
+        return [s + q * t for s, t in zip(x, y)]
 
     k = 0
     while k < min(rows, cols):
-        # locate a pivot of least magnitude
-        best = None
-        for i in range(k, rows):
-            for j in range(k, cols):
-                if a[i, j] != 0 and (best is None or abs(a[i, j]) < abs(a[best[0], best[1]])):
-                    best = (i, j)
-        if best is None:
+        # locate a pivot of least magnitude, the first in row-major order
+        nonzero = [(abs(a[i][j]), i, j) for i in range(k, rows)
+                   for j in range(k, cols) if a[i][j]]
+        if not nonzero:
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
+        _, bi, bj = min(nonzero)
+        a[k], a[bi] = a[bi], a[k]
+        u[k], u[bi] = u[bi], u[k]
+        for m in (a, v):
+            for row in m:
+                row[k], row[bj] = row[bj], row[k]
+        piv = a[k][k]
         dirty = False
         for i in range(k + 1, rows):
-            q = a[i, k] // a[k, k]
+            q = a[i][k] // piv
             if q:
-                a[i] -= q * a[k]
-                u[i] -= q * u[k]
-            if a[i, k]:
-                dirty = True
+                a[i] = axpy(a[i], -q, a[k])
+                u[i] = axpy(u[i], -q, u[k])
+            dirty = dirty or a[i][k] != 0
         for j in range(k + 1, cols):
-            q = a[k, j] // a[k, k]
+            q = a[k][j] // piv
             if q:
-                a[:, j] -= q * a[:, k]
-                v[:, j] -= q * v[:, k]
-            if a[k, j]:
-                dirty = True
+                for m in (a, v):
+                    for row in m:
+                        row[j] -= q * row[k]
+            dirty = dirty or a[k][j] != 0
         if dirty:
             continue
         # enforce divisibility of the remaining block
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if a[i, j] % a[k, k]:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next((i for i in range(k + 1, rows)
+                         if any(a[i][j] % piv for j in range(k + 1, cols))), None)
         if offender is not None:
-            a[k] += a[offender]
-            u[k] += u[offender]
+            a[k] = axpy(a[k], 1, a[offender])
+            u[k] = axpy(u[k], 1, u[offender])
             continue
-        if a[k, k] < 0:
-            a[k] = -a[k]
-            u[k] = -u[k]
+        if piv < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
         k += 1
     return u, a, v
 
 
 def elementary_divisors(mat) -> list[int]:
-    _, d, _ = smith_normal_form(mat)
-    return [int(d[i, i]) for i in range(min(d.shape)) if d[i, i] != 0]
+    """The nonzero elementary divisors of a matrix given as a list of
+    rows: one 1 per unit pivot of the sparse elimination, then the Smith
+    normal form of the core it leaves."""
+    span = SpanTracker(0, mat)
+    core = [row for row in span.core if row]
+    if not core:
+        return [1] * span.rank
+    _, d, _ = smith_normal_form(_dense(core, sorted({j for row in core for j in row})))
+    return [1] * span.rank + [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
 @dataclass(frozen=True)
 class IntegerChainComplex:
-    """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0."""
+    """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0, with the
+    differentials as lists of rows and dims = (n0, n1, n2)."""
 
-    psi1: np.ndarray
-    psi2: np.ndarray
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return (self.psi1.shape[0], self.psi1.shape[1], self.psi2.shape[1])
+    psi1: list
+    psi2: list
+    dims: tuple[int, int, int]
 
 
 def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
-    """[H0, H1, H2] of the two-step integer chain complex, by SNF."""
-    psi1 = np.array(chain.psi1, dtype=object)
-    psi2 = np.array(chain.psi2, dtype=object)
-    n0, n1 = psi1.shape
-    n2 = psi2.shape[1]
-    if psi2.shape[0] != n1:
-        raise ValueError("psi1 and psi2 are not composable")
-    if n1 and n2 and (psi1 @ psi2 != 0).any():
+    """[H0, H1, H2] of the two-step integer chain complex, from the
+    elementary divisors of both differentials."""
+    n0, n1, n2 = chain.dims
+    if (len(chain.psi1) != n0 or len(chain.psi2) != n1
+            or any(len(row) != n1 for row in chain.psi1)
+            or any(len(row) != n2 for row in chain.psi2)):
+        raise ValueError("psi1 and psi2 are not composable with dims "
+                         f"{chain.dims}")
+    if any(_matmul(chain.psi1, chain.psi2)):
         raise ValueError("not a chain complex: psi1 @ psi2 != 0")
-    div1 = elementary_divisors(psi1) if psi1.size else []
-    div2 = elementary_divisors(psi2) if psi2.size else []
+    div1 = elementary_divisors(chain.psi1)
+    div2 = elementary_divisors(chain.psi2)
     rank1, rank2 = len(div1), len(div2)
     h0 = AbelianGroup(n0 - rank1, tuple(d for d in div1 if d > 1))
     h1 = AbelianGroup((n1 - rank1) - rank2, tuple(d for d in div2 if d > 1))
@@ -472,11 +490,12 @@ class BredonComplex:
     vertices: tuple
     edges: tuple
     faces: tuple
-    psi1: np.ndarray
-    psi2: np.ndarray
+    psi1: list[list[int]]
+    psi2: list[list[int]]
 
     def chain(self) -> IntegerChainComplex:
-        return IntegerChainComplex(self.psi1, self.psi2)
+        return IntegerChainComplex(self.psi1, self.psi2,
+                                   (len(self.psi1), len(self.psi2), len(self.faces)))
 
 
 def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
@@ -556,24 +575,26 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
             raise ValueError("cells of dimension 2 must be trivially stabilized")
     vranks = [rep_ring(v.stabilizer).rank for v in vertices]
     eranks = [rep_ring(e.stabilizer).rank for e in edges]
-    voff = np.concatenate([[0], np.cumsum(vranks)]).astype(int)
-    eoff = np.concatenate([[0], np.cumsum(eranks)]).astype(int)
+    voff = list(accumulate(vranks, initial=0))
+    eoff = list(accumulate(eranks, initial=0))
     vindex = {v.id: k for k, v in enumerate(vertices)}
     eindex = {e.id: k for k, e in enumerate(edges)}
     ends = edge_end_assignments(cx) if edges else {}
-    psi1 = np.zeros((int(voff[-1]), int(eoff[-1])), dtype=np.int64)
+    psi1 = [[0] * eoff[-1] for _ in range(voff[-1])]
     for j, e in enumerate(edges):
         for vid, sign, emb in ends[e.id]:
             k = vindex[vid]
             block = induction_matrix(e.stabilizer, vertices[k].stabilizer, emb)
-            psi1[voff[k]:voff[k + 1], eoff[j]:eoff[j + 1]] += sign * block.matrix
-    psi2 = np.zeros((int(eoff[-1]), len(faces)), dtype=np.int64)
+            for i, brow in enumerate(block.matrix):
+                for c, x in enumerate(brow):
+                    psi1[voff[k] + i][eoff[j] + c] += sign * x
+    psi2 = [[0] * len(faces) for _ in range(eoff[-1])]
     for j, f in enumerate(faces):
         for eid, sign in _oriented_boundary_walk(cx, f.id, ends):
             k = eindex[eid]
-            reg = np.array(rep_ring(edges[k].stabilizer).degrees, dtype=np.int64)
-            psi2[eoff[k]:eoff[k + 1], j] += sign * reg
-    if psi1.size and psi2.size and (psi1 @ psi2 != 0).any():
+            for i, d in enumerate(rep_ring(edges[k].stabilizer).degrees):
+                psi2[eoff[k] + i][j] += sign * d
+    if any(_matmul(psi1, psi2)):
         raise AssertionError("orientation bookkeeping broke psi1 @ psi2 = 0")
     return BredonComplex(vertices, edges, faces, psi1, psi2)
 
@@ -591,56 +612,43 @@ def split_blocks(bc: BredonComplex) -> SplitBlocks:
     3-torsion blocks.  Block diagonality is checked entry by entry, not
     assumed."""
     bases = {tag: splitting_basis(tag) for tag in SUPPORTED_VERTEX_TAGS}
+    inverses = {tag: _int_inverse(u) for tag, u in bases.items()}
 
-    def blockdiag(cells, invert=False):
-        mats = []
+    def blockdiag(cells, mats):
+        rows: list[dict[int, int]] = []
         for c in cells:
-            u = bases[c.stabilizer]
-            mats.append(_int_inverse(u) if invert else u)
-        total = sum(m.shape[0] for m in mats)
-        out = np.zeros((total, total), dtype=np.int64)
-        pos = 0
-        for m in mats:
-            out[pos:pos + m.shape[0], pos:pos + m.shape[0]] = m
-            pos += m.shape[0]
-        return out
+            pos = len(rows)
+            rows.extend({pos + j: x for j, x in enumerate(r) if x}
+                        for r in mats[c.stabilizer])
+        return rows
 
-    u_v = blockdiag(bc.vertices)
-    u_e = blockdiag(bc.edges)
-    p_e = blockdiag(bc.edges, invert=True)
-    psi1 = u_v @ bc.psi1 @ p_e
-    psi2 = u_e @ bc.psi2
-
-    def part_indices(cells, which):
-        idx = []
-        pos = 0
+    def part_labels(cells):
+        labels = []
         for c in cells:
-            parts = BLOCK_PARTS[c.stabilizer]
-            idx.extend(pos + i for i in parts[which])
-            pos += rep_ring(c.stabilizer).rank
-        return np.array(idx, dtype=int)
+            part = {i: w for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) for i in idx}
+            labels.extend(part[i] for i in range(len(part)))
+        return labels
 
-    vparts = [part_indices(bc.vertices, w) for w in range(3)]
-    eparts = [part_indices(bc.edges, w) for w in range(3)]
-    fparts = [np.arange(len(bc.faces)), np.array([], dtype=int), np.array([], dtype=int)]
-    # verify block structure of psi1 and psi2
-    for bi in range(3):
-        for bj in range(3):
-            if bi == bj:
-                continue
-            sub = psi1[np.ix_(vparts[bi], eparts[bj])]
-            if sub.size and (sub != 0).any():
-                raise BlockSplitError(
-                    f"psi1 mixes block {bi} with block {bj}")
-            sub2 = psi2[np.ix_(eparts[bi], fparts[bj])]
-            if sub2.size and (sub2 != 0).any():
-                raise BlockSplitError(
-                    f"psi2 mixes block {bi} with block {bj}")
+    psi1 = _matmul(_matmul(blockdiag(bc.vertices, bases), bc.psi1),
+                   blockdiag(bc.edges, inverses))
+    psi2 = _matmul(blockdiag(bc.edges, bases), bc.psi2)
+    vpart, epart = part_labels(bc.vertices), part_labels(bc.edges)
+    fpart = [0] * len(bc.faces)
+    # verify block structure of psi1 and psi2: every nonzero entry
+    for name, mat, rpart, cpart in (("psi1", psi1, vpart, epart),
+                                    ("psi2", psi2, epart, fpart)):
+        for i, row in enumerate(mat):
+            for j in row:
+                if rpart[i] != cpart[j]:
+                    raise BlockSplitError(
+                        f"{name} mixes block {rpart[i]} with block {cpart[j]}")
 
     def project(which):
-        return IntegerChainComplex(
-            psi1[np.ix_(vparts[which], eparts[which])],
-            psi2[np.ix_(eparts[which], fparts[which])])
+        rows, mid, cols = ([i for i, w in enumerate(part) if w == which]
+                           for part in (vpart, epart, fpart))
+        return IntegerChainComplex(_dense([psi1[i] for i in rows], mid),
+                                   _dense([psi2[j] for j in mid], cols),
+                                   (len(rows), len(mid), len(cols)))
 
     return SplitBlocks(project(0), project(1), project(2))
 

@@ -168,8 +168,8 @@ def _cmd_bredon(args) -> int:
     if args.json:
         doc = {
             "total": [str(h) for h in total],
-            "psi1": bc.psi1.tolist(),
-            "psi2": bc.psi2.tolist(),
+            "psi1": bc.psi1,
+            "psi2": bc.psi2,
         }
         for name, chain in named:
             doc[name.replace("-", "_")] = [str(h) for h in homology(chain)]

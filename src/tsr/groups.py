@@ -13,8 +13,6 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-import numpy as np
-
 from ._modp import SpanTracker, nullspace_mod, rank_mod
 
 Perm = tuple[int, ...]
@@ -140,16 +138,6 @@ def catalog_group(tag: str) -> FiniteGroup:
     return g
 
 
-def cyclic_group(n: int) -> FiniteGroup:
-    if n < 1:
-        raise ValueError("order must be positive")
-    if n == 1:
-        return FiniteGroup(1, [()], "C1")
-    gen = tuple((i + 1) % n for i in range(n))
-    tag = f"C{n}" if f"C{n}" in TAG_ORDERS else None
-    return generate(n, [gen], tag)
-
-
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n (n >= 1) acting on n points."""
     if n < 1:
@@ -211,14 +199,7 @@ def normal_subgroups(G: FiniteGroup) -> tuple[FiniteGroup, ...]:
 
 def sylow_subgroup(G: FiniteGroup, ell: int) -> FiniteGroup:
     """A Sylow ell-subgroup; deterministic choice (least element tuple)."""
-    _check_prime(ell)
-    pk = 1
-    while G.order % (pk * ell) == 0:
-        pk *= ell
-    if pk == 1:
-        return FiniteGroup(G.degree, [G.identity])
-    candidates = [H for H in subgroups(G) if H.order == pk]
-    return min(candidates, key=lambda H: H.elements)
+    return min(all_sylow_subgroups(G, ell), key=lambda H: H.elements)
 
 
 def all_sylow_subgroups(G: FiniteGroup, ell: int) -> tuple[FiniteGroup, ...]:
@@ -415,50 +396,44 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
     elems = list(G.elements)
     n = len(elems)
     index = {g: i for i, g in enumerate(elems)}
-    lperm = np.array([[index[compose(a, b)] for b in elems] for a in elems],
-                     dtype=np.int64)
+    lperm = [[index[compose(a, b)] for b in elems] for a in elems]
 
-    def left_act(v: np.ndarray, gi: int, slots: int) -> np.ndarray:
-        out = np.zeros_like(v)
+    def left_act(v: list[int], gi: int) -> list[int]:
+        out = [0] * len(v)
         perm = lperm[gi]
-        for s in range(slots):
-            out[s * n + perm] = v[s * n:(s + 1) * n]
+        for k, x in enumerate(v):
+            if x:
+                out[k - k % n + perm[k % n]] = x
         return out
 
-    def module_generators(basis: np.ndarray, slots: int) -> list[np.ndarray]:
-        tracker = SpanTracker(n * slots, ell)
+    def module_generators(basis: list[list[int]]) -> list[list[int]]:
+        tracker = SpanTracker(ell)
         gens = []
         for v in basis:
             if tracker.contains(v):
                 continue
             gens.append(v)
             for gi in range(n):
-                tracker.add(left_act(v, gi, slots))
+                tracker.add(left_act(v, gi))
         return gens
 
-    aug = np.ones((1, n), dtype=np.int64)
-    kernel = nullspace_mod(aug, ell)
+    kernel = nullspace_mod([[1] * n], ell, n)
     ranks = [1]
-    tensored: list[np.ndarray] = []
+    tensored: list[list[list[int]]] = []
     slots = 1
     for _ in range(q_max + 1):
-        gens = module_generators(kernel, slots)
+        gens = module_generators(kernel)
         r_new = len(gens)
-        T = np.zeros((slots, r_new), dtype=np.int64)
-        for k, v in enumerate(gens):
-            for s in range(slots):
-                T[s, k] = int(v[s * n:(s + 1) * n].sum() % ell)
-        tensored.append(T)
+        tensored.append([[sum(v[s * n:(s + 1) * n]) % ell for v in gens]
+                         for s in range(slots)])
         if r_new == 0:
-            kernel = np.zeros((0, 0), dtype=np.int64)
+            kernel = []
             ranks.append(0)
             slots = 0
             continue
-        phi = np.zeros((n * slots, n * r_new), dtype=np.int64)
-        for k, v in enumerate(gens):
-            for gi in range(n):
-                phi[:, k * n + gi] = left_act(v, gi, slots)
-        kernel = nullspace_mod(phi, ell)
+        # column k * n + gi of phi is g_gi acting on gens[k]
+        phi_cols = [left_act(v, gi) for v in gens for gi in range(n)]
+        kernel = nullspace_mod([list(row) for row in zip(*phi_cols)], ell, n * r_new)
         ranks.append(r_new)
         slots = r_new
     t_ranks = [rank_mod(T, ell) for T in tensored]

@@ -180,8 +180,7 @@ def check_condition_A(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> boo
 
 def _unique_merged_id(cx: OrbitComplex, base: str) -> str:
     new_id = base + "+"
-    existing = {c.id for c in cx.cells}
-    while new_id in existing:
+    while new_id in cx._by_id:
         new_id += "+"
     return new_id
 

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd
-
-import numpy as np
 
 from ._modp import rank_mod
 from .complexes import OrbitComplex, _is_int
@@ -285,9 +284,6 @@ class SubgroupCensus:
             fields[name] = val
         return SubgroupCensus(**fields).validate()
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
 
 def _validated_expansion(series: RationalSeries, what: str, degree: int = 20) -> None:
     coeffs = series.expand(degree)
@@ -348,31 +344,32 @@ def stabilizer_cohomology_dim(tag: str, ell: int, q: int) -> int:
     return 0
 
 
-def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> np.ndarray:
+def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[list[int]]:
     """Pinned matrix of the restriction H^q(vertex) -> H^q(edge) for the
     catalog inclusions; emb indexes the conjugacy class of the embedding
     (only C2 in D2 has more than one)."""
     dv = stabilizer_cohomology_dim(vtag, ell, q)
     de = stabilizer_cohomology_dim(etag, ell, q)
-    block = np.zeros((de, dv), dtype=np.int64)
+    block = [[0] * dv for _ in range(de)]
     if de == 0 or dv == 0:
         return block
     if vtag == etag:
-        np.fill_diagonal(block, 1)
+        for i in range(de):
+            block[i][i] = 1
         return block
     if (vtag, etag, ell) == ("D2", "C2", 2):
         # basis of H^q(D2; F2): monomials x^(q-j) y^j, j = 0..q
         if emb % 3 == 0:
-            block[0, 0] = 1          # substitute (x, y) -> (t, 0)
+            block[0][0] = 1          # substitute (x, y) -> (t, 0)
         elif emb % 3 == 1:
-            block[0, q] = 1          # (x, y) -> (0, t)
+            block[0][q] = 1          # (x, y) -> (0, t)
         else:
-            block[0, :] = 1          # (x, y) -> (t, t)
+            block[0] = [1] * dv      # (x, y) -> (t, t)
         return block
     if (vtag, etag) in (("D3", "C2"), ("D3", "C3")):
         # Sylow restrictions are injective on the ell-primary part and
         # both sides are at most one-dimensional here
-        block[0, 0] = 1
+        block[0][0] = 1
         return block
     raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r}")
 
@@ -394,20 +391,24 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     edges = sorted(cx.cells_of_dim(1), key=lambda c: c.id)
     ends = edge_end_assignments(cx)
 
-    def alpha(q: int) -> np.ndarray:
+    vindex = {v.id: k for k, v in enumerate(vertices)}
+
+    def alpha(q: int) -> tuple[int, int, int]:
+        """(rank, rows, columns) of alpha_q."""
         vdims = [stabilizer_cohomology_dim(v.stabilizer, ell, q) for v in vertices]
         edims = [stabilizer_cohomology_dim(e.stabilizer, ell, q) for e in edges]
-        voff = np.concatenate([[0], np.cumsum(vdims)])
-        eoff = np.concatenate([[0], np.cumsum(edims)])
-        mat = np.zeros((int(eoff[-1]), int(voff[-1])), dtype=np.int64)
-        vindex = {v.id: k for k, v in enumerate(vertices)}
+        voff = list(accumulate(vdims, initial=0))
+        eoff = list(accumulate(edims, initial=0))
+        mat = [[0] * voff[-1] for _ in range(eoff[-1])]
         for j, e in enumerate(edges):
             for vid, sign, emb in ends[e.id]:
                 k = vindex[vid]
                 block = restriction_block(vertices[k].stabilizer, e.stabilizer,
                                           emb, ell, q)
-                mat[eoff[j]:eoff[j + 1], voff[k]:voff[k + 1]] += sign * block
-        return mat
+                for i, brow in enumerate(block):
+                    for c, x in enumerate(brow):
+                        mat[eoff[j] + i][voff[k] + c] += sign * x
+        return rank_mod(mat, ell), eoff[-1], voff[-1]
 
     dims = {}
     prev = None
@@ -417,9 +418,7 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
             raise ValueError("oracle degrees must be >= 1")
         a_q = alpha(q)
         a_prev = prev if prev_q == q - 1 else alpha(q - 1)
-        ker = a_q.shape[1] - rank_mod(a_q, ell)
-        coker = a_prev.shape[0] - rank_mod(a_prev, ell)
-        dims[q] = ker + coker
+        dims[q] = (a_q[2] - a_q[0]) + (a_prev[1] - a_prev[0])  # ker + coker
         prev, prev_q = a_q, q
     return dims
 

@@ -151,7 +151,7 @@ def test_criterion_06():
                   ("C3", "A4")]
     for src, tgt in inclusions:
         for tag in (src, tgt):
-            det = round(np.linalg.det(splitting_basis(tag).astype(float)))
+            det = round(np.linalg.det(np.array(splitting_basis(tag)).astype(float)))
             assert det in (1, -1), tag
         for emb in range(embedding_count(src, tgt)):
             check_block_diagonal(transformed_induction(src, tgt, emb), tgt, src)

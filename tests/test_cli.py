@@ -189,3 +189,14 @@ def test_extract_outputs_canonical_json():
     assert code == 0
     cx = parse_complex(out.decode())
     assert [(c.id, c.stabilizer) for c in cx.cells] == [("v2", "D3")]
+
+
+def test_runtime_does_not_import_numpy():
+    code = ("import importlib, pkgutil, sys, tsr\n"
+            "names = [m.name for m in pkgutil.iter_modules(tsr.__path__)]\n"
+            "for name in names:\n"
+            "    importlib.import_module('tsr.' + name)\n"
+            "print(len(names), 'numpy' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["7", "False"]

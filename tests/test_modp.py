@@ -1,10 +1,12 @@
-"""Properties of the F_p kernel on random matrices."""
+"""Properties of the sparse elimination kernel on random matrices, over
+F_p and over Z (against the Smith normal form)."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr._modp import SpanTracker, nullspace_mod, rank_mod
+from tsr.bredon import elementary_divisors, smith_normal_form
 
 
 @st.composite
@@ -25,7 +27,8 @@ def test_nullspace_and_rank(case):
     cols = a.shape[1]
     rank = rank_mod(a, p)
     assert rank == rank_mod(a.T, p)
-    n = nullspace_mod(a, p)
+    basis = nullspace_mod(a, p, cols)
+    n = np.array(basis, dtype=np.int64).reshape(len(basis), cols)
     if cols == 0:
         assert n.size == 0
         return
@@ -43,8 +46,32 @@ def test_nullspace_and_rank(case):
 @given(matrices())
 def test_span_tracker_spans_the_rows(case):
     a, p = case
-    tracker = SpanTracker(a.shape[1], p)
+    tracker = SpanTracker(p)
     grew = [tracker.add(row) for row in a]
     assert sum(grew) == tracker.rank == rank_mod(a, p)
     assert all(tracker.contains(row) for row in a)
     assert tracker.contains(np.arange(len(a)) @ a)  # a combination of the rows
+
+
+@st.composite
+def integer_matrices(draw):
+    rows = draw(st.integers(0, 8))
+    cols = draw(st.integers(0, 8))
+    # mostly zeros and small non-units, so that the unit-pivot
+    # elimination often leaves a non-empty core for the SNF
+    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -6, 9))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_elementary_divisors_match_the_smith_normal_form(m):
+    _, d, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    assert elementary_divisors(m) == [x for x in diag if x]
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.sampled_from((2, 3, 5)))
+def test_rank_mod_p_counts_divisors_prime_to_p(m, p):
+    assert rank_mod(m, p) == sum(1 for d in elementary_divisors(m) if d % p)

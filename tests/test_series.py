@@ -264,7 +264,8 @@ def _cochain_cohomology_restriction_rank(vtag, etag, fusion, ell, q):
     def cocycle_basis(elems, degree):
         d_up = delta(elems, degree)
         from tsr._modp import nullspace_mod
-        z = nullspace_mod(d_up, ell)
+        z = nullspace_mod(d_up, ell, d_up.shape[1])
+        z = np.array(z, dtype=np.int64).reshape(len(z), d_up.shape[1])
         d_down = delta(elems, degree - 1) if degree >= 1 else None
         return z, d_down
 
@@ -295,9 +296,9 @@ def test_pinned_restriction_ranks_against_cochains():
     }
     for q in (1, 2, 3):
         got = _cochain_cohomology_restriction_rank("D3", "C2", c2_in_d3, 2, q)
-        assert got == int(restriction_block("D3", "C2", 0, 2, q).any())
+        assert got == int(np.array(restriction_block("D3", "C2", 0, 2, q)).any())
         got = _cochain_cohomology_restriction_rank("D3", "C3", c3_in_d3, 3, q)
-        assert got == int(restriction_block("D3", "C3", 0, 3, q).any())
+        assert got == int(np.array(restriction_block("D3", "C3", 0, 3, q)).any())
         for emb, sub in embeds.items():
             got = _cochain_cohomology_restriction_rank("D2", "C2", sub, 2, q)
             assert got == rank_mod(restriction_block("D2", "C2", emb, 2, q), 2)
