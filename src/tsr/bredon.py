@@ -4,15 +4,18 @@ The coefficient data is pinned: character tables of the stabilizer
 types (values in Z[w], w a primitive cube root of unity), class fusions
 for the catalog inclusions, and unimodular base changes that split every
 induced map into a rank-1 block plus a 2-torsion and a 3-torsion block.
-All pinned data is re-verified at first use (orthogonality, Frobenius
-reciprocity, block structure), not trusted.
+All pinned data is verified, not trusted: orthogonality once per ring,
+and Frobenius reciprocity and block structure once per inclusion, whose
+induction block and split block are each computed once per process.
+The Bredon differentials and their split are the same signed sums of
+these blocks over the incidence terms of the complex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 from ._modp import SpanTracker, _row
 from .complexes import OrbitComplex, _is_int, edge_end_assignments
@@ -83,9 +86,9 @@ _CHARS: dict[str, tuple[list[int], list[list[Cyc]]]] = {
 SUPPORTED_VERTEX_TAGS = ("C1", "C2", "C3", "D2", "D3", "A4")
 SUPPORTED_EDGE_TAGS = ("C1", "C2", "C3")
 
-#: Class fusion per (source, target, embedding index): the k-th source
-#: element (cyclic groups: e, g, g^2, ...) lands in the listed target
-#: conjugacy class.
+#: Class fusion per (source, target, embedding index): the k-th element
+#: e, g, g^2, ... of the cyclic source, which is also its k-th class,
+#: lands in the listed target conjugacy class.
 _FUSION: dict[tuple[str, str, int], list[int]] = {
     ("C1", "C1", 0): [0],
     ("C1", "C2", 0): [0],
@@ -103,14 +106,6 @@ _FUSION: dict[tuple[str, str, int], list[int]] = {
     ("C2", "A4", 0): [0, 1],
     ("C3", "A4", 0): [0, 2, 3],
 }
-
-#: Source character values per element of the cyclic source groups.
-_SOURCE_ELEMENT_CHARS: dict[str, list[list[Cyc]]] = {
-    "C1": [[_cyc(1)]],
-    "C2": [[_cyc(1), _cyc(1)], [_cyc(1), _cyc(-1)]],
-    "C3": [[_cyc(1), _cyc(1), _cyc(1)], [_cyc(1), W, W2], [_cyc(1), W2, W]],
-}
-
 
 class BlockSplitError(RuntimeError):
     """A base-changed matrix failed to be block diagonal; this would
@@ -170,56 +165,52 @@ def _verify_orthogonality(ring: RepRing) -> None:
                     f"character table of {ring.group} fails column orthogonality")
 
 
-@dataclass(frozen=True)
-class InductionBlock:
-    source: str
-    target: str
-    embedding: int
-    matrix: list[list[int]]  # rank(target) x rank(source), as rows
-
-
 def embedding_count(source: str, target: str) -> int:
     return len([k for (s, t, k) in _FUSION if s == source and t == target])
 
 
-def induction_matrix(source: str, target: str, embedding: int = 0) -> InductionBlock:
-    """Induced-map matrix on representation rings from the pinned fusion,
-    via reciprocity: the multiplicity of a target character psi in the
-    induction of a source character chi is <chi, Res psi>."""
+Matrix = tuple[tuple[int, ...], ...]  # rows; immutable, as the blocks are memoised
+
+_INDUCTION_CACHE: dict[tuple[str, str, int], Matrix] = {}
+
+
+def induction_matrix(source: str, target: str, embedding: int = 0) -> Matrix:
+    """Induced-map matrix on representation rings, rank(target) x
+    rank(source), from the pinned fusion via reciprocity: the multiplicity
+    of a target character psi in the induction of a source character chi
+    is <chi, Res psi>.  Computed and degree-checked once per inclusion."""
     key = (source, target, embedding)
+    if key in _INDUCTION_CACHE:
+        return _INDUCTION_CACHE[key]
     if key not in _FUSION:
         raise ValueError(f"unsupported inclusion {source!r} in {target!r} "
                          f"(embedding {embedding})")
     fusion = _FUSION[key]
     src = rep_ring(source)
     tgt = rep_ring(target)
-    src_elems = _SOURCE_ELEMENT_CHARS[source]
-    mat = [[0] * src.rank for _ in range(tgt.rank)]
-    for i, psi in enumerate(tgt.characters):
-        for j in range(src.rank):
-            acc = _cyc(0)
-            for e, cls in enumerate(fusion):
-                acc = _cadd(acc, _cmul(src_elems[j][e], _cconj(psi[cls])))
-            val = (acc[0] / src.order, acc[1] / src.order)
-            if val[1] != 0 or val[0].denominator != 1 or val[0] < 0:
-                raise AssertionError(
-                    f"induction {source}->{target} produced non-integral "
-                    f"multiplicity {val}")
-            mat[i][j] = int(val[0])
-    block = InductionBlock(source, target, embedding, mat)
-    _verify_degree_preservation(block, src, tgt)
-    return block
 
+    def multiplicity(psi, chi) -> int:
+        acc = _cyc(0)
+        for e, cls in enumerate(fusion):
+            acc = _cadd(acc, _cmul(chi[e], _cconj(psi[cls])))
+        val = (acc[0] / src.order, acc[1] / src.order)
+        if val[1] != 0 or val[0].denominator != 1 or val[0] < 0:
+            raise AssertionError(
+                f"induction {source}->{target} produced non-integral "
+                f"multiplicity {val}")
+        return int(val[0])
 
-def _verify_degree_preservation(block: InductionBlock, src: RepRing,
-                                tgt: RepRing) -> None:
+    mat = tuple(tuple(multiplicity(psi, chi) for chi in src.characters)
+                for psi in tgt.characters)
     index = tgt.order // src.order
-    lhs = [sum(d * row[j] for d, row in zip(tgt.degrees, block.matrix))
+    lhs = [sum(d * row[j] for d, row in zip(tgt.degrees, mat))
            for j in range(src.rank)]
     if lhs != [index * d for d in src.degrees]:
         raise AssertionError(
-            f"induction {src.group}->{tgt.group} does not scale degrees by "
+            f"induction {source}->{target} does not scale degrees by "
             f"the index {index}")
+    _INDUCTION_CACHE[key] = mat
+    return mat
 
 
 # --------------------------------------------------------------------------
@@ -291,32 +282,44 @@ def _matmul(a, b) -> list[dict[int, int]]:
 
 
 def _dense(rows: list[dict[int, int]], cols) -> list[list[int]]:
-    return [[r.get(j, 0) for j in cols] for r in rows]
+    """The sparse rows restricted to the columns cols, as dense rows."""
+    pos = {j: k for k, j in enumerate(cols)}
+    out = []
+    for r in rows:
+        out.append([0] * len(pos))
+        for j, x in r.items():
+            if j in pos:
+                out[-1][pos[j]] = x
+    return out
 
 
-def transformed_induction(source: str, target: str, embedding: int = 0) -> list[list[int]]:
-    """U_target @ M @ U_source^{-1}: the induced map in the split bases."""
-    block = induction_matrix(source, target, embedding)
+_SPLIT_CACHE: dict[tuple[str, str, int], Matrix] = {}
+
+
+def transformed_induction(source: str, target: str, embedding: int = 0) -> Matrix:
+    """U_target @ M @ U_source^{-1}: the induced map in the split bases.
+    Computed and checked block diagonal once per inclusion."""
+    key = (source, target, embedding)
+    if key in _SPLIT_CACHE:
+        return _SPLIT_CACHE[key]
     u_s_inv = _int_inverse(splitting_basis(source))
-    prod = _matmul(_matmul(splitting_basis(target), block.matrix), u_s_inv)
-    return _dense(prod, range(len(u_s_inv)))
+    prod = _matmul(_matmul(splitting_basis(target), induction_matrix(*key)), u_s_inv)
+    mat = tuple(map(tuple, _dense(prod, range(len(u_s_inv)))))
+    check_block_diagonal(mat, target, source)
+    _SPLIT_CACHE[key] = mat
+    return mat
 
 
 def check_block_diagonal(mat, target: str, source: str) -> None:
     """Raise BlockSplitError if mat has entries outside the diagonal
     (1 | 2-part | 3-part) blocks."""
-    rparts = BLOCK_PARTS[target]
-    cparts = BLOCK_PARTS[source]
-    for bi, rows in enumerate(rparts):
-        for bj, cols in enumerate(cparts):
-            if bi == bj:
-                continue
-            for r in rows:
-                for c in cols:
-                    if mat[r][c] != 0:
-                        raise BlockSplitError(
-                            f"off-block entry {mat[r][c]} at ({r}, {c}) in the "
-                            f"base-changed {source}->{target} induction")
+    for bi, rows in enumerate(BLOCK_PARTS[target]):
+        for bj, cols in enumerate(BLOCK_PARTS[source]):
+            for r, c in product(rows, cols):
+                if bi != bj and mat[r][c] != 0:
+                    raise BlockSplitError(
+                        f"off-block entry {mat[r][c]} at ({r}, {c}) in the "
+                        f"base-changed {source}->{target} induction")
 
 
 # --------------------------------------------------------------------------
@@ -487,15 +490,39 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class BredonComplex:
+    """psi1 and psi2 as dense lists of rows, and the incidence terms
+    (row cell, column cell, sign, embedding) they are summed from, with
+    cells as indices: terms1 (vertex, edge), terms2 (edge, face)."""
+
     vertices: tuple
     edges: tuple
     faces: tuple
     psi1: list[list[int]]
     psi2: list[list[int]]
+    terms1: tuple
+    terms2: tuple
 
     def chain(self) -> IntegerChainComplex:
         return IntegerChainComplex(self.psi1, self.psi2,
                                    (len(self.psi1), len(self.psi2), len(self.faces)))
+
+
+def _offsets(cells) -> list[int]:
+    return list(accumulate((rep_ring(c.stabilizer).rank for c in cells), initial=0))
+
+
+def _assemble(terms, rows, cols, block) -> list[dict[int, int]]:
+    """Sparse rows of the sum of sign * block(column tag, row tag,
+    embedding) over the terms, each block at its cells' offsets."""
+    roff, coff = _offsets(rows), _offsets(cols)
+    out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
+    for i, j, sign, emb in terms:
+        for r, brow in enumerate(block(cols[j].stabilizer, rows[i].stabilizer, emb)):
+            row = out[roff[i] + r]
+            for c, x in enumerate(brow, coff[j]):
+                if x:
+                    row[c] = row.get(c, 0) + sign * x
+    return out
 
 
 def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
@@ -573,30 +600,19 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     for f in faces:
         if f.stabilizer != "C1":
             raise ValueError("cells of dimension 2 must be trivially stabilized")
-    vranks = [rep_ring(v.stabilizer).rank for v in vertices]
-    eranks = [rep_ring(e.stabilizer).rank for e in edges]
-    voff = list(accumulate(vranks, initial=0))
-    eoff = list(accumulate(eranks, initial=0))
-    vindex = {v.id: k for k, v in enumerate(vertices)}
-    eindex = {e.id: k for k, e in enumerate(edges)}
+    index = {c.id: k for cells in (vertices, edges) for k, c in enumerate(cells)}
     ends = edge_end_assignments(cx) if edges else {}
-    psi1 = [[0] * eoff[-1] for _ in range(voff[-1])]
-    for j, e in enumerate(edges):
-        for vid, sign, emb in ends[e.id]:
-            k = vindex[vid]
-            block = induction_matrix(e.stabilizer, vertices[k].stabilizer, emb)
-            for i, brow in enumerate(block.matrix):
-                for c, x in enumerate(brow):
-                    psi1[voff[k] + i][eoff[j] + c] += sign * x
-    psi2 = [[0] * len(faces) for _ in range(eoff[-1])]
-    for j, f in enumerate(faces):
-        for eid, sign in _oriented_boundary_walk(cx, f.id, ends):
-            k = eindex[eid]
-            for i, d in enumerate(rep_ring(edges[k].stabilizer).degrees):
-                psi2[eoff[k] + i][j] += sign * d
+    terms1 = tuple((index[vid], j, sign, emb) for j, e in enumerate(edges)
+                   for vid, sign, emb in ends[e.id])
+    # a face's block is the induction from C1: the regular representation
+    terms2 = tuple((index[eid], j, sign, 0) for j, f in enumerate(faces)
+                   for eid, sign in _oriented_boundary_walk(cx, f.id, ends))
+    psi1 = _assemble(terms1, vertices, edges, induction_matrix)
+    psi2 = _assemble(terms2, edges, faces, induction_matrix)
     if any(_matmul(psi1, psi2)):
         raise AssertionError("orientation bookkeeping broke psi1 @ psi2 = 0")
-    return BredonComplex(vertices, edges, faces, psi1, psi2)
+    return BredonComplex(vertices, edges, faces, _dense(psi1, range(_offsets(edges)[-1])),
+                         _dense(psi2, range(len(faces))), terms1, terms2)
 
 
 @dataclass(frozen=True)
@@ -607,45 +623,23 @@ class SplitBlocks:
 
 
 def split_blocks(bc: BredonComplex) -> SplitBlocks:
-    """Base-change the Bredon differentials into the pinned splitting
-    bases and split them into the orbit-space block and the 2- and
-    3-torsion blocks.  Block diagonality is checked entry by entry, not
-    assumed."""
-    bases = {tag: splitting_basis(tag) for tag in SUPPORTED_VERTEX_TAGS}
-    inverses = {tag: _int_inverse(u) for tag, u in bases.items()}
+    """The Bredon differentials in the pinned splitting bases, split into
+    the orbit-space block and the 2- and 3-torsion blocks.  They are
+    summed from the same terms as bredon_complex, with each induction
+    replaced by its base change, which transformed_induction has checked
+    block diagonal entry by entry; so each sum is block diagonal too."""
 
-    def blockdiag(cells, mats):
-        rows: list[dict[int, int]] = []
-        for c in cells:
-            pos = len(rows)
-            rows.extend({pos + j: x for j, x in enumerate(r) if x}
-                        for r in mats[c.stabilizer])
-        return rows
+    def part_labels(cells):  # the block of each split coordinate
+        return [w for c in cells for _, w in sorted(
+            (i, w) for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) for i in idx)]
 
-    def part_labels(cells):
-        labels = []
-        for c in cells:
-            part = {i: w for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) for i in idx}
-            labels.extend(part[i] for i in range(len(part)))
-        return labels
-
-    psi1 = _matmul(_matmul(blockdiag(bc.vertices, bases), bc.psi1),
-                   blockdiag(bc.edges, inverses))
-    psi2 = _matmul(blockdiag(bc.edges, bases), bc.psi2)
-    vpart, epart = part_labels(bc.vertices), part_labels(bc.edges)
-    fpart = [0] * len(bc.faces)
-    # verify block structure of psi1 and psi2: every nonzero entry
-    for name, mat, rpart, cpart in (("psi1", psi1, vpart, epart),
-                                    ("psi2", psi2, epart, fpart)):
-        for i, row in enumerate(mat):
-            for j in row:
-                if rpart[i] != cpart[j]:
-                    raise BlockSplitError(
-                        f"{name} mixes block {rpart[i]} with block {cpart[j]}")
+    psi1 = _assemble(bc.terms1, bc.vertices, bc.edges, transformed_induction)
+    psi2 = _assemble(bc.terms2, bc.edges, bc.faces, transformed_induction)
+    parts = [part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
 
     def project(which):
         rows, mid, cols = ([i for i, w in enumerate(part) if w == which]
-                           for part in (vpart, epart, fpart))
+                           for part in parts)
         return IntegerChainComplex(_dense([psi1[i] for i in rows], mid),
                                    _dense([psi2[j] for j in mid], cols),
                                    (len(rows), len(mid), len(cols)))

@@ -10,13 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tsr.bredon import (AbelianGroup, BlockSplitError, IntegerChainComplex,
-                        bredon_complex, bredon_homology_formula,
+import tsr.bredon
+from tsr.bredon import (BLOCK_PARTS, SUPPORTED_EDGE_TAGS, SUPPORTED_VERTEX_TAGS,
+                        AbelianGroup, BlockSplitError, IntegerChainComplex,
+                        _int_inverse, bredon_complex, bredon_homology_formula,
                         check_block_diagonal, chen_ruan_dims,
                         elementary_divisors, embedding_count, homology,
                         induction_matrix, k_homology, rep_ring,
                         smith_normal_form, split_blocks, splitting_basis,
                         transformed_induction)
+from tsr.cli import main
 from tsr.complexes import Incidence, OrbitCell, OrbitComplex, parse_complex
 from tsr.series import SubgroupCensus
 
@@ -55,7 +58,7 @@ def test_rep_ring_unsupported():
 
 def test_identity_induction_is_identity():
     for tag in ("C1", "C2", "C3"):
-        m = induction_matrix(tag, tag).matrix
+        m = induction_matrix(tag, tag)
         assert np.array_equal(m, np.eye(rep_ring(tag).rank, dtype=np.int64))
 
 
@@ -65,12 +68,12 @@ def test_induction_degree_scaling():
             block = induction_matrix(src, tgt, emb)
             index = rep_ring(tgt).order // rep_ring(src).order
             degrees = np.array(rep_ring(tgt).degrees)
-            assert np.array_equal(degrees @ block.matrix,
+            assert np.array_equal(degrees @ np.array(block),
                                   index * np.array(rep_ring(src).degrees))
 
 
 def test_induction_c3_to_d3():
-    m = np.array(induction_matrix("C3", "D3").matrix)
+    m = np.array(induction_matrix("C3", "D3"))
     # trivial induces trivial + sign; each nontrivial induces the 2-dim
     assert m[:, 0].tolist() == [1, 1, 0]
     assert m[:, 1].tolist() == [0, 0, 1]
@@ -83,7 +86,7 @@ def test_induction_regular_goes_to_regular():
         block = induction_matrix(src, tgt)
         reg_src = np.array(rep_ring(src).degrees)
         reg_tgt = np.array(rep_ring(tgt).degrees)
-        assert np.array_equal(block.matrix @ reg_src, reg_tgt)
+        assert np.array_equal(np.array(block) @ reg_src, reg_tgt)
 
 
 def test_unsupported_inclusion():
@@ -104,7 +107,6 @@ def test_splitting_bases_unimodular():
 
 def test_splitting_first_basis_vector_is_regular():
     # the first column of U^{-1} is the regular representation
-    from tsr.bredon import _int_inverse
     for tag in ("C2", "C3", "D2", "D3", "A4"):
         inv = np.array(_int_inverse(splitting_basis(tag)))
         assert inv[:, 0].tolist() == list(rep_ring(tag).degrees), tag
@@ -134,6 +136,21 @@ def test_block_check_catches_corruption():
     bad[1, 2] = 5  # 2-part row against a 3-part column
     with pytest.raises(BlockSplitError):
         check_block_diagonal(bad, "D3", "C3")
+
+
+def test_corrupted_splitting_basis_is_caught(monkeypatch, capsys):
+    # unimodular but not splitting: the base-changed C3 -> D3 induction has
+    # an entry in the 2-part row of a rank-1 column
+    monkeypatch.setitem(tsr.bredon._SPLITTING_BASES, "D3",
+                        [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    monkeypatch.setattr(tsr.bredon, "_SPLIT_CACHE", {})
+    with pytest.raises(BlockSplitError):
+        split_blocks(bredon_complex(load("bianchi_edge3")))
+    assert main(["bredon", "--input", str(FIXTURES / "bianchi_edge3.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal invariant failure: off-block entry")
+    assert captured.err.count("\n") == 1
 
 
 # --------------------------------------------------------------------------
@@ -230,7 +247,7 @@ def test_single_vertex_complex():
 def test_edge3_psi1_shape_and_signs():
     psi1 = np.array(bredon_complex(load("bianchi_edge3")).psi1)
     assert psi1.shape == (6, 3)
-    block = np.array(induction_matrix("C3", "D3").matrix)
+    block = np.array(induction_matrix("C3", "D3"))
     assert np.array_equal(psi1[:3], block)
     assert np.array_equal(psi1[3:], -block)
 
@@ -277,6 +294,110 @@ def test_splitting_theorem_direct_sum():
                  homology(blocks.three)]
         for i in range(3):
             assert full[i] == parts[0][i] + parts[1][i] + parts[2][i], name
+
+
+def _union(parts) -> OrbitComplex:
+    """Disjoint union of components, each given as vertex tags, (u, v,
+    edge tag) edges (u == v is a loop) and C1 faces as edge-index triples."""
+    cells, incs = [], []
+    for c, (vtags, edges, faces) in enumerate(parts):
+        vid = [f"c{c}v{k}" for k in range(len(vtags))]
+        eid = [f"c{c}e{k}" for k in range(len(edges))]
+        cells += [OrbitCell(v, 0, t) for v, t in zip(vid, vtags)]
+        cells += [OrbitCell(e, 1, t) for e, (_, _, t) in zip(eid, edges)]
+        cells += [OrbitCell(f"c{c}f{k}", 2, "C1") for k in range(len(faces))]
+        for e, (u, v, _) in zip(eid, edges):
+            incs += ([Incidence(vid[u], e, 2)] if u == v else
+                     [Incidence(vid[u], e), Incidence(vid[v], e)])
+        incs += [Incidence(eid[j], f"c{c}f{k}") for k, face in enumerate(faces)
+                 for j in face]
+    return OrbitComplex(tuple(cells), tuple(incs))
+
+
+def _subgroup_tags(*vtags):
+    return [t for t in SUPPORTED_EDGE_TAGS
+            if all(embedding_count(t, v) for v in vtags)]
+
+
+@st.composite
+def bredon_components(draw):
+    kind = draw(st.sampled_from(("path", "circle", "theta", "strip", "loops",
+                                 "d2star")))
+    if kind == "path":  # D3 - C2 - D3 - ... - D3
+        n = draw(st.integers(1, 6))
+        return ["D3"] * (n + 1), [(k, k + 1, "C2") for k in range(n)], []
+    if kind == "circle":  # n = 1 is a loop
+        n = draw(st.integers(1, 6))
+        return ["D3"] * n, [(k, (k + 1) % n, "C2") for k in range(n)], []
+    if kind == "theta":
+        a, b = (draw(st.sampled_from(SUPPORTED_VERTEX_TAGS)) for _ in range(2))
+        k = draw(st.integers(2, 4))
+        return [a, b], [(0, 1, draw(st.sampled_from(_subgroup_tags(a, b))))
+                        for _ in range(k)], []
+    if kind == "strip":  # triangle k on vertices k, k + 1, k + 2
+        n = draw(st.integers(1, 5))
+        tag = draw(st.sampled_from(SUPPORTED_EDGE_TAGS))
+        edges = ([(k, k + 1, tag) for k in range(n + 1)]
+                 + [(k, k + 2, tag) for k in range(n)])
+        return [tag] * (n + 2), edges, [(k, k + 1, n + 1 + k) for k in range(n)]
+    if kind == "loops":
+        v = draw(st.sampled_from(SUPPORTED_VERTEX_TAGS))
+        loops = draw(st.lists(st.sampled_from(_subgroup_tags(v)), min_size=1,
+                              max_size=3))
+        return [v], [(0, 0, t) for t in loops], []
+    # a D2 vertex whose C2 edge ends take all three embeddings
+    leaves = draw(st.lists(st.sampled_from(("C2", "D2", "D3", "A4")),
+                           min_size=3, max_size=4))
+    return ["D2"] + leaves, [(0, k + 1, "C2") for k in range(len(leaves))], []
+
+
+def _whole_base_change(cells, invert):
+    """Block-diagonal matrix of the splitting bases (or their inverses)."""
+    mats = [splitting_basis(c.stabilizer) for c in cells]
+    mats = [_int_inverse(u) for u in mats] if invert else mats
+    n = sum(len(u) for u in mats)
+    out = np.zeros((n, n), dtype=object)
+    pos = 0
+    for u in mats:
+        out[pos:pos + len(u), pos:pos + len(u)] = np.array(u, dtype=object)
+        pos += len(u)
+    return out
+
+
+def _part_labels(cells):
+    return [w for c in cells for i in range(rep_ring(c.stabilizer).rank)
+            for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) if i in idx]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(bredon_components(), min_size=1, max_size=3))
+def test_split_blocks_match_whole_matrix_base_change(parts):
+    bc = bredon_complex(_union(parts))
+    blocks = split_blocks(bc)
+    n0, n1, n2 = bc.chain().dims
+    # the base change as whole-matrix products, then projected by parts
+    psi1 = (_whole_base_change(bc.vertices, False)
+            @ np.array(bc.psi1, dtype=object).reshape(n0, n1)
+            @ _whole_base_change(bc.edges, True))
+    psi2 = (_whole_base_change(bc.edges, False)
+            @ np.array(bc.psi2, dtype=object).reshape(n1, n2))
+    labels = [_part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
+    rebuilt1, rebuilt2 = np.zeros_like(psi1), np.zeros_like(psi2)
+    for w, chain in enumerate((blocks.trivial, blocks.two, blocks.three)):
+        rows, mid, cols = ([i for i, x in enumerate(part) if x == w]
+                           for part in labels)
+        assert chain.dims == (len(rows), len(mid), len(cols))
+        rebuilt1[np.ix_(rows, mid)] = np.array(
+            chain.psi1, dtype=object).reshape(len(rows), len(mid))
+        rebuilt2[np.ix_(mid, cols)] = np.array(
+            chain.psi2, dtype=object).reshape(len(mid), len(cols))
+    # entry by entry, off-block zeros included
+    assert (rebuilt1 == psi1).all() and (rebuilt2 == psi2).all()
+    # the Bredon homology is the direct sum of the three blocks' homology
+    total = homology(bc.chain())
+    split = [homology(b) for b in (blocks.trivial, blocks.two, blocks.three)]
+    for d in range(3):
+        assert total[d] == split[0][d] + split[1][d] + split[2][d], d
 
 
 def test_orbit_block_is_quotient_graph_homology():

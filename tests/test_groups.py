@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from tsr._modp import rank_mod
-from tsr.groups import (TAG_ORDERS, FiniteGroup, are_isomorphic, catalog_group,
-                        center, compose, dihedral_group,
+from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, FiniteGroup, are_isomorphic,
+                        catalog_group, center, compose, dihedral_group,
                         dihedral_mod_ell_homology, has_trivial_mod_ell_cohomology,
                         identify_catalog_tag, invert, is_ell_normal,
                         mod_ell_homology_bruteforce, normal_subgroups,
@@ -167,6 +167,19 @@ def test_isomorphism_separates_catalog():
         for b in tags:
             got = are_isomorphic(catalog_group(a), catalog_group(b))
             assert got == (a == b)
+
+
+def test_catalog_tags_pairwise_non_isomorphic():
+    # condition A compares stabilizer tags instead of testing isomorphism,
+    # which is exact only while no two tags name isomorphic groups: the
+    # order and the multiset of element orders already tell them apart
+    fingerprints = {}
+    for tag in CATALOG_TAGS:
+        G = catalog_group(tag)
+        key = (G.order, tuple(sorted(perm_order(g) for g in G.elements)))
+        assert key not in fingerprints, (tag, fingerprints.get(key))
+        fingerprints[key] = tag
+    assert set(CATALOG_TAGS) == set(TAG_ORDERS)
 
 
 def test_identify_catalog_tag():
