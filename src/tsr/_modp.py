@@ -9,9 +9,15 @@ with no unit joins the ``core``, which also stays zero in every pivot
 column, so the elementary divisors are one 1 per pivot plus those of
 the core (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).
 ``rank_mod`` and ``nullspace_mod`` feed a matrix's rows through it.
+
+``assemble`` builds those rows: every matrix of a cell complex here (the
+Bredon differentials, their split, the graph oracle's restriction maps)
+is a signed sum of small per-inclusion blocks at the cells' offsets.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
 
 
 def _row(vec, p: int) -> dict[int, int]:
@@ -31,6 +37,26 @@ def _subtract(row: dict[int, int], a: int, v: dict[int, int], p: int) -> None:
             row[j] = y
         else:
             del row[j]
+
+
+def assemble(terms, rows, cols, width, block) -> list[dict[int, int]]:
+    """Sparse rows of the sum of sign * block(column tag, row tag, emb)
+    over the terms (row cell, column cell, sign, emb), given as indices
+    into the cell sequences rows and cols; a cell spans width(its tag)
+    rows or columns, and a block is a list of rows, read once per key."""
+    roff, coff = (list(accumulate((width(c.stabilizer) for c in cells), initial=0))
+                  for cells in (rows, cols))
+    out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
+    entries: dict[tuple, list[tuple[int, int, int]]] = {}
+    for i, j, sign, emb in terms:
+        key = (cols[j].stabilizer, rows[i].stabilizer, emb)
+        if key not in entries:
+            entries[key] = [(r, c, x) for r, brow in enumerate(block(*key))
+                            for c, x in enumerate(brow) if x]
+        for r, c, x in entries[key]:
+            row, c = out[roff[i] + r], coff[j] + c
+            row[c] = row.get(c, 0) + sign * x
+    return [{c: x for c, x in row.items() if x} for row in out]
 
 
 class SpanTracker:

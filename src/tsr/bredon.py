@@ -8,16 +8,18 @@ All pinned data is verified, not trusted: orthogonality once per ring,
 and Frobenius reciprocity and block structure once per inclusion, whose
 induction block and split block are each computed once per process.
 The Bredon differentials and their split are the same signed sums of
-these blocks over the incidence terms of the complex.
+these blocks over the incidence terms of the complex, assembled as
+sparse rows that go straight to the elimination; dense rows are made
+only for printing and for the Smith normal form of the elimination's core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 
-from ._modp import SpanTracker, _row
+from ._modp import SpanTracker, _row, assemble
 from .complexes import OrbitComplex, _is_int, edge_end_assignments
 from .series import SubgroupCensus
 
@@ -128,19 +130,23 @@ class RepRing:
         return tuple(int(row[0][0]) for row in self.characters)
 
 
-_VERIFIED: set[str] = set()
+_RINGS: dict[str, RepRing] = {}
 
 
 def rep_ring(tag: str) -> RepRing:
-    """Pinned complex representation ring; orthogonality-verified once."""
-    if tag not in _CHARS:
-        raise ValueError(f"unsupported representation ring {tag!r}")
-    sizes, rows = _CHARS[tag]
-    ring = RepRing(tag, len(rows), tuple(sizes), tuple(tuple(r) for r in rows))
-    if tag not in _VERIFIED:
+    """Pinned complex representation ring, built and verified once per tag."""
+    if tag not in _RINGS:
+        if tag not in _CHARS:
+            raise ValueError(f"unsupported representation ring {tag!r}")
+        sizes, rows = _CHARS[tag]
+        ring = RepRing(tag, len(rows), tuple(sizes), tuple(tuple(r) for r in rows))
         _verify_orthogonality(ring)
-        _VERIFIED.add(tag)
-    return ring
+        _RINGS[tag] = ring
+    return _RINGS[tag]
+
+
+def _rank(tag: str) -> int:
+    return rep_ring(tag).rank
 
 
 def _verify_orthogonality(ring: RepRing) -> None:
@@ -281,16 +287,15 @@ def _matmul(a, b) -> list[dict[int, int]]:
     return out
 
 
-def _dense(rows: list[dict[int, int]], cols) -> list[list[int]]:
-    """The sparse rows restricted to the columns cols, as dense rows."""
+def _renumber(rows: list[dict[int, int]], cols) -> list[dict[int, int]]:
+    """The sparse rows restricted to the columns cols, renumbered in order."""
     pos = {j: k for k, j in enumerate(cols)}
-    out = []
-    for r in rows:
-        out.append([0] * len(pos))
-        for j, x in r.items():
-            if j in pos:
-                out[-1][pos[j]] = x
-    return out
+    return [{pos[j]: x for j, x in r.items() if j in pos} for r in rows]
+
+
+def _dense(rows: list[dict[int, int]], width: int) -> list[list[int]]:
+    """Sparse rows with columns in range(width) as dense rows."""
+    return [[r.get(j, 0) for j in range(width)] for r in rows]
 
 
 _SPLIT_CACHE: dict[tuple[str, str, int], Matrix] = {}
@@ -304,7 +309,7 @@ def transformed_induction(source: str, target: str, embedding: int = 0) -> Matri
         return _SPLIT_CACHE[key]
     u_s_inv = _int_inverse(splitting_basis(source))
     prod = _matmul(_matmul(splitting_basis(target), induction_matrix(*key)), u_s_inv)
-    mat = tuple(map(tuple, _dense(prod, range(len(u_s_inv)))))
+    mat = tuple(map(tuple, _dense(prod, len(u_s_inv))))
     check_block_diagonal(mat, target, source)
     _SPLIT_CACHE[key] = mat
     return mat
@@ -450,17 +455,18 @@ def elementary_divisors(mat) -> list[int]:
     core = [row for row in span.core if row]
     if not core:
         return [1] * span.rank
-    _, d, _ = smith_normal_form(_dense(core, sorted({j for row in core for j in row})))
+    cols = sorted({j for row in core for j in row})
+    _, d, _ = smith_normal_form(_dense(_renumber(core, cols), len(cols)))
     return [1] * span.rank + [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
 @dataclass(frozen=True)
 class IntegerChainComplex:
     """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0, with the
-    differentials as lists of rows and dims = (n0, n1, n2)."""
+    differentials as sparse {column: entry} rows and dims = (n0, n1, n2)."""
 
-    psi1: list
-    psi2: list
+    psi1: list[dict[int, int]]
+    psi2: list[dict[int, int]]
     dims: tuple[int, int, int]
 
 
@@ -469,8 +475,8 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
     elementary divisors of both differentials."""
     n0, n1, n2 = chain.dims
     if (len(chain.psi1) != n0 or len(chain.psi2) != n1
-            or any(len(row) != n1 for row in chain.psi1)
-            or any(len(row) != n2 for row in chain.psi2)):
+            or any(not 0 <= j < n1 for row in chain.psi1 for j in row)
+            or any(not 0 <= j < n2 for row in chain.psi2 for j in row)):
         raise ValueError("psi1 and psi2 are not composable with dims "
                          f"{chain.dims}")
     if any(_matmul(chain.psi1, chain.psi2)):
@@ -490,39 +496,31 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class BredonComplex:
-    """psi1 and psi2 as dense lists of rows, and the incidence terms
-    (row cell, column cell, sign, embedding) they are summed from, with
-    cells as indices: terms1 (vertex, edge), terms2 (edge, face)."""
+    """The differentials as sparse rows, rows1 (vertices x edges) and
+    rows2 (edges x faces), and the incidence terms (row cell, column
+    cell, sign, embedding) they are summed from, with cells as indices:
+    terms1 (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
+    copies, for printing."""
 
     vertices: tuple
     edges: tuple
     faces: tuple
-    psi1: list[list[int]]
-    psi2: list[list[int]]
+    rows1: list[dict[int, int]]
+    rows2: list[dict[int, int]]
     terms1: tuple
     terms2: tuple
 
+    @property
+    def psi1(self) -> list[list[int]]:
+        return _dense(self.rows1, len(self.rows2))
+
+    @property
+    def psi2(self) -> list[list[int]]:
+        return _dense(self.rows2, len(self.faces))
+
     def chain(self) -> IntegerChainComplex:
-        return IntegerChainComplex(self.psi1, self.psi2,
-                                   (len(self.psi1), len(self.psi2), len(self.faces)))
-
-
-def _offsets(cells) -> list[int]:
-    return list(accumulate((rep_ring(c.stabilizer).rank for c in cells), initial=0))
-
-
-def _assemble(terms, rows, cols, block) -> list[dict[int, int]]:
-    """Sparse rows of the sum of sign * block(column tag, row tag,
-    embedding) over the terms, each block at its cells' offsets."""
-    roff, coff = _offsets(rows), _offsets(cols)
-    out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
-    for i, j, sign, emb in terms:
-        for r, brow in enumerate(block(cols[j].stabilizer, rows[i].stabilizer, emb)):
-            row = out[roff[i] + r]
-            for c, x in enumerate(brow, coff[j]):
-                if x:
-                    row[c] = row.get(c, 0) + sign * x
-    return out
+        return IntegerChainComplex(self.rows1, self.rows2,
+                                   (len(self.rows1), len(self.rows2), len(self.faces)))
 
 
 def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
@@ -530,9 +528,7 @@ def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
     """Decompose a 2-cell boundary into a closed edge walk; returns
     (edge id, sign) pairs where the sign compares the traversal with the
     edge's intrinsic direction (second end slot -> first end slot)."""
-    uses: list[str] = []
-    for inc in cx.faces(face_id):
-        uses.extend([inc.face] * inc.multiplicity)
+    uses = [inc.face for inc in cx.faces(face_id) for _ in range(inc.multiplicity)]
     if not uses:
         return []
     # adjacency: each use is an undirected connection between end vertices
@@ -553,12 +549,7 @@ def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
     out: list[tuple[int, str, str]] = []
     while st:
         v = st[-1]
-        found = None
-        for k in adj.get(v, []):
-            if k in used:
-                continue
-            found = k
-            break
+        found = next((k for k in adj.get(v, []) if k not in used), None)
         if found is None:
             st.pop()
             if edge_stack:
@@ -571,12 +562,8 @@ def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
             st.append(w)
     if len(out) != len(uses):
         raise ValueError(f"boundary of {face_id!r} is not connected")
-    signs = []
-    for k, frm, to in reversed(out):
-        eid, v_tail, v_head = remaining[k]
-        sign = 1 if (frm, to) == (v_tail, v_head) else -1
-        signs.append((eid, sign))
-    return signs
+    return [(remaining[k][0], 1 if (frm, to) == remaining[k][1:] else -1)
+            for k, frm, to in reversed(out)]
 
 
 def bredon_complex(cx: OrbitComplex) -> BredonComplex:
@@ -607,12 +594,11 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     # a face's block is the induction from C1: the regular representation
     terms2 = tuple((index[eid], j, sign, 0) for j, f in enumerate(faces)
                    for eid, sign in _oriented_boundary_walk(cx, f.id, ends))
-    psi1 = _assemble(terms1, vertices, edges, induction_matrix)
-    psi2 = _assemble(terms2, edges, faces, induction_matrix)
+    psi1 = assemble(terms1, vertices, edges, _rank, induction_matrix)
+    psi2 = assemble(terms2, edges, faces, _rank, induction_matrix)
     if any(_matmul(psi1, psi2)):
         raise AssertionError("orientation bookkeeping broke psi1 @ psi2 = 0")
-    return BredonComplex(vertices, edges, faces, _dense(psi1, range(_offsets(edges)[-1])),
-                         _dense(psi2, range(len(faces))), terms1, terms2)
+    return BredonComplex(vertices, edges, faces, psi1, psi2, terms1, terms2)
 
 
 @dataclass(frozen=True)
@@ -633,15 +619,15 @@ def split_blocks(bc: BredonComplex) -> SplitBlocks:
         return [w for c in cells for _, w in sorted(
             (i, w) for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) for i in idx)]
 
-    psi1 = _assemble(bc.terms1, bc.vertices, bc.edges, transformed_induction)
-    psi2 = _assemble(bc.terms2, bc.edges, bc.faces, transformed_induction)
+    psi1 = assemble(bc.terms1, bc.vertices, bc.edges, _rank, transformed_induction)
+    psi2 = assemble(bc.terms2, bc.edges, bc.faces, _rank, transformed_induction)
     parts = [part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
 
     def project(which):
         rows, mid, cols = ([i for i, w in enumerate(part) if w == which]
                            for part in parts)
-        return IntegerChainComplex(_dense([psi1[i] for i in rows], mid),
-                                   _dense([psi2[j] for j in mid], cols),
+        return IntegerChainComplex(_renumber([psi1[i] for i in rows], mid),
+                                   _renumber([psi2[j] for j in mid], cols),
                                    (len(rows), len(mid), len(cols)))
 
     return SplitBlocks(project(0), project(1), project(2))

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate
+from functools import cache, partial
 from math import comb, gcd
 
-from ._modp import rank_mod
+from ._modp import assemble, rank_mod
 from .complexes import OrbitComplex, _is_int
 from .groups import dihedral_mod_ell_homology, _check_prime
 
@@ -173,9 +173,6 @@ class RationalSeries:
         return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
 
     __repr__ = __str__
-
-
-ZERO_SERIES = RationalSeries(())
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +350,7 @@ def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[
     block = [[0] * dv for _ in range(de)]
     if de == 0 or dv == 0:
         return block
-    if vtag == etag:
+    if vtag == etag or q == 0:  # H^0 is F_ell, restricted identically
         for i in range(de):
             block[i][i] = 1
         return block
@@ -390,36 +387,25 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     vertices = sorted(cx.cells_of_dim(0), key=lambda c: c.id)
     edges = sorted(cx.cells_of_dim(1), key=lambda c: c.id)
     ends = edge_end_assignments(cx)
-
     vindex = {v.id: k for k, v in enumerate(vertices)}
+    # one term per edge end: (edge, vertex, sign, embedding)
+    terms = [(j, vindex[vid], sign, emb) for j, e in enumerate(edges)
+             for vid, sign, emb in ends[e.id]]
 
+    @cache
     def alpha(q: int) -> tuple[int, int, int]:
         """(rank, rows, columns) of alpha_q."""
-        vdims = [stabilizer_cohomology_dim(v.stabilizer, ell, q) for v in vertices]
-        edims = [stabilizer_cohomology_dim(e.stabilizer, ell, q) for e in edges]
-        voff = list(accumulate(vdims, initial=0))
-        eoff = list(accumulate(edims, initial=0))
-        mat = [[0] * voff[-1] for _ in range(eoff[-1])]
-        for j, e in enumerate(edges):
-            for vid, sign, emb in ends[e.id]:
-                k = vindex[vid]
-                block = restriction_block(vertices[k].stabilizer, e.stabilizer,
-                                          emb, ell, q)
-                for i, brow in enumerate(block):
-                    for c, x in enumerate(brow):
-                        mat[eoff[j] + i][voff[k] + c] += sign * x
-        return rank_mod(mat, ell), eoff[-1], voff[-1]
+        dim = {t: stabilizer_cohomology_dim(t, ell, q) for t in ORACLE_STABILIZERS}
+        mat = assemble(terms, edges, vertices, dim.__getitem__,
+                       partial(restriction_block, ell=ell, q=q))
+        return rank_mod(mat, ell), len(mat), sum(dim[v.stabilizer] for v in vertices)
 
     dims = {}
-    prev = None
-    prev_q = None
     for q in sorted(q_range):
         if q < 1:
             raise ValueError("oracle degrees must be >= 1")
-        a_q = alpha(q)
-        a_prev = prev if prev_q == q - 1 else alpha(q - 1)
-        dims[q] = (a_q[2] - a_q[0]) + (a_prev[1] - a_prev[0])  # ker + coker
-        prev, prev_q = a_q, q
+        (rank, _, cols), (prev_rank, prev_rows, _) = alpha(q), alpha(q - 1)
+        dims[q] = (cols - rank) + (prev_rows - prev_rank)  # ker + coker
     return dims
 
 

@@ -20,8 +20,9 @@ from tsr.bredon import (BLOCK_PARTS, SUPPORTED_EDGE_TAGS, SUPPORTED_VERTEX_TAGS,
                         smith_normal_form, split_blocks, splitting_basis,
                         transformed_induction)
 from tsr.cli import main
-from tsr.complexes import Incidence, OrbitCell, OrbitComplex, parse_complex
-from tsr.series import SubgroupCensus
+from tsr.complexes import (EMBEDDING_CLASSES, Incidence, OrbitCell, OrbitComplex,
+                           parse_complex)
+from tsr.series import SubgroupCensus, restriction_block
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -87,6 +88,19 @@ def test_induction_regular_goes_to_regular():
         reg_src = np.array(rep_ring(src).degrees)
         reg_tgt = np.array(rep_ring(tgt).degrees)
         assert np.array_equal(np.array(block) @ reg_src, reg_tgt)
+
+
+def test_embedding_tables_agree():
+    # complexes.EMBEDDING_CLASSES drives edge_end_assignments, the fusion
+    # table drives embedding_count and the Bredon blocks, and
+    # series.restriction_block branches on the embedding index
+    for source, target, _ in tsr.bredon._FUSION:
+        assert (embedding_count(source, target)
+                == EMBEDDING_CLASSES.get((target, source), 1)), (source, target)
+    for q in range(1, 5):
+        blocks = {tuple(map(tuple, restriction_block("D2", "C2", emb, 2, q)))
+                  for emb in range(embedding_count("C2", "D2"))}
+        assert len(blocks) == 3, q
 
 
 def test_unsupported_inclusion():
@@ -220,9 +234,21 @@ def test_abelian_group_rejects_nonpositive_torsion(torsion):
 
 
 def test_homology_rejects_non_chain():
-    psi1 = np.array([[1, 0], [0, 1]])
-    psi2 = np.array([[1], [0]])
+    psi1 = [{0: 1}, {1: 1}]
+    psi2 = [{0: 1}, {}]
     with pytest.raises(ValueError, match="chain"):
+        homology(IntegerChainComplex(psi1, psi2, (2, 2, 1)))
+
+
+@pytest.mark.parametrize("psi1, psi2", [
+    ([{0: 1}, {2: 1}], [{}, {}]),   # a psi1 column past n1
+    ([{0: 1}, {-1: 1}], [{}, {}]),  # a negative psi1 column
+    ([{0: 1}, {}], [{1: 1}, {}]),   # a psi2 column past n2
+    ([{0: 1}], [{}, {}]),           # one psi1 row short of n0
+    ([{0: 1}, {}], [{}]),           # one psi2 row short of n1
+])
+def test_homology_rejects_rows_outside_dims(psi1, psi2):
+    with pytest.raises(ValueError, match="not composable"):
         homology(IntegerChainComplex(psi1, psi2, (2, 2, 1)))
 
 
@@ -364,6 +390,17 @@ def _whole_base_change(cells, invert):
     return out
 
 
+def _to_array(rows, width):
+    """Dense object array of sparse {column: entry} rows, whose columns
+    must lie in range(width)."""
+    out = np.zeros((len(rows), width), dtype=object)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            assert 0 <= j < width, (j, width)
+            out[i, j] = x
+    return out
+
+
 def _part_labels(cells):
     return [w for c in cells for i in range(rep_ring(c.stabilizer).rank)
             for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) if i in idx]
@@ -374,23 +411,25 @@ def _part_labels(cells):
 def test_split_blocks_match_whole_matrix_base_change(parts):
     bc = bredon_complex(_union(parts))
     blocks = split_blocks(bc)
-    n0, n1, n2 = bc.chain().dims
+    total_chain = bc.chain()
+    n0, n1, n2 = total_chain.dims
+    whole1, whole2 = _to_array(total_chain.psi1, n1), _to_array(total_chain.psi2, n2)
+    # the dense views are the stored sparse rows
+    assert (np.array(bc.psi1, dtype=object).reshape(n0, n1) == whole1).all()
+    assert (np.array(bc.psi2, dtype=object).reshape(n1, n2) == whole2).all()
     # the base change as whole-matrix products, then projected by parts
-    psi1 = (_whole_base_change(bc.vertices, False)
-            @ np.array(bc.psi1, dtype=object).reshape(n0, n1)
+    psi1 = (_whole_base_change(bc.vertices, False) @ whole1
             @ _whole_base_change(bc.edges, True))
-    psi2 = (_whole_base_change(bc.edges, False)
-            @ np.array(bc.psi2, dtype=object).reshape(n1, n2))
+    psi2 = _whole_base_change(bc.edges, False) @ whole2
     labels = [_part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
     rebuilt1, rebuilt2 = np.zeros_like(psi1), np.zeros_like(psi2)
     for w, chain in enumerate((blocks.trivial, blocks.two, blocks.three)):
         rows, mid, cols = ([i for i, x in enumerate(part) if x == w]
                            for part in labels)
         assert chain.dims == (len(rows), len(mid), len(cols))
-        rebuilt1[np.ix_(rows, mid)] = np.array(
-            chain.psi1, dtype=object).reshape(len(rows), len(mid))
-        rebuilt2[np.ix_(mid, cols)] = np.array(
-            chain.psi2, dtype=object).reshape(len(mid), len(cols))
+        assert len(chain.psi1) == len(rows) and len(chain.psi2) == len(mid)
+        rebuilt1[np.ix_(rows, mid)] = _to_array(chain.psi1, len(mid))
+        rebuilt2[np.ix_(mid, cols)] = _to_array(chain.psi2, len(cols))
     # entry by entry, off-block zeros included
     assert (rebuilt1 == psi1).all() and (rebuilt2 == psi2).all()
     # the Bredon homology is the direct sum of the three blocks' homology

@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr._modp import rank_mod
-from tsr.complexes import parse_complex
+from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, edge_end_assignments,
+                           parse_complex)
 from tsr.groups import catalog_group, compose, identity_perm, mod_ell_homology_bruteforce
-from tsr.series import (CensusError, RationalSeries, SubgroupCensus,
+from tsr.series import (ORACLE_STABILIZERS, CensusError, RationalSeries, SubgroupCensus,
                         canonical_series, coxeter_homology, e2_page,
                         equivariant_graph_cohomology_oracle,
                         farrell_tate_sl2_dims, poincare_2torsion,
@@ -225,6 +226,85 @@ def test_oracle_theta_matches_series():
 def test_oracle_rejects_unsupported_stabilizer():
     with pytest.raises(ValueError, match="unsupported"):
         equivariant_graph_cohomology_oracle(load("graphtwo.json"), 2, range(3, 4))
+
+
+def reference_oracle(cx, ell, q_range):
+    """The graph oracle with alpha_q written out as a dense matrix, one
+    restriction block per edge end added entry by entry at the offsets of
+    its cells, and alpha_{q-1} rebuilt for every degree."""
+    vertices = sorted(cx.cells_of_dim(0), key=lambda c: c.id)
+    edges = sorted(cx.cells_of_dim(1), key=lambda c: c.id)
+    ends = edge_end_assignments(cx)
+    vindex = {v.id: k for k, v in enumerate(vertices)}
+
+    def alpha(q):
+        vdims = [stabilizer_cohomology_dim(v.stabilizer, ell, q) for v in vertices]
+        edims = [stabilizer_cohomology_dim(e.stabilizer, ell, q) for e in edges]
+        voff = list(itertools.accumulate(vdims, initial=0))
+        eoff = list(itertools.accumulate(edims, initial=0))
+        mat = [[0] * voff[-1] for _ in range(eoff[-1])]
+        for j, e in enumerate(edges):
+            for vid, sign, emb in ends[e.id]:
+                k = vindex[vid]
+                block = restriction_block(vertices[k].stabilizer, e.stabilizer,
+                                          emb, ell, q)
+                for i, brow in enumerate(block):
+                    for c, x in enumerate(brow):
+                        mat[eoff[j] + i][voff[k] + c] += sign * x
+        return rank_mod(mat, ell), eoff[-1], voff[-1]
+
+    dims = {}
+    for q in q_range:
+        (rank, _, cols), (prev_rank, prev_rows, _) = alpha(q), alpha(q - 1)
+        dims[q] = (cols - rank) + (prev_rows - prev_rank)
+    return dims
+
+
+#: The edge tags that embed in each oracle vertex tag.
+_ORACLE_SUBGROUPS = {"C1": ("C1",), "C2": ("C1", "C2"), "C3": ("C1", "C3"),
+                     "D2": ("C1", "C2", "D2"), "D3": ("C1", "C2", "C3", "D3")}
+
+
+@st.composite
+def oracle_graphs(draw):
+    """Graphs over the oracle's stabilizers, with loops and parallel
+    edges, and optionally a D2 hub whose C2 edge ends take all three
+    embeddings."""
+    vtags = draw(st.lists(st.sampled_from(ORACLE_STABILIZERS), min_size=1, max_size=5))
+    edges = []
+    for _ in range(draw(st.integers(0, 7))):
+        u, v = (draw(st.integers(0, len(vtags) - 1)) for _ in range(2))
+        common = [t for t in _ORACLE_SUBGROUPS[vtags[u]]
+                  if t in _ORACLE_SUBGROUPS[vtags[v]]]
+        edges.append((u, v, draw(st.sampled_from(common))))
+    if draw(st.booleans()):
+        hub = len(vtags)
+        vtags.append("D2")
+        targets = [k for k, t in enumerate(vtags) if "C2" in _ORACLE_SUBGROUPS[t]]
+        edges += [(hub, draw(st.sampled_from(targets)), "C2")
+                  for _ in range(draw(st.integers(3, 4)))]
+    cells = [OrbitCell(f"v{k}", 0, t) for k, t in enumerate(vtags)]
+    cells += [OrbitCell(f"e{k}", 1, t) for k, (_, _, t) in enumerate(edges)]
+    incs = []
+    for k, (u, v, _) in enumerate(edges):
+        incs += ([Incidence(f"v{u}", f"e{k}", 2)] if u == v else
+                 [Incidence(f"v{u}", f"e{k}"), Incidence(f"v{v}", f"e{k}")])
+    return OrbitComplex(tuple(cells), tuple(incs))
+
+
+def test_degree_zero_restriction_is_identity():
+    for vtag, subgroups in _ORACLE_SUBGROUPS.items():
+        for etag in subgroups:
+            for ell in (2, 3):
+                assert restriction_block(vtag, etag, 0, ell, 0) == [[1]], (vtag, etag)
+
+
+@settings(max_examples=150, deadline=None)
+@given(oracle_graphs(), st.sampled_from((2, 3)))
+def test_oracle_matches_dense_reference(cx, ell):
+    degrees = range(1, 9)
+    assert (equivariant_graph_cohomology_oracle(cx, ell, degrees)
+            == reference_oracle(cx, ell, degrees))
 
 
 def _cochain_cohomology_restriction_rank(vtag, etag, fusion, ell, q):
