@@ -98,12 +98,6 @@ class OrbitComplex:
     def faces(self, cell_id: str) -> list[Incidence]:
         return self._faces.get(cell_id, [])
 
-    def without_cells(self, drop: set[str]) -> "OrbitComplex":
-        cells = tuple(c for c in self.cells if c.id not in drop)
-        incs = tuple(i for i in self.incidences
-                     if i.face not in drop and i.coface not in drop)
-        return OrbitComplex(cells, incs, self.rigid)
-
 
 def _require(cond: bool, message: str, path: str):
     if not cond:
@@ -186,8 +180,9 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
     with incidences restricted accordingly."""
     if not cx.rigid:
         raise ValueError("torsion subcomplex extraction requires a rigid complex")
-    return cx.without_cells({c.id for c in cx.cells
-                             if TAG_ORDERS[c.stabilizer] % ell != 0})
+    keep = {c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell == 0}
+    return OrbitComplex(tuple(c for c in cx.cells if c.id in keep), tuple(
+        i for i in cx.incidences if i.face in keep and i.coface in keep), cx.rigid)
 
 
 def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:

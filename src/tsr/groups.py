@@ -156,7 +156,8 @@ _SUBGROUP_CACHE: dict[tuple[int, frozenset], tuple[FiniteGroup, ...]] = {}
 
 
 def subgroups(G: FiniteGroup) -> tuple[FiniteGroup, ...]:
-    """All subgroups, by exhaustive closure growth.  Capped at order 24."""
+    """All subgroups, by exhaustive closure growth from the generators
+    each was found with.  Capped at order 24."""
     if G.order > 24:
         raise ValueError("subgroup enumeration is capped at order 24")
     key = (G.degree, G._elemset)
@@ -164,7 +165,7 @@ def subgroups(G: FiniteGroup) -> tuple[FiniteGroup, ...]:
     if cached is not None:
         return cached
     trivial = frozenset([G.identity])
-    found = {trivial}
+    found = {trivial: ()}
     frontier = [trivial]
     while frontier:
         nxt = []
@@ -172,9 +173,10 @@ def subgroups(G: FiniteGroup) -> tuple[FiniteGroup, ...]:
             for g in G.elements:
                 if g in H:
                     continue
-                K = closure(G.degree, tuple(H) + (g,))
+                gens = found[H] + (g,)
+                K = closure(G.degree, gens)
                 if K not in found:
-                    found.add(K)
+                    found[K] = gens
                     nxt.append(K)
         frontier = nxt
     out = tuple(FiniteGroup(G.degree, H) for H in sorted(found, key=sorted))
@@ -265,24 +267,6 @@ def quotient_group(G: FiniteGroup, N: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(index, perms)
 
 
-def commutator_subgroup(G: FiniteGroup) -> FiniteGroup:
-    comms = set()
-    for a in G.elements:
-        ai = invert(a)
-        for b in G.elements:
-            comms.add(compose(compose(a, b), compose(ai, invert(b))))
-    return FiniteGroup(G.degree, closure(G.degree, comms))
-
-
-def _order_multiset(G: FiniteGroup) -> tuple[int, ...]:
-    return tuple(sorted(perm_order(g) for g in G.elements))
-
-
-def _fingerprint(G: FiniteGroup):
-    ab = quotient_group(G, commutator_subgroup(G))
-    return (G.order, _order_multiset(G), center(G).order, _order_multiset(ab))
-
-
 def _generating_sequence(G: FiniteGroup) -> list[Perm]:
     gens: list[Perm] = []
     span = {G.identity}
@@ -321,13 +305,13 @@ def _extends_to_isomorphism(G: FiniteGroup, H: FiniteGroup,
 
 
 def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
-    """Isomorphism test: invariant fingerprints with exhaustive
-    generator-image fallback.  Complete for order <= 24."""
-    if G.order != H.order:
-        return False
+    """Isomorphism test: the order and the multiset of element orders
+    (which tell the catalog types apart), then an exhaustive
+    generator-image search.  Complete for order <= 24."""
     if G.degree == H.degree and G._elemset == H._elemset:
         return True
-    if _fingerprint(G) != _fingerprint(H):
+    if G.order != H.order or (sorted(map(perm_order, G.elements))
+                              != sorted(map(perm_order, H.elements))):
         return False
     gens = _generating_sequence(G)
     if not gens:

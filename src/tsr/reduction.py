@@ -6,13 +6,17 @@ tau2 on distinct orbits (condition A), and the stabilizer pair passes
 one of the three clauses of the practical isomorphism criterion
 (condition B').  A terminal cell together with its unique coface is cut
 under the same stabilizer criterion.  The reduction loop applies these
-moves deterministically until none applies.
+moves deterministically until none applies.  The moves edit a private
+index of the complex in place, a worklist re-examines only the cells a
+move touched, and the result is frozen into an OrbitComplex once.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
-from dataclasses import dataclass
+from collections import defaultdict
+from dataclasses import dataclass, replace
 from math import gcd
 
 from . import groups
@@ -73,21 +77,11 @@ class ReductionLog:
 # Condition B' on stabilizer tags
 
 
-def _coprime_normal_quotients(tag: str, ell: int) -> list[groups.FiniteGroup]:
+def _coprime_quotients(G: groups.FiniteGroup, ell: int) -> list[groups.FiniteGroup]:
     """Quotients G/T over normal subgroups T with gcd(|T|, ell) = 1,
-    i.e. T with trivial mod-ell cohomology."""
-    G = groups.catalog_group(tag)
-    quots = []
-    for T in groups.normal_subgroups(G):
-        if gcd(T.order, ell) == 1:
-            quots.append(groups.quotient_group(G, T))
-    quots.sort(key=lambda Q: (-Q.order, Q.elements))
-    return quots
-
-
-def _sylow_center_normalizer(G: groups.FiniteGroup, ell: int) -> groups.FiniteGroup:
-    P = groups.sylow_subgroup(G, ell)
-    return groups.normalizer(G, groups.center(P))
+    i.e. T with trivial mod-ell cohomology; G itself for T = 1."""
+    return [G if T.order == 1 else groups.quotient_group(G, T)
+            for T in groups.normal_subgroups(G) if gcd(T.order, ell) == 1]
 
 
 _BPRIME_CACHE: dict[tuple[str, str, int], str | None] = {}
@@ -105,45 +99,76 @@ def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | Non
     exact sequence with ell-coprime kernel.
     """
     key = (sigma_tag, tau_tag, ell)
-    if key in _BPRIME_CACHE:
-        return _BPRIME_CACHE[key]
-    result = _check_b_prime(sigma_tag, tau_tag, ell)
-    _BPRIME_CACHE[key] = result
-    return result
+    if key not in _BPRIME_CACHE:
+        _BPRIME_CACHE[key] = _check_b_prime(sigma_tag, tau_tag, ell)
+    return _BPRIME_CACHE[key]
 
 
 def _check_b_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | None:
-    sigma_quots = _coprime_normal_quotients(sigma_tag, ell)
-    tau_quots = _coprime_normal_quotients(tau_tag, ell)
-    for Gs in sigma_quots:
-        for Gt in tau_quots:
-            if groups.are_isomorphic(Gs, Gt):
-                return B_PRIME_1
-    for Gs in sigma_quots:
-        if not groups.is_ell_normal(Gs, ell):
-            continue
-        N_s = _sylow_center_normalizer(Gs, ell)
-        for Gt in tau_quots:
-            if groups.are_isomorphic(Gt, N_s):
-                return B_PRIME_2
-    for Gs in sigma_quots:
-        if not groups.is_ell_normal(Gs, ell):
-            continue
-        N_s = _sylow_center_normalizer(Gs, ell)
-        for Gt in tau_quots:
-            if not groups.is_ell_normal(Gt, ell):
-                continue
-            N_t = _sylow_center_normalizer(Gt, ell)
-            for K in groups.normal_subgroups(N_s):
-                if gcd(K.order, ell) != 1:
-                    continue
-                if groups.are_isomorphic(groups.quotient_group(N_s, K), N_t):
-                    return B_PRIME_3
+    sigma_quots = _coprime_quotients(groups.catalog_group(sigma_tag), ell)
+    tau_quots = _coprime_quotients(groups.catalog_group(tau_tag), ell)
+    if any(groups.are_isomorphic(Gs, Gt) for Gs in sigma_quots for Gt in tau_quots):
+        return B_PRIME_1
+
+    def normalizers(quots):
+        # N(Z(P)) for a Sylow ell-subgroup P of each ell-normal quotient
+        return [groups.normalizer(G, groups.center(groups.sylow_subgroup(G, ell)))
+                for G in quots if groups.is_ell_normal(G, ell)]
+
+    sigma_norms = normalizers(sigma_quots)
+    if any(groups.are_isomorphic(Gt, Ns) for Ns in sigma_norms for Gt in tau_quots):
+        return B_PRIME_2
+    tau_norms = normalizers(tau_quots)
+    if any(groups.are_isomorphic(Q, Nt) for Ns in sigma_norms
+           for Q in _coprime_quotients(Ns, ell) for Nt in tau_norms):
+        return B_PRIME_3
     return None
 
 
 # --------------------------------------------------------------------------
 # Condition A and the moves
+
+
+class _Index:
+    """A mutable copy of a complex that the moves edit in place: its cells
+    and incidences in record order, and each cell's faces and cofaces as
+    {id: Incidence}, read through the lookups OrbitComplex offers."""
+
+    def __init__(self, cx: OrbitComplex):
+        self.rigid, self.cells, self.incidences = cx.rigid, {}, {}
+        self._faces: defaultdict[str, dict[str, Incidence]] = defaultdict(dict)
+        self._cofaces: defaultdict[str, dict[str, Incidence]] = defaultdict(dict)
+        self.add(cx.cells, cx.incidences)
+
+    def cell(self, cell_id: str) -> OrbitCell:
+        return self.cells[cell_id]
+
+    def faces(self, cell_id: str):
+        return self._faces[cell_id].values()
+
+    def cofaces(self, cell_id: str):
+        return self._cofaces[cell_id].values()
+
+    def add(self, cells, incidences) -> None:
+        """Append cells and incidences to the records."""
+        self.cells.update((c.id, c) for c in cells)
+        for inc in incidences:
+            self.incidences[inc.face, inc.coface] = inc
+            self._faces[inc.coface][inc.face] = inc
+            self._cofaces[inc.face][inc.coface] = inc
+
+    def drop(self, cell_id: str) -> None:
+        """Remove a cell with every incidence it takes part in."""
+        del self.cells[cell_id]
+        for face in self._faces.pop(cell_id, ()):
+            del self._cofaces[face][cell_id], self.incidences[face, cell_id]
+        for coface in self._cofaces.pop(cell_id, ()):
+            del self._faces[coface][cell_id], self.incidences[cell_id, coface]
+
+    def freeze(self) -> OrbitComplex:
+        """The records as an OrbitComplex, which validates them."""
+        return OrbitComplex(tuple(self.cells.values()),
+                            tuple(self.incidences.values()), self.rigid)
 
 
 def _touched_by_higher(cx: OrbitComplex, sigma: str) -> bool:
@@ -167,49 +192,85 @@ def _bounds_exactly(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
 def check_condition_A(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
     if not _bounds_exactly(cx, sigma, tau1, tau2):
         return False
-    if any(c.multiplicity != 1 for c in cx.cofaces(sigma)):
-        return False
     t1, t2 = cx.cell(tau1), cx.cell(tau2)
-    if t1.self_identified or t2.self_identified:
-        return False
-    if _touched_by_higher(cx, sigma):
-        return False
-    # the catalog tags are pairwise non-isomorphic, so this is isomorphism
-    return t1.stabilizer == t2.stabilizer
+    # the catalog tags are pairwise non-isomorphic: equal tags, isomorphic
+    return (all(c.multiplicity == 1 for c in cx.cofaces(sigma))
+            and not (t1.self_identified or t2.self_identified)
+            and not _touched_by_higher(cx, sigma) and t1.stabilizer == t2.stabilizer)
 
 
-def _unique_merged_id(cx: OrbitComplex, base: str) -> str:
-    new_id = base + "+"
-    while new_id in cx._by_id:
-        new_id += "+"
-    return new_id
+def _terminal_coface(cx: OrbitComplex, sigma: str) -> str | None:
+    """The unique coface tau of a terminal cell sigma, or None: sigma has
+    exactly one coface, with multiplicity 1, and no higher cell over it."""
+    cofs = cx.cofaces(sigma)
+    if len(cofs) != 1 or _touched_by_higher(cx, sigma):
+        return None
+    (inc,) = cofs
+    return inc.coface if inc.multiplicity == 1 else None
 
 
-def _merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
-    """The body of merge and scripted_merge, which check the triple first."""
+def find_terminal_cells(cx: OrbitComplex) -> list[tuple[str, str]]:
+    """All (sigma, tau) pairs where sigma has exactly one coface tau with
+    multiplicity 1 and no higher-dimensional cells over it."""
+    return [(c.id, tau) for c in sorted(cx.cells, key=lambda c: (c.dim, c.id))
+            if (tau := _terminal_coface(cx, c.id)) is not None]
+
+
+def _merge(ix: _Index, sigma: str, tau1: str, tau2: str) -> str:
+    """The edit of a merge, shared by _apply and scripted_merge, which
+    check the triple first; returns the id of the merged cell."""
     boundary: dict[str, int] = {}
     for tau in (tau1, tau2):
-        for inc in cx.faces(tau):
+        for inc in ix.faces(tau):
             if inc.face != sigma:
                 boundary[inc.face] = boundary.get(inc.face, 0) + inc.multiplicity
-    t1 = cx.cell(tau1)
-    merged_id = _unique_merged_id(cx, tau1)
-    merged = OrbitCell(merged_id, t1.dim, t1.stabilizer, False)
-    base = cx.without_cells({sigma, tau1, tau2})
-    return OrbitComplex(base.cells + (merged,), base.incidences + tuple(
-        Incidence(face, merged_id, mult) for face, mult in sorted(boundary.items())),
-        cx.rigid)
+    t1 = ix.cell(tau1)
+    merged_id = tau1 + "+"
+    while merged_id in ix.cells:
+        merged_id += "+"
+    for cid in (sigma, tau1, tau2):
+        ix.drop(cid)
+    ix.add([OrbitCell(merged_id, t1.dim, t1.stabilizer, False)],
+           [Incidence(face, merged_id, mult) for face, mult in sorted(boundary.items())])
+    return merged_id
+
+
+def _apply(ix: _Index, move: Move, ell: int) -> str | None:
+    """Check a move on the index (the terminal pair or condition A, then
+    B') and make its edit; returns a merge's new cell id.  Reads the
+    move's kind, sigma and taus, not its recorded clause or id."""
+    if move.kind not in ("cut", "merge"):
+        raise ValueError(f"unknown move kind {move.kind!r}")
+    sigma, tau = move.sigma, move.taus[0]
+    if move.kind == "cut" and _terminal_coface(ix, sigma) != tau:
+        raise ValueError(f"({sigma}, {tau}) is not a terminal pair")
+    if move.kind == "merge" and not check_condition_A(ix, sigma, *move.taus):
+        raise ValueError("condition A fails for the merge candidate")
+    if check_condition_B_prime(ix.cell(sigma).stabilizer, ix.cell(tau).stabilizer, ell) is None:
+        what = "the cut" if move.kind == "cut" else "the merge candidate"
+        raise ValueError(f"condition B' fails for {what}")
+    if move.kind == "merge":
+        return _merge(ix, sigma, *move.taus)
+    ix.drop(sigma)
+    ix.drop(tau)
+    return None
+
+
+def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
+    ix = _Index(cx)
+    _apply(ix, move, ell)
+    return ix.freeze()
+
+
+def cut(cx: OrbitComplex, sigma: str, tau: str, ell: int) -> OrbitComplex:
+    """Remove the terminal cell sigma together with its unique coface."""
+    return apply_move(cx, Move("cut", sigma, (tau,), ""), ell)
 
 
 def merge(cx: OrbitComplex, cand: MergeCandidate, ell: int) -> OrbitComplex:
     """Replace sigma, tau1, tau2 by one cell carrying tau1's stabilizer;
     its boundary is the union of both tau boundaries minus sigma."""
-    if not check_condition_A(cx, cand.sigma, cand.tau1, cand.tau2):
-        raise ValueError("condition A fails for the merge candidate")
-    if check_condition_B_prime(cx.cell(cand.sigma).stabilizer,
-                               cx.cell(cand.tau1).stabilizer, ell) is None:
-        raise ValueError("condition B' fails for the merge candidate")
-    return _merge(cx, cand.sigma, cand.tau1, cand.tau2)
+    return apply_move(cx, Move("merge", cand.sigma, (cand.tau1, cand.tau2), ""), ell)
 
 
 def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
@@ -219,72 +280,22 @@ def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitC
     as eliminating a vertex between two edges of unlike stabilizers."""
     if not _bounds_exactly(cx, sigma, tau1, tau2):
         raise ValueError("sigma must bound exactly tau1 and tau2")
-    return _merge(cx, sigma, tau1, tau2)
+    ix = _Index(cx)
+    _merge(ix, sigma, tau1, tau2)
+    return ix.freeze()
 
 
-def _terminal_coface(cx: OrbitComplex, sigma: str) -> str | None:
-    """The unique coface tau of a terminal cell sigma, or None: sigma has
-    exactly one coface, with multiplicity 1, and no higher cell over it."""
-    cofs = cx.cofaces(sigma)
-    if len(cofs) != 1 or cofs[0].multiplicity != 1 or _touched_by_higher(cx, sigma):
-        return None
-    return cofs[0].coface
-
-
-def find_terminal_cells(cx: OrbitComplex) -> list[tuple[str, str]]:
-    """All (sigma, tau) pairs where sigma has exactly one coface tau with
-    multiplicity 1 and no higher-dimensional cells over it."""
-    out = []
-    for c in sorted(cx.cells, key=lambda c: (c.dim, c.id)):
-        tau = _terminal_coface(cx, c.id)
-        if tau is not None:
-            out.append((c.id, tau))
-    return out
-
-
-def cut(cx: OrbitComplex, sigma: str, tau: str, ell: int) -> OrbitComplex:
-    """Remove the terminal cell sigma together with its unique coface."""
-    if _terminal_coface(cx, sigma) != tau:
-        raise ValueError(f"({sigma}, {tau}) is not a terminal pair")
-    s, t = cx.cell(sigma), cx.cell(tau)
-    if check_condition_B_prime(s.stabilizer, t.stabilizer, ell) is None:
-        raise ValueError("condition B' fails for the cut")
-    return cx.without_cells({sigma, tau})
-
-
-def _find_merge_candidates(cx: OrbitComplex) -> list[MergeCandidate]:
-    out = []
-    for c in sorted(cx.cells, key=lambda c: (c.dim, c.id)):
-        cofs = cx.cofaces(c.id)
-        if len(cofs) != 2:
-            continue
-        # two distinct cofaces one dimension up, as the schema guarantees
-        tau1, tau2 = sorted(i.coface for i in cofs)
-        if check_condition_A(cx, c.id, tau1, tau2):
-            out.append(MergeCandidate(c.id, tau1, tau2))
-    return out
-
-
-def _next_move(cx: OrbitComplex, ell: int) -> Move | None:
-    for sigma, tau in find_terminal_cells(cx):
-        clause = check_condition_B_prime(cx.cell(sigma).stabilizer,
-                                         cx.cell(tau).stabilizer, ell)
-        if clause is not None:
-            return Move("cut", sigma, (tau,), clause)
-    for cand in _find_merge_candidates(cx):
-        clause = check_condition_B_prime(cx.cell(cand.sigma).stabilizer,
-                                         cx.cell(cand.tau1).stabilizer, ell)
-        if clause is not None:
-            return Move("merge", cand.sigma, (cand.tau1, cand.tau2), clause)
-    return None
-
-
-def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
-    if move.kind == "cut":
-        return cut(cx, move.sigma, move.taus[0], ell)
-    if move.kind == "merge":
-        return merge(cx, MergeCandidate(move.sigma, *move.taus), ell)
-    raise ValueError(f"unknown move kind {move.kind!r}")
+def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | None:
+    """The move of this kind that sigma starts, or None."""
+    if kind == "cut":
+        taus = (_terminal_coface(ix, sigma),)
+        shape = taus[0] is not None
+    else:
+        taus = tuple(sorted(i.coface for i in ix.cofaces(sigma)))
+        shape = len(taus) == 2 and check_condition_A(ix, sigma, *taus)
+    clause = shape and check_condition_B_prime(ix.cell(sigma).stabilizer,
+                                               ix.cell(taus[0]).stabilizer, ell)
+    return Move(kind, sigma, taus, clause) if clause else None
 
 
 def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionLog]:
@@ -296,23 +307,32 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
     """
     if not cx.rigid:
         raise ValueError("reduction requires a rigid complex")
-    cx = torsion_subcomplex(cx, ell)
+    ix = _Index(torsion_subcomplex(cx, ell))
+    # "cut" sorts before "merge": each cell that starts a move has a
+    # (kind, dim, id) entry on the heap, among cells that may not
+    heap = sorted((k, c.dim, c.id) for k in ("cut", "merge") for c in ix.cells.values())
     moves = []
-    while True:
-        move = _next_move(cx, ell)
+    while heap:
+        kind, _, sigma = heap[0]
+        move = _move_at(ix, kind, sigma, ell)
         if move is None:
-            break
-        if move.kind == "merge":
-            merged = _unique_merged_id(cx, move.taus[0])
-            move = Move(move.kind, move.sigma, move.taus, move.condition, merged)
-        cx = apply_move(cx, move, ell)
-        moves.append(move)
-    return cx, ReductionLog(tuple(moves))
+            heapq.heappop(heap)
+            continue
+        # whether a cell starts a move reads only its cofaces and theirs, so a
+        # move can change that only for the faces of removed cells and theirs
+        near = {i.face for cid in (sigma, *move.taus) for i in ix.faces(cid)}
+        near |= {i.face for cid in near for i in ix.faces(cid)}
+        moves.append(replace(move, merged=_apply(ix, move, ell)))
+        for cid in near & ix.cells.keys():
+            for kind in ("cut", "merge"):
+                heapq.heappush(heap, (kind, ix.cells[cid].dim, cid))
+    return ix.freeze(), ReductionLog(tuple(moves))
 
 
 def replay(cx: OrbitComplex, log: ReductionLog, ell: int) -> OrbitComplex:
-    """Re-apply a reduction log; reproduces the reduce output exactly."""
-    cx = torsion_subcomplex(cx, ell)
+    """Re-apply a reduction log, checking every move; reproduces the
+    reduce output exactly."""
+    ix = _Index(torsion_subcomplex(cx, ell))
     for move in log.moves:
-        cx = apply_move(cx, move, ell)
-    return cx
+        _apply(ix, move, ell)
+    return ix.freeze()

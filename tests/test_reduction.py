@@ -84,6 +84,48 @@ def test_condition_b_prime_table(sigma, tau, ell, expect):
     assert check_condition_B_prime(sigma, tau, ell) == expect
 
 
+#: Every catalog pair (sigma, tau) that passes condition B', per prime,
+#: as {sigma: "tau ..."}; all pass by clause B'(1), and every other pair
+#: of catalog tags gives None.
+B_PRIME_PASSING = {
+    2: {
+        "C1": "C1 C3",
+        "C2": "C2 C6 D3",
+        "C3": "C1 C3",
+        "C4": "C4",
+        "C6": "C2 C6 D3",
+        "D2": "D2 D6",
+        "D3": "C2 C6 D3",
+        "D4": "D4",
+        "D6": "D2 D6",
+        "A4": "A4",
+        "S4": "S4",
+    },
+    3: {
+        "C1": "C1 C2 C4 D2 D4",
+        "C2": "C1 C2 C4 D2 D4",
+        "C3": "C3 C6 A4",
+        "C4": "C1 C2 C4 D2 D4",
+        "C6": "C3 C6 A4",
+        "D2": "C1 C2 C4 D2 D4",
+        "D3": "D3 D6 S4",
+        "D4": "C1 C2 C4 D2 D4",
+        "D6": "D3 D6 S4",
+        "A4": "C3 C6 A4",
+        "S4": "D3 D6 S4",
+    },
+}
+
+
+@pytest.mark.parametrize("ell", (2, 3))
+def test_b_prime_catalog_table(ell):
+    got = {(s, t): check_condition_B_prime(s, t, ell)
+           for s in CATALOG_TAGS for t in CATALOG_TAGS}
+    passing = {(s, t) for s, taus in B_PRIME_PASSING[ell].items() for t in taus.split()}
+    assert len(got) == 121 and len(passing) == {2: 21, 3: 43}[ell]
+    assert got == {pair: "B'(1)" if pair in passing else None for pair in got}
+
+
 def test_b_prime_soundness_dimension_check():
     # wherever some clause holds, the two stabilizers have equal mod-ell
     # homology dimensions (the assertable shadow of the cohomology iso)
@@ -223,6 +265,41 @@ def test_reduce_termination_bound():
         cx = load(name)
         _, log = reduce_complex(cx, ell)
         assert len(log.moves) <= len(cx.cells)
+
+
+def test_merged_id_skips_taken_ids():
+    # D2 ends block every cut at 2; "a+" is taken, so the merge at u
+    # names its cell "a++"
+    cells = (OrbitCell("u", 0, "D3"),) + tuple(
+        OrbitCell(v, 0, "D2") for v in ("v", "w", "x", "y")) + tuple(
+        OrbitCell(e, 1, "C2") for e in ("a", "b", "a+"))
+    incs = (Incidence("v", "a"), Incidence("u", "a"), Incidence("u", "b"),
+            Incidence("w", "b"), Incidence("x", "a+"), Incidence("y", "a+"))
+    reduced, log = reduce_complex(OrbitComplex(cells, incs), 2)
+    assert [(m.kind, m.sigma, m.merged) for m in log.moves] == [("merge", "u", "a++")]
+    assert sorted(c.id for c in reduced.cells) == ["a+", "a++", "v", "w", "x", "y"]
+
+
+def test_reduce_reexamines_merges_after_a_merge_and_a_cut():
+    # the merge along sigma leaves a terminal, and cutting it leaves x
+    # between two like edges: a merge at a vertex that the reducer had
+    # already passed over in (dim, id) order before the first merge
+    cells = (OrbitCell("a", 0, "C2"), OrbitCell("b", 0, "C2"), OrbitCell("x", 0, "D3"),
+             OrbitCell("y1", 0, "D2"), OrbitCell("y2", 0, "D2"),
+             OrbitCell("g", 1, "C2"), OrbitCell("h1", 1, "C2"),
+             OrbitCell("h2", 1, "C2"), OrbitCell("sigma", 1, "C2"),
+             OrbitCell("t1", 2, "C2"), OrbitCell("t2", 2, "C2"))
+    incs = (Incidence("a", "sigma"), Incidence("b", "sigma"), Incidence("a", "g"),
+            Incidence("x", "g"), Incidence("x", "h1"), Incidence("y1", "h1"),
+            Incidence("x", "h2"), Incidence("y2", "h2"),
+            Incidence("sigma", "t1"), Incidence("sigma", "t2"))
+    cx = OrbitComplex(cells, incs)
+    reduced, log = reduce_complex(cx, 2)
+    assert [(m.kind, m.sigma) for m in log.moves] == [
+        ("merge", "sigma"), ("cut", "a"), ("merge", "x")]
+    ref_reduced, ref_log = reference_reduce(cx, 2)
+    assert log == ref_log
+    assert serialize_complex(reduced) == serialize_complex(ref_reduced)
 
 
 def test_replay_reproduces_fixpoint():
@@ -388,3 +465,53 @@ def test_reduce_matches_reference_search(ell_and_complex):
     ref_reduced, ref_log = reference_reduce(cx, ell)
     assert log == ref_log
     assert serialize_complex(reduced) == serialize_complex(ref_reduced)
+
+
+@st.composite
+def long_complexes(draw):
+    """A prime ell in {2, 3} and a path, a circle or a strip of triangles
+    with 20 to 60 cells.  Stabilizers come from a palette of one or two
+    tags per dimension, mostly of order divisible by ell; ids are
+    unpadded numbers in shuffled order, so that the (dim, id) order of
+    the cells differs from their order along the shape."""
+    ell = draw(st.sampled_from((2, 3)))
+    torsion_tags = [t for t in CATALOG_TAGS if TAG_ORDERS[t] % ell == 0]
+
+    def tags(prefix, n):
+        palette = draw(st.lists(st.sampled_from(torsion_tags), min_size=1, max_size=2))
+        palette += draw(st.sampled_from(([], [], ["C1"])))
+        ids = [f"{prefix}{k}" for k in draw(st.permutations(range(n)))]
+        return ids, [draw(st.sampled_from(palette)) for _ in range(n)]
+
+    shape = draw(st.sampled_from(("path", "circle", "strip")))
+    if shape == "strip":  # n triangles on vertices 0..n+1: 4n + 3 cells
+        n = draw(st.integers(5, 14))
+        nv = n + 2
+        pairs = [(k, k + 1) for k in range(n + 1)] + [(k, k + 2) for k in range(n)]
+    else:  # 2n + 1 cells on a path of n edges, 2n on a circle
+        n = draw(st.integers(10, 29 if shape == "path" else 30))
+        nv = n + 1 if shape == "path" else n
+        pairs = [(k, (k + 1) % nv) for k in range(n)]
+    vid, vtag = tags("v", nv)
+    eid, etag = tags("e", len(pairs))
+    cells = [OrbitCell(v, 0, t) for v, t in zip(vid, vtag)]
+    cells += [OrbitCell(e, 1, t) for e, t in zip(eid, etag)]
+    incs = [Incidence(vid[v], e) for (a, b), e in zip(pairs, eid) for v in (a, b)]
+    if shape == "strip":
+        edge = dict(zip(pairs, eid))
+        fid, ftag = tags("t", n)
+        cells += [OrbitCell(f, 2, t) for f, t in zip(fid, ftag)]
+        incs += [Incidence(edge[p], fid[k]) for k in range(n)
+                 for p in ((k, k + 1), (k + 1, k + 2), (k, k + 2))]
+    return ell, OrbitComplex(tuple(draw(st.permutations(cells))), tuple(incs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(long_complexes())
+def test_reduce_long_inputs_match_reference_and_replay(ell_and_complex):
+    ell, cx = ell_and_complex
+    reduced, log = reduce_complex(cx, ell)
+    ref_reduced, ref_log = reference_reduce(cx, ell)
+    assert log == ref_log
+    assert serialize_complex(reduced) == serialize_complex(ref_reduced)
+    assert serialize_complex(replay(cx, log, ell)) == serialize_complex(reduced)
