@@ -131,3 +131,8 @@ def nullspace_mod(mat, p: int, cols: int) -> list[list[int]]:
                 vec[c] = p - row[f]
         basis.append(vec)
     return basis
+
+
+def _check_prime(ell: int) -> None:
+    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
+        raise ValueError(f"{ell} is not prime")

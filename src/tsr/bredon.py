@@ -109,9 +109,10 @@ _FUSION: dict[tuple[str, str, int], list[int]] = {
     ("C3", "A4", 0): [0, 2, 3],
 }
 
-class BlockSplitError(RuntimeError):
+class BlockSplitError(AssertionError):
     """A base-changed matrix failed to be block diagonal; this would
-    falsify the splitting for the given data and aborts the run."""
+    falsify the splitting for the given data and aborts the run (an
+    internal invariant failure, exit 2 from the command line)."""
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 validation error (bad flags, missing files,
 schema or census problems), 2 internal invariant failure.  All output is
 deterministic for identical inputs.
+
+Only ``tsr.complexes`` is imported up front; each subcommand imports
+the modules it runs, so a cold process pays for no other.
 """
 
 from __future__ import annotations
@@ -14,14 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bredon import (AbelianGroup, BlockSplitError, bredon_complex,
-                     chen_ruan_dims, homology, k_homology, split_blocks)
 from .complexes import (_is_int, classify_component, connected_components,
                         parse_complex, serialize_complex, torsion_subcomplex)
-from .reduction import reduce_complex, replay
-from .series import (CensusError, SubgroupCensus, e2_page,
-                     equivariant_graph_cohomology_oracle, poincare_2torsion,
-                     poincare_3torsion)
 
 
 class CliError(Exception):
@@ -56,7 +53,8 @@ def _load_complex(args):
     return parse_complex(_read_input(args))
 
 
-def _load_census(args) -> SubgroupCensus:
+def _load_census(args):
+    from .series import CensusError, SubgroupCensus
     text = args.census
     if text is None:
         raise CliError("--census is required for this command")
@@ -75,8 +73,16 @@ def _load_census(args) -> SubgroupCensus:
 
 
 def _json_option(text: str, flag: str):
+    def unique_keys(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise CliError(f"{flag}: key {key!r} appears twice")
+            seen.add(key)
+        return dict(pairs)
+
     try:
-        return json.loads(text) if text else {}
+        return json.loads(text, object_pairs_hook=unique_keys) if text else {}
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid {flag} JSON: {exc.msg}")
 
@@ -123,6 +129,7 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduction import reduce_complex, replay
     cx = _load_complex(args)
     reduced, log = reduce_complex(cx, args.prime)
     replayed = replay(cx, log, args.prime)
@@ -143,6 +150,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_poincare(args) -> int:
+    from .series import poincare_2torsion, poincare_3torsion
     census = _load_census(args)
     series = poincare_2torsion(census) if args.prime == 2 else poincare_3torsion(census)
     coeffs = series.expand(args.degrees)
@@ -159,6 +167,7 @@ def _cmd_poincare(args) -> int:
 
 
 def _cmd_bredon(args) -> int:
+    from .bredon import bredon_complex, homology, split_blocks
     cx = _load_complex(args)
     bc = bredon_complex(cx)
     blocks = split_blocks(bc)
@@ -183,6 +192,7 @@ def _cmd_bredon(args) -> int:
 
 
 def _cmd_khomology(args) -> int:
+    from .bredon import AbelianGroup, k_homology
     census = _load_census(args)
     h1_free = census.beta1 if args.h1_free is None else args.h1_free
     torsion = tuple(int(t) for t in args.h1_torsion.split(",") if t.strip()) \
@@ -198,15 +208,20 @@ def _cmd_khomology(args) -> int:
 
 
 def _cmd_chenruan(args) -> int:
+    from .bredon import chen_ruan_dims
     census = _load_census(args)
     qdims = _json_option(args.quotient_dims, "--quotient-dims")
     if isinstance(qdims, list):
         qdims = dict(enumerate(qdims))
     elif isinstance(qdims, dict):
-        for k in qdims:
-            if not k.isdecimal():
+        by_degree = {}
+        for k, v in qdims.items():
+            if not (k.isascii() and k.isdecimal()):
                 raise CliError(f"--quotient-dims: degree {k!r} is not a non-negative integer")
-        qdims = {int(k): v for k, v in qdims.items()}
+            if int(k) in by_degree:
+                raise CliError(f"--quotient-dims: degree {int(k)} appears twice")
+            by_degree[int(k)] = v
+        qdims = by_degree
     else:
         raise CliError("--quotient-dims must be a JSON list or object")
     dims = chen_ruan_dims(census, qdims, complexified=not args.real)
@@ -221,6 +236,7 @@ def _cmd_chenruan(args) -> int:
 
 
 def _cmd_e2page(args) -> int:
+    from .series import e2_page
     census = _load_census(args)
     xs_rows = _json_option(args.xs_rows, "--xs-rows")
     if not isinstance(xs_rows, dict):
@@ -246,6 +262,7 @@ def _cmd_e2page(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .series import equivariant_graph_cohomology_oracle
     cx = torsion_subcomplex(_load_complex(args), args.prime)
     lo = max(args.min_degree, 1)
     if args.degrees < lo:
@@ -340,7 +357,7 @@ def main(argv=None) -> int:
     except (CliError, FileNotFoundError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (AssertionError, BlockSplitError) as exc:
+    except AssertionError as exc:  # bredon.BlockSplitError among them
         print(f"internal invariant failure: {exc}", file=sys.stderr)
         return 2
 

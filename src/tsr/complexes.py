@@ -12,7 +12,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .groups import TAG_ORDERS
+#: Catalog tags and their group orders.  D2 is the Klein four-group.
+TAG_ORDERS = {
+    "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6,
+    "D2": 4, "D3": 6, "D4": 8, "D6": 12, "A4": 12, "S4": 24,
+}
 
 
 class ComplexSchemaError(ValueError):

@@ -5,7 +5,11 @@ generator lists so that every downstream artifact is byte-reproducible.
 Everything here is brute force by design: subgroup lattices, Sylow
 subgroups, normalizers and isomorphism tests are exhaustive searches,
 valid for the catalog scale (order <= 24) plus the dihedral groups used
-by the homology oracle.
+by the homology oracle.  This module is the reference the runtime is
+checked against, and no other tsr module imports it: the three-clause
+search for condition B', ``condition_B_prime_search``, is the oracle
+for the pinned table in ``tsr.reduction``, and the brute-force
+homology is the oracle for the closed forms in ``tsr.series``.
 """
 
 from __future__ import annotations
@@ -13,15 +17,11 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from ._modp import SpanTracker, nullspace_mod, rank_mod
+from ._modp import SpanTracker, _check_prime, nullspace_mod, rank_mod
+from .complexes import TAG_ORDERS
+from .series import dihedral_mod_ell_homology  # noqa: F401  (re-exported)
 
 Perm = tuple[int, ...]
-
-#: Catalog tags and their group orders.  D2 is the Klein four-group.
-TAG_ORDERS = {
-    "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6,
-    "D2": 4, "D3": 6, "D4": 8, "D6": 12, "A4": 12, "S4": 24,
-}
 
 CATALOG_TAGS = tuple(TAG_ORDERS)
 
@@ -339,19 +339,47 @@ def has_trivial_mod_ell_cohomology(G: FiniteGroup, ell: int) -> bool:
     return gcd(G.order, ell) == 1
 
 
-def dihedral_mod_ell_homology(n: int, ell: int, q: int) -> int:
-    """dim over F_ell of H_q of the dihedral group of order 2n, for odd
-    primes ell: 1 at q = 0, 1 at q = 3,4 mod 4 when ell | n, else 0."""
+# --------------------------------------------------------------------------
+# Condition B' by exhaustive search
+
+
+def _coprime_quotients(G: FiniteGroup, ell: int) -> list[FiniteGroup]:
+    """Quotients G/T over normal subgroups T with gcd(|T|, ell) = 1,
+    i.e. T with trivial mod-ell cohomology; G itself for T = 1."""
+    return [G if T.order == 1 else quotient_group(G, T)
+            for T in normal_subgroups(G) if gcd(T.order, ell) == 1]
+
+
+def condition_B_prime_search(sigma_tag: str, tau_tag: str, ell: int) -> str | None:
+    """First satisfied clause of condition B' for the stabilizer pair
+    (boundary cell, top cell), or None, as the paper states it.
+
+    Searches all normal subgroups with trivial mod-ell cohomology of
+    both groups and checks, in order: (1) isomorphic quotients;
+    (2) the sigma-quotient is ell-normal and the tau-quotient is the
+    normalizer of the center of one of its Sylow ell-subgroups;
+    (3) both quotients are ell-normal and those normalizers fit in an
+    exact sequence with ell-coprime kernel.
+    """
     _check_prime(ell)
-    if ell == 2:
-        raise ValueError("formula only stated for odd primes")
-    if n < 1 or q < 0:
-        raise ValueError("need n >= 1 and q >= 0")
-    if q == 0:
-        return 1
-    if q % 4 in (3, 0):
-        return 1 if gcd(n, ell) == ell else 0
-    return 0
+    sigma_quots = _coprime_quotients(catalog_group(sigma_tag), ell)
+    tau_quots = _coprime_quotients(catalog_group(tau_tag), ell)
+    if any(are_isomorphic(Gs, Gt) for Gs in sigma_quots for Gt in tau_quots):
+        return "B'(1)"
+
+    def normalizers(quots):
+        # N(Z(P)) for a Sylow ell-subgroup P of each ell-normal quotient
+        return [normalizer(G, center(sylow_subgroup(G, ell)))
+                for G in quots if is_ell_normal(G, ell)]
+
+    sigma_norms = normalizers(sigma_quots)
+    if any(are_isomorphic(Gt, Ns) for Ns in sigma_norms for Gt in tau_quots):
+        return "B'(2)"
+    tau_norms = normalizers(tau_quots)
+    if any(are_isomorphic(Q, Nt) for Ns in sigma_norms
+           for Q in _coprime_quotients(Ns, ell) for Nt in tau_norms):
+        return "B'(3)"
+    return None
 
 
 # --------------------------------------------------------------------------
@@ -426,9 +454,4 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
         ker_dim = ranks[q] - t_ranks[q - 1]
         dims.append(ker_dim - (t_ranks[q] if q < len(t_ranks) else 0))
     return dims
-
-
-def _check_prime(ell: int) -> None:
-    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
-        raise ValueError(f"{ell} is not prime")
 

@@ -14,9 +14,8 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb, gcd
 
-from ._modp import assemble, rank_mod
+from ._modp import _check_prime, assemble, rank_mod
 from .complexes import OrbitComplex, _is_int
-from .groups import dihedral_mod_ell_homology, _check_prime
 
 
 class CensusError(ValueError):
@@ -411,6 +410,22 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
 
 # --------------------------------------------------------------------------
 # Closed-form dimension formulas
+
+
+def dihedral_mod_ell_homology(n: int, ell: int, q: int) -> int:
+    """dim over F_ell of H_q of the dihedral group of order 2n, for odd
+    primes ell: 1 at q = 0, 1 at q = 3,4 mod 4 when ell | n, else 0."""
+    _check_prime(ell)
+    if ell == 2:
+        raise ValueError("formula only stated for odd primes")
+    if n < 1 or q < 0:
+        raise ValueError("need n >= 1 and q >= 0")
+    if q == 0:
+        return 1
+    if q % 4 in (3, 0):
+        return 1 if gcd(n, ell) == ell else 0
+    return 0
+
 
 def coxeter_homology(m: int, ell: int, q: int) -> int:
     """Mod-ell homology dimension for reflection groups whose ell-torsion

@@ -136,9 +136,14 @@ def test_e2page():
     ["e2page", "--chi-xs", "1", "--xs-rows", '{"E01": -1}'],
     ["e2page", "--chi-xs", "1", "--xs-rows", '{"E11": true}'],
     ["e2page", "--chi-xs", "1", "--xs-rows", '{"BOGUS": 3}'],
+    ["e2page", "--chi-xs", "1", "--xs-rows", '{"E01": 1, "E01": 2}'],
     ["chenruan", "--quotient-dims", "[[1]]"],
     ["chenruan", "--quotient-dims", '{"0": 1.5}'],
     ["chenruan", "--quotient-dims", '{"x": 1}'],
+    ["chenruan", "--quotient-dims", '{"0": 1, "00": 2}'],
+    ["chenruan", "--quotient-dims", '{"0": 1, "0": 2}'],
+    ["chenruan", "--quotient-dims", '{"\u0663": 1}'],
+    ["chenruan", "--quotient-dims", '{"\uff11": 1}'],
 ])
 def test_malformed_json_option_exits_one(argv):
     code, out, err = run_cli(*argv, "--census", '{"lambda4":1}')
@@ -183,6 +188,18 @@ def test_main_callable_directly(capsys):
     assert capsys.readouterr().out.strip() == "OK"
 
 
+def test_block_split_error_exits_two(monkeypatch, capsys):
+    import tsr.bredon
+
+    def fail(bc):
+        raise tsr.bredon.BlockSplitError("not block diagonal")
+
+    monkeypatch.setattr(tsr.bredon, "split_blocks", fail)
+    assert main(["bredon", "--input", "graphtwo.json"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["internal invariant failure: not block diagonal"]
+
+
 def test_extract_outputs_canonical_json():
     code, out, _ = run_cli("extract", "--prime", "3",
                            "--input", "path_c2_d3_c2.json")
@@ -200,3 +217,43 @@ def test_runtime_does_not_import_numpy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["7", "False"]
+
+
+def _modules_after(argv):
+    """The tsr modules loaded in a fresh process by main(argv)."""
+    code = ("import json, sys\n"
+            "from tsr.cli import main\n"
+            "try:\n"
+            "    main(json.loads(sys.argv[1]))\n"
+            "except SystemExit:\n"
+            "    pass\n"
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsr.'))),"
+            " file=sys.stderr)\n")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
+                          capture_output=True, text=True)
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["--version"], {"groups", "series", "bredon"}),
+    (["validate", "--input", "sl3z_soule.json"], {"groups", "series", "bredon"}),
+    (["extract", "--prime", "2", "--input", "sl3z_soule.json"],
+     {"groups", "series", "bredon"}),
+    (["classify", "--prime", "2", "--input", "graphfive.json"],
+     {"groups", "series", "bredon"}),
+    (["reduce", "--prime", "2", "--input", "sl3z_soule.json"],
+     {"groups", "series", "bredon"}),
+    (["poincare", "--prime", "2", "--census", '{"lambda4":2}'],
+     {"groups", "reduction", "bredon"}),
+    (["e2page", "--census", '{"beta1":1,"v":1}', "--chi-xs", "1"],
+     {"groups", "reduction", "bredon"}),
+    (["oracle", "--prime", "2", "--input", "graphfive.json"],
+     {"groups", "reduction", "bredon"}),
+    (["bredon", "--input", "graphtwo.json"], {"groups"}),
+    (["khomology", "--census", '{"beta1":2}'], {"groups"}),
+    (["chenruan", "--census", '{"lambda4":1}', "--quotient-dims", "[1]"], {"groups"}),
+])
+def test_subcommand_imports_only_what_it_runs(argv, absent):
+    loaded = _modules_after(argv)
+    assert "tsr.cli" in loaded
+    assert not loaded & {f"tsr.{name}" for name in absent}, loaded

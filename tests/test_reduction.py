@@ -10,7 +10,8 @@ from tsr.complexes import (Incidence, OrbitCell, OrbitComplex,
                            classify_component, parse_complex,
                            serialize_complex, torsion_subcomplex)
 from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
-                        catalog_group, mod_ell_homology_bruteforce)
+                        catalog_group, condition_B_prime_search,
+                        mod_ell_homology_bruteforce)
 from tsr.reduction import (MergeCandidate, Move, ReductionLog,
                            check_condition_A, check_condition_B_prime, cut,
                            find_terminal_cells, merge, reduce_complex, replay,
@@ -124,6 +125,35 @@ def test_b_prime_catalog_table(ell):
     passing = {(s, t) for s, taus in B_PRIME_PASSING[ell].items() for t in taus.split()}
     assert len(got) == 121 and len(passing) == {2: 21, 3: 43}[ell]
     assert got == {pair: "B'(1)" if pair in passing else None for pair in got}
+
+
+def test_b_prime_table_matches_exhaustive_search():
+    # the pinned table against the paper's three-clause search, which
+    # returns its first satisfied clause
+    for ell in (2, 3, 5, 7):
+        for s in CATALOG_TAGS:
+            for t in CATALOG_TAGS:
+                assert (check_condition_B_prime(s, t, ell)
+                        == condition_B_prime_search(s, t, ell)), (s, t, ell)
+
+
+@pytest.mark.parametrize("sigma,tau", [("C4", "C4"), ("D2", "C2"), ("S4", "S4")])
+@pytest.mark.parametrize("ell", (0, 1, 4, 6, 9))
+def test_b_prime_rejects_non_prime(sigma, tau, ell):
+    with pytest.raises(ValueError, match=f"{ell} is not prime"):
+        check_condition_B_prime(sigma, tau, ell)
+
+
+@pytest.mark.parametrize("ell", (2, 3, 5))
+def test_b_prime_rejects_unknown_tag(ell):
+    for pair in (("X", "C2"), ("C2", "X")):
+        with pytest.raises(ValueError, match="unknown catalog tag 'X'"):
+            check_condition_B_prime(*pair, ell)
+
+
+def test_reduce_rejects_non_prime():
+    with pytest.raises(ValueError, match="4 is not prime"):
+        reduce_complex(load("sl3z_soule.json"), 4)
 
 
 def test_b_prime_soundness_dimension_check():
