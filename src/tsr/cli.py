@@ -1,8 +1,8 @@
 """Command-line front end: fixture management and report generation.
 
 Exit codes: 0 success, 1 validation error (bad flags, missing files,
-schema or census problems), 2 internal invariant failure.  All output is
-deterministic for identical inputs.
+schema or census problems) or a closed stdout, 2 internal invariant
+failure.  All output is deterministic for identical inputs.
 
 Only ``tsr.complexes`` is imported up front; each subcommand imports
 the modules it runs, so a cold process pays for no other.
@@ -63,10 +63,7 @@ def _load_census(args):
         if not path.is_file():
             raise CliError(f"census file not found: {text}")
         text = path.read_text()
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise CensusError(f"invalid census JSON: {exc.msg}")
+    doc = _json_option(text, "--census")
     if not isinstance(doc, dict):
         raise CensusError("census must be a JSON object")
     return SubgroupCensus.from_dict(doc)
@@ -82,7 +79,7 @@ def _json_option(text: str, flag: str):
         return dict(pairs)
 
     try:
-        return json.loads(text, object_pairs_hook=unique_keys) if text else {}
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid {flag} JSON: {exc.msg}")
 
@@ -333,13 +330,13 @@ def build_parser() -> _Parser:
             census=True)
     p.add_argument("--real", action="store_true",
                    help="real sectors instead of the complexified default")
-    p.add_argument("--quotient-dims", default="",
+    p.add_argument("--quotient-dims", default="{}",
                    help="quotient-space dims as JSON list or {degree: dim} object")
     p = add("e2page", _cmd_e2page, "assemble the spectral-sequence page",
             census=True)
     p.add_argument("--chi-xs", type=int, required=True,
                    help="Euler characteristic of the torsion subcomplex quotient")
-    p.add_argument("--xs-rows", default="",
+    p.add_argument("--xs-rows", default="{}",
                    help='JSON object with E01, E11, E03, E13, H2Xsprime (default 0)')
     p = add("oracle", _cmd_oracle, "equivariant cohomology dims of a 1-dim complex",
             prime=True, input_file=True, degrees=10)
@@ -353,7 +350,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:  # stdout closed early, as by `| head`
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (CliError, FileNotFoundError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

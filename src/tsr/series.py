@@ -1,10 +1,15 @@
 """Exact Poincare-series arithmetic and closed-form dimension formulas.
 
-Series are rational functions p(t)/q(t) with exact rational
-coefficients, reduced to lowest terms and printed with integer
-polynomials.  The generating functions encode stabilizer cohomology
-dimensions above the virtual cohomological dimension (which is 2 for
-the groups treated here, so every series vanishes below degree 3).
+Series are rational functions num(t)/den(t) in lowest terms, kept as
+a pair of primitive integer polynomials: integer coefficients of joint
+content 1, cancelled by their primitive gcd over Z, with den(0) != 0
+and den's leading coefficient positive.  With den = c * p, p primitive,
+the coefficient of t^k is b_k / (c * p0^(k+1)) for the integers
+b_k = p0^k num_k - sum_j p_j p0^(j-1) b_(k-j); p0 = +-1 for every series
+tsr builds, so ``expand`` is an exact recurrence on small integers.  The
+generating functions encode stabilizer cohomology dimensions above the
+virtual cohomological dimension (which is 2 for the groups treated
+here, so every series vanishes below degree 3).
 """
 
 from __future__ import annotations
@@ -12,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial
-from math import comb, gcd
+from itertools import zip_longest
+from math import comb, gcd, lcm
 
 from ._modp import _check_prime, assemble, rank_mod
 from .complexes import OrbitComplex, _is_int
@@ -23,60 +29,63 @@ class CensusError(ValueError):
 
 
 # --------------------------------------------------------------------------
-# Polynomials over Q (dense, ascending coefficients)
+# Polynomials over Z (dense, ascending coefficients)
 
-Coeffs = tuple[Fraction, ...]
+Coeffs = tuple[int, ...]
 
 
 def _poly(coeffs) -> Coeffs:
-    cs = [Fraction(c) for c in coeffs]
+    cs = list(coeffs)
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
 
 
-def _poly_add(a: Coeffs, b: Coeffs) -> Coeffs:
-    n = max(len(a), len(b))
-    return _poly([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
+def _poly_add(a: Coeffs, b: Coeffs) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
-def _poly_mul(a: Coeffs, b: Coeffs) -> Coeffs:
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+def _poly_mul(a: Coeffs, b: Coeffs) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _poly(out)
+    return out
 
 
-def _poly_scale(c: Fraction, a: Coeffs) -> Coeffs:
-    return _poly([c * x for x in a])
+def _poly_primitive(a: Coeffs) -> Coeffs:
+    c = gcd(*a) or 1
+    return tuple([x // c for x in a])
 
 
-def _poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quot = [Fraction(0)] * max(0, len(a) - len(b) + 1)
+def _poly_prem(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Primitive part of a pseudo-remainder of a by b."""
+    rem, lead = list(a), b[-1]
     while len(rem) >= len(b):
-        c = rem[-1] / b[-1]
-        k = len(rem) - len(b)
-        quot[k] = c
+        g = gcd(rem[-1], lead)
+        c, k = rem[-1] // g, len(rem) - len(b)
+        rem = [lead // g * x for x in rem]
         for i, y in enumerate(b):
             rem[k + i] -= c * y
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return _poly(quot), _poly(rem)
+        rem = _poly(rem)
+    return _poly_primitive(rem)
+
+
+def _poly_exquo(a: Coeffs, b: Coeffs) -> Coeffs:
+    """The quotient a / b, for b dividing a over Z."""
+    rem, quot = list(a), []
+    for k in range(len(a) - len(b), -1, -1):
+        quot.append(rem[k + len(b) - 1] // b[-1])
+        for i, y in enumerate(b):
+            rem[k + i] -= quot[-1] * y
+    return tuple(reversed(quot))
 
 
 def _poly_gcd(a: Coeffs, b: Coeffs) -> Coeffs:
+    """Primitive gcd over Z, up to sign (Knuth, TAOCP 2, 4.6.1, Algorithm E)."""
     while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if not a:
-        return ()
-    return _poly_scale(1 / a[-1], a)  # monic
+        a, b = b, _poly_prem(a, b)
+    return _poly_primitive(a)
 
 
 def _poly_str(a: Coeffs) -> str:
@@ -102,39 +111,22 @@ def _poly_str(a: Coeffs) -> str:
 
 
 class RationalSeries:
-    """Exact rational function in t, reduced, with den(0) != 0."""
+    """Exact num/den in t, from int or Fraction coefficients, in the normal form above."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        n, d = _poly(num), _poly(den)
+        num, den = list(num), list(den)
+        m = lcm(*[c.denominator for c in num + den])  # clear denominators once
+        n, d = (_poly(c.numerator * (m // c.denominator) for c in cs) for cs in (num, den))
         if not d:
             raise ZeroDivisionError("zero denominator")
-        g = _poly_gcd(n, d) if n else ()
-        if g and len(g) > 1:
-            n = _poly_divmod(n, g)[0]
-            d = _poly_divmod(d, g)[0]
-        if not n:
-            d = (Fraction(1),)
+        g = _poly_gcd(n, d) if n else d  # 0 / d is 0 / 1
+        n, d = _poly_exquo(n, g), _poly_exquo(d, g)
         if d[0] == 0:
             raise ValueError("denominator vanishes at t = 0")
-        # integerize with joint content 1 and positive leading denominator
-        denoms = [c.denominator for c in n + d]
-        mult = 1
-        for q in denoms:
-            mult = mult * q // gcd(mult, q)
-        n = _poly_scale(Fraction(mult), n)
-        d = _poly_scale(Fraction(mult), d)
-        content = 0
-        for c in n + d:
-            content = gcd(content, c.numerator)
-        if content > 1:
-            n = _poly_scale(Fraction(1, content), n)
-            d = _poly_scale(Fraction(1, content), d)
-        if d[-1] < 0:
-            n = _poly_scale(Fraction(-1), n)
-            d = _poly_scale(Fraction(-1), d)
-        self.num, self.den = n, d
+        content = gcd(*n, *d) if d[-1] > 0 else -gcd(*n, *d)
+        self.num, self.den = (tuple([x // content for x in p]) for p in (n, d))
 
     def __add__(self, other: "RationalSeries") -> "RationalSeries":
         return RationalSeries(
@@ -142,7 +134,8 @@ class RationalSeries:
             _poly_mul(self.den, other.den))
 
     def scale(self, c) -> "RationalSeries":
-        return RationalSeries(_poly_scale(Fraction(c), self.num), self.den)
+        return RationalSeries([c.numerator * x for x in self.num],
+                              [c.denominator * x for x in self.den])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalSeries)
@@ -152,22 +145,28 @@ class RationalSeries:
         return hash((self.num, self.den))
 
     def expand(self, n: int) -> list[Fraction]:
-        """Power-series coefficients up to degree n, by long division."""
+        """Power-series coefficients up to degree n, by the module docstring's recurrence."""
         if n < 0:
             raise ValueError("degree must be non-negative")
-        out = []
-        d0 = self.den[0]
+        c = gcd(*self.den)
+        p0, *tail = (x // c for x in self.den)
+        steps = [(j, pj * p0 ** (j - 1)) for j, pj in enumerate(tail, 1) if pj]
+        b, out, power = [], [], 1
         for k in range(n + 1):
-            acc = self.num[k] if k < len(self.num) else Fraction(0)
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc / d0)
+            acc = power * self.num[k] if k < len(self.num) else 0
+            for j, e in steps:
+                if j > k:
+                    break
+                acc -= e * b[k - j]
+            b.append(acc)
+            power *= p0
+            out.append(Fraction(acc, c * power))
         return out
 
     def __str__(self) -> str:
         if not self.num:
             return "0"
-        if self.den == (Fraction(1),):
+        if self.den == (1,):
             return _poly_str(self.num)
         return f"({_poly_str(self.num)}) / ({_poly_str(self.den)})"
 

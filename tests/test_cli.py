@@ -1,6 +1,7 @@
 """CLI behaviour: commands, exit codes, determinism, JSON round trips."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -151,6 +152,35 @@ def test_malformed_json_option_exits_one(argv):
     assert code == 1, err.decode()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert b"Traceback" not in err and out == b""
+
+
+@pytest.mark.parametrize("inline", [True, False])
+def test_repeated_census_key_exits_one(tmp_path, inline):
+    census = '{"lambda4": 1, "lambda4": 2}'
+    if not inline:
+        (tmp_path / "census.json").write_text(census)
+        census = str(tmp_path / "census.json")
+    code, out, err = run_cli("poincare", "--prime", "2", "--census", census)
+    lines = err.decode().splitlines()
+    assert code == 1, err.decode()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "twice" in lines[0], lines
+    assert out == b""
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--prime", "2", "--input", "sl3z_soule.json"],
+    ["poincare", "--prime", "3", "--census", '{"lambda6":3,"mu3":2}', "--degrees", "2000"],
+])
+def test_closed_stdout_exits_without_traceback(argv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # every write to stdout fails with EPIPE
+    try:
+        proc = subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode in (0, 1, 2)
+    assert b"Traceback" not in proc.stderr and len(proc.stderr.splitlines()) <= 1, proc.stderr
 
 
 def test_oracle_command():

@@ -1,13 +1,15 @@
 """Tests for series arithmetic, census handling and the dimension formulas."""
 
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tsr._modp import rank_mod
@@ -482,3 +484,172 @@ def test_rational_series_addition_matches_expansion(a, b):
     lhs = (sa + sb).expand(8)
     rhs = [x + y for x, y in zip(sa.expand(8), sb.expand(8))]
     assert lhs == rhs
+
+
+# --------------------------------------------------------------------------
+# The integer series kernel
+
+int_polys = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6)
+fraction_values = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                            st.integers(min_value=1, max_value=9))
+
+
+def times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def series(num, den):
+    """RationalSeries(num, den), for a den that is nonzero at t = 0."""
+    assume(den[0] != 0)
+    return RationalSeries(num, den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, st.integers(min_value=0, max_value=25))
+def test_denominator_times_expansion_is_numerator(num, den, n):
+    coeffs = series(num, den).expand(n)
+    for k in range(n + 1):
+        lhs = sum((Fraction(den[j]) * coeffs[k - j] for j in range(min(k + 1, len(den)))),
+                  Fraction(0))
+        assert lhs == (num[k] if k < len(num) else 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, int_polys, st.integers(min_value=1, max_value=7))
+def test_common_factor_cancels(num, den, g, q):
+    assume(g[0] != 0)
+    s = series(num, den)
+    assert RationalSeries(times(num, g), times(den, g)) == s
+    assert RationalSeries([Fraction(x, q) for x in times(num, g)], times(den, g)) \
+        == RationalSeries(num, [q * x for x in den])
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, fraction_values, st.integers(min_value=0, max_value=20))
+def test_scale_scales_every_coefficient(num, den, c, n):
+    s = series(num, den)
+    assert s.scale(c).expand(n) == [c * x for x in s.expand(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, int_polys, int_polys, st.integers(min_value=0, max_value=20))
+def test_sum_expands_termwise(num_a, den_a, num_b, den_b, n):
+    a, b = series(num_a, den_a), series(num_b, den_b)
+    assert (a + b).expand(n) == [x + y for x, y in zip(a.expand(n), b.expand(n))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(int_polys, int_polys, fraction_values)
+def test_normal_form(num, den, c):
+    s = series(num, den).scale(c)
+    assert all(type(x) is int for x in s.num + s.den)
+    assert math.gcd(*s.num, *s.den) == 1 and s.den[-1] > 0 and s.den[0] != 0
+    assert not s.num or s.num[-1] != 0
+    assert s.num or s.den == (1,)
+    assert RationalSeries(s.num, s.den) == s
+
+
+def test_d2star_expansion_at_large_degree():
+    coeffs = canonical_series("D2star").expand(2000)
+    assert coeffs[:3] == [0, 0, 0]
+    assert all(coeffs[q] == q - Fraction(1, 2) for q in range(3, 2001))
+
+
+# Seeded censuses with the mod-2 and mod-3 series as the Fraction-coefficient
+# implementation printed them, each with the first 16 hex digits of the
+# SHA-256 of its comma-joined coefficients to degree 120.
+PINNED_CENSUS_SERIES = [
+    ({'lambda4': 5, 'lambda4star': 5, 'mu2': 10, 'muT': 10, 'lambda6': 15, 'lambda6star': 15, 'mu3': 30},
+     ('(-5*t^6 + 10*t^5 - 10*t^4 + 15*t^3) / (t^4 - t^3 - t + 1)', 'a6c29d5a932e3a4c'),
+     ('(-15*t^5 + 15*t^4 - 30*t^3) / (t^3 - t^2 + t - 1)', 'e15b99e514b0f219'),
+    ),
+    ({'lambda4': 36, 'lambda4star': 36, 'mu2': 24, 'lambda6': 9, 'lambda6star': 9, 'mu3': 18},
+     ('(-36*t^4 + 60*t^3) / (t^2 - 2*t + 1)', '7f5be9a911937fb5'),
+     ('(-9*t^5 + 9*t^4 - 18*t^3) / (t^3 - t^2 + t - 1)', '8a67570dba6df416'),
+    ),
+    ({'lambda4': 66, 'lambda4star': 66, 'mu2': 104, 'muT': 90},
+     ('(-66*t^6 + 104*t^5 - 76*t^4 + 170*t^3) / (t^4 - t^3 - t + 1)', 'e1144ce20a3106d9'),
+     ('0', '7848f184e4776277'),
+    ),
+    ({'lambda4': 47, 'lambda4star': 47, 'mu2': 74, 'muT': 64},
+     ('(-47*t^6 + 74*t^5 - 54*t^4 + 121*t^3) / (t^4 - t^3 - t + 1)', 'b9896649dec5a719'),
+     ('0', '7848f184e4776277'),
+    ),
+    ({'lambda4': 72, 'lambda4star': 72, 'mu2': 72, 'muT': 36, 'lambda6': 19, 'lambda6star': 19, 'mu3': 38},
+     ('(-72*t^6 + 72*t^5 + 144*t^3) / (t^4 - t^3 - t + 1)', 'e98919256305701d'),
+     ('(-19*t^5 + 19*t^4 - 38*t^3) / (t^3 - t^2 + t - 1)', '06894b2b36a135dd'),
+    ),
+    ({'lambda4': 34, 'lambda4star': 30, 'mu2': 60, 'muT': 60, 'lambda6': 28, 'lambda6star': 28, 'mu3': 56},
+     ('(-38*t^6 + 60*t^5 - 60*t^4 + 98*t^3) / (t^4 - t^3 - t + 1)', 'c57e86ece945c601'),
+     ('(-28*t^5 + 28*t^4 - 56*t^3) / (t^3 - t^2 + t - 1)', '16295a92232b423f'),
+    ),
+    ({'lambda4': 32, 'lambda4star': 32, 'mu2': 64, 'muT': 64, 'lambda6': 10, 'lambda6star': 8, 'mu3': 16},
+     ('(-32*t^6 + 64*t^5 - 64*t^4 + 96*t^3) / (t^4 - t^3 - t + 1)', '1594bf725e9ac1e8'),
+     ('(-12*t^5 + 8*t^4 - 20*t^3) / (t^3 - t^2 + t - 1)', '6cec702255cf884a'),
+    ),
+    ({'lambda4': 117, 'lambda4star': 104, 'mu2': 76, 'muT': 10, 'lambda6': 15, 'lambda6star': 15, 'mu3': 30},
+     ('(-130*t^6 + 76*t^5 + 56*t^4 + 206*t^3) / (t^4 - t^3 - t + 1)', 'c7318b01b7582532'),
+     ('(-15*t^5 + 15*t^4 - 30*t^3) / (t^3 - t^2 + t - 1)', 'e15b99e514b0f219'),
+    ),
+    ({'lambda4': 6, 'lambda4star': 6, 'mu2': 12, 'muT': 12, 'lambda6': 33, 'lambda6star': 33, 'mu3': 66},
+     ('(-6*t^6 + 12*t^5 - 12*t^4 + 18*t^3) / (t^4 - t^3 - t + 1)', '42a27580692bbbe8'),
+     ('(-33*t^5 + 33*t^4 - 66*t^3) / (t^3 - t^2 + t - 1)', '355d8cec418bff70'),
+    ),
+    ({'lambda4': 102, 'lambda4star': 63, 'mu2': 76, 'muT': 51, 'lambda6': 36, 'lambda6star': 15, 'mu3': 30},
+     ('(-141*t^6 + 76*t^5 - 26*t^4 + 217*t^3) / (t^4 - t^3 - t + 1)', '62c48ad5101778d5'),
+     ('(-57*t^5 + 15*t^4 - 72*t^3) / (t^3 - t^2 + t - 1)', '011e4e780b13f321'),
+    ),
+    ({'lambda4': 37, 'lambda4star': 37, 'mu2': 74, 'muT': 74},
+     ('(-37*t^6 + 74*t^5 - 74*t^4 + 111*t^3) / (t^4 - t^3 - t + 1)', '47c0afc4c240067f'),
+     ('0', '7848f184e4776277'),
+    ),
+    ({'lambda4': 107, 'lambda4star': 72, 'mu2': 84, 'muT': 54, 'lambda6': 38, 'lambda6star': 9, 'mu3': 18},
+     ('(-142*t^6 + 84*t^5 - 24*t^4 + 226*t^3) / (t^4 - t^3 - t + 1)', '92dd6eaf49ad320e'),
+     ('(-67*t^5 + 9*t^4 - 76*t^3) / (t^3 - t^2 + t - 1)', 'fc6bdae6f4d32dda'),
+    ),
+    ({'lambda4': 16, 'lambda4star': 3, 'mu2': 6, 'muT': 6, 'lambda6': 43, 'lambda6star': 17, 'mu3': 34},
+     ('(-29*t^6 + 6*t^5 - 6*t^4 + 35*t^3) / (t^4 - t^3 - t + 1)', 'e1417aa8f9fcdd21'),
+     ('(-69*t^5 + 17*t^4 - 86*t^3) / (t^3 - t^2 + t - 1)', 'f649e86a4ad18fcd'),
+    ),
+    ({'lambda4': 22, 'lambda4star': 22, 'mu2': 44, 'muT': 44, 'lambda6': 25, 'lambda6star': 12, 'mu3': 24},
+     ('(-22*t^6 + 44*t^5 - 44*t^4 + 66*t^3) / (t^4 - t^3 - t + 1)', 'bbf0b9a00d5b3208'),
+     ('(-38*t^5 + 12*t^4 - 50*t^3) / (t^3 - t^2 + t - 1)', '6200baecb503bf4b'),
+    ),
+    ({'lambda4': 68, 'lambda4star': 68, 'mu2': 68, 'muT': 34, 'lambda6': 4},
+     ('(-68*t^6 + 68*t^5 + 136*t^3) / (t^4 - t^3 - t + 1)', '5e370ca2da9e892c'),
+     ('(-8*t^3) / (t - 1)', 'b70e99a0d3b5e061'),
+    ),
+    ({'lambda4': 103, 'lambda4star': 103, 'mu2': 94, 'muT': 38},
+     ('(-103*t^6 + 94*t^5 + 18*t^4 + 197*t^3) / (t^4 - t^3 - t + 1)', '31a6fd4f28a01e9f'),
+     ('0', '7848f184e4776277'),
+    ),
+    ({'lambda4': 88, 'lambda4star': 71, 'mu2': 74, 'muT': 40, 'lambda6': 48, 'lambda6star': 33, 'mu3': 66},
+     ('(-105*t^6 + 74*t^5 - 6*t^4 + 179*t^3) / (t^4 - t^3 - t + 1)', '4b6c7be5787ab958'),
+     ('(-63*t^5 + 33*t^4 - 96*t^3) / (t^3 - t^2 + t - 1)', '7f03a77e66c93eed'),
+    ),
+    ({'lambda6': 39, 'lambda6star': 39, 'mu3': 78},
+     ('0', '7848f184e4776277'),
+     ('(-39*t^5 + 39*t^4 - 78*t^3) / (t^3 - t^2 + t - 1)', 'cfe1ea5a92b2356b'),
+    ),
+    ({'lambda4': 14, 'lambda4star': 14, 'mu2': 14, 'muT': 7, 'lambda6': 51, 'lambda6star': 12, 'mu3': 24},
+     ('(-14*t^6 + 14*t^5 + 28*t^3) / (t^4 - t^3 - t + 1)', 'f9e55b836f96d51d'),
+     ('(-90*t^5 + 12*t^4 - 102*t^3) / (t^3 - t^2 + t - 1)', '76d8599252d3fcca'),
+    ),
+    ({'lambda4': 129, 'lambda4star': 129, 'mu2': 94, 'muT': 12},
+     ('(-129*t^6 + 94*t^5 + 70*t^4 + 223*t^3) / (t^4 - t^3 - t + 1)', '45cb96c2f793c247'),
+     ('0', '7848f184e4776277'),
+    ),
+]
+
+
+@pytest.mark.parametrize("census,two,three", PINNED_CENSUS_SERIES)
+def test_census_series_match_pinned_outputs(census, two, three):
+    c = SubgroupCensus(**census)
+    for s, (text, digest) in zip((poincare_2torsion(c), poincare_3torsion(c)), (two, three)):
+        assert str(s) == text
+        coeffs = ",".join(str(x) for x in s.expand(120))
+        assert hashlib.sha256(coeffs.encode()).hexdigest()[:16] == digest
