@@ -1,242 +1,67 @@
 """Bredon chain complexes over complex representation rings.
 
-The coefficient data is pinned: character tables of the stabilizer
-types (values in Z[w], w a primitive cube root of unity), class fusions
-for the catalog inclusions, and unimodular base changes that split every
-induced map into a rank-1 block plus a 2-torsion and a 3-torsion block.
-All pinned data is verified, not trusted: orthogonality once per ring,
-and Frobenius reciprocity and block structure once per inclusion, whose
-induction block and split block are each computed once per process.
+The coefficient data is pinned as integers: for each catalog inclusion
+of stabilizers, the induced map on representation rings and the same
+map in unimodular splitting bases, where it is block diagonal: a rank-1
+block, a 2-torsion block and a 3-torsion block.  The test suite rebuilds
+every pinned block from the character tables, class fusions and
+splitting bases in ``tsr.groups``, by Frobenius reciprocity.
 The Bredon differentials and their split are the same signed sums of
 these blocks over the incidence terms of the complex, assembled as
-sparse rows that go straight to the elimination; dense rows are made
-only for printing and for the Smith normal form of the elimination's core.
+sparse rows that go straight to the elimination; ``split_blocks``
+checks that every entry of the split stays within its part.  Dense rows
+are made only for printing and for the Smith normal form of the
+elimination's core.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
+from math import gcd, lcm
 
 from ._modp import SpanTracker, _row, assemble
 from .complexes import OrbitComplex, _is_int, edge_end_assignments
-from .series import SubgroupCensus
-
-# --------------------------------------------------------------------------
-# Arithmetic in Q(w), w^2 = -1 - w (enough for all catalog characters)
-
-Cyc = tuple[Fraction, Fraction]  # a + b*w
-
-
-def _cyc(a, b=0) -> Cyc:
-    return (Fraction(a), Fraction(b))
-
-
-W = _cyc(0, 1)
-W2 = _cyc(-1, -1)
-
-
-def _cadd(x: Cyc, y: Cyc) -> Cyc:
-    return (x[0] + y[0], x[1] + y[1])
-
-
-def _cmul(x: Cyc, y: Cyc) -> Cyc:
-    a, b = x
-    c, d = y
-    return (a * c - b * d, a * d + b * c - b * d)
-
-
-def _cconj(x: Cyc) -> Cyc:
-    a, b = x
-    return (a - b, -b)
-
-
-# --------------------------------------------------------------------------
-# Pinned character tables: (class sizes, rows of character values)
-
-_CHARS: dict[str, tuple[list[int], list[list[Cyc]]]] = {
-    "C1": ([1], [[_cyc(1)]]),
-    "C2": ([1, 1], [
-        [_cyc(1), _cyc(1)],
-        [_cyc(1), _cyc(-1)],
-    ]),
-    "C3": ([1, 1, 1], [
-        [_cyc(1), _cyc(1), _cyc(1)],
-        [_cyc(1), W, W2],
-        [_cyc(1), W2, W],
-    ]),
-    "D2": ([1, 1, 1, 1], [
-        [_cyc(1), _cyc(1), _cyc(1), _cyc(1)],
-        [_cyc(1), _cyc(1), _cyc(-1), _cyc(-1)],
-        [_cyc(1), _cyc(-1), _cyc(1), _cyc(-1)],
-        [_cyc(1), _cyc(-1), _cyc(-1), _cyc(1)],
-    ]),
-    "D3": ([1, 2, 3], [
-        [_cyc(1), _cyc(1), _cyc(1)],
-        [_cyc(1), _cyc(1), _cyc(-1)],
-        [_cyc(2), _cyc(-1), _cyc(0)],
-    ]),
-    "A4": ([1, 3, 4, 4], [
-        [_cyc(1), _cyc(1), _cyc(1), _cyc(1)],
-        [_cyc(1), _cyc(1), W, W2],
-        [_cyc(1), _cyc(1), W2, W],
-        [_cyc(3), _cyc(-1), _cyc(0), _cyc(0)],
-    ]),
-}
 
 SUPPORTED_VERTEX_TAGS = ("C1", "C2", "C3", "D2", "D3", "A4")
 SUPPORTED_EDGE_TAGS = ("C1", "C2", "C3")
 
-#: Class fusion per (source, target, embedding index): the k-th element
-#: e, g, g^2, ... of the cyclic source, which is also its k-th class,
-#: lands in the listed target conjugacy class.
-_FUSION: dict[tuple[str, str, int], list[int]] = {
-    ("C1", "C1", 0): [0],
-    ("C1", "C2", 0): [0],
-    ("C1", "C3", 0): [0],
-    ("C1", "D2", 0): [0],
-    ("C1", "D3", 0): [0],
-    ("C1", "A4", 0): [0],
-    ("C2", "C2", 0): [0, 1],
-    ("C3", "C3", 0): [0, 1, 2],
-    ("C2", "D2", 0): [0, 1],
-    ("C2", "D2", 1): [0, 2],
-    ("C2", "D2", 2): [0, 3],
-    ("C2", "D3", 0): [0, 2],
-    ("C3", "D3", 0): [0, 1, 1],
-    ("C2", "A4", 0): [0, 1],
-    ("C3", "A4", 0): [0, 2, 3],
+#: Rank of the complex representation ring: the number of irreducible
+#: characters.
+RANKS = {"C1": 1, "C2": 2, "C3": 3, "D2": 4, "D3": 3, "A4": 4}
+
+Matrix = tuple[tuple[int, ...], ...]  # rows, rank(target) x rank(source)
+
+#: Per inclusion (source, target, embedding index): the induced map on
+#: representation rings in the basis of irreducible characters, and the
+#: same map in the splitting bases (U_target M U_source^-1).  The test
+#: suite rebuilds both from the character tables in tsr.groups.
+_BLOCKS: dict[tuple[str, str, int], tuple[Matrix, Matrix]] = {
+    ("C1", "C1", 0): (((1,),), ((1,),)),
+    ("C1", "C2", 0): (((1,), (1,)), ((1,), (0,))),
+    ("C1", "C3", 0): (((1,), (1,), (1,)), ((1,), (0,), (0,))),
+    ("C1", "D2", 0): (((1,), (1,), (1,), (1,)), ((1,), (0,), (0,), (0,))),
+    ("C1", "D3", 0): (((1,), (1,), (2,)), ((1,), (0,), (0,))),
+    ("C1", "A4", 0): (((1,), (1,), (1,), (3,)), ((1,), (0,), (0,), (0,))),
+    ("C2", "C2", 0): (((1, 0), (0, 1)), ((1, 0), (0, 1))),
+    ("C3", "C3", 0): (((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                      ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+    ("C2", "D2", 0): (((1, 0), (1, 0), (0, 1), (0, 1)),
+                      ((1, 0), (0, 0), (0, 1), (0, 1))),
+    ("C2", "D2", 1): (((1, 0), (0, 1), (1, 0), (0, 1)),
+                      ((1, 0), (0, 1), (0, 0), (0, 1))),
+    ("C2", "D2", 2): (((1, 0), (0, 1), (0, 1), (1, 0)),
+                      ((1, 0), (0, 1), (0, 1), (0, 0))),
+    ("C2", "D3", 0): (((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1), (0, 0))),
+    ("C3", "D3", 0): (((1, 0, 0), (1, 0, 0), (0, 1, 1)),
+                      ((1, 0, 0), (0, 0, 0), (0, 1, 1))),
+    ("C2", "A4", 0): (((1, 0), (1, 0), (1, 0), (1, 2)),
+                      ((1, 0), (0, 2), (0, 0), (0, 0))),
+    ("C3", "A4", 0): (((1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)),
+                      ((1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))),
 }
 
-class BlockSplitError(AssertionError):
-    """A base-changed matrix failed to be block diagonal; this would
-    falsify the splitting for the given data and aborts the run (an
-    internal invariant failure, exit 2 from the command line)."""
-
-
-@dataclass(frozen=True)
-class RepRing:
-    group: str
-    rank: int
-    class_sizes: tuple[int, ...]
-    characters: tuple[tuple[Cyc, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return sum(self.class_sizes)
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(int(row[0][0]) for row in self.characters)
-
-
-_RINGS: dict[str, RepRing] = {}
-
-
-def rep_ring(tag: str) -> RepRing:
-    """Pinned complex representation ring, built and verified once per tag."""
-    if tag not in _RINGS:
-        if tag not in _CHARS:
-            raise ValueError(f"unsupported representation ring {tag!r}")
-        sizes, rows = _CHARS[tag]
-        ring = RepRing(tag, len(rows), tuple(sizes), tuple(tuple(r) for r in rows))
-        _verify_orthogonality(ring)
-        _RINGS[tag] = ring
-    return _RINGS[tag]
-
-
-def _rank(tag: str) -> int:
-    return rep_ring(tag).rank
-
-
-def _verify_orthogonality(ring: RepRing) -> None:
-    n = ring.order
-    for i, chi in enumerate(ring.characters):
-        for j, psi in enumerate(ring.characters):
-            acc = _cyc(0)
-            for k, size in enumerate(ring.class_sizes):
-                acc = _cadd(acc, _cmul(_cyc(size), _cmul(chi[k], _cconj(psi[k]))))
-            expect = _cyc(n if i == j else 0)
-            if acc != expect:
-                raise AssertionError(
-                    f"character table of {ring.group} fails row orthogonality")
-    for k in range(len(ring.class_sizes)):
-        for l in range(len(ring.class_sizes)):
-            acc = _cyc(0)
-            for chi in ring.characters:
-                acc = _cadd(acc, _cmul(chi[k], _cconj(chi[l])))
-            expect = _cyc(n // ring.class_sizes[k] if k == l else 0)
-            if acc != expect:
-                raise AssertionError(
-                    f"character table of {ring.group} fails column orthogonality")
-
-
-def embedding_count(source: str, target: str) -> int:
-    return len([k for (s, t, k) in _FUSION if s == source and t == target])
-
-
-Matrix = tuple[tuple[int, ...], ...]  # rows; immutable, as the blocks are memoised
-
-_INDUCTION_CACHE: dict[tuple[str, str, int], Matrix] = {}
-
-
-def induction_matrix(source: str, target: str, embedding: int = 0) -> Matrix:
-    """Induced-map matrix on representation rings, rank(target) x
-    rank(source), from the pinned fusion via reciprocity: the multiplicity
-    of a target character psi in the induction of a source character chi
-    is <chi, Res psi>.  Computed and degree-checked once per inclusion."""
-    key = (source, target, embedding)
-    if key in _INDUCTION_CACHE:
-        return _INDUCTION_CACHE[key]
-    if key not in _FUSION:
-        raise ValueError(f"unsupported inclusion {source!r} in {target!r} "
-                         f"(embedding {embedding})")
-    fusion = _FUSION[key]
-    src = rep_ring(source)
-    tgt = rep_ring(target)
-
-    def multiplicity(psi, chi) -> int:
-        acc = _cyc(0)
-        for e, cls in enumerate(fusion):
-            acc = _cadd(acc, _cmul(chi[e], _cconj(psi[cls])))
-        val = (acc[0] / src.order, acc[1] / src.order)
-        if val[1] != 0 or val[0].denominator != 1 or val[0] < 0:
-            raise AssertionError(
-                f"induction {source}->{target} produced non-integral "
-                f"multiplicity {val}")
-        return int(val[0])
-
-    mat = tuple(tuple(multiplicity(psi, chi) for chi in src.characters)
-                for psi in tgt.characters)
-    index = tgt.order // src.order
-    lhs = [sum(d * row[j] for d, row in zip(tgt.degrees, mat))
-           for j in range(src.rank)]
-    if lhs != [index * d for d in src.degrees]:
-        raise AssertionError(
-            f"induction {source}->{target} does not scale degrees by "
-            f"the index {index}")
-    _INDUCTION_CACHE[key] = mat
-    return mat
-
-
-# --------------------------------------------------------------------------
-# Splitting base change
-
-#: Unimodular base changes U per tag.  New coordinates are U @ old
-#: coordinates; the new basis vectors are the columns of U^{-1}, whose
-#: first column is always the regular representation.
-_SPLITTING_BASES: dict[str, list[list[int]]] = {
-    "C1": [[1]],
-    "C2": [[1, 0], [-1, 1]],
-    "C3": [[1, 0, 0], [-1, 1, 0], [-1, 0, 1]],
-    "D2": [[1, 0, 0, 0], [-1, 1, 0, 0], [-1, 0, 1, 0], [-1, 0, 0, 1]],
-    "D3": [[1, 0, 0], [-1, 1, 0], [-1, -1, 1]],
-    "A4": [[1, 0, 0, 0], [-1, -1, -1, 1], [-1, 1, 0, 0], [-1, 0, 1, 0]],
-}
-
-#: Index partition of the base-changed coordinates into the rank-1 part,
-#: the 2-torsion part and the 3-torsion part.
+#: Index partition of the split coordinates into the rank-1 part, the
+#: 2-torsion part and the 3-torsion part.
 BLOCK_PARTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {
     "C1": ((0,), (), ()),
     "C2": ((0,), (1,), ()),
@@ -247,32 +72,35 @@ BLOCK_PARTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]]
 }
 
 
-def splitting_basis(tag: str) -> list[list[int]]:
-    """The pinned unimodular base change of the representation ring."""
-    if tag not in _SPLITTING_BASES:
-        raise ValueError(f"no splitting basis for {tag!r}")
-    return [list(row) for row in _SPLITTING_BASES[tag]]
+class BlockSplitError(AssertionError):
+    """A split Bredon differential links two different parts; this would
+    falsify the splitting for the given data and aborts the run (an
+    internal invariant failure, exit 2 from the command line)."""
 
 
-def _det(mat: list[list[int]]) -> int:
-    # Laplace expansion along the first row; the bases are at most 4 x 4
-    if not mat:
-        return 1
-    return sum((-1) ** j * x * _det([row[:j] + row[j + 1:] for row in mat[1:]])
-               for j, x in enumerate(mat[0]) if x)
+def embedding_count(source: str, target: str) -> int:
+    return sum(1 for s, t, _ in _BLOCKS if s == source and t == target)
 
 
-def _int_inverse(mat) -> list[list[int]]:
-    """Exact inverse of a unimodular matrix, as the signed adjugate."""
-    m = [[int(x) for x in row] for row in mat]
-    det = _det(m)
-    if det not in (1, -1):
-        raise AssertionError(f"basis is not unimodular (determinant {det})")
+def _blocks(source: str, target: str, embedding: int) -> tuple[Matrix, Matrix]:
+    try:
+        return _BLOCKS[source, target, embedding]
+    except KeyError:
+        raise ValueError(f"unsupported inclusion {source!r} in {target!r} "
+                         f"(embedding {embedding})") from None
 
-    def cofactor(i, j):  # signed determinant of m without row i and column j
-        return (-1) ** (i + j) * _det([r[:j] + r[j + 1:] for k, r in enumerate(m) if k != i])
 
-    return [[det * cofactor(j, i) for j in range(len(m))] for i in range(len(m))]
+def induction_matrix(source: str, target: str, embedding: int = 0) -> Matrix:
+    """The induced map on representation rings, rank(target) x
+    rank(source): entry (psi, chi) is the multiplicity of psi in the
+    induction of chi."""
+    return _blocks(source, target, embedding)[0]
+
+
+def transformed_induction(source: str, target: str, embedding: int = 0) -> Matrix:
+    """The induced map in the splitting bases, block diagonal by
+    BLOCK_PARTS."""
+    return _blocks(source, target, embedding)[1]
 
 
 def _matmul(a, b) -> list[dict[int, int]]:
@@ -288,44 +116,9 @@ def _matmul(a, b) -> list[dict[int, int]]:
     return out
 
 
-def _renumber(rows: list[dict[int, int]], cols) -> list[dict[int, int]]:
-    """The sparse rows restricted to the columns cols, renumbered in order."""
-    pos = {j: k for k, j in enumerate(cols)}
-    return [{pos[j]: x for j, x in r.items() if j in pos} for r in rows]
-
-
 def _dense(rows: list[dict[int, int]], width: int) -> list[list[int]]:
     """Sparse rows with columns in range(width) as dense rows."""
     return [[r.get(j, 0) for j in range(width)] for r in rows]
-
-
-_SPLIT_CACHE: dict[tuple[str, str, int], Matrix] = {}
-
-
-def transformed_induction(source: str, target: str, embedding: int = 0) -> Matrix:
-    """U_target @ M @ U_source^{-1}: the induced map in the split bases.
-    Computed and checked block diagonal once per inclusion."""
-    key = (source, target, embedding)
-    if key in _SPLIT_CACHE:
-        return _SPLIT_CACHE[key]
-    u_s_inv = _int_inverse(splitting_basis(source))
-    prod = _matmul(_matmul(splitting_basis(target), induction_matrix(*key)), u_s_inv)
-    mat = tuple(map(tuple, _dense(prod, len(u_s_inv))))
-    check_block_diagonal(mat, target, source)
-    _SPLIT_CACHE[key] = mat
-    return mat
-
-
-def check_block_diagonal(mat, target: str, source: str) -> None:
-    """Raise BlockSplitError if mat has entries outside the diagonal
-    (1 | 2-part | 3-part) blocks."""
-    for bi, rows in enumerate(BLOCK_PARTS[target]):
-        for bj, cols in enumerate(BLOCK_PARTS[source]):
-            for r, c in product(rows, cols):
-                if bi != bj and mat[r][c] != 0:
-                    raise BlockSplitError(
-                        f"off-block entry {mat[r][c]} at ({r}, {c}) in the "
-                        f"base-changed {source}->{target} induction")
 
 
 # --------------------------------------------------------------------------
@@ -333,30 +126,17 @@ def check_block_diagonal(mat, target: str, source: str) -> None:
 
 
 def _invariant_factors(entries) -> tuple[int, ...]:
-    """Normalize torsion entries (> 1) into a divisibility chain."""
-    powers: dict[int, list[int]] = {}
+    """Normalize torsion entries (> 1) into a divisibility chain.  Each
+    entry moves down the chain from its top as (lcm, gcd) pairs, which
+    sorts the valuations at every prime at once, with no factoring."""
+    chain: list[int] = []
     for n in entries:
         n = int(n)
-        if n <= 1:
-            continue
-        d = 2
-        while d * d <= n:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            if e:
-                powers.setdefault(d, []).append(d ** e)
-            d += 1
+        for i in reversed(range(len(chain))):
+            chain[i], n = lcm(chain[i], n), gcd(chain[i], n)
         if n > 1:
-            powers.setdefault(n, []).append(n)
-    length = max((len(v) for v in powers.values()), default=0)
-    chain = [1] * length
-    for p, vals in powers.items():
-        vals.sort(reverse=True)
-        for i, pk in enumerate(vals):
-            chain[length - 1 - i] *= pk
-    return tuple(c for c in chain if c > 1)
+            chain.insert(0, n)
+    return tuple(chain)
 
 
 @dataclass(frozen=True)
@@ -457,7 +237,7 @@ def elementary_divisors(mat) -> list[int]:
     if not core:
         return [1] * span.rank
     cols = sorted({j for row in core for j in row})
-    _, d, _ = smith_normal_form(_dense(_renumber(core, cols), len(cols)))
+    _, d, _ = smith_normal_form([[row.get(j, 0) for j in cols] for row in core])
     return [1] * span.rank + [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
 
 
@@ -595,8 +375,8 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     # a face's block is the induction from C1: the regular representation
     terms2 = tuple((index[eid], j, sign, 0) for j, f in enumerate(faces)
                    for eid, sign in _oriented_boundary_walk(cx, f.id, ends))
-    psi1 = assemble(terms1, vertices, edges, _rank, induction_matrix)
-    psi2 = assemble(terms2, edges, faces, _rank, induction_matrix)
+    psi1 = assemble(terms1, vertices, edges, RANKS.__getitem__, induction_matrix)
+    psi2 = assemble(terms2, edges, faces, RANKS.__getitem__, induction_matrix)
     if any(_matmul(psi1, psi2)):
         raise AssertionError("orientation bookkeeping broke psi1 @ psi2 = 0")
     return BredonComplex(vertices, edges, faces, psi1, psi2, terms1, terms2)
@@ -613,25 +393,37 @@ def split_blocks(bc: BredonComplex) -> SplitBlocks:
     """The Bredon differentials in the pinned splitting bases, split into
     the orbit-space block and the 2- and 3-torsion blocks.  They are
     summed from the same terms as bredon_complex, with each induction
-    replaced by its base change, which transformed_induction has checked
-    block diagonal entry by entry; so each sum is block diagonal too."""
+    replaced by its split block.  One pass over each sum renumbers every
+    entry within its part and raises BlockSplitError at an entry that
+    links two different parts."""
 
     def part_labels(cells):  # the block of each split coordinate
         return [w for c in cells for _, w in sorted(
             (i, w) for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) for i in idx)]
 
-    psi1 = assemble(bc.terms1, bc.vertices, bc.edges, _rank, transformed_induction)
-    psi2 = assemble(bc.terms2, bc.edges, bc.faces, _rank, transformed_induction)
     parts = [part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
 
-    def project(which):
-        rows, mid, cols = ([i for i, w in enumerate(part) if w == which]
-                           for part in parts)
-        return IntegerChainComplex(_renumber([psi1[i] for i in rows], mid),
-                                   _renumber([psi2[j] for j in mid], cols),
-                                   (len(rows), len(mid), len(cols)))
+    def split(name, terms, rows, cols, row_parts, col_parts):
+        seen, pos = [0, 0, 0], []  # each column's index within its part
+        for w in col_parts:
+            pos.append(seen[w])
+            seen[w] += 1
+        out = ([], [], [])
+        for i, row in enumerate(assemble(terms, rows, cols, RANKS.__getitem__,
+                                         transformed_induction)):
+            w = row_parts[i]
+            for j, x in row.items():
+                if col_parts[j] != w:
+                    raise BlockSplitError(f"off-block entry {x} at ({i}, {j}) "
+                                          f"of the split {name}")
+            out[w].append({pos[j]: x for j, x in row.items()})
+        return out
 
-    return SplitBlocks(project(0), project(1), project(2))
+    rows1 = split("psi1", bc.terms1, bc.vertices, bc.edges, parts[0], parts[1])
+    rows2 = split("psi2", bc.terms2, bc.edges, bc.faces, parts[1], parts[2])
+    return SplitBlocks(*(IntegerChainComplex(rows1[w], rows2[w],
+                                             tuple(part.count(w) for part in parts))
+                         for w in range(3)))
 
 
 # --------------------------------------------------------------------------

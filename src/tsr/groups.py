@@ -8,8 +8,11 @@ valid for the catalog scale (order <= 24) plus the dihedral groups used
 by the homology oracle.  This module is the reference the runtime is
 checked against, and no other tsr module imports it: the three-clause
 search for condition B', ``condition_B_prime_search``, is the oracle
-for the pinned table in ``tsr.reduction``, and the brute-force
-homology is the oracle for the closed forms in ``tsr.series``.
+for the pinned table in ``tsr.reduction``; the brute-force homology is
+the oracle for the closed forms in ``tsr.series``; and the character
+tables, class fusions and splitting bases of the Bredon stabilizers,
+with ``induction_by_reciprocity``, are the oracle for the pinned
+representation blocks in ``tsr.bredon``.
 """
 
 from __future__ import annotations
@@ -455,3 +458,139 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
         dims.append(ker_dim - (t_ranks[q] if q < len(t_ranks) else 0))
     return dims
 
+
+# --------------------------------------------------------------------------
+# Representation rings of the Bredon stabilizers
+
+
+# Z[w], w a primitive cube root of unity (w^2 = -1 - w), as integer pairs
+# a + b*w: every character value of the Bredon stabilizers lies there.
+W, W2 = (0, 1), (-1, -1)
+
+
+def _zw_inner(u, v, weights) -> tuple[int, int]:
+    """The sum of weight * u_k * conj(v_k), where conj(c + d*w) = (c - d) - d*w."""
+    re = im = 0
+    for weight, (a, b), (c, d) in zip(weights, u, v):
+        c, d = c - d, -d
+        re += weight * (a * c - b * d)
+        im += weight * (a * d + b * c - b * d)
+    return re, im
+
+
+#: Per Bredon stabilizer: the class sizes, and one row of values in Z[w]
+#: per irreducible character, the trivial character first.
+CHARACTER_TABLES: dict[str, tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]] = {
+    tag: (sizes, tuple(tuple(x if isinstance(x, tuple) else (x, 0) for x in row)
+                       for row in rows))
+    for tag, (sizes, rows) in {
+        "C1": ((1,), ((1,),)),
+        "C2": ((1, 1), ((1, 1), (1, -1))),
+        "C3": ((1, 1, 1), ((1, 1, 1), (1, W, W2), (1, W2, W))),
+        "D2": ((1, 1, 1, 1), ((1, 1, 1, 1), (1, 1, -1, -1), (1, -1, 1, -1),
+                              (1, -1, -1, 1))),
+        "D3": ((1, 2, 3), ((1, 1, 1), (1, 1, -1), (2, -1, 0))),
+        "A4": ((1, 3, 4, 4), ((1, 1, 1, 1), (1, 1, W, W2), (1, 1, W2, W),
+                              (3, -1, 0, 0))),
+    }.items()}
+
+#: Class fusion per (source, target, embedding index): the k-th element
+#: e, g, g^2, ... of the cyclic source, which is also its k-th class,
+#: lands in the listed target conjugacy class.
+FUSIONS: dict[tuple[str, str, int], tuple[int, ...]] = {
+    ("C1", "C1", 0): (0,),
+    ("C1", "C2", 0): (0,),
+    ("C1", "C3", 0): (0,),
+    ("C1", "D2", 0): (0,),
+    ("C1", "D3", 0): (0,),
+    ("C1", "A4", 0): (0,),
+    ("C2", "C2", 0): (0, 1),
+    ("C3", "C3", 0): (0, 1, 2),
+    ("C2", "D2", 0): (0, 1),
+    ("C2", "D2", 1): (0, 2),
+    ("C2", "D2", 2): (0, 3),
+    ("C2", "D3", 0): (0, 2),
+    ("C3", "D3", 0): (0, 1, 1),
+    ("C2", "A4", 0): (0, 1),
+    ("C3", "A4", 0): (0, 2, 3),
+}
+
+#: Unimodular base change U per tag: the split coordinates are U times
+#: the character coordinates, and U maps the regular representation to
+#: the first split basis vector.
+SPLITTING_BASES: dict[str, tuple[tuple[int, ...], ...]] = {
+    "C1": ((1,),),
+    "C2": ((1, 0), (-1, 1)),
+    "C3": ((1, 0, 0), (-1, 1, 0), (-1, 0, 1)),
+    "D2": ((1, 0, 0, 0), (-1, 1, 0, 0), (-1, 0, 1, 0), (-1, 0, 0, 1)),
+    "D3": ((1, 0, 0), (-1, 1, 0), (-1, -1, 1)),
+    "A4": ((1, 0, 0, 0), (-1, -1, -1, 1), (-1, 1, 0, 0), (-1, 0, 1, 0)),
+}
+
+
+def check_orthogonality(tag: str) -> None:
+    """Raise AssertionError unless the character table of tag satisfies
+    row and column orthogonality."""
+    sizes, chars = CHARACTER_TABLES[tag]
+    n = sum(sizes)
+    for i, chi in enumerate(chars):
+        for j, psi in enumerate(chars):
+            if _zw_inner(chi, psi, sizes) != (n if i == j else 0, 0):
+                raise AssertionError(f"character table of {tag} fails row orthogonality")
+    columns = list(zip(*chars))
+    for k, x in enumerate(columns):
+        for m, y in enumerate(columns):
+            if _zw_inner(x, y, [1] * len(chars)) != (n // sizes[k] if k == m else 0, 0):
+                raise AssertionError(f"character table of {tag} fails column orthogonality")
+
+
+def induction_by_reciprocity(source: str, target: str,
+                             embedding: int = 0) -> tuple[tuple[int, ...], ...]:
+    """The induced map on representation rings, rank(target) x
+    rank(source), from the class fusion by Frobenius reciprocity: the
+    multiplicity of a target character psi in the induction of a source
+    character chi is <chi, Res psi>.  Raises AssertionError unless every
+    multiplicity is a non-negative integer and induction multiplies
+    degrees by the index."""
+    fusion = FUSIONS[source, target, embedding]
+    (src_sizes, src_chars), (tgt_sizes, tgt_chars) = (CHARACTER_TABLES[source],
+                                                      CHARACTER_TABLES[target])
+    order = sum(src_sizes)
+    mat = []
+    for psi in tgt_chars:
+        restricted = [psi[cls] for cls in fusion]
+        row = []
+        for chi in src_chars:
+            a, b = _zw_inner(chi, restricted, src_sizes)
+            if b or a % order or a < 0:
+                raise AssertionError(f"induction {source}->{target} produced "
+                                     f"non-integral multiplicity ({a} + {b}w)/{order}")
+            row.append(a // order)
+        mat.append(tuple(row))
+    index = sum(tgt_sizes) // order
+    src_deg, tgt_deg = ([chi[0][0] for chi in chars] for chars in (src_chars, tgt_chars))
+    if ([sum(d * row[j] for d, row in zip(tgt_deg, mat)) for j in range(len(src_deg))]
+            != [index * d for d in src_deg]):
+        raise AssertionError(f"induction {source}->{target} does not scale "
+                             f"degrees by the index {index}")
+    return tuple(mat)
+
+
+def det(mat) -> int:
+    """Determinant by Laplace expansion along the first row (for the
+    small splitting bases)."""
+    if not len(mat):
+        return 1
+    return sum((-1) ** j * x * det([list(row[:j]) + list(row[j + 1:]) for row in mat[1:]])
+               for j, x in enumerate(mat[0]) if x)
+
+
+def check_block_diagonal(mat, row_parts, col_parts) -> None:
+    """Raise AssertionError if mat has a nonzero entry linking two
+    different parts; row_parts and col_parts partition its row and
+    column indices (the split coordinates of the target and the source)."""
+    for bi, rows in enumerate(row_parts):
+        for bj, cols in enumerate(col_parts):
+            for r, c in itertools.product(rows, cols):
+                if bi != bj and mat[r][c]:
+                    raise AssertionError(f"off-block entry {mat[r][c]} at ({r}, {c})")

@@ -182,23 +182,26 @@ SERIES_D2STAR = "D2star"
 SERIES_A4STAR = "A4star"
 
 
+_CANONICAL = {
+    SERIES_CIRCLE: RationalSeries([0, 0, 0, -2], [-1, 1]),
+    SERIES_EDGE3: RationalSeries([0, 0, 0, -2, 1, -1], [-1, 1, -1, 1]),
+    SERIES_D2STAR: RationalSeries([0, 0, 0, 5, -3], [2, -4, 2]),
+    SERIES_A4STAR: RationalSeries([0, 0, 0, 3, -2, 2, -1], [2, -2, 0, -2, 2]),
+}
+
+
 def canonical_series(kind: str) -> RationalSeries:
-    """The four pinned component generating functions:
+    """The four pinned component generating functions, each built once:
 
     Circle  -2t^3 / (t-1)                 constant dims 2 from degree 3
     Edge3   -t^3 (t^2-t+2) / ((t-1)(t^2+1))   4-periodic 2,1,0,1
     D2star  -t^3 (3t-5) / (2 (t-1)^2)     half-integral, dims q - 1/2
     A4star  -t^3 (t^3-2t^2+2t-3) / (2 (t-1)^2 (t^2+t+1))
     """
-    if kind == SERIES_CIRCLE:
-        return RationalSeries([0, 0, 0, -2], [-1, 1])
-    if kind == SERIES_EDGE3:
-        return RationalSeries([0, 0, 0, -2, 1, -1], [-1, 1, -1, 1])
-    if kind == SERIES_D2STAR:
-        return RationalSeries([0, 0, 0, 5, -3], [2, -4, 2])
-    if kind == SERIES_A4STAR:
-        return RationalSeries([0, 0, 0, 3, -2, 2, -1], [2, -2, 0, -2, 2])
-    raise ValueError(f"unknown series kind {kind!r}")
+    try:
+        return _CANONICAL[kind]
+    except KeyError:
+        raise ValueError(f"unknown series kind {kind!r}") from None
 
 
 # --------------------------------------------------------------------------

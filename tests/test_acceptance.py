@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from tsr.bredon import (bredon_complex, bredon_homology_formula,
-                        check_block_diagonal, chen_ruan_dims, embedding_count,
-                        homology, k_homology, split_blocks, splitting_basis,
-                        transformed_induction, AbelianGroup)
+from tsr.bredon import (BLOCK_PARTS, bredon_complex, bredon_homology_formula,
+                        chen_ruan_dims, embedding_count, homology, k_homology,
+                        split_blocks, transformed_induction, AbelianGroup)
 from tsr.complexes import parse_complex, serialize_complex, torsion_subcomplex
-from tsr.groups import (dihedral_group, dihedral_mod_ell_homology,
-                        mod_ell_homology_bruteforce)
+from tsr.groups import (SPLITTING_BASES, check_block_diagonal, dihedral_group,
+                        dihedral_mod_ell_homology, mod_ell_homology_bruteforce)
 from tsr.reduction import apply_move, reduce_complex, replay
 from tsr.series import (SubgroupCensus, canonical_series,
                         equivariant_graph_cohomology_oracle, poincare_2torsion,
@@ -151,10 +150,11 @@ def test_criterion_06():
                   ("C3", "A4")]
     for src, tgt in inclusions:
         for tag in (src, tgt):
-            det = round(np.linalg.det(np.array(splitting_basis(tag)).astype(float)))
+            det = round(np.linalg.det(np.array(SPLITTING_BASES[tag]).astype(float)))
             assert det in (1, -1), tag
         for emb in range(embedding_count(src, tgt)):
-            check_block_diagonal(transformed_induction(src, tgt, emb), tgt, src)
+            check_block_diagonal(transformed_induction(src, tgt, emb),
+                                 BLOCK_PARTS[tgt], BLOCK_PARTS[src])
 
 
 @criterion(7, "Bredon homology: SNF of split blocks vs closed forms")

@@ -1,8 +1,5 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
-import subprocess
-import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsr.bredon
-from tsr.bredon import (BLOCK_PARTS, SUPPORTED_EDGE_TAGS, SUPPORTED_VERTEX_TAGS,
-                        AbelianGroup, BlockSplitError, IntegerChainComplex,
-                        _int_inverse, bredon_complex, bredon_homology_formula,
-                        check_block_diagonal, chen_ruan_dims,
+from tsr.bredon import (BLOCK_PARTS, RANKS, SUPPORTED_EDGE_TAGS,
+                        SUPPORTED_VERTEX_TAGS, AbelianGroup, BlockSplitError,
+                        IntegerChainComplex, bredon_complex,
+                        bredon_homology_formula, chen_ruan_dims,
                         elementary_divisors, embedding_count, homology,
-                        induction_matrix, k_homology, rep_ring,
-                        smith_normal_form, split_blocks, splitting_basis,
-                        transformed_induction)
+                        induction_matrix, k_homology, smith_normal_form,
+                        split_blocks, transformed_induction)
 from tsr.cli import main
 from tsr.complexes import (EMBEDDING_CLASSES, Incidence, OrbitCell, OrbitComplex,
                            parse_complex)
+from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
+                        check_block_diagonal, check_orthogonality, det,
+                        induction_by_reciprocity)
 from tsr.series import SubgroupCensus, restriction_block
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
@@ -42,6 +41,14 @@ def load(name):
     return parse_complex(FIXTURES.joinpath(name + ".json").read_text())
 
 
+def _order(tag):
+    return sum(CHARACTER_TABLES[tag][0])
+
+
+def _degrees(tag):  # the regular representation, in character coordinates
+    return [chi[0][0] for chi in CHARACTER_TABLES[tag][1]]
+
+
 # --------------------------------------------------------------------------
 # Representation rings and induction
 
@@ -49,28 +56,47 @@ def load(name):
 def test_rep_ring_ranks():
     for tag, rank in [("C1", 1), ("C2", 2), ("C3", 3), ("D2", 4),
                       ("D3", 3), ("A4", 4)]:
-        assert rep_ring(tag).rank == rank
+        assert RANKS[tag] == rank
 
 
 def test_rep_ring_unsupported():
-    with pytest.raises(ValueError):
-        rep_ring("S4")
+    assert "S4" not in RANKS
+    with pytest.raises(ValueError, match="unsupported inclusion 'C1' in 'S4'"):
+        induction_matrix("C1", "S4")
+
+
+def test_pinned_blocks_match_character_tables():
+    # the pinned blocks against Frobenius reciprocity on the verified
+    # character tables; the split block T satisfies U_target M = T U_source
+    # with unimodular U, so T = U_target M U_source^-1, with no inverse
+    assert set(tsr.bredon._BLOCKS) == set(FUSIONS)
+    for tag, (_, chars) in CHARACTER_TABLES.items():
+        check_orthogonality(tag)
+        assert RANKS[tag] == len(chars), tag
+        assert det(SPLITTING_BASES[tag]) in (1, -1), tag
+    for source, target, emb in FUSIONS:
+        m = induction_by_reciprocity(source, target, emb)
+        split = transformed_induction(source, target, emb)
+        assert induction_matrix(source, target, emb) == m
+        u_s, u_t = (np.array(SPLITTING_BASES[t], dtype=object) for t in (source, target))
+        assert (u_t @ np.array(m, dtype=object)
+                == np.array(split, dtype=object) @ u_s).all(), (source, target, emb)
+        check_block_diagonal(split, BLOCK_PARTS[target], BLOCK_PARTS[source])
 
 
 def test_identity_induction_is_identity():
     for tag in ("C1", "C2", "C3"):
         m = induction_matrix(tag, tag)
-        assert np.array_equal(m, np.eye(rep_ring(tag).rank, dtype=np.int64))
+        assert np.array_equal(m, np.eye(RANKS[tag], dtype=np.int64))
 
 
 def test_induction_degree_scaling():
     for src, tgt in INCLUSIONS:
         for emb in range(embedding_count(src, tgt)):
             block = induction_matrix(src, tgt, emb)
-            index = rep_ring(tgt).order // rep_ring(src).order
-            degrees = np.array(rep_ring(tgt).degrees)
-            assert np.array_equal(degrees @ np.array(block),
-                                  index * np.array(rep_ring(src).degrees))
+            index = _order(tgt) // _order(src)
+            assert np.array_equal(np.array(_degrees(tgt)) @ np.array(block),
+                                  index * np.array(_degrees(src)))
 
 
 def test_induction_c3_to_d3():
@@ -85,16 +111,15 @@ def test_induction_regular_goes_to_regular():
     for src, tgt in INCLUSIONS + [("C1", t) for t in
                                   ("C2", "C3", "D2", "D3", "A4")]:
         block = induction_matrix(src, tgt)
-        reg_src = np.array(rep_ring(src).degrees)
-        reg_tgt = np.array(rep_ring(tgt).degrees)
-        assert np.array_equal(np.array(block) @ reg_src, reg_tgt)
+        assert np.array_equal(np.array(block) @ np.array(_degrees(src)),
+                              np.array(_degrees(tgt)))
 
 
 def test_embedding_tables_agree():
-    # complexes.EMBEDDING_CLASSES drives edge_end_assignments, the fusion
-    # table drives embedding_count and the Bredon blocks, and
+    # complexes.EMBEDDING_CLASSES drives edge_end_assignments, the pinned
+    # block table drives embedding_count and the Bredon blocks, and
     # series.restriction_block branches on the embedding index
-    for source, target, _ in tsr.bredon._FUSION:
+    for source, target, _ in tsr.bredon._BLOCKS:
         assert (embedding_count(source, target)
                 == EMBEDDING_CLASSES.get((target, source), 1)), (source, target)
     for q in range(1, 5):
@@ -109,56 +134,43 @@ def test_unsupported_inclusion():
 
 
 # --------------------------------------------------------------------------
-# Splitting bases
+# Splitting bases (the reference in tsr.groups)
 
 
 def test_splitting_bases_unimodular():
     for tag in ("C1", "C2", "C3", "D2", "D3", "A4"):
-        u = np.array(splitting_basis(tag))
-        det = round(np.linalg.det(u.astype(float)))
-        assert det in (1, -1), tag
+        u = np.array(SPLITTING_BASES[tag])
+        assert round(np.linalg.det(u.astype(float))) in (1, -1), tag
 
 
 def test_splitting_first_basis_vector_is_regular():
-    # the first column of U^{-1} is the regular representation
+    # U maps the regular representation to the first split basis vector
     for tag in ("C2", "C3", "D2", "D3", "A4"):
-        inv = np.array(_int_inverse(splitting_basis(tag)))
-        assert inv[:, 0].tolist() == list(rep_ring(tag).degrees), tag
-
-
-def test_int_inverse_rejects_non_unimodular_under_optimize():
-    # python -O strips bare asserts; the unimodularity check must survive it
-    code = ("import numpy as np\n"
-            "from tsr.bredon import _int_inverse\n"
-            "_int_inverse(np.array([[2]]))\n")
-    proc = subprocess.run([sys.executable, "-O", "-c", code],
-                          capture_output=True, text=True)
-    assert proc.returncode != 0
-    assert "AssertionError: basis is not unimodular" in proc.stderr
+        u = np.array(SPLITTING_BASES[tag])
+        assert (u @ np.array(_degrees(tag))).tolist() == [1] + [0] * (len(u) - 1), tag
 
 
 def test_all_inclusions_block_diagonal():
     for src, tgt in INCLUSIONS:
         for emb in range(embedding_count(src, tgt)):
             mat = transformed_induction(src, tgt, emb)
-            check_block_diagonal(mat, tgt, src)
+            check_block_diagonal(mat, BLOCK_PARTS[tgt], BLOCK_PARTS[src])
 
 
 def test_block_check_catches_corruption():
-    mat = transformed_induction("C3", "D3")
-    bad = np.array(mat)
+    bad = np.array(transformed_induction("C3", "D3"))
     bad[1, 2] = 5  # 2-part row against a 3-part column
-    with pytest.raises(BlockSplitError):
-        check_block_diagonal(bad, "D3", "C3")
+    with pytest.raises(AssertionError, match=r"off-block entry 5 at \(1, 2\)"):
+        check_block_diagonal(bad, BLOCK_PARTS["D3"], BLOCK_PARTS["C3"])
 
 
 def test_corrupted_splitting_basis_is_caught(monkeypatch, capsys):
-    # unimodular but not splitting: the base-changed C3 -> D3 induction has
-    # an entry in the 2-part row of a rank-1 column
-    monkeypatch.setitem(tsr.bredon._SPLITTING_BASES, "D3",
-                        [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    monkeypatch.setattr(tsr.bredon, "_SPLIT_CACHE", {})
-    with pytest.raises(BlockSplitError):
+    # a corrupted split C3 -> D3 block, the one the identity basis of D3
+    # would give: the 2-part row has an entry in the rank-1 column
+    induction = induction_matrix("C3", "D3")
+    monkeypatch.setitem(tsr.bredon._BLOCKS, ("C3", "D3", 0),
+                        (induction, ((1, 0, 0), (1, 0, 0), (0, 1, 1))))
+    with pytest.raises(BlockSplitError, match="off-block entry 1"):
         split_blocks(bredon_complex(load("bianchi_edge3")))
     assert main(["bredon", "--input", str(FIXTURES / "bianchi_edge3.json")]) == 2
     captured = capsys.readouterr()
@@ -220,6 +232,18 @@ def test_abelian_group_invariant_factors():
     assert AbelianGroup(0, (2, 3)).torsion == (6,)
     assert AbelianGroup(0, (2, 2)).torsion == (2, 2)
     assert AbelianGroup(0, (4, 6)).torsion == (2, 12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 2000), max_size=6))
+def test_invariant_factors_match_smith_normal_form(entries):
+    # the torsion of Z/e1 + ... + Z/ek is the non-unit diagonal of the
+    # Smith normal form of diag(e1, ..., ek)
+    diag = [[e if i == j else 0 for j in range(len(entries))]
+            for i, e in enumerate(entries)]
+    _, d, _ = smith_normal_form(diag)
+    want = tuple(d[i][i] for i in range(len(entries)) if d[i][i] > 1)
+    assert AbelianGroup(0, tuple(entries)).torsion == want
 
 
 def test_abelian_group_rejects_negative_free_rank():
@@ -377,10 +401,9 @@ def bredon_components(draw):
     return ["D2"] + leaves, [(0, k + 1, "C2") for k in range(len(leaves))], []
 
 
-def _whole_base_change(cells, invert):
-    """Block-diagonal matrix of the splitting bases (or their inverses)."""
-    mats = [splitting_basis(c.stabilizer) for c in cells]
-    mats = [_int_inverse(u) for u in mats] if invert else mats
+def _whole_base_change(cells):
+    """Block-diagonal matrix of the splitting bases."""
+    mats = [SPLITTING_BASES[c.stabilizer] for c in cells]
     n = sum(len(u) for u in mats)
     out = np.zeros((n, n), dtype=object)
     pos = 0
@@ -402,7 +425,7 @@ def _to_array(rows, width):
 
 
 def _part_labels(cells):
-    return [w for c in cells for i in range(rep_ring(c.stabilizer).rank)
+    return [w for c in cells for i in range(RANKS[c.stabilizer])
             for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) if i in idx]
 
 
@@ -417,12 +440,12 @@ def test_split_blocks_match_whole_matrix_base_change(parts):
     # the dense views are the stored sparse rows
     assert (np.array(bc.psi1, dtype=object).reshape(n0, n1) == whole1).all()
     assert (np.array(bc.psi2, dtype=object).reshape(n1, n2) == whole2).all()
-    # the base change as whole-matrix products, then projected by parts
-    psi1 = (_whole_base_change(bc.vertices, False) @ whole1
-            @ _whole_base_change(bc.edges, True))
-    psi2 = _whole_base_change(bc.edges, False) @ whole2
+    # the split, reassembled from its blocks, satisfies U_v psi = split U_e
+    # as whole-matrix products; U_e is unimodular, so this fixes every
+    # entry of the split, off-block zeros included
     labels = [_part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
-    rebuilt1, rebuilt2 = np.zeros_like(psi1), np.zeros_like(psi2)
+    rebuilt1 = np.zeros((n0, n1), dtype=object)
+    rebuilt2 = np.zeros((n1, n2), dtype=object)
     for w, chain in enumerate((blocks.trivial, blocks.two, blocks.three)):
         rows, mid, cols = ([i for i, x in enumerate(part) if x == w]
                            for part in labels)
@@ -430,8 +453,9 @@ def test_split_blocks_match_whole_matrix_base_change(parts):
         assert len(chain.psi1) == len(rows) and len(chain.psi2) == len(mid)
         rebuilt1[np.ix_(rows, mid)] = _to_array(chain.psi1, len(mid))
         rebuilt2[np.ix_(mid, cols)] = _to_array(chain.psi2, len(cols))
-    # entry by entry, off-block zeros included
-    assert (rebuilt1 == psi1).all() and (rebuilt2 == psi2).all()
+    u0, u1, u2 = (_whole_base_change(cells) for cells in (bc.vertices, bc.edges, bc.faces))
+    assert (u0 @ whole1 == rebuilt1 @ u1).all()
+    assert (u1 @ whole2 == rebuilt2 @ u2).all()
     # the Bredon homology is the direct sum of the three blocks' homology
     total = homology(bc.chain())
     split = [homology(b) for b in (blocks.trivial, blocks.two, blocks.three)]

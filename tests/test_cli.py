@@ -104,6 +104,16 @@ def test_khomology_report():
     assert out.decode() == "K_0 = Z^3\nK_1 = Z^3\n"
 
 
+def test_khomology_large_prime_torsion():
+    # the torsion chain is normalised by gcd and lcm, not by factoring, so
+    # a large prime coefficient returns at once
+    proc = subprocess.run([sys.executable, "-m", "tsr.cli", "khomology", "--census", "{}",
+                           "--h1-torsion", "1000000000000000003"],
+                          capture_output=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "K_0 = Z\nK_1 = Z/1000000000000000003\n".encode()
+
+
 @pytest.mark.parametrize("flags", [
     ["--h1-free", "-3"],
     ["--h1-torsion=-2,0,1"],
@@ -279,7 +289,7 @@ def _modules_after(argv):
      {"groups", "reduction", "bredon"}),
     (["oracle", "--prime", "2", "--input", "graphfive.json"],
      {"groups", "reduction", "bredon"}),
-    (["bredon", "--input", "graphtwo.json"], {"groups"}),
+    (["bredon", "--input", "graphtwo.json"], {"groups", "series", "reduction"}),
     (["khomology", "--census", '{"beta1":2}'], {"groups"}),
     (["chenruan", "--census", '{"lambda4":1}', "--quotient-dims", "[1]"], {"groups"}),
 ])
@@ -287,3 +297,13 @@ def test_subcommand_imports_only_what_it_runs(argv, absent):
     loaded = _modules_after(argv)
     assert "tsr.cli" in loaded
     assert not loaded & {f"tsr.{name}" for name in absent}, loaded
+
+
+def test_bredon_import_loads_no_fractions():
+    # the representation blocks are pinned integers: no Q(w) arithmetic
+    code = ("import sys, tsr.bredon\n"
+            "print(sorted(m for m in ('fractions', 'tsr.groups', 'tsr.series')"
+            " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

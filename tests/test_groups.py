@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 from tsr._modp import rank_mod
-from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, FiniteGroup, are_isomorphic,
-                        catalog_group, center, compose, dihedral_group,
+from tsr.groups import (CATALOG_TAGS, CHARACTER_TABLES, FUSIONS, TAG_ORDERS,
+                        FiniteGroup, are_isomorphic, catalog_group, center,
+                        check_orthogonality, compose, dihedral_group,
+                        induction_by_reciprocity,
                         dihedral_mod_ell_homology, has_trivial_mod_ell_cohomology,
                         identify_catalog_tag, invert, is_ell_normal,
                         mod_ell_homology_bruteforce, normal_subgroups,
@@ -309,3 +311,15 @@ def test_dihedral_constructor():
     assert perm_order(max(d5.elements)) in (2, 5)
     assert dihedral_group(2) == catalog_group("D2")
     assert are_isomorphic(dihedral_group(3), catalog_group("D3"))
+
+
+def test_representation_oracle_catches_corruption(monkeypatch):
+    # C3 -> D3 sending g^2 to the reflections is no class fusion: the sign
+    # character restricts to a non-character, with multiplicity 1/3
+    monkeypatch.setitem(FUSIONS, ("C3", "D3", 0), (0, 1, 2))
+    with pytest.raises(AssertionError, match="non-integral"):
+        induction_by_reciprocity("C3", "D3")
+    sizes, chars = CHARACTER_TABLES["D3"]
+    monkeypatch.setitem(CHARACTER_TABLES, "D3", (sizes, chars[:2] + (((2, 0), (1, 0), (0, 0)),)))
+    with pytest.raises(AssertionError, match="row orthogonality"):
+        check_orthogonality("D3")
