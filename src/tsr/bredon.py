@@ -104,12 +104,11 @@ def transformed_induction(source: str, target: str, embedding: int = 0) -> Matri
 
 
 def _matmul(a, b) -> list[dict[int, int]]:
-    """a @ b as sparse rows; a and b are lists of dense or sparse rows."""
-    b = [_row(r, 0) for r in b]
+    """a @ b as sparse rows; a and b are lists of sparse rows."""
     out = []
     for r in a:
         acc: dict[int, int] = {}
-        for k, x in _row(r, 0).items():
+        for k, x in r.items():
             for j, y in b[k].items():
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: x for j, x in acc.items() if x})
@@ -243,25 +242,35 @@ def elementary_divisors(mat) -> list[int]:
 
 @dataclass(frozen=True)
 class IntegerChainComplex:
-    """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0, with the
-    differentials as sparse {column: entry} rows and dims = (n0, n1, n2)."""
+    """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0 with
+    dims = (n0, n1, n2).  The differentials may be given as dense or
+    sparse rows; they are stored as sparse {column: entry} rows, and a
+    complex is checked once, when it is built: the rows must fit dims
+    and psi1 @ psi2 must vanish, or ValueError is raised."""
 
     psi1: list[dict[int, int]]
     psi2: list[dict[int, int]]
     dims: tuple[int, int, int]
 
+    def __post_init__(self):
+        psi1, psi2 = ([_row(r, 0) for r in rows] for rows in (self.psi1, self.psi2))
+        n0, n1, n2 = self.dims
+        if (len(psi1) != n0 or len(psi2) != n1
+                or any(not 0 <= j < n1 for row in psi1 for j in row)
+                or any(not 0 <= j < n2 for row in psi2 for j in row)):
+            raise ValueError("psi1 and psi2 are not composable with dims "
+                             f"{self.dims}")
+        if any(_matmul(psi1, psi2)):
+            raise ValueError("not a chain complex: psi1 @ psi2 != 0")
+        object.__setattr__(self, "psi1", psi1)
+        object.__setattr__(self, "psi2", psi2)
+
 
 def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
     """[H0, H1, H2] of the two-step integer chain complex, from the
-    elementary divisors of both differentials."""
+    elementary divisors of both differentials (the complex checked
+    itself when it was built)."""
     n0, n1, n2 = chain.dims
-    if (len(chain.psi1) != n0 or len(chain.psi2) != n1
-            or any(not 0 <= j < n1 for row in chain.psi1 for j in row)
-            or any(not 0 <= j < n2 for row in chain.psi2 for j in row)):
-        raise ValueError("psi1 and psi2 are not composable with dims "
-                         f"{chain.dims}")
-    if any(_matmul(chain.psi1, chain.psi2)):
-        raise ValueError("not a chain complex: psi1 @ psi2 != 0")
     div1 = elementary_divisors(chain.psi1)
     div2 = elementary_divisors(chain.psi2)
     rank1, rank2 = len(div1), len(div2)
@@ -277,31 +286,29 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
 
 @dataclass(frozen=True)
 class BredonComplex:
-    """The differentials as sparse rows, rows1 (vertices x edges) and
-    rows2 (edges x faces), and the incidence terms (row cell, column
-    cell, sign, embedding) they are summed from, with cells as indices:
-    terms1 (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
+    """The total chain complex (vertices x edges, edges x faces), and the
+    incidence terms (row cell, column cell, sign, embedding) its
+    differentials are summed from, with cells as indices: terms1
+    (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
     copies, for printing."""
 
     vertices: tuple
     edges: tuple
     faces: tuple
-    rows1: list[dict[int, int]]
-    rows2: list[dict[int, int]]
+    total: IntegerChainComplex
     terms1: tuple
     terms2: tuple
 
     @property
     def psi1(self) -> list[list[int]]:
-        return _dense(self.rows1, len(self.rows2))
+        return _dense(self.total.psi1, self.total.dims[1])
 
     @property
     def psi2(self) -> list[list[int]]:
-        return _dense(self.rows2, len(self.faces))
+        return _dense(self.total.psi2, self.total.dims[2])
 
     def chain(self) -> IntegerChainComplex:
-        return IntegerChainComplex(self.rows1, self.rows2,
-                                   (len(self.rows1), len(self.rows2), len(self.faces)))
+        return self.total
 
 
 def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
@@ -377,9 +384,8 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
                    for eid, sign in _oriented_boundary_walk(cx, f.id, ends))
     psi1 = assemble(terms1, vertices, edges, RANKS.__getitem__, induction_matrix)
     psi2 = assemble(terms2, edges, faces, RANKS.__getitem__, induction_matrix)
-    if any(_matmul(psi1, psi2)):
-        raise AssertionError("orientation bookkeeping broke psi1 @ psi2 = 0")
-    return BredonComplex(vertices, edges, faces, psi1, psi2, terms1, terms2)
+    total = IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), len(faces)))
+    return BredonComplex(vertices, edges, faces, total, terms1, terms2)
 
 
 @dataclass(frozen=True)
@@ -434,7 +440,6 @@ def bredon_homology_formula(census: SubgroupCensus) -> dict[str, AbelianGroup]:
     """The displayed closed forms for the torsion blocks: the 2-block has
     H0 = Z^z2 + (Z/2)^(d2/2), H1 = Z^o2; the 3-block has H0 = H1 =
     Z^(2 o3 + iota3)."""
-    census.validate()
     three = AbelianGroup(2 * census.o3 + census.iota3)
     return {
         "H0_2block": AbelianGroup(census.z2, (2,) * (census.d2 // 2)),
@@ -449,7 +454,6 @@ def k_homology(census: SubgroupCensus, h1_orbit: AbelianGroup,
     """Equivariant K-homology in degrees 0 and 1 from the census, the
     orbit-space H1 and its second Betti number (the classifying space is
     assumed at most 2-dimensional, where the spectral sequence collapses)."""
-    census.validate()
     if beta2 < 0:
         raise ValueError("beta2 must be non-negative")
     k0 = AbelianGroup(1 + beta2 + census.z2 + 2 * census.o3 + census.iota3,
@@ -466,7 +470,6 @@ def chen_ruan_dims(census: SubgroupCensus, quotient_dims: dict[int, int],
     Complexified: sectors add in degrees 2 and 3.  Real: each edge-type
     sector adds a point contribution (degree 0) and each circle-type
     sector a circle contribution (degrees 0 and 1)."""
-    census.validate()
     for d, v in quotient_dims.items():
         if not _is_int(d) or d < 0:
             raise ValueError(f"quotient degree {d!r} is not a non-negative integer")

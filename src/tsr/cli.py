@@ -17,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .complexes import (_is_int, classify_component, connected_components,
-                        parse_complex, serialize_complex, torsion_subcomplex)
+from .complexes import (classify_component, connected_components, parse_complex,
+                        serialize_complex, torsion_subcomplex)
 
 
 class CliError(Exception):
@@ -82,14 +82,6 @@ def _json_option(text: str, flag: str):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid {flag} JSON: {exc.msg}")
-
-
-def _check_dims(labelled) -> None:
-    """Each (label, value) pair must carry a dimension: a non-negative
-    integer."""
-    for label, val in labelled:
-        if not _is_int(val) or val < 0:
-            raise CliError(f"{label} must be a non-negative integer, got {json.dumps(val)}")
 
 
 def _emit_json(doc) -> None:
@@ -242,7 +234,6 @@ def _cmd_e2page(args) -> int:
     unknown = sorted(set(xs_rows) - set(defaults))
     if unknown:
         raise CliError(f"--xs-rows: unknown keys {unknown}")
-    _check_dims((f"--xs-rows: {k}", v) for k, v in xs_rows.items())
     defaults.update(xs_rows)
     page = e2_page(census, args.chi_xs, defaults)
     if args.json:

@@ -203,14 +203,15 @@ def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
         a, b = find(inc.face), find(inc.coface)
         if a != b:
             parent[a] = b
-    groups: dict[str, set[str]] = {}
+    # one pass over the cells and one over the incidences, in record order
+    cells: dict[str, list[OrbitCell]] = {}
+    incs: dict[str, list[Incidence]] = {}
     for c in cx.cells:
-        groups.setdefault(find(c.id), set()).add(c.id)
-    comps = []
-    for ids in groups.values():
-        cells = tuple(c for c in cx.cells if c.id in ids)
-        incs = tuple(i for i in cx.incidences if i.face in ids)
-        comps.append(OrbitComplex(cells, incs, cx.rigid))
+        cells.setdefault(find(c.id), []).append(c)
+    for inc in cx.incidences:
+        incs.setdefault(find(inc.face), []).append(inc)
+    comps = [OrbitComplex(tuple(cs), tuple(incs.get(r, ())), cx.rigid)
+             for r, cs in cells.items()]
     comps.sort(key=lambda comp: min(c.id for c in comp.cells))
     return comps
 

@@ -21,7 +21,7 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 
 from ._modp import _check_prime, assemble, rank_mod
-from .complexes import OrbitComplex, _is_int
+from .complexes import OrbitComplex, _is_int, edge_end_assignments
 
 
 class CensusError(ValueError):
@@ -227,7 +227,9 @@ _CENSUS_ALIASES = {
 class SubgroupCensus:
     """Counts of conjugacy classes of finite subgroups, by type, plus the
     Betti data of the orbit space.  Missing fields default to zero; the
-    counts are inputs here, never computed from number fields."""
+    counts are inputs here, never computed from number fields.  A census
+    is validated when it is built, so an inconsistent one raises
+    CensusError and never reaches a formula."""
 
     lambda4: int = 0
     lambda4star: int = 0
@@ -242,6 +244,9 @@ class SubgroupCensus:
     c: int = 0
     beta1: int = 0
     beta2: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     @property
     def o2(self) -> int:
@@ -280,7 +285,7 @@ class SubgroupCensus:
             if name in fields:
                 raise CensusError(f"duplicate census field {key!r}")
             fields[name] = val
-        return SubgroupCensus(**fields).validate()
+        return SubgroupCensus(**fields)
 
 
 def _validated_expansion(series: RationalSeries, what: str, degree: int = 20) -> None:
@@ -294,7 +299,6 @@ def _validated_expansion(series: RationalSeries, what: str, degree: int = 20) ->
 def poincare_2torsion(census: SubgroupCensus) -> RationalSeries:
     """Generating function of the mod-2 homology dimensions above the vcd:
     the circle / D2-excess / A4-excess combination weighted by the census."""
-    census.validate()
     s = canonical_series(SERIES_CIRCLE).scale(
         Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2))
     s = s + canonical_series(SERIES_D2STAR).scale(census.mu2 - census.muT)
@@ -305,7 +309,6 @@ def poincare_2torsion(census: SubgroupCensus) -> RationalSeries:
 
 def poincare_3torsion(census: SubgroupCensus) -> RationalSeries:
     """Mod-3 counterpart: circles plus single edges, weighted by the census."""
-    census.validate()
     s = canonical_series(SERIES_CIRCLE).scale(
         Fraction(census.lambda6) - Fraction(census.mu3, 2))
     s = s + canonical_series(SERIES_EDGE3).scale(Fraction(census.mu3, 2))
@@ -378,8 +381,6 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     degree by degree from the vertex-to-edge restriction maps:
     dim H^q = dim ker(alpha_q) + dim coker(alpha_{q-1}) for the map
     alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e)."""
-    from .complexes import edge_end_assignments
-
     if cx.dimension > 1:
         raise ValueError("oracle requires a complex of dimension <= 1")
     for c in cx.cells:
@@ -496,6 +497,9 @@ def e2_page(census: SubgroupCensus, chi_xs: int, xs_rows: dict) -> E2Page:
     missing = required - set(xs_rows)
     if missing:
         raise ValueError(f"missing xs_rows entries: {sorted(missing)}")
+    for name, val in xs_rows.items():
+        if not _is_int(val) or val < 0:
+            raise ValueError(f"xs_rows entry {name} = {val!r} is not a non-negative integer")
     v, c = census.v, census.c
     b1, b2 = census.beta1, census.beta2
     sign_v = 0 if v == 0 else 1

@@ -276,6 +276,20 @@ def test_homology_rejects_rows_outside_dims(psi1, psi2):
         homology(IntegerChainComplex(psi1, psi2, (2, 2, 1)))
 
 
+def test_chain_complex_checks_itself_when_built():
+    with pytest.raises(ValueError, match="not a chain complex"):
+        IntegerChainComplex([{0: 1}, {1: 1}], [{0: 1}, {}], (2, 2, 1))
+
+
+@pytest.mark.parametrize("psi1, psi2, dims, want", [
+    ([[2]], [[]], (1, 1, 0), ["Z/2", "0", "0"]),
+    ([[1]], [[0]], (1, 1, 1), ["0", "0", "Z"]),
+])
+def test_homology_reads_dense_rows(psi1, psi2, dims, want):
+    # a dense row's entries are entries, not column indices
+    assert [str(h) for h in homology(IntegerChainComplex(psi1, psi2, dims))] == want
+
+
 def test_homology_of_trivial_complex():
     chain = IntegerChainComplex(np.zeros((0, 0), dtype=int),
                                 np.zeros((0, 0), dtype=int), (0, 0, 0))
@@ -548,3 +562,22 @@ def test_lone_two_cell():
     bc = bredon_complex(OrbitComplex((OrbitCell("f", 2, "C1"),), ()))
     assert bc.chain().dims == (0, 0, 1)
     assert [str(h) for h in homology(bc.chain())] == ["0", "0", "Z"]
+
+
+def test_bredon_total_is_built_once():
+    bc = bredon_complex(load("graphfive"))
+    assert bc.chain() is bc.chain()
+
+
+def test_bredon_command_checks_each_complex_once(monkeypatch, capsys):
+    # one product per built complex: the total and its three blocks
+    calls, matmul = [], tsr.bredon._matmul
+
+    def counting(a, b):
+        calls.append(1)
+        return matmul(a, b)
+
+    monkeypatch.setattr(tsr.bredon, "_matmul", counting)
+    assert main(["bredon", "--input", "graphfive.json"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 4

@@ -1,5 +1,6 @@
 """Tests for the orbit complex model, file format and classification."""
 
+import random
 from pathlib import Path
 
 import pytest
@@ -150,6 +151,48 @@ def test_connected_components_two_loops():
     comps = connected_components(OrbitComplex(cells, incs))
     assert len(comps) == 2
     assert sum(len(c.cells) for c in comps) == 4
+
+
+def _components_by_rescan(cx):
+    """The partition read off one rescan of all records per component."""
+    parent = {c.id: c.id for c in cx.cells}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for inc in cx.incidences:
+        parent[find(inc.face)] = find(inc.coface)
+    groups = {}
+    for c in cx.cells:
+        groups.setdefault(find(c.id), set()).add(c.id)
+    comps = [OrbitComplex(tuple(c for c in cx.cells if c.id in ids),
+                          tuple(i for i in cx.incidences if i.face in ids), cx.rigid)
+             for ids in groups.values()]
+    return sorted(comps, key=lambda comp: min(c.id for c in comp.cells))
+
+
+def _random_graph(rng):
+    ids = rng.sample(range(1000), 60)
+    cells, incs = [], []
+    for _ in range(rng.randint(1, 8)):
+        verts = [f"v{ids.pop()}" for _ in range(rng.randint(1, 3))]
+        cells += [OrbitCell(v, 0, "C2") for v in verts]
+        for _ in range(rng.randint(0, 3)):
+            e, (a, b) = f"e{ids.pop()}", (rng.choice(verts), rng.choice(verts))
+            cells.append(OrbitCell(e, 1, "C2"))
+            incs += [Incidence(a, e, 2)] if a == b else [Incidence(a, e), Incidence(b, e)]
+    rng.shuffle(cells)
+    rng.shuffle(incs)
+    return OrbitComplex(tuple(cells), tuple(incs))
+
+
+def test_connected_components_match_rescan():
+    rng = random.Random(20261018)
+    for _ in range(200):
+        cx = _random_graph(rng)
+        assert connected_components(cx) == _components_by_rescan(cx)
 
 
 def test_sl3_two_subcomplex_connected():

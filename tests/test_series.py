@@ -132,6 +132,12 @@ def test_census_invariants():
         SubgroupCensus(d2=1).validate()
 
 
+@pytest.mark.parametrize("fields", [{"d2": 1}, {"beta2": -1}, {"beta2": -1, "c": True}])
+def test_census_is_validated_when_built(fields):
+    with pytest.raises(CensusError):
+        SubgroupCensus(**fields)
+
+
 def test_poincare_2torsion_circle_case():
     s = poincare_2torsion(SubgroupCensus(lambda4=1))
     assert s == canonical_series("Circle")
@@ -435,6 +441,14 @@ def test_e2_page_assembly():
         e2_page(SubgroupCensus(), 0, zeros)
     with pytest.raises(ValueError, match="missing"):
         e2_page(SubgroupCensus(), 1, {})
+
+
+@pytest.mark.parametrize("key, val", [("E11", 0.5), ("E03", "x"), ("E01", -1),
+                                      ("H2Xsprime", True)])
+def test_e2_page_rejects_non_dimension_rows(key, val):
+    rows = {"E01": 0, "E11": 0, "E03": 0, "E13": 0, "H2Xsprime": 0, key: val}
+    with pytest.raises(ValueError, match=f"xs_rows entry {key}"):
+        e2_page(SubgroupCensus(), 1, rows)
 
 
 def test_farrell_tate_examples():
