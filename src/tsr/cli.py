@@ -58,7 +58,7 @@ def _load_census(args):
     text = args.census
     if text is None:
         raise CliError("--census is required for this command")
-    if not text.lstrip().startswith("{"):
+    if not text.lstrip().startswith(("{", "[")):  # a path, not inline JSON
         path = Path(text)
         if not path.is_file():
             raise CliError(f"census file not found: {text}")
@@ -121,12 +121,12 @@ def _cmd_reduce(args) -> int:
     from .reduction import reduce_complex, replay
     cx = _load_complex(args)
     reduced, log = reduce_complex(cx, args.prime)
-    replayed = replay(cx, log, args.prime)
-    if serialize_complex(replayed) != serialize_complex(reduced):
+    text = serialize_complex(reduced)
+    if serialize_complex(replay(cx, log, args.prime)) != text:
         raise AssertionError("reduction log replay diverged from the fixpoint")
     if args.json:
         _emit_json({
-            "complex": json.loads(serialize_complex(reduced)),
+            "complex": json.loads(text),
             "moves": [json.loads(m.to_json()) for m in log.moves],
         })
     else:
@@ -134,7 +134,7 @@ def _cmd_reduce(args) -> int:
         for move in log.moves:
             print(move.to_json())
         print("log verified")
-        sys.stdout.write(serialize_complex(reduced))
+        sys.stdout.write(text)
     return 0
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+from ._modp import _check_prime
+
 #: Catalog tags and their group orders.  D2 is the Klein four-group.
 TAG_ORDERS = {
     "C1": 1, "C2": 2, "C3": 3, "C4": 4, "C6": 6,
@@ -50,44 +52,81 @@ COMPONENT_GRAPH_TWO = "GraphTwo"
 COMPONENT_OTHER = "Other"
 
 
+class _Index:
+    """Cells by id, and each cell's faces and cofaces in incidence order,
+    built in the pass that checks the records.  Cofaces are {coface id:
+    Incidence}, so drop() removes one in O(1) at a vertex of any degree;
+    faces stay a list, as a move drops a cell's cofaces with it.
+    OrbitComplex answers from one; the reduction moves edit a copy."""
+
+    def __init__(self, cx: OrbitComplex):
+        self.rigid, self.cells, self.incidences = cx.rigid, {}, []
+        self._faces, self._cofaces = {}, {}  # id -> [Incidence], {id: Incidence}
+        self.add(cx.cells, cx.incidences)
+
+    def cell(self, cell_id: str) -> OrbitCell:
+        return self.cells[cell_id]
+
+    def faces(self, cell_id: str):
+        return self._faces.get(cell_id, [])
+
+    def cofaces(self, cell_id: str):
+        return self._cofaces.get(cell_id, {}).values()
+
+    def add(self, cells, incidences) -> None:
+        """Check new cells and incidences as OrbitComplex does; append them."""
+        count = len(self.cells) + len(cells)
+        self.cells.update((c.id, c) for c in cells)
+        if len(self.cells) != count:
+            raise ComplexSchemaError("duplicate cell ids")
+        if len({(i.face, i.coface) for i in incidences}) != len(incidences):
+            raise ComplexSchemaError(
+                "duplicate incidence records (use multiplicity instead)")
+        for inc in incidences:
+            face, coface = self.cells.get(inc.face), self.cells.get(inc.coface)
+            if face is None:
+                raise ComplexSchemaError(f"unknown face {inc.face!r}")
+            if coface is None:
+                raise ComplexSchemaError(f"unknown coface {inc.coface!r}")
+            if coface.dim != face.dim + 1:
+                raise ComplexSchemaError(
+                    f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
+            if inc.multiplicity < 1:
+                raise ComplexSchemaError("multiplicity must be >= 1")
+            self._faces.setdefault(inc.coface, []).append(inc)
+            self._cofaces.setdefault(inc.face, {})[inc.coface] = inc
+        self.incidences += incidences
+
+    def drop(self, cell_id: str) -> None:
+        """Remove a cell with every incidence it takes part in."""
+        del self.cells[cell_id]
+        for inc in self._faces.pop(cell_id, ()):
+            del self._cofaces[inc.face][cell_id]
+        for inc in self._cofaces.pop(cell_id, {}).values():
+            self._faces[inc.coface].remove(inc)
+
+    def freeze(self) -> OrbitComplex:
+        """The cells and the incidences left, in record order, as an
+        OrbitComplex, which validates them."""
+        live = {id(i) for incs in self._faces.values() for i in incs}
+        return OrbitComplex(tuple(self.cells.values()), tuple(
+            i for i in self.incidences if id(i) in live), self.rigid)
+
+
 @dataclass(frozen=True)
 class OrbitComplex:
+    """Cell and incidence records, checked when built by the _Index that
+    cell(), faces() and cofaces() read; the last two return new lists."""
+
     cells: tuple[OrbitCell, ...]
     incidences: tuple[Incidence, ...]
     rigid: bool = True
 
     def __post_init__(self):
-        ids = [c.id for c in self.cells]
-        if len(set(ids)) != len(ids):
-            raise ComplexSchemaError("duplicate cell ids")
-        by_id = {c.id: c for c in self.cells}
-        pairs = [(i.face, i.coface) for i in self.incidences]
-        if len(set(pairs)) != len(pairs):
-            raise ComplexSchemaError(
-                "duplicate incidence records (use multiplicity instead)")
-        # each cell's faces and cofaces in incidence order (no entry when
-        # there are none); faces() and cofaces() hand these lists out, so
-        # callers read them and do not mutate them
-        faces: dict[str, list[Incidence]] = {}
-        cofaces: dict[str, list[Incidence]] = {}
-        for inc in self.incidences:
-            if inc.face not in by_id:
-                raise ComplexSchemaError(f"unknown face {inc.face!r}")
-            if inc.coface not in by_id:
-                raise ComplexSchemaError(f"unknown coface {inc.coface!r}")
-            if by_id[inc.coface].dim != by_id[inc.face].dim + 1:
-                raise ComplexSchemaError(
-                    f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
-            if inc.multiplicity < 1:
-                raise ComplexSchemaError("multiplicity must be >= 1")
-            faces.setdefault(inc.coface, []).append(inc)
-            cofaces.setdefault(inc.face, []).append(inc)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_faces", faces)
-        object.__setattr__(self, "_cofaces", cofaces)
+        object.__setattr__(self, "_index", _Index(self))
 
     def cell(self, cell_id: str) -> OrbitCell:
-        return self._by_id[cell_id]
+        return self._index.cells[cell_id]
 
     @property
     def dimension(self) -> int:
@@ -97,67 +136,66 @@ class OrbitComplex:
         return [c for c in self.cells if c.dim == d]
 
     def cofaces(self, cell_id: str) -> list[Incidence]:
-        return self._cofaces.get(cell_id, [])
+        return list(self._index.cofaces(cell_id))
 
     def faces(self, cell_id: str) -> list[Incidence]:
-        return self._faces.get(cell_id, [])
-
-
-def _require(cond: bool, message: str, path: str):
-    if not cond:
-        raise ComplexSchemaError(message, path)
+        return list(self._index.faces(cell_id))
 
 
 def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)  # JSON true is no integer
 
 
+def _record_problem(raw, kind: str) -> str | None:
+    """The first check a cell or an incidence record fails, or None."""
+    if not isinstance(raw, dict):
+        return f"{kind} must be an object"
+    keys = ({"id", "dim", "stabilizer", "self_identified"} if kind == "cell"
+            else {"face", "coface", "multiplicity"})
+    if extra := raw.keys() - keys:
+        return f"unknown keys {sorted(extra)}"
+    if kind == "incidence":
+        for end in ("face", "coface"):
+            if not isinstance(raw.get(end), str):
+                return f"{end} must be a string"
+        mult = raw.get("multiplicity", 1)
+        return None if _is_int(mult) and mult >= 1 else "multiplicity must be a positive integer"
+    if not (isinstance(raw.get("id"), str) and raw["id"]):
+        return "id must be a string"
+    if not (_is_int(raw.get("dim")) and raw["dim"] >= 0):
+        return "dim must be a non-negative integer"
+    if not (isinstance(raw.get("stabilizer"), str) and raw["stabilizer"] in TAG_ORDERS):
+        return f"stabilizer must be one of {sorted(TAG_ORDERS)}"
+    if not isinstance(raw.get("self_identified"), bool):
+        return "self_identified must be a boolean"
+    return None
+
+
 def parse_complex(text: str) -> OrbitComplex:
-    """Parse the JSON document format; schema errors carry a field path."""
+    """Parse the JSON document format; schema errors carry a field path.
+    Messages and paths are formatted only for a check that fails."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ComplexSchemaError(f"invalid JSON (line {exc.lineno}): {exc.msg}")
-    _require(isinstance(doc, dict), "document must be an object", "$")
-    extra = set(doc) - {"rigid", "cells", "incidences"}
-    _require(not extra, f"unknown keys {sorted(extra)}", "$")
-    _require(isinstance(doc.get("rigid"), bool), "rigid must be a boolean", "$.rigid")
-    _require(isinstance(doc.get("cells"), list), "cells must be a list", "$.cells")
-    _require(isinstance(doc.get("incidences"), list),
-             "incidences must be a list", "$.incidences")
-    cells = []
-    for k, raw in enumerate(doc["cells"]):
-        path = f"$.cells[{k}]"
-        _require(isinstance(raw, dict), "cell must be an object", path)
-        extra = set(raw) - {"id", "dim", "stabilizer", "self_identified"}
-        _require(not extra, f"unknown keys {sorted(extra)}", path)
-        _require(isinstance(raw.get("id"), str) and raw["id"], "id must be a string", path)
-        _require(_is_int(raw.get("dim")) and raw["dim"] >= 0,
-                 "dim must be a non-negative integer", path)
-        _require(raw.get("stabilizer") in TAG_ORDERS,
-                 f"stabilizer must be one of {sorted(TAG_ORDERS)}", path)
-        _require(isinstance(raw.get("self_identified"), bool),
-                 "self_identified must be a boolean", path)
-        cells.append(OrbitCell(raw["id"], raw["dim"], raw["stabilizer"],
-                               raw["self_identified"]))
-    incs = []
-    for k, raw in enumerate(doc["incidences"]):
-        path = f"$.incidences[{k}]"
-        _require(isinstance(raw, dict), "incidence must be an object", path)
-        extra = set(raw) - {"face", "coface", "multiplicity"}
-        _require(not extra, f"unknown keys {sorted(extra)}", path)
-        _require(isinstance(raw.get("face"), str), "face must be a string", path)
-        _require(isinstance(raw.get("coface"), str), "coface must be a string", path)
-        mult = raw.get("multiplicity", 1)
-        _require(_is_int(mult) and mult >= 1,
-                 "multiplicity must be a positive integer", path)
-        incs.append(Incidence(raw["face"], raw["coface"], mult))
-    try:
-        return OrbitComplex(tuple(cells), tuple(incs), doc["rigid"])
-    except ComplexSchemaError:
-        raise
-    except ValueError as exc:
-        raise ComplexSchemaError(str(exc))
+    if not isinstance(doc, dict):
+        raise ComplexSchemaError("document must be an object", "$")
+    if extra := doc.keys() - {"rigid", "cells", "incidences"}:
+        raise ComplexSchemaError(f"unknown keys {sorted(extra)}", "$")
+    if not isinstance(doc.get("rigid"), bool):
+        raise ComplexSchemaError("rigid must be a boolean", "$.rigid")
+    for key in ("cells", "incidences"):
+        if not isinstance(doc.get(key), list):
+            raise ComplexSchemaError(f"{key} must be a list", f"$.{key}")
+    for kind in ("cell", "incidence"):
+        for k, raw in enumerate(doc[kind + "s"]):
+            if (problem := _record_problem(raw, kind)) is not None:
+                raise ComplexSchemaError(problem, f"$.{kind}s[{k}]")
+    return OrbitComplex(
+        tuple(OrbitCell(r["id"], r["dim"], r["stabilizer"], r["self_identified"])
+              for r in doc["cells"]),
+        tuple(Incidence(r["face"], r["coface"], r.get("multiplicity", 1))
+              for r in doc["incidences"]), doc["rigid"])
 
 
 def serialize_complex(cx: OrbitComplex) -> str:
@@ -182,6 +220,7 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
     """Cells whose stabilizer order is divisible by ell (equivalently, by
     Cauchy's theorem, whose stabilizer contains an element of order ell),
     with incidences restricted accordingly."""
+    _check_prime(ell)
     if not cx.rigid:
         raise ValueError("torsion subcomplex extraction requires a rigid complex")
     keep = {c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell == 0}

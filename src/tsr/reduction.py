@@ -8,21 +8,24 @@ one of the three clauses of the practical isomorphism criterion
 under the same stabilizer criterion.  Condition B' is read from a
 pinned table over the stabilizer catalog; the exhaustive three-clause
 search it was generated from, ``groups.condition_B_prime_search``, is
-its oracle and is not imported here.  The reduction loop applies these
-moves deterministically until none applies.  The moves edit a private
-index of the complex in place, a worklist re-examines only the cells a
-move touched, and the result is frozen into an OrbitComplex once.
+its oracle and is not imported here.  ``_move_at`` alone reads these
+rules: it returns the move a cell starts, or the first check it fails.
+The reduction loop applies its moves deterministically until none
+applies, editing a copy of the complex's index (``complexes._Index``) in
+place; a worklist re-examines only the cells a move touched, and the
+result is frozen into an OrbitComplex once.  ``replay`` and the public
+moves make an edit only where ``_move_at`` finds the same move.
 """
 
 from __future__ import annotations
 
 import heapq
 import json
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from ._modp import _check_prime
-from .complexes import TAG_ORDERS, Incidence, OrbitCell, OrbitComplex, torsion_subcomplex
+from .complexes import (TAG_ORDERS, Incidence, OrbitCell, OrbitComplex, _Index,
+                        torsion_subcomplex)
 
 B_PRIME_1 = "B'(1)"
 
@@ -109,48 +112,6 @@ def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | Non
 # Condition A and the moves
 
 
-class _Index:
-    """A mutable copy of a complex that the moves edit in place: its cells
-    and incidences in record order, and each cell's faces and cofaces as
-    {id: Incidence}, read through the lookups OrbitComplex offers."""
-
-    def __init__(self, cx: OrbitComplex):
-        self.rigid, self.cells, self.incidences = cx.rigid, {}, {}
-        self._faces: defaultdict[str, dict[str, Incidence]] = defaultdict(dict)
-        self._cofaces: defaultdict[str, dict[str, Incidence]] = defaultdict(dict)
-        self.add(cx.cells, cx.incidences)
-
-    def cell(self, cell_id: str) -> OrbitCell:
-        return self.cells[cell_id]
-
-    def faces(self, cell_id: str):
-        return self._faces[cell_id].values()
-
-    def cofaces(self, cell_id: str):
-        return self._cofaces[cell_id].values()
-
-    def add(self, cells, incidences) -> None:
-        """Append cells and incidences to the records."""
-        self.cells.update((c.id, c) for c in cells)
-        for inc in incidences:
-            self.incidences[inc.face, inc.coface] = inc
-            self._faces[inc.coface][inc.face] = inc
-            self._cofaces[inc.face][inc.coface] = inc
-
-    def drop(self, cell_id: str) -> None:
-        """Remove a cell with every incidence it takes part in."""
-        del self.cells[cell_id]
-        for face in self._faces.pop(cell_id, ()):
-            del self._cofaces[face][cell_id], self.incidences[face, cell_id]
-        for coface in self._cofaces.pop(cell_id, ()):
-            del self._faces[coface][cell_id], self.incidences[cell_id, coface]
-
-    def freeze(self) -> OrbitComplex:
-        """The records as an OrbitComplex, which validates them."""
-        return OrbitComplex(tuple(self.cells.values()),
-                            tuple(self.incidences.values()), self.rigid)
-
-
 def _touched_by_higher(cx: OrbitComplex, sigma: str) -> bool:
     # "no higher-dimensional cells touch sigma" read as: no cell of
     # dimension >= dim(sigma) + 2 upward-incident to sigma; every
@@ -196,44 +157,56 @@ def find_terminal_cells(cx: OrbitComplex) -> list[tuple[str, str]]:
             if (tau := _terminal_coface(cx, c.id)) is not None]
 
 
-def _merge(ix: _Index, sigma: str, tau1: str, tau2: str) -> str:
-    """The edit of a merge, shared by _apply and scripted_merge, which
-    check the triple first; returns the id of the merged cell."""
+def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | str:
+    """The cut of sigma's terminal pair or the merge of its two cofaces
+    under condition A, if it passes B'; else the first check it fails."""
+    if kind == "cut":
+        taus = (_terminal_coface(ix, sigma),)
+        if taus[0] is None:
+            return "not a terminal pair"
+    else:
+        taus = tuple(sorted(i.coface for i in ix.cofaces(sigma)))
+        if len(taus) != 2 or not check_condition_A(ix, sigma, *taus):
+            return "condition A fails"
+    clause = check_condition_B_prime(ix.cell(sigma).stabilizer,
+                                     ix.cell(taus[0]).stabilizer, ell)
+    return Move(kind, sigma, taus, clause) if clause else "condition B' fails"
+
+
+def _edit(ix: _Index, move: Move) -> str | None:
+    """Make the edit of a move, unchecked; a merge's new cell, whose id it
+    returns, is named after its first tau."""
+    sigma, taus = move.sigma, move.taus
+    if move.kind == "cut":
+        ix.drop(sigma)
+        ix.drop(taus[0])
+        return None
     boundary: dict[str, int] = {}
-    for tau in (tau1, tau2):
+    for tau in taus:
         for inc in ix.faces(tau):
             if inc.face != sigma:
                 boundary[inc.face] = boundary.get(inc.face, 0) + inc.multiplicity
-    t1 = ix.cell(tau1)
-    merged_id = tau1 + "+"
+    t1 = ix.cell(taus[0])
+    merged_id = t1.id + "+"
     while merged_id in ix.cells:
         merged_id += "+"
-    for cid in (sigma, tau1, tau2):
+    for cid in (sigma, *taus):
         ix.drop(cid)
     ix.add([OrbitCell(merged_id, t1.dim, t1.stabilizer, False)],
            [Incidence(face, merged_id, mult) for face, mult in sorted(boundary.items())])
     return merged_id
 
 
-def _apply(ix: _Index, move: Move, ell: int) -> str | None:
-    """Check a move on the index (the terminal pair or condition A, then
-    B') and make its edit; returns a merge's new cell id.  Reads the
-    move's kind, sigma and taus, not its recorded clause or id."""
-    if move.kind not in ("cut", "merge"):
-        raise ValueError(f"unknown move kind {move.kind!r}")
-    sigma, tau = move.sigma, move.taus[0]
-    if move.kind == "cut" and _terminal_coface(ix, sigma) != tau:
-        raise ValueError(f"({sigma}, {tau}) is not a terminal pair")
-    if move.kind == "merge" and not check_condition_A(ix, sigma, *move.taus):
-        raise ValueError("condition A fails for the merge candidate")
-    if check_condition_B_prime(ix.cell(sigma).stabilizer, ix.cell(tau).stabilizer, ell) is None:
-        what = "the cut" if move.kind == "cut" else "the merge candidate"
-        raise ValueError(f"condition B' fails for {what}")
-    if move.kind == "merge":
-        return _merge(ix, sigma, *move.taus)
-    ix.drop(sigma)
-    ix.drop(tau)
-    return None
+def _apply(ix: _Index, move: Move, ell: int) -> None:
+    """Make the edit of a move if _move_at finds one of its kind at its
+    sigma with the same taus, in any order; its clause is not read."""
+    found = (_move_at(ix, move.kind, move.sigma, ell) if move.kind in ("cut", "merge")
+             else "unknown move kind")
+    if isinstance(found, Move) and set(found.taus) != set(move.taus):
+        found = f"its top cells are {list(found.taus)}"
+    if isinstance(found, str):
+        raise ValueError(f"{move.kind} at {move.sigma!r}: {found}")
+    _edit(ix, move)
 
 
 def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
@@ -261,21 +234,8 @@ def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitC
     if not _bounds_exactly(cx, sigma, tau1, tau2):
         raise ValueError("sigma must bound exactly tau1 and tau2")
     ix = _Index(cx)
-    _merge(ix, sigma, tau1, tau2)
+    _edit(ix, Move("merge", sigma, (tau1, tau2), ""))
     return ix.freeze()
-
-
-def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | None:
-    """The move of this kind that sigma starts, or None."""
-    if kind == "cut":
-        taus = (_terminal_coface(ix, sigma),)
-        shape = taus[0] is not None
-    else:
-        taus = tuple(sorted(i.coface for i in ix.cofaces(sigma)))
-        shape = len(taus) == 2 and check_condition_A(ix, sigma, *taus)
-    clause = shape and check_condition_B_prime(ix.cell(sigma).stabilizer,
-                                               ix.cell(taus[0]).stabilizer, ell)
-    return Move(kind, sigma, taus, clause) if clause else None
 
 
 def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionLog]:
@@ -295,14 +255,14 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
     while heap:
         kind, _, sigma = heap[0]
         move = _move_at(ix, kind, sigma, ell)
-        if move is None:
+        if isinstance(move, str):
             heapq.heappop(heap)
             continue
         # whether a cell starts a move reads only its cofaces and theirs, so a
         # move can change that only for the faces of removed cells and theirs
         near = {i.face for cid in (sigma, *move.taus) for i in ix.faces(cid)}
         near |= {i.face for cid in near for i in ix.faces(cid)}
-        moves.append(replace(move, merged=_apply(ix, move, ell)))
+        moves.append(replace(move, merged=_edit(ix, move)))
         for cid in near & ix.cells.keys():
             for kind in ("cut", "merge"):
                 heapq.heappush(heap, (kind, ix.cells[cid].dim, cid))

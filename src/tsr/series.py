@@ -381,6 +381,7 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     degree by degree from the vertex-to-edge restriction maps:
     dim H^q = dim ker(alpha_q) + dim coker(alpha_{q-1}) for the map
     alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e)."""
+    _check_prime(ell)
     if cx.dimension > 1:
         raise ValueError("oracle requires a complex of dimension <= 1")
     for c in cx.cells:

@@ -1,5 +1,7 @@
 """CLI behaviour: commands, exit codes, determinism, JSON round trips."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsr.cli import main
 from tsr.complexes import parse_complex
+from tsr.series import SubgroupCensus
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -155,13 +160,15 @@ def test_e2page():
     ["chenruan", "--quotient-dims", '{"0": 1, "0": 2}'],
     ["chenruan", "--quotient-dims", '{"\u0663": 1}'],
     ["chenruan", "--quotient-dims", '{"\uff11": 1}'],
+    ["poincare", "--prime", "2", "--census", "[1]"],
 ])
 def test_malformed_json_option_exits_one(argv):
-    code, out, err = run_cli(*argv, "--census", '{"lambda4":1}')
+    # a --census in argv comes later, so it replaces the valid one
+    code, out, err = run_cli(argv[0], "--census", '{"lambda4":1}', *argv[1:])
     lines = err.decode().splitlines()
     assert code == 1, err.decode()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
-    assert b"Traceback" not in err and out == b""
+    assert b"Traceback" not in err and b"not found" not in err and out == b""
 
 
 @pytest.mark.parametrize("inline", [True, False])
@@ -307,3 +314,103 @@ def test_bredon_import_loads_no_fractions():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# --------------------------------------------------------------------------
+# Fuzzing main() in process
+
+FIXTURE_DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
+CENSUS_FIELDS = list(SubgroupCensus.__dataclass_fields__)
+#: Values a mutated field or a census entry may take: wrong types, small
+#: integers of either sign, catalog tags and unknown strings.
+JUNK = st.sampled_from([None, True, False, -1, 0, 1, 2, 3, 1.5, [], {}, [1],
+                        "C1", "C2", "C3", "D2", "D3", "A4", "S4", "X", ""])
+
+
+@st.composite
+def mutated_documents(draw):
+    """A bundled fixture with at most one field of the document, of a
+    cell or of an incidence dropped, set to junk or to another cell's id."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(FIXTURE_DOCS))))
+    part = draw(st.sampled_from(("cells", "incidences", "document")))
+    record = doc if part == "document" or not doc[part] else draw(st.sampled_from(doc[part]))
+    key = draw(st.sampled_from(sorted(record) + ["extra"]))
+    action = draw(st.sampled_from(("junk", "drop", "id", "keep")))
+    if action == "drop":
+        record.pop(key, None)
+    elif action == "junk":
+        record[key] = draw(JUNK)
+    elif action == "id":
+        record[key] = draw(st.sampled_from([c["id"] for c in doc["cells"]] or [""]))
+    return json.dumps(doc)
+
+
+def json_options():
+    """Inline JSON option strings: objects, lists and scalars of junk,
+    with census field names as keys, and text that is no JSON."""
+    keys = st.sampled_from(CENSUS_FIELDS + ["E01", "E11", "E03", "E13", "H2Xsprime",
+                                            "0", "1", "2", "x", "λ6", "μ3"])
+    docs = st.one_of(st.dictionaries(keys, JUNK, max_size=4), st.lists(JUNK, max_size=3), JUNK)
+    return st.one_of(docs.map(json.dumps), st.sampled_from(["", "{", "[1", "nope"]))
+
+
+@st.composite
+def cli_argvs(draw, path):
+    """argv for one subcommand, with its options drawn from valid and
+    invalid values, at times with an option left out or one too many."""
+    cmd = draw(st.sampled_from(("validate", "extract", "reduce", "poincare", "bredon",
+                                "khomology", "chenruan", "e2page", "oracle", "classify")))
+    small = st.integers(-3, 12).map(str)
+    options = {"--json": None}
+    if cmd in ("validate", "extract", "reduce", "bredon", "oracle", "classify"):
+        options["--input"] = path
+    if cmd in ("extract", "reduce", "poincare", "oracle", "classify"):
+        options["--prime"] = draw(st.sampled_from(("2", "3", "5", "x"))
+                                  if draw(st.integers(0, 9)) == 9 else st.sampled_from(("2", "3")))
+    if cmd in ("poincare", "khomology", "chenruan", "e2page"):
+        census = st.dictionaries(st.sampled_from(CENSUS_FIELDS), st.integers(0, 3), max_size=5)
+        options["--census"] = draw(st.one_of(census.map(json.dumps), json_options()))
+    if cmd in ("poincare", "oracle"):
+        options["--degrees"] = draw(small)
+    if cmd == "oracle":
+        options["--min-degree"] = draw(small)
+    if cmd == "khomology":
+        options["--h1-free"] = draw(small)
+        options["--h1-torsion"] = draw(st.lists(small, max_size=3).map(",".join))
+    if cmd == "chenruan":
+        options["--quotient-dims"] = draw(json_options())
+        options["--real"] = None
+    if cmd == "e2page":
+        options["--chi-xs"] = draw(small)
+        options["--xs-rows"] = draw(json_options())
+    argv = [cmd]
+    for flag, value in options.items():
+        if draw(st.integers(0, 9)) == 9:  # left out
+            continue
+        if value is None:
+            if draw(st.booleans()):
+                argv.append(flag)
+        else:
+            argv += [flag, value]
+    if draw(st.integers(0, 19)) == 19:
+        argv.append(draw(st.sampled_from(("--wat", "--prime", "--degrees=x"))))
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "input.json"
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_main_exits_with_a_code_and_one_line(fuzz_input, data):
+    # any document, census or flag combination ends with exit code 0, 1
+    # or 2 and at most one line on stderr, and raises nothing
+    fuzz_input.write_text(data.draw(mutated_documents()))
+    argv = data.draw(cli_argvs(str(fuzz_input)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert len(err.getvalue().splitlines()) <= 1, (argv, err.getvalue())

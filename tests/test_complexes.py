@@ -51,6 +51,9 @@ def test_sl3_fixture_contents():
     ('{"rigid": "yes", "cells": [], "incidences": []}', "rigid"),
     ('{"rigid": true, "cells": [{"id": "a", "dim": 0, "stabilizer": "X9", '
      '"self_identified": false}], "incidences": []}', "stabilizer"),
+    # a list is no dict key: it must not raise TypeError
+    ('{"rigid": true, "cells": [{"id": "a", "dim": 0, "stabilizer": [], '
+     '"self_identified": false}], "incidences": []}', "stabilizer must be"),
     ('{"rigid": true, "cells": [{"id": "a", "dim": 0, "stabilizer": "C2", '
      '"self_identified": false}], "incidences": [{"face": "a", "coface": "b"}]}',
      "coface"),

@@ -1,5 +1,6 @@
 """Tests for conditions A and B', the moves, and the reduction fixpoint."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from tsr.complexes import (Incidence, OrbitCell, OrbitComplex,
 from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
                         catalog_group, condition_B_prime_search,
                         mod_ell_homology_bruteforce)
-from tsr.reduction import (MergeCandidate, Move, ReductionLog,
+from tsr.reduction import (MergeCandidate, Move, ReductionLog, apply_move,
                            check_condition_A, check_condition_B_prime, cut,
                            find_terminal_cells, merge, reduce_complex, replay,
                            scripted_merge)
@@ -156,6 +157,13 @@ def test_reduce_rejects_non_prime():
         reduce_complex(load("sl3z_soule.json"), 4)
 
 
+@pytest.mark.parametrize("ell", (0, 4, 6, 9))
+def test_reduce_rejects_non_prime_before_any_candidate(ell):
+    # no cell of this complex starts a move, so no B' check is reached
+    with pytest.raises(ValueError, match="is not prime"):
+        reduce_complex(load("bianchi_edge3.json"), ell)
+
+
 def test_b_prime_soundness_dimension_check():
     # wherever some clause holds, the two stabilizers have equal mod-ell
     # homology dimensions (the assertable shadow of the cohomology iso)
@@ -232,6 +240,23 @@ def test_cut_c2_leaf_removable():
     cx = load("chain_c2_c2_d3.json")
     out = cut(cx, "v1", "e1", 2)
     assert len(out.cells) == 3
+
+
+@pytest.mark.parametrize("name,move", [
+    # N's only coface is f4_PN
+    ("sl3z_intermediate.json", Move("cut", "N", ("f1_OQ",), "")),
+    # u bounds three edges
+    ("graphfive.json", Move("merge", "u", ("a", "b"), "")),
+    ("path_c2_d3_c2.json", Move("merge", "nope", ("e1", "e2"), "")),
+    ("path_c2_d3_c2.json", Move("cut", "nope", ("e1",), "")),
+    ("path_c2_d3_c2.json", Move("merge", "v2", ("e1", "nope"), "")),
+    ("path_c2_d3_c2.json", Move("merge", "v2", ("e1",), "")),
+    ("sl3z_intermediate.json", Move("cut", "N", ("nope",), "")),
+    ("path_c2_d3_c2.json", Move("swap", "v2", ("e1", "e2"), "")),
+])
+def test_forged_move_raises_value_error(name, move):
+    with pytest.raises(ValueError):
+        apply_move(torsion_subcomplex(load(name), 2), move, 2)
 
 
 def test_cut_d2_leaf_not_removable():
@@ -357,6 +382,19 @@ def test_euler_bookkeeping():
             after = [len(state.cells_of_dim(d)) for d in range(3)]
             assert before[sigma_dim] - after[sigma_dim] == 1, move
             assert before[sigma_dim + 1] - after[sigma_dim + 1] == 1, move
+
+
+def test_reduce_checks_b_prime_once_per_candidate(monkeypatch):
+    import tsr.reduction
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return check_condition_B_prime(*args)
+
+    monkeypatch.setattr(tsr.reduction, "check_condition_B_prime", counted)
+    reduce_complex(load("sl3z_soule.json"), 2)
+    assert len(calls) == 11
 
 
 def test_reduce_requires_rigid():
@@ -495,6 +533,26 @@ def test_reduce_matches_reference_search(ell_and_complex):
     ref_reduced, ref_log = reference_reduce(cx, ell)
     assert log == ref_log
     assert serialize_complex(reduced) == serialize_complex(ref_reduced)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_complexes())
+def test_logged_moves_apply_one_at_a_time(ell_and_complex):
+    # each move of the log passes apply_move on the complex it was made
+    # on; a merge given with its taus swapped passes too, and names its
+    # new cell after the tau given first
+    ell, cx = ell_and_complex
+    reduced, log = reduce_complex(cx, ell)
+    state = torsion_subcomplex(cx, ell)
+    for move in log.moves:
+        if move.kind == "merge":
+            swapped = apply_move(state, replace(move, taus=move.taus[::-1]), ell)
+            (new,) = {c.id for c in swapped.cells} - {c.id for c in state.cells}
+            first = move.taus[1]
+            assert new[:len(first)] == first and set(new[len(first):]) == {"+"}, move
+        state = apply_move(state, move, ell)
+    assert serialize_complex(state) == serialize_complex(reduced)
+
 
 
 @st.composite

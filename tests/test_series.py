@@ -231,6 +231,12 @@ def test_oracle_theta_matches_series():
     assert all(dims[q] == coeffs[q] for q in range(3, 11))
 
 
+def test_oracle_rejects_non_prime():
+    # F_4 is no field: a rank over Z/4 is no dimension
+    with pytest.raises(ValueError, match="is not prime"):
+        equivariant_graph_cohomology_oracle(load("bianchi_edge3.json"), 4, range(1, 4))
+
+
 def test_oracle_rejects_unsupported_stabilizer():
     with pytest.raises(ValueError, match="unsupported"):
         equivariant_graph_cohomology_oracle(load("graphtwo.json"), 2, range(3, 4))
