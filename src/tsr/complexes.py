@@ -20,6 +20,19 @@ TAG_ORDERS = {
     "D2": 4, "D3": 6, "D4": 8, "D6": 12, "A4": 12, "S4": 24,
 }
 
+#: The tag of G/O_ell'(G), the quotient of each catalog group G by its
+#: largest normal subgroup of order prime to ell.  Clause B'(1) holds
+#: exactly when these agree, and on the catalog the other two clauses
+#: never hold without it: 64 passing (sigma, tau, ell), 21 at ell = 2 and
+#: 43 at ell = 3.  Every catalog order is 2^a 3^b, so at a prime ell >= 5
+#: every quotient is C1.
+_ELL_QUOTIENT = {
+    2: {"C1": "C1", "C2": "C2", "C3": "C1", "C4": "C4", "C6": "C2", "D2": "D2",
+        "D3": "C2", "D4": "D4", "D6": "D2", "A4": "A4", "S4": "S4"},
+    3: {"C1": "C1", "C2": "C1", "C3": "C3", "C4": "C1", "C6": "C3", "D2": "C1",
+        "D3": "D3", "D4": "C1", "D6": "D3", "A4": "C3", "S4": "D3"},
+}
+
 
 class ComplexSchemaError(ValueError):
     """Raised on malformed complex documents, with a field path."""

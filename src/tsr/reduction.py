@@ -5,13 +5,15 @@ The merge rule applies to a triple (sigma, tau1, tau2) where sigma is an
 tau2 on distinct orbits (condition A), and the stabilizer pair passes
 one of the three clauses of the practical isomorphism criterion
 (condition B').  A terminal cell together with its unique coface is cut
-under the same stabilizer criterion.  Condition B' is read from a
-pinned table over the stabilizer catalog; the exhaustive three-clause
-search it was generated from, ``groups.condition_B_prime_search``, is
-its oracle and is not imported here.  ``_move_at`` alone reads these
-rules: it returns the move a cell starts, or the first check it fails.
-The reduction loop applies its moves deterministically until none
-applies, editing a copy of the complex's index (``complexes._Index``) in
+under the same stabilizer criterion.  Condition B' compares the tags of
+G/O_ell'(G) in the catalog table ``complexes._ELL_QUOTIENT``, which the
+graph oracle reads too; the exhaustive three-clause search it was
+generated from, ``groups.condition_B_prime_search``, is its oracle and
+is not imported here.  ``_rule_failure`` alone states the terminal test
+and condition A, and ``_move_at`` alone decides a move: it returns the
+move a cell starts, or the first check it fails.  The reduction loop
+applies its moves deterministically until none applies, editing the
+index (``complexes._Index``) of the torsion subcomplex it builds in
 place; a worklist re-examines only the cells a move touched, and the
 result is frozen into an OrbitComplex once.  ``replay`` and the public
 moves make an edit only where ``_move_at`` finds the same move.
@@ -24,8 +26,8 @@ import json
 from dataclasses import dataclass, replace
 
 from ._modp import _check_prime
-from .complexes import (TAG_ORDERS, Incidence, OrbitCell, OrbitComplex, _Index,
-                        torsion_subcomplex)
+from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
+                        OrbitComplex, _Index, torsion_subcomplex)
 
 B_PRIME_1 = "B'(1)"
 
@@ -80,20 +82,6 @@ class ReductionLog:
 # Condition B' on stabilizer tags
 
 
-#: The tag of G/O_ell'(G), the quotient of each catalog group G by its
-#: largest normal subgroup of order prime to ell.  Clause B'(1) holds
-#: exactly when these agree, and on the catalog the other two clauses
-#: never hold without it: 64 passing (sigma, tau, ell), 21 at ell = 2 and
-#: 43 at ell = 3.  Every catalog order is 2^a 3^b, so at a prime ell >= 5
-#: every quotient is C1.
-_ELL_QUOTIENT = {
-    2: {"C1": "C1", "C2": "C2", "C3": "C1", "C4": "C4", "C6": "C2", "D2": "D2",
-        "D3": "C2", "D4": "D4", "D6": "D2", "A4": "A4", "S4": "S4"},
-    3: {"C1": "C1", "C2": "C1", "C3": "C3", "C4": "C1", "C6": "C3", "D2": "C1",
-        "D3": "D3", "D4": "C1", "D6": "D3", "A4": "C3", "S4": "D3"},
-}
-
-
 def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | None:
     """First satisfied clause of condition B' for the stabilizer pair
     (boundary cell, top cell), or None: B'(1) when the pinned quotients
@@ -112,62 +100,54 @@ def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | Non
 # Condition A and the moves
 
 
-def _touched_by_higher(cx: OrbitComplex, sigma: str) -> bool:
-    # "no higher-dimensional cells touch sigma" read as: no cell of
-    # dimension >= dim(sigma) + 2 upward-incident to sigma; every
-    # incidence raises the dimension by exactly 1, so that is a coface
-    # of a coface
-    return any(cx.cofaces(inc.coface) for inc in cx.cofaces(sigma))
+def _rule_failure(ix: _Index | OrbitComplex, kind: str, sigma: str) -> str | None:
+    """Why sigma starts no cut (the terminal test) or no merge (condition
+    A), or None, from one read of its cofaces; B' is not read."""
+    cofs = ix.cofaces(sigma)
+    # "no higher-dimensional cells touch sigma" read as: no coface has a
+    # coface, as every incidence raises the dimension by exactly 1
+    if (len(cofs) == (1 if kind == "cut" else 2) and all(i.multiplicity == 1 for i in cofs)
+            and not any(ix.cofaces(i.coface) for i in cofs)):
+        if kind == "cut":
+            return None
+        t1, t2 = (ix.cell(i.coface) for i in cofs)
+        # the catalog tags are pairwise non-isomorphic: equal tags, isomorphic
+        if not (t1.self_identified or t2.self_identified) and t1.stabilizer == t2.stabilizer:
+            return None
+    return "not a terminal pair" if kind == "cut" else "condition A fails"
 
 
 def _bounds_exactly(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
     """Adjacency shape of condition A: sigma bounds exactly the two
     distinct cells tau1 and tau2, one dimension up."""
-    dim = cx.cell(sigma).dim + 1
-    if cx.cell(tau1).dim != dim or cx.cell(tau2).dim != dim:
+    try:
+        s, t1, t2 = [cx.cell(cid) for cid in (sigma, tau1, tau2)]
+    except KeyError as exc:
+        raise ValueError(f"unknown cell {exc.args[0]!r}") from None
+    if t1.dim != s.dim + 1 or t2.dim != s.dim + 1:
         raise ValueError("tau cells must have dimension dim(sigma) + 1")
     cofs = cx.cofaces(sigma)  # distinct cofaces, by the schema
     return len(cofs) == 2 and {c.coface for c in cofs} == {tau1, tau2}
 
 
 def check_condition_A(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
-    if not _bounds_exactly(cx, sigma, tau1, tau2):
-        return False
-    t1, t2 = cx.cell(tau1), cx.cell(tau2)
-    # the catalog tags are pairwise non-isomorphic: equal tags, isomorphic
-    return (all(c.multiplicity == 1 for c in cx.cofaces(sigma))
-            and not (t1.self_identified or t2.self_identified)
-            and not _touched_by_higher(cx, sigma) and t1.stabilizer == t2.stabilizer)
-
-
-def _terminal_coface(cx: OrbitComplex, sigma: str) -> str | None:
-    """The unique coface tau of a terminal cell sigma, or None: sigma has
-    exactly one coface, with multiplicity 1, and no higher cell over it."""
-    cofs = cx.cofaces(sigma)
-    if len(cofs) != 1 or _touched_by_higher(cx, sigma):
-        return None
-    (inc,) = cofs
-    return inc.coface if inc.multiplicity == 1 else None
+    return _bounds_exactly(cx, sigma, tau1, tau2) and _rule_failure(cx, "merge", sigma) is None
 
 
 def find_terminal_cells(cx: OrbitComplex) -> list[tuple[str, str]]:
     """All (sigma, tau) pairs where sigma has exactly one coface tau with
     multiplicity 1 and no higher-dimensional cells over it."""
-    return [(c.id, tau) for c in sorted(cx.cells, key=lambda c: (c.dim, c.id))
-            if (tau := _terminal_coface(cx, c.id)) is not None]
+    return [(c.id, cx.cofaces(c.id)[0].coface)
+            for c in sorted(cx.cells, key=lambda c: (c.dim, c.id))
+            if _rule_failure(cx, "cut", c.id) is None]
 
 
 def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | str:
     """The cut of sigma's terminal pair or the merge of its two cofaces
     under condition A, if it passes B'; else the first check it fails."""
-    if kind == "cut":
-        taus = (_terminal_coface(ix, sigma),)
-        if taus[0] is None:
-            return "not a terminal pair"
-    else:
-        taus = tuple(sorted(i.coface for i in ix.cofaces(sigma)))
-        if len(taus) != 2 or not check_condition_A(ix, sigma, *taus):
-            return "condition A fails"
+    if (failure := _rule_failure(ix, kind, sigma)) is not None:
+        return failure
+    taus = tuple(sorted(i.coface for i in ix.cofaces(sigma)))
     clause = check_condition_B_prime(ix.cell(sigma).stabilizer,
                                      ix.cell(taus[0]).stabilizer, ell)
     return Move(kind, sigma, taus, clause) if clause else "condition B' fails"
@@ -245,9 +225,9 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
     (dimension, id) of the boundary cell.  The input is normalized to
     its ell-torsion subcomplex first (idempotent).
     """
-    if not cx.rigid:
-        raise ValueError("reduction requires a rigid complex")
-    ix = _Index(torsion_subcomplex(cx, ell))
+    # the torsion subcomplex is new and seen by no caller, so the reduction
+    # edits its index in place; building it checks that cx is rigid
+    ix = torsion_subcomplex(cx, ell)._index
     # "cut" sorts before "merge": each cell that starts a move has a
     # (kind, dim, id) entry on the heap, among cells that may not
     heap = sorted((k, c.dim, c.id) for k in ("cut", "merge") for c in ix.cells.values())
@@ -272,7 +252,7 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
 def replay(cx: OrbitComplex, log: ReductionLog, ell: int) -> OrbitComplex:
     """Re-apply a reduction log, checking every move; reproduces the
     reduce output exactly."""
-    ix = _Index(torsion_subcomplex(cx, ell))
+    ix = torsion_subcomplex(cx, ell)._index  # new and private, as in reduce_complex
     for move in log.moves:
         _apply(ix, move, ell)
     return ix.freeze()

@@ -21,7 +21,8 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 
 from ._modp import _check_prime, assemble, rank_mod
-from .complexes import OrbitComplex, _is_int, edge_end_assignments
+from .complexes import (_ELL_QUOTIENT, EMBEDDING_CLASSES, OrbitComplex, _is_int,
+                        edge_end_assignments)
 
 
 class CensusError(ValueError):
@@ -330,25 +331,17 @@ def stabilizer_cohomology_dim(tag: str, ell: int, q: int) -> int:
         return 0
     if q == 0:
         return 1
-    if ell == 2:
-        if tag in ("C2", "D3"):
-            return 1
-        if tag == "D2":
-            return q + 1
-        return 0
-    if ell == 3:
-        if tag == "C3":
-            return 1
-        if tag == "D3":
-            return 1 if q % 4 in (0, 3) else 0
-        return 0
-    return 0
+    # O_ell'(G) has order prime to ell, so H*(G; F_ell) = H*(G/O_ell'(G); F_ell)
+    quotient = _ELL_QUOTIENT.get(ell, {}).get(tag, "C1")
+    return {"C1": 0, "C2": 1, "C3": 1, "D2": q + 1, "D3": int(q % 4 in (0, 3))}[quotient]
 
 
 def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[list[int]]:
     """Pinned matrix of the restriction H^q(vertex) -> H^q(edge) for the
     catalog inclusions; emb indexes the conjugacy class of the embedding
     (only C2 in D2 has more than one)."""
+    if emb not in range(EMBEDDING_CLASSES.get((vtag, etag), 1)):
+        raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r} (embedding {emb})")
     dv = stabilizer_cohomology_dim(vtag, ell, q)
     de = stabilizer_cohomology_dim(etag, ell, q)
     block = [[0] * dv for _ in range(de)]
@@ -360,9 +353,9 @@ def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[
         return block
     if (vtag, etag, ell) == ("D2", "C2", 2):
         # basis of H^q(D2; F2): monomials x^(q-j) y^j, j = 0..q
-        if emb % 3 == 0:
+        if emb == 0:
             block[0][0] = 1          # substitute (x, y) -> (t, 0)
-        elif emb % 3 == 1:
+        elif emb == 1:
             block[0][q] = 1          # (x, y) -> (0, t)
         else:
             block[0] = [1] * dv      # (x, y) -> (t, t)

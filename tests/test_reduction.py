@@ -13,10 +13,10 @@ from tsr.complexes import (Incidence, OrbitCell, OrbitComplex,
 from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
                         catalog_group, condition_B_prime_search,
                         mod_ell_homology_bruteforce)
-from tsr.reduction import (MergeCandidate, Move, ReductionLog, apply_move,
-                           check_condition_A, check_condition_B_prime, cut,
-                           find_terminal_cells, merge, reduce_complex, replay,
-                           scripted_merge)
+from tsr.reduction import (MergeCandidate, Move, ReductionLog, _rule_failure,
+                           apply_move, check_condition_A, check_condition_B_prime,
+                           cut, find_terminal_cells, merge, reduce_complex,
+                           replay, scripted_merge)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -259,6 +259,16 @@ def test_forged_move_raises_value_error(name, move):
         apply_move(torsion_subcomplex(load(name), 2), move, 2)
 
 
+@pytest.mark.parametrize("call", [
+    lambda cx: check_condition_A(cx, "nope", "e1", "e2"),
+    lambda cx: check_condition_A(cx, "v2", "e1", "nope"),
+    lambda cx: scripted_merge(cx, "nope", "e1", "e2"),
+])
+def test_unknown_cell_raises_value_error(call):
+    with pytest.raises(ValueError, match="unknown cell 'nope'"):
+        call(load("path_c2_d3_c2.json"))
+
+
 def test_cut_d2_leaf_not_removable():
     cx = load("path_c2_d3_c2.json")
     reduced, _ = reduce_complex(cx, 2)
@@ -415,6 +425,29 @@ def test_scripted_merge_validates_adjacency():
         scripted_merge(load("graphfive.json"), "u", "a", "b")
 
 
+def test_scripted_merge_rejects_one_tau_twice():
+    # v1 bounds e1 only, so it does not bound exactly two cells
+    with pytest.raises(ValueError, match="sigma must bound exactly tau1 and tau2"):
+        scripted_merge(load("path_c2_d3_c2.json"), "v1", "e1", "e1")
+
+
+def test_reduce_and_replay_index_each_complex_once(monkeypatch):
+    # the torsion subcomplex and the frozen result, in each of the two calls
+    import tsr.complexes
+    calls = []
+    init = tsr.complexes._Index.__init__
+
+    def counted(self, cx):
+        calls.append(cx)
+        init(self, cx)
+
+    cx = load("sl3z_soule.json")
+    monkeypatch.setattr(tsr.complexes._Index, "__init__", counted)
+    _, log = reduce_complex(cx, 2)
+    replay(cx, log, 2)
+    assert len(calls) == 4
+
+
 # --------------------------------------------------------------------------
 # Differential test against a reference search that scans every record
 
@@ -553,6 +586,46 @@ def test_logged_moves_apply_one_at_a_time(ell_and_complex):
         state = apply_move(state, move, ell)
     assert serialize_complex(state) == serialize_complex(reduced)
 
+
+
+# --------------------------------------------------------------------------
+# The rule function against the separate helpers it replaced, on the
+# complexes above
+
+
+def _touched_by_higher(cx, sigma):
+    return any(cx.cofaces(inc.coface) for inc in cx.cofaces(sigma))
+
+
+def _terminal_coface(cx, sigma):
+    cofs = cx.cofaces(sigma)
+    if len(cofs) != 1 or _touched_by_higher(cx, sigma):
+        return None
+    (inc,) = cofs
+    return inc.coface if inc.multiplicity == 1 else None
+
+
+def _separate_condition_A(cx, sigma, tau1, tau2):
+    cofs = cx.cofaces(sigma)
+    if not (len(cofs) == 2 and {c.coface for c in cofs} == {tau1, tau2}):
+        return False
+    t1, t2 = cx.cell(tau1), cx.cell(tau2)
+    return (all(c.multiplicity == 1 for c in cofs)
+            and not (t1.self_identified or t2.self_identified)
+            and not _touched_by_higher(cx, sigma) and t1.stabilizer == t2.stabilizer)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_complexes())
+def test_rule_failure_matches_separate_helpers(ell_and_complex):
+    _, cx = ell_and_complex
+    for c in cx.cells:
+        cut_ok = _terminal_coface(cx, c.id) is not None
+        assert _rule_failure(cx, "cut", c.id) == (None if cut_ok else "not a terminal pair")
+        taus = sorted(i.coface for i in cx.cofaces(c.id))
+        merge_ok = len(taus) == 2 and _separate_condition_A(cx, c.id, *taus)
+        assert _rule_failure(cx, "merge", c.id) == (None if merge_ok else "condition A fails")
+        assert _rule_failure(cx._index, "merge", c.id) == _rule_failure(cx, "merge", c.id)
 
 
 @st.composite

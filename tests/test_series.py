@@ -407,6 +407,50 @@ def test_stabilizer_dims_match_bruteforce():
                 assert stabilizer_cohomology_dim(tag, ell, q) == dims[q], (tag, ell, q)
 
 
+def _branch_cohomology_dim(tag, ell, q):
+    """The oracle's dimensions as hand-written branches per prime, which
+    the quotient table G/O_ell'(G) replaced."""
+    if q < 0:
+        return 0
+    if q == 0:
+        return 1
+    if ell == 2:
+        if tag in ("C2", "D3"):
+            return 1
+        if tag == "D2":
+            return q + 1
+        return 0
+    if ell == 3:
+        if tag == "C3":
+            return 1
+        if tag == "D3":
+            return 1 if q % 4 in (0, 3) else 0
+        return 0
+    return 0
+
+
+def test_stabilizer_dims_match_branches_through_two_periods():
+    # D3 at ell = 3 has period 4, past the brute-force degrees above
+    for tag in ORACLE_STABILIZERS:
+        for ell in (2, 3, 4, 5):
+            for q in range(-1, 41):
+                assert (stabilizer_cohomology_dim(tag, ell, q)
+                        == _branch_cohomology_dim(tag, ell, q)), (tag, ell, q)
+
+
+def test_stabilizer_dims_reject_tags_outside_the_oracle():
+    with pytest.raises(ValueError, match="unsupported stabilizer 'A4'"):
+        stabilizer_cohomology_dim("A4", 3, 2)
+
+
+@pytest.mark.parametrize("vtag,etag,emb", [
+    ("D2", "C2", 3), ("D2", "C2", -1), ("C2", "C2", 7), ("D3", "C2", 1), ("D3", "C3", 2),
+])
+def test_restriction_block_rejects_embedding_outside_its_classes(vtag, etag, emb):
+    with pytest.raises(ValueError, match=f"embedding {emb}"):
+        restriction_block(vtag, etag, emb, 2, 2)
+
+
 # --------------------------------------------------------------------------
 # Closed-form dimension formulas
 
