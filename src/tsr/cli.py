@@ -82,6 +82,8 @@ def _json_option(text: str, flag: str):
         return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid {flag} JSON: {exc.msg}")
+    except RecursionError:
+        raise CliError(f"invalid {flag} JSON: nested too deeply") from None
 
 
 def _emit_json(doc) -> None:
@@ -121,9 +123,11 @@ def _cmd_reduce(args) -> int:
     from .reduction import reduce_complex, replay
     cx = _load_complex(args)
     reduced, log = reduce_complex(cx, args.prime)
-    text = serialize_complex(reduced)
-    if serialize_complex(replay(cx, log, args.prime)) != text:
+    # both come from one torsion subcomplex by the same edits, so they
+    # agree record by record, in order
+    if replay(cx, log, args.prime) != reduced:
         raise AssertionError("reduction log replay diverged from the fixpoint")
+    text = serialize_complex(reduced)
     if args.json:
         _emit_json({
             "complex": json.loads(text),
@@ -291,11 +295,11 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--fixtures-dir", help="directory searched for --input files")
         if prime:
             p.add_argument("--prime", type=int, choices=(2, 3), required=True)
         if input_file:
             p.add_argument("--input", required=True, help="complex JSON file")
+            p.add_argument("--fixtures-dir", help="directory searched for --input files")
         if census:
             p.add_argument("--census", help="census JSON file or inline object")
         if degrees is not None:

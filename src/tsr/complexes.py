@@ -66,16 +66,16 @@ COMPONENT_OTHER = "Other"
 
 
 class _Index:
-    """Cells by id, and each cell's faces and cofaces in incidence order,
-    built in the pass that checks the records.  Cofaces are {coface id:
-    Incidence}, so drop() removes one in O(1) at a vertex of any degree;
-    faces stay a list, as a move drops a cell's cofaces with it.
-    OrbitComplex answers from one; the reduction moves edit a copy."""
+    """Cells by id, and each cell's faces and cofaces in incidence order.
+    Cofaces are {coface id: Incidence}, so drop() removes one in O(1) at a
+    vertex of any degree; faces stay a list, as a move drops a cell's
+    cofaces with it.  It checks nothing: OrbitComplex checks records from
+    outside, and freeze() wraps records derived from checked ones."""
 
-    def __init__(self, cx: OrbitComplex):
-        self.rigid, self.cells, self.incidences = cx.rigid, {}, []
+    def __init__(self, cells, incidences, rigid: bool):
+        self.rigid, self.cells, self.incidences = rigid, {}, []
         self._faces, self._cofaces = {}, {}  # id -> [Incidence], {id: Incidence}
-        self.add(cx.cells, cx.incidences)
+        self.add(cells, incidences)
 
     def cell(self, cell_id: str) -> OrbitCell:
         return self.cells[cell_id]
@@ -87,25 +87,9 @@ class _Index:
         return self._cofaces.get(cell_id, {}).values()
 
     def add(self, cells, incidences) -> None:
-        """Check new cells and incidences as OrbitComplex does; append them."""
-        count = len(self.cells) + len(cells)
+        """Link new cells and incidences in, unchecked."""
         self.cells.update((c.id, c) for c in cells)
-        if len(self.cells) != count:
-            raise ComplexSchemaError("duplicate cell ids")
-        if len({(i.face, i.coface) for i in incidences}) != len(incidences):
-            raise ComplexSchemaError(
-                "duplicate incidence records (use multiplicity instead)")
         for inc in incidences:
-            face, coface = self.cells.get(inc.face), self.cells.get(inc.coface)
-            if face is None:
-                raise ComplexSchemaError(f"unknown face {inc.face!r}")
-            if coface is None:
-                raise ComplexSchemaError(f"unknown coface {inc.coface!r}")
-            if coface.dim != face.dim + 1:
-                raise ComplexSchemaError(
-                    f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
-            if inc.multiplicity < 1:
-                raise ComplexSchemaError("multiplicity must be >= 1")
             self._faces.setdefault(inc.coface, []).append(inc)
             self._cofaces.setdefault(inc.face, {})[inc.coface] = inc
         self.incidences += incidences
@@ -119,24 +103,44 @@ class _Index:
             self._faces[inc.coface].remove(inc)
 
     def freeze(self) -> OrbitComplex:
-        """The cells and the incidences left, in record order, as an
-        OrbitComplex, which validates them."""
+        """The cells and incidences left, in record order, as an unchecked
+        OrbitComplex that wraps this index, which must not be edited after."""
         live = {id(i) for incs in self._faces.values() for i in incs}
-        return OrbitComplex(tuple(self.cells.values()), tuple(
-            i for i in self.incidences if id(i) in live), self.rigid)
+        self.incidences = [i for i in self.incidences if id(i) in live]
+        cx = object.__new__(OrbitComplex)
+        vars(cx).update(cells=tuple(self.cells.values()), incidences=tuple(self.incidences),
+                        rigid=self.rigid, _index=self)
+        return cx
 
 
 @dataclass(frozen=True)
 class OrbitComplex:
-    """Cell and incidence records, checked when built by the _Index that
-    cell(), faces() and cofaces() read; the last two return new lists."""
+    """Cell and incidence records, checked when built by hand or parsed,
+    and the _Index that cell(), faces() and cofaces() read; the last two
+    return new lists.  Complexes derived from it come from _Index.freeze()."""
 
     cells: tuple[OrbitCell, ...]
     incidences: tuple[Incidence, ...]
     rigid: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", _Index(self))
+        object.__setattr__(self, "_index", ix := _Index(self.cells, self.incidences, self.rigid))
+        if len(ix.cells) != len(self.cells):
+            raise ComplexSchemaError("duplicate cell ids")
+        if len({(i.face, i.coface) for i in self.incidences}) != len(self.incidences):
+            raise ComplexSchemaError(
+                "duplicate incidence records (use multiplicity instead)")
+        for inc in self.incidences:
+            face, coface = ix.cells.get(inc.face), ix.cells.get(inc.coface)
+            if face is None:
+                raise ComplexSchemaError(f"unknown face {inc.face!r}")
+            if coface is None:
+                raise ComplexSchemaError(f"unknown coface {inc.coface!r}")
+            if coface.dim != face.dim + 1:
+                raise ComplexSchemaError(
+                    f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
+            if inc.multiplicity < 1:
+                raise ComplexSchemaError("multiplicity must be >= 1")
 
     def cell(self, cell_id: str) -> OrbitCell:
         return self._index.cells[cell_id]
@@ -191,6 +195,8 @@ def parse_complex(text: str) -> OrbitComplex:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ComplexSchemaError(f"invalid JSON (line {exc.lineno}): {exc.msg}")
+    except RecursionError:
+        raise ComplexSchemaError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ComplexSchemaError("document must be an object", "$")
     if extra := doc.keys() - {"rigid", "cells", "incidences"}:
@@ -237,8 +243,8 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
     if not cx.rigid:
         raise ValueError("torsion subcomplex extraction requires a rigid complex")
     keep = {c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell == 0}
-    return OrbitComplex(tuple(c for c in cx.cells if c.id in keep), tuple(
-        i for i in cx.incidences if i.face in keep and i.coface in keep), cx.rigid)
+    return _Index([c for c in cx.cells if c.id in keep], [
+        i for i in cx.incidences if i.face in keep and i.coface in keep], cx.rigid).freeze()
 
 
 def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
@@ -262,8 +268,7 @@ def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
         cells.setdefault(find(c.id), []).append(c)
     for inc in cx.incidences:
         incs.setdefault(find(inc.face), []).append(inc)
-    comps = [OrbitComplex(tuple(cs), tuple(incs.get(r, ())), cx.rigid)
-             for r, cs in cells.items()]
+    comps = [_Index(cs, incs.get(r, ()), cx.rigid).freeze() for r, cs in cells.items()]
     comps.sort(key=lambda comp: min(c.id for c in comp.cells))
     return comps
 

@@ -15,7 +15,8 @@ move a cell starts, or the first check it fails.  The reduction loop
 applies its moves deterministically until none applies, editing the
 index (``complexes._Index``) of the torsion subcomplex it builds in
 place; a worklist re-examines only the cells a move touched, and the
-result is frozen into an OrbitComplex once.  ``replay`` and the public
+result is frozen once into an OrbitComplex that wraps the index, as every
+edit derives its records from checked ones.  ``replay`` and the public
 moves make an edit only where ``_move_at`` finds the same move.
 """
 
@@ -155,7 +156,8 @@ def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | str:
 
 def _edit(ix: _Index, move: Move) -> str | None:
     """Make the edit of a move, unchecked; a merge's new cell, whose id it
-    returns, is named after its first tau."""
+    returns, is named after its first tau and has an unused id, the taus'
+    faces and positive multiplicities, so its records need no check."""
     sigma, taus = move.sigma, move.taus
     if move.kind == "cut":
         ix.drop(sigma)
@@ -189,8 +191,15 @@ def _apply(ix: _Index, move: Move, ell: int) -> None:
     _edit(ix, move)
 
 
+def _rigid_index(cx: OrbitComplex) -> _Index:
+    """A copy of cx's index for a public move to edit."""
+    if not cx.rigid:
+        raise ValueError("reduction requires a rigid complex")
+    return _Index(cx.cells, cx.incidences, cx.rigid)
+
+
 def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
-    ix = _Index(cx)
+    ix = _rigid_index(cx)
     _apply(ix, move, ell)
     return ix.freeze()
 
@@ -213,7 +222,7 @@ def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitC
     as eliminating a vertex between two edges of unlike stabilizers."""
     if not _bounds_exactly(cx, sigma, tau1, tau2):
         raise ValueError("sigma must bound exactly tau1 and tau2")
-    ix = _Index(cx)
+    ix = _rigid_index(cx)
     _edit(ix, Move("merge", sigma, (tau1, tau2), ""))
     return ix.freeze()
 

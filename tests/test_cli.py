@@ -145,6 +145,9 @@ def test_e2page():
     assert "a3 = 4" in out.decode()
 
 
+DEEP_OBJECT = '{"a":' * 3000 + "1" + "}" * 3000
+
+
 @pytest.mark.parametrize("argv", [
     ["e2page", "--chi-xs", "1", "--xs-rows", "[1]"],
     ["e2page", "--chi-xs", "1", "--xs-rows", '{"E01": "x"}'],
@@ -161,6 +164,9 @@ def test_e2page():
     ["chenruan", "--quotient-dims", '{"\u0663": 1}'],
     ["chenruan", "--quotient-dims", '{"\uff11": 1}'],
     ["poincare", "--prime", "2", "--census", "[1]"],
+    ["poincare", "--prime", "2", "--census", DEEP_OBJECT],
+    ["chenruan", "--quotient-dims", DEEP_OBJECT],
+    ["e2page", "--chi-xs", "1", "--xs-rows", DEEP_OBJECT],
 ])
 def test_malformed_json_option_exits_one(argv):
     # a --census in argv comes later, so it replaces the valid one
@@ -169,6 +175,43 @@ def test_malformed_json_option_exits_one(argv):
     assert code == 1, err.decode()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
     assert b"Traceback" not in err and b"not found" not in err and out == b""
+
+
+def test_deeply_nested_document_exits_one(tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 100_000)
+    code, out, err = run_cli("validate", "--input", str(tmp_path / "deep.json"))
+    assert code == 1 and out == b""
+    assert err.decode().splitlines() == ["error: invalid JSON: nested too deeply"]
+
+
+def test_fixtures_dir_only_with_an_input():
+    code, out, err = run_cli("poincare", "--prime", "2", "--census", "{}",
+                             "--fixtures-dir", "/tmp")
+    lines = err.decode().splitlines()
+    assert code == 1 and out == b""
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+
+
+@pytest.mark.parametrize("argv", [
+    ["reduce", "--prime", "2", "--input", "sl3z_soule.json"],
+    ["classify", "--prime", "2", "--input", "graphfive.json"],
+    ["extract", "--prime", "2", "--input", "sl3z_soule.json"],
+])
+def test_a_command_checks_its_complex_once(monkeypatch, capsys, argv):
+    # the parsed document; the torsion subcomplex, its components and the
+    # reduction results wrap indices that are not checked again
+    from tsr.complexes import OrbitComplex
+    calls = []
+    post_init = OrbitComplex.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(OrbitComplex, "__post_init__", counted)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("inline", [True, False])

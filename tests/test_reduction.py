@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr.complexes import (Incidence, OrbitCell, OrbitComplex,
-                           classify_component, parse_complex,
+                           classify_component, connected_components, parse_complex,
                            serialize_complex, torsion_subcomplex)
 from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
                         catalog_group, condition_B_prime_search,
@@ -425,6 +425,21 @@ def test_scripted_merge_validates_adjacency():
         scripted_merge(load("graphfive.json"), "u", "a", "b")
 
 
+@pytest.mark.parametrize("edit", [
+    lambda cx, move: apply_move(cx, move, 2),
+    lambda cx, move: cut(cx, "v1", "e1", 2),
+    lambda cx, move: merge(cx, MergeCandidate("v2", "e1", "e2"), 2),
+    lambda cx, move: scripted_merge(cx, "v2", "e1", "e2"),
+    lambda cx, move: reduce_complex(cx, 2),
+    lambda cx, move: replay(cx, ReductionLog((move,)), 2),
+], ids=["apply_move", "cut", "merge", "scripted_merge", "reduce_complex", "replay"])
+def test_every_editing_entry_point_rejects_a_non_rigid_complex(edit):
+    cx = load("path_c2_d3_c2.json")
+    _, log = reduce_complex(cx, 2)
+    with pytest.raises(ValueError, match="requires a rigid complex"):
+        edit(OrbitComplex(cx.cells, cx.incidences, False), log.moves[0])
+
+
 def test_scripted_merge_rejects_one_tau_twice():
     # v1 bounds e1 only, so it does not bound exactly two cells
     with pytest.raises(ValueError, match="sigma must bound exactly tau1 and tau2"):
@@ -432,20 +447,21 @@ def test_scripted_merge_rejects_one_tau_twice():
 
 
 def test_reduce_and_replay_index_each_complex_once(monkeypatch):
-    # the torsion subcomplex and the frozen result, in each of the two calls
+    # the torsion subcomplex in each of the two calls; the frozen result
+    # wraps the index it was edited in
     import tsr.complexes
     calls = []
     init = tsr.complexes._Index.__init__
 
-    def counted(self, cx):
-        calls.append(cx)
-        init(self, cx)
+    def counted(self, *args):
+        calls.append(args)
+        init(self, *args)
 
     cx = load("sl3z_soule.json")
     monkeypatch.setattr(tsr.complexes._Index, "__init__", counted)
     _, log = reduce_complex(cx, 2)
     replay(cx, log, 2)
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 # --------------------------------------------------------------------------
@@ -676,3 +692,38 @@ def test_reduce_long_inputs_match_reference_and_replay(ell_and_complex):
     assert log == ref_log
     assert serialize_complex(reduced) == serialize_complex(ref_reduced)
     assert serialize_complex(replay(cx, log, ell)) == serialize_complex(reduced)
+
+
+# --------------------------------------------------------------------------
+# Derived complexes wrap an index that no check runs on again
+
+
+def _answers_as_if_checked(d: OrbitComplex) -> None:
+    ref = OrbitComplex(d.cells, d.incidences, d.rigid)  # raises on a bad record
+    assert d == ref
+    for cid in [c.id for c in d.cells]:
+        assert d.cell(cid) is ref.cell(cid)
+        assert d.faces(cid) == ref.faces(cid)
+        assert d.cofaces(cid) == ref.cofaces(cid)
+    assert d.faces("unknown") == ref.faces("unknown") == []
+    assert d.cofaces("unknown") == ref.cofaces("unknown") == []
+    with pytest.raises(KeyError):
+        d.cell("unknown")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_complexes(), long_complexes()))
+def test_derived_complexes_answer_as_if_checked(ell_and_complex):
+    ell, cx = ell_and_complex
+    for p in (2, 3):
+        sub = torsion_subcomplex(cx, p)
+        _answers_as_if_checked(sub)
+        for comp in connected_components(sub):
+            _answers_as_if_checked(comp)
+    reduced, log = reduce_complex(cx, ell)
+    _answers_as_if_checked(reduced)
+    _answers_as_if_checked(replay(cx, log, ell))
+    state = torsion_subcomplex(cx, ell)
+    for move in log.moves:
+        state = apply_move(state, move, ell)
+        _answers_as_if_checked(state)
