@@ -18,9 +18,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from typing import TYPE_CHECKING
 
 from ._modp import SpanTracker, _row, assemble
 from .complexes import OrbitComplex, _is_int, edge_end_assignments
+
+if TYPE_CHECKING:  # importing tsr.series at run time would load fractions
+    from .series import SubgroupCensus
 
 SUPPORTED_VERTEX_TAGS = ("C1", "C2", "C3", "D2", "D3", "A4")
 SUPPORTED_EDGE_TAGS = ("C1", "C2", "C3")
@@ -311,77 +315,73 @@ class BredonComplex:
         return self.total
 
 
-def _oriented_boundary_walk(cx: OrbitComplex, face_id: str,
-                            ends: dict) -> list[tuple[str, int]]:
-    """Decompose a 2-cell boundary into a closed edge walk; returns
-    (edge id, sign) pairs where the sign compares the traversal with the
-    edge's intrinsic direction (second end slot -> first end slot)."""
-    uses = [inc.face for inc in cx.faces(face_id) for _ in range(inc.multiplicity)]
-    if not uses:
-        return []
-    # adjacency: each use is an undirected connection between end vertices
-    remaining: dict[int, tuple[str, str, str]] = {}
-    adj: dict[str, list[int]] = {}
-    for k, eid in enumerate(uses):
-        (v_head, _, _), (v_tail, _, _) = ends[eid][0], ends[eid][1]
-        remaining[k] = (eid, v_tail, v_head)
+def _oriented_boundary_walk(face_id: str, uses: list[int],
+                            ends: tuple) -> list[tuple[int, int]]:
+    """Decompose a 2-cell boundary, given as one edge index per use, into
+    a closed edge walk from its least vertex; returns (edge index, sign)
+    pairs where the sign compares the traversal with the edge's intrinsic
+    direction (second end slot -> first end slot).  Edge j's end slots
+    are ends[2j] and ends[2j + 1], as edge_end_assignments orders them."""
+    # each use is an undirected connection (edge, tail, head) between end vertices
+    joins = [(j, ends[2 * j + 1][0], ends[2 * j][0]) for j in uses]
+    adj: dict[int, list[int]] = {}
+    for k, (_, v_tail, v_head) in enumerate(joins):
         adj.setdefault(v_tail, []).append(k)
         adj.setdefault(v_head, []).append(k)
     if any(len(v) % 2 for v in adj.values()):
         raise ValueError(f"boundary of {face_id!r} is not a closed walk")
-    # iterative Hierholzer circuit; records (use, from, to)
-    start = min(adj)
+    # iterative Hierholzer circuit from the least vertex; records (use, from, to)
     used: set[int] = set()
-    st: list[str] = [start]
-    edge_stack: list[tuple[int, str, str]] = []
-    out: list[tuple[int, str, str]] = []
+    st: list[int] = [min(adj)] if adj else []
+    edge_stack: list[tuple[int, int, int]] = []
+    out: list[tuple[int, int, int]] = []
     while st:
         v = st[-1]
-        found = next((k for k in adj.get(v, []) if k not in used), None)
+        found = next((k for k in adj[v] if k not in used), None)
         if found is None:
             st.pop()
             if edge_stack:
                 out.append(edge_stack.pop())
         else:
             used.add(found)
-            eid, a, b = remaining[found]
+            _, a, b = joins[found]
             w = b if v == a else a
             edge_stack.append((found, v, w))
             st.append(w)
     if len(out) != len(uses):
         raise ValueError(f"boundary of {face_id!r} is not connected")
-    return [(remaining[k][0], 1 if (frm, to) == remaining[k][1:] else -1)
+    return [(joins[k][0], 1 if (frm, to) == joins[k][1:] else -1)
             for k, frm, to in reversed(out)]
+
+
+#: The stabilizers bredon_complex supports on cells of each dimension.
+_SUPPORTED_TAGS = {0: SUPPORTED_VERTEX_TAGS, 1: SUPPORTED_EDGE_TAGS, 2: ("C1",)}
 
 
 def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     """Block differential matrices of the chain complex of representation
-    rings: psi1 from the edge-to-vertex inductions with end signs, psi2
-    from oriented 2-cell boundaries through the regular representation."""
+    rings: psi1 from the edge-to-vertex inductions over the edge end
+    terms of edge_end_assignments, taken verbatim, and psi2 from oriented
+    2-cell boundaries through the regular representation."""
     if not cx.rigid:
         raise ValueError("Bredon complex requires a rigid complex")
     if cx.dimension > 2:
         raise ValueError("complex dimension must be <= 2")
-    vertices = tuple(sorted(cx.cells_of_dim(0), key=lambda c: c.id))
-    edges = tuple(sorted(cx.cells_of_dim(1), key=lambda c: c.id))
+    # the first unsupported cell by (dimension, id) is the one reported
+    bad = min((c for c in cx.cells if c.stabilizer not in _SUPPORTED_TAGS[c.dim]),
+              key=lambda c: (c.dim, c.id), default=None)
+    if bad is not None:
+        raise ValueError((f"unsupported vertex stabilizer {bad.stabilizer!r}",
+                          f"edge stabilizer {bad.stabilizer!r} is not cyclic of order <= 3",
+                          "cells of dimension 2 must be trivially stabilized")[bad.dim])
+    vertices, edges, terms1 = edge_end_assignments(cx)
     faces = tuple(sorted(cx.cells_of_dim(2), key=lambda c: c.id))
-    for v in vertices:
-        if v.stabilizer not in SUPPORTED_VERTEX_TAGS:
-            raise ValueError(f"unsupported vertex stabilizer {v.stabilizer!r}")
-    for e in edges:
-        if e.stabilizer not in SUPPORTED_EDGE_TAGS:
-            raise ValueError(f"edge stabilizer {e.stabilizer!r} is not cyclic of "
-                             "order <= 3")
-    for f in faces:
-        if f.stabilizer != "C1":
-            raise ValueError("cells of dimension 2 must be trivially stabilized")
-    index = {c.id: k for cells in (vertices, edges) for k, c in enumerate(cells)}
-    ends = edge_end_assignments(cx) if edges else {}
-    terms1 = tuple((index[vid], j, sign, emb) for j, e in enumerate(edges)
-                   for vid, sign, emb in ends[e.id])
+    eindex = {e.id: j for j, e in enumerate(edges)}
     # a face's block is the induction from C1: the regular representation
-    terms2 = tuple((index[eid], j, sign, 0) for j, f in enumerate(faces)
-                   for eid, sign in _oriented_boundary_walk(cx, f.id, ends))
+    terms2 = tuple((k, j, sign, 0) for j, f in enumerate(faces)
+                   for k, sign in _oriented_boundary_walk(f.id, [
+                       eindex[inc.face] for inc in cx.faces(f.id)
+                       for _ in range(inc.multiplicity)], terms1))
     psi1 = assemble(terms1, vertices, edges, RANKS.__getitem__, induction_matrix)
     psi2 = assemble(terms2, edges, faces, RANKS.__getitem__, induction_matrix)
     total = IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), len(faces)))

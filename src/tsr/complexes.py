@@ -279,41 +279,40 @@ def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
 EMBEDDING_CLASSES = {("D2", "C2"): 3}
 
 
-def edge_end_assignments(cx: OrbitComplex) -> dict[str, list[tuple[str, int, int]]]:
-    """Orient and label the two end slots of every edge of a graph.
+def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
+    """The one reading of a complex as a graph of groups, which the Bredon
+    differentials and the cohomology oracle both assemble.
 
-    Returns {edge id: [(vertex id, sign, embedding index), ...]} where the
-    first end (in (vertex id, slot) order) carries sign +1 and the second
+    Returns (vertices, edges, ends): the 0- and 1-cells, each sorted by
+    id, and one term (vertex index, edge index, sign, embedding index)
+    per end slot, edge by edge.  An edge's two slots are taken in
+    (vertex id, slot) order; the first carries sign +1 and the second
     sign -1.  A multiplicity-2 incidence (a loop) contributes both slots
     on one vertex.  Embedding indices enumerate the ends at each vertex,
     grouped by edge tag and ordered by (edge id, slot), so a vertex whose
     inclusion type has several conjugacy classes of embeddings uses them
-    in rotation.  The rule is deterministic and shared by every consumer
-    of incidence data.
+    in rotation.  A non-rigid complex, or an edge without exactly two
+    end slots, raises ValueError.
     """
-    edges = [c for c in cx.cells if c.dim == 1]
-    slots: dict[str, list[tuple[str, int]]] = {}
-    for e in edges:
-        ends = []
-        for inc in sorted(cx.faces(e.id), key=lambda i: i.face):
-            for k in range(inc.multiplicity):
-                ends.append((inc.face, k))
-        if len(ends) != 2:
+    if not cx.rigid:
+        raise ValueError("edge end assignment requires a rigid complex")
+    for e in cx.cells:  # in record order, so the first bad edge is named
+        if e.dim == 1 and sum(i.multiplicity for i in cx.faces(e.id)) != 2:
             raise ValueError(f"edge {e.id!r} must have exactly two end slots")
-        slots[e.id] = ends
-    # per-vertex embedding counters, grouped by edge tag
-    counters: dict[tuple[str, str], int] = {}
-    assignment: dict[str, list[tuple[str, int, int]]] = {e.id: [] for e in edges}
-    for e in sorted(edges, key=lambda c: c.id):
-        for pos, (vid, _slot) in enumerate(slots[e.id]):
-            vtag = cx.cell(vid).stabilizer
-            classes = EMBEDDING_CLASSES.get((vtag, e.stabilizer), 1)
-            key = (vid, e.stabilizer)
-            emb = counters.get(key, 0) % classes
-            counters[key] = counters.get(key, 0) + 1
-            sign = 1 if pos == 0 else -1
-            assignment[e.id].append((vid, sign, emb))
-    return assignment
+    vertices = tuple(sorted(cx.cells_of_dim(0), key=lambda c: c.id))
+    edges = tuple(sorted(cx.cells_of_dim(1), key=lambda c: c.id))
+    index = {v.id: i for i, v in enumerate(vertices)}
+    counters: dict[tuple[int, str], int] = {}  # ends so far per (vertex, edge tag)
+    ends = []
+    for j, e in enumerate(edges):
+        slots = [index[inc.face] for inc in sorted(cx.faces(e.id), key=lambda i: i.face)
+                 for _ in range(inc.multiplicity)]
+        for i, sign in zip(slots, (1, -1)):
+            n = counters.get((i, e.stabilizer), 0)
+            counters[i, e.stabilizer] = n + 1
+            classes = EMBEDDING_CLASSES.get((vertices[i].stabilizer, e.stabilizer), 1)
+            ends.append((i, j, sign, n % classes))
+    return vertices, edges, tuple(ends)
 
 
 def classify_component(cx: OrbitComplex, ell: int) -> str:

@@ -370,8 +370,9 @@ def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[
 
 def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
                                         q_range) -> dict[int, int]:
-    """Equivariant cohomology dims of a 1-dimensional complex, assembled
-    degree by degree from the vertex-to-edge restriction maps:
+    """Equivariant cohomology dims of a rigid complex of dimension <= 1,
+    assembled degree by degree from the vertex-to-edge restriction maps
+    over the edge end terms of edge_end_assignments:
     dim H^q = dim ker(alpha_q) + dim coker(alpha_{q-1}) for the map
     alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e)."""
     _check_prime(ell)
@@ -380,13 +381,9 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     for c in cx.cells:
         if c.stabilizer not in ORACLE_STABILIZERS:
             raise ValueError(f"unsupported stabilizer {c.stabilizer!r} on {c.id!r}")
-    vertices = sorted(cx.cells_of_dim(0), key=lambda c: c.id)
-    edges = sorted(cx.cells_of_dim(1), key=lambda c: c.id)
-    ends = edge_end_assignments(cx)
-    vindex = {v.id: k for k, v in enumerate(vertices)}
-    # one term per edge end: (edge, vertex, sign, embedding)
-    terms = [(j, vindex[vid], sign, emb) for j, e in enumerate(edges)
-             for vid, sign, emb in ends[e.id]]
+    vertices, edges, ends = edge_end_assignments(cx)
+    # alpha_q restricts from vertices to edges: rows and columns swapped
+    terms = [(j, i, sign, emb) for i, j, sign, emb in ends]
 
     @cache
     def alpha(q: int) -> tuple[int, int, int]:

@@ -1,5 +1,7 @@
 """CLI behaviour: commands, exit codes, determinism, JSON round trips."""
 
+import ast
+import builtins
 import contextlib
 import io
 import json
@@ -357,6 +359,55 @@ def test_bredon_import_loads_no_fractions():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def _module_bindings(tree: ast.Module) -> set[str]:
+    """Builtins and the names a module binds at its top level, by an
+    import (one under ``if TYPE_CHECKING:`` counts), a def or an
+    assignment."""
+    names, stack = set(dir(builtins)), list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.If):
+            stack += node.body + node.orelse
+    return names
+
+
+def _annotations(tree: ast.Module):
+    """(owner, annotation) for every function annotation and every
+    class-field annotation; string annotations are parsed."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            args = [*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg]
+            anns = [x.annotation for x in args if x is not None] + [node.returns]
+        elif isinstance(node, ast.ClassDef):
+            anns = [s.annotation for s in node.body if isinstance(s, ast.AnnAssign)]
+        else:
+            continue
+        for ann in anns:
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                ann = ast.parse(ann.value, mode="eval").body
+            if ann is not None:
+                yield node.name, ann
+
+
+def test_annotations_name_only_module_level_bindings():
+    # typing.get_type_hints resolves annotations in the module's globals
+    unbound = []
+    for path in sorted(FIXTURES.parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = _module_bindings(tree)
+        unbound += [(path.stem, owner, n.id) for owner, ann in _annotations(tree)
+                    for n in ast.walk(ann) if isinstance(n, ast.Name) and n.id not in bound]
+    assert unbound == []
 
 
 # --------------------------------------------------------------------------

@@ -36,6 +36,15 @@ def test_parse_serialize_identity():
     assert parse_complex(serialize_complex(cx)) == cx
 
 
+def test_omitted_multiplicity_is_one():
+    cx = parse_complex('{"rigid": true, "cells": ['
+                       '{"id": "v", "dim": 0, "stabilizer": "C2", "self_identified": false},'
+                       '{"id": "e", "dim": 1, "stabilizer": "C2", "self_identified": false}],'
+                       ' "incidences": [{"face": "v", "coface": "e"}]}')
+    assert cx.incidences == (Incidence("v", "e", 1),)
+    assert '"multiplicity": 1\n' in serialize_complex(cx)
+
+
 def test_sl3_fixture_contents():
     cx = load("sl3z_soule.json")
     assert len(cx.cells_of_dim(2)) == 7
@@ -232,20 +241,19 @@ def test_classification_requires_dimension_one():
 
 
 def test_edge_end_assignments_theta():
-    ends = edge_end_assignments(load("graphfive.json"))
-    # at each D2 vertex the three C2 edges use the three embedding classes
-    for vid in ("u", "v"):
-        embs = sorted(emb for eid in ("a", "b", "c")
-                      for (w, _s, emb) in ends[eid] if w == vid)
-        assert embs == [0, 1, 2]
-    for eid in ("a", "b", "c"):
-        assert sorted(s for (_w, s, _e) in ends[eid]) == [-1, 1]
+    vertices, edges, ends = edge_end_assignments(load("graphfive.json"))
+    assert [v.id for v in vertices] == ["u", "v"]
+    assert [e.id for e in edges] == ["a", "b", "c"]
+    # edge by edge, the +1 end first; at each D2 vertex the three C2
+    # edges use the three embedding classes in rotation
+    assert ends == ((0, 0, 1, 0), (1, 0, -1, 0), (0, 1, 1, 1), (1, 1, -1, 1),
+                    (0, 2, 1, 2), (1, 2, -1, 2))
 
 
 def test_edge_end_assignments_loop():
-    ends = edge_end_assignments(load("bianchi_circle2.json"))
-    assert len(ends["e1"]) == 2
-    assert {s for (_w, s, _e) in ends["e1"]} == {-1, 1}
+    vertices, edges, ends = edge_end_assignments(load("bianchi_circle2.json"))
+    assert [v.id for v in vertices] == ["v1"] and [e.id for e in edges] == ["e1"]
+    assert ends == ((0, 0, 1, 0), (0, 0, -1, 0))
 
 
 def test_edge_end_assignments_rejects_dangling_edge():

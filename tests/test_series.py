@@ -237,6 +237,13 @@ def test_oracle_rejects_non_prime():
         equivariant_graph_cohomology_oracle(load("bianchi_edge3.json"), 4, range(1, 4))
 
 
+def test_oracle_rejects_non_rigid_complex():
+    cx = load("graphfive.json")
+    cx = OrbitComplex(cx.cells, cx.incidences, rigid=False)
+    with pytest.raises(ValueError, match="rigid"):
+        equivariant_graph_cohomology_oracle(cx, 2, range(3, 6))
+
+
 def test_oracle_rejects_unsupported_stabilizer():
     with pytest.raises(ValueError, match="unsupported"):
         equivariant_graph_cohomology_oracle(load("graphtwo.json"), 2, range(3, 4))
@@ -246,10 +253,7 @@ def reference_oracle(cx, ell, q_range):
     """The graph oracle with alpha_q written out as a dense matrix, one
     restriction block per edge end added entry by entry at the offsets of
     its cells, and alpha_{q-1} rebuilt for every degree."""
-    vertices = sorted(cx.cells_of_dim(0), key=lambda c: c.id)
-    edges = sorted(cx.cells_of_dim(1), key=lambda c: c.id)
-    ends = edge_end_assignments(cx)
-    vindex = {v.id: k for k, v in enumerate(vertices)}
+    vertices, edges, ends = edge_end_assignments(cx)
 
     def alpha(q):
         vdims = [stabilizer_cohomology_dim(v.stabilizer, ell, q) for v in vertices]
@@ -257,14 +261,12 @@ def reference_oracle(cx, ell, q_range):
         voff = list(itertools.accumulate(vdims, initial=0))
         eoff = list(itertools.accumulate(edims, initial=0))
         mat = [[0] * voff[-1] for _ in range(eoff[-1])]
-        for j, e in enumerate(edges):
-            for vid, sign, emb in ends[e.id]:
-                k = vindex[vid]
-                block = restriction_block(vertices[k].stabilizer, e.stabilizer,
-                                          emb, ell, q)
-                for i, brow in enumerate(block):
-                    for c, x in enumerate(brow):
-                        mat[eoff[j] + i][voff[k] + c] += sign * x
+        for k, j, sign, emb in ends:
+            block = restriction_block(vertices[k].stabilizer, edges[j].stabilizer,
+                                      emb, ell, q)
+            for i, brow in enumerate(block):
+                for c, x in enumerate(brow):
+                    mat[eoff[j] + i][voff[k] + c] += sign * x
         return rank_mod(mat, ell), eoff[-1], voff[-1]
 
     dims = {}
