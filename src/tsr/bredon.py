@@ -82,10 +82,6 @@ class BlockSplitError(AssertionError):
     internal invariant failure, exit 2 from the command line)."""
 
 
-def embedding_count(source: str, target: str) -> int:
-    return sum(1 for s, t, _ in _BLOCKS if s == source and t == target)
-
-
 def _blocks(source: str, target: str, embedding: int) -> tuple[Matrix, Matrix]:
     try:
         return _BLOCKS[source, target, embedding]

@@ -17,8 +17,9 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .complexes import (classify_component, connected_components, parse_complex,
-                        serialize_complex, torsion_subcomplex)
+from .complexes import (ComplexSchemaError, _unique_keys, classify_component,
+                        connected_components, parse_complex, serialize_complex,
+                        torsion_subcomplex)
 
 
 class CliError(Exception):
@@ -70,16 +71,10 @@ def _load_census(args):
 
 
 def _json_option(text: str, flag: str):
-    def unique_keys(pairs):
-        seen = set()
-        for key, _ in pairs:
-            if key in seen:
-                raise CliError(f"{flag}: key {key!r} appears twice")
-            seen.add(key)
-        return dict(pairs)
-
     try:
-        return json.loads(text, object_pairs_hook=unique_keys)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except ComplexSchemaError as exc:  # a repeated key
+        raise CliError(f"{flag}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise CliError(f"invalid {flag} JSON: {exc.msg}")
     except RecursionError:

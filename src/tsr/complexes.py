@@ -34,6 +34,17 @@ _ELL_QUOTIENT = {
 }
 
 
+#: The stabilizer inclusions that the Bredon complex and the cohomology
+#: oracle read: (subgroup tag, group tag) -> the number of conjugacy
+#: classes of that subgroup, more than one only for C2 in D2 (its three
+#: involutions).  A pair that is missing is no inclusion.
+INCLUSIONS = {
+    ("C1", "C1"): 1, ("C1", "C2"): 1, ("C1", "C3"): 1, ("C1", "D2"): 1, ("C1", "D3"): 1,
+    ("C1", "A4"): 1, ("C2", "C2"): 1, ("C3", "C3"): 1, ("D2", "D2"): 1, ("D3", "D3"): 1,
+    ("C2", "D2"): 3, ("C2", "D3"): 1, ("C3", "D3"): 1, ("C2", "A4"): 1, ("C3", "A4"): 1,
+}
+
+
 class ComplexSchemaError(ValueError):
     """Raised on malformed complex documents, with a field path."""
 
@@ -188,11 +199,24 @@ def _record_problem(raw, kind: str) -> str | None:
     return None
 
 
+def _unique_keys(pairs) -> dict:
+    """The object_pairs_hook of every JSON document and option: an object,
+    or ComplexSchemaError naming the first key given a second time."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ComplexSchemaError(f"key {key!r} appears twice")
+            seen.add(key)
+    return obj
+
+
 def parse_complex(text: str) -> OrbitComplex:
     """Parse the JSON document format; schema errors carry a field path.
     Messages and paths are formatted only for a check that fails."""
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ComplexSchemaError(f"invalid JSON (line {exc.lineno}): {exc.msg}")
     except RecursionError:
@@ -273,12 +297,6 @@ def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
     return comps
 
 
-#: Number of conjugacy classes of embeddings for each pinned
-#: (vertex tag, edge tag) inclusion; only C2 in D2 has more than one
-#: (its three involutions are pairwise non-conjugate).
-EMBEDDING_CLASSES = {("D2", "C2"): 3}
-
-
 def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     """The one reading of a complex as a graph of groups, which the Bredon
     differentials and the cohomology oracle both assemble.
@@ -289,10 +307,10 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     (vertex id, slot) order; the first carries sign +1 and the second
     sign -1.  A multiplicity-2 incidence (a loop) contributes both slots
     on one vertex.  Embedding indices enumerate the ends at each vertex,
-    grouped by edge tag and ordered by (edge id, slot), so a vertex whose
-    inclusion type has several conjugacy classes of embeddings uses them
-    in rotation.  A non-rigid complex, or an edge without exactly two
-    end slots, raises ValueError.
+    grouped by edge tag and ordered by (edge id, slot), and rotate
+    through the conjugacy classes counted in INCLUSIONS (a pair outside
+    it gets 0, for its consumer to refuse).  A non-rigid complex, or an
+    edge without exactly two end slots, raises ValueError.
     """
     if not cx.rigid:
         raise ValueError("edge end assignment requires a rigid complex")
@@ -310,7 +328,7 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
         for i, sign in zip(slots, (1, -1)):
             n = counters.get((i, e.stabilizer), 0)
             counters[i, e.stabilizer] = n + 1
-            classes = EMBEDDING_CLASSES.get((vertices[i].stabilizer, e.stabilizer), 1)
+            classes = INCLUSIONS.get((e.stabilizer, vertices[i].stabilizer), 1)
             ends.append((i, j, sign, n % classes))
     return vertices, edges, tuple(ends)
 

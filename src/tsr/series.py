@@ -21,7 +21,7 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 
 from ._modp import _check_prime, assemble, rank_mod
-from .complexes import (_ELL_QUOTIENT, EMBEDDING_CLASSES, OrbitComplex, _is_int,
+from .complexes import (_ELL_QUOTIENT, INCLUSIONS, OrbitComplex, _is_int,
                         edge_end_assignments)
 
 
@@ -337,35 +337,23 @@ def stabilizer_cohomology_dim(tag: str, ell: int, q: int) -> int:
 
 
 def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[list[int]]:
-    """Pinned matrix of the restriction H^q(vertex) -> H^q(edge) for the
-    catalog inclusions; emb indexes the conjugacy class of the embedding
-    (only C2 in D2 has more than one)."""
-    if emb not in range(EMBEDDING_CLASSES.get((vtag, etag), 1)):
+    """Pinned matrix of the restriction H^q(vertex) -> H^q(edge) along the
+    class emb of an inclusion in complexes.INCLUSIONS.  It is the identity
+    on the leading coordinates: the identity (same tag, or q = 0), a map
+    to 0 (ell does not divide the edge stabilizer's order), or injective
+    between spaces of dimension <= 1 (the edge stabilizer contains a Sylow
+    ell-subgroup); C2 in D2 is the leading coordinate at class 0, and at
+    classes 1 and 2 the one exception."""
+    if (etag, vtag) not in INCLUSIONS:
+        raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r}")
+    if emb not in range(INCLUSIONS[etag, vtag]):
         raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r} (embedding {emb})")
-    dv = stabilizer_cohomology_dim(vtag, ell, q)
-    de = stabilizer_cohomology_dim(etag, ell, q)
-    block = [[0] * dv for _ in range(de)]
-    if de == 0 or dv == 0:
-        return block
-    if vtag == etag or q == 0:  # H^0 is F_ell, restricted identically
-        for i in range(de):
-            block[i][i] = 1
-        return block
-    if (vtag, etag, ell) == ("D2", "C2", 2):
-        # basis of H^q(D2; F2): monomials x^(q-j) y^j, j = 0..q
-        if emb == 0:
-            block[0][0] = 1          # substitute (x, y) -> (t, 0)
-        elif emb == 1:
-            block[0][q] = 1          # (x, y) -> (0, t)
-        else:
-            block[0] = [1] * dv      # (x, y) -> (t, t)
-        return block
-    if (vtag, etag) in (("D3", "C2"), ("D3", "C3")):
-        # Sylow restrictions are injective on the ell-primary part and
-        # both sides are at most one-dimensional here
-        block[0][0] = 1
-        return block
-    raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r}")
+    dv, de = (stabilizer_cohomology_dim(tag, ell, q) for tag in (vtag, etag))
+    block = [[int(i == j) for j in range(dv)] for i in range(de)]
+    if emb and de:  # C2 in D2, at ell = 2 or q = 0: H^q(D2; F2) has the basis
+        # x^(q-j) y^j, j = 0..q; class k substitutes (x, y) -> (t, 0), (0, t), (t, t)
+        block[0] = [int(j == q) for j in range(dv)] if emb == 1 else [1] * dv
+    return block
 
 
 def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,

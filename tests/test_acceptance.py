@@ -16,9 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from tsr.bredon import (BLOCK_PARTS, bredon_complex, bredon_homology_formula,
-                        chen_ruan_dims, embedding_count, homology, k_homology,
+                        chen_ruan_dims, homology, k_homology,
                         split_blocks, transformed_induction, AbelianGroup)
-from tsr.complexes import parse_complex, serialize_complex, torsion_subcomplex
+from tsr.complexes import INCLUSIONS, parse_complex, serialize_complex, torsion_subcomplex
 from tsr.groups import (SPLITTING_BASES, check_block_diagonal, dihedral_group,
                         dihedral_mod_ell_homology, mod_ell_homology_bruteforce)
 from tsr.reduction import apply_move, reduce_complex, replay
@@ -152,7 +152,7 @@ def test_criterion_06():
         for tag in (src, tgt):
             det = round(np.linalg.det(np.array(SPLITTING_BASES[tag]).astype(float)))
             assert det in (1, -1), tag
-        for emb in range(embedding_count(src, tgt)):
+        for emb in range(INCLUSIONS[src, tgt]):
             check_block_diagonal(transformed_induction(src, tgt, emb),
                                  BLOCK_PARTS[tgt], BLOCK_PARTS[src])
 

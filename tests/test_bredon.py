@@ -12,12 +12,12 @@ from tsr.bredon import (BLOCK_PARTS, RANKS, SUPPORTED_EDGE_TAGS,
                         SUPPORTED_VERTEX_TAGS, AbelianGroup, BlockSplitError,
                         IntegerChainComplex, bredon_complex,
                         bredon_homology_formula, chen_ruan_dims,
-                        elementary_divisors, embedding_count, homology,
+                        elementary_divisors, homology,
                         induction_matrix, k_homology, smith_normal_form,
                         split_blocks, transformed_induction)
 from tsr.cli import main
-from tsr.complexes import (EMBEDDING_CLASSES, Incidence, OrbitCell, OrbitComplex,
-                           parse_complex)
+from tsr.complexes import INCLUSIONS as CLASSES
+from tsr.complexes import Incidence, OrbitCell, OrbitComplex, parse_complex, torsion_subcomplex
 from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
                         check_block_diagonal, check_orthogonality, det,
                         induction_by_reciprocity)
@@ -92,7 +92,7 @@ def test_identity_induction_is_identity():
 
 def test_induction_degree_scaling():
     for src, tgt in INCLUSIONS:
-        for emb in range(embedding_count(src, tgt)):
+        for emb in range(CLASSES[src, tgt]):
             block = induction_matrix(src, tgt, emb)
             index = _order(tgt) // _order(src)
             assert np.array_equal(np.array(_degrees(tgt)) @ np.array(block),
@@ -116,15 +116,15 @@ def test_induction_regular_goes_to_regular():
 
 
 def test_embedding_tables_agree():
-    # complexes.EMBEDDING_CLASSES drives edge_end_assignments, the pinned
-    # block table drives embedding_count and the Bredon blocks, and
-    # series.restriction_block branches on the embedding index
-    for source, target, _ in tsr.bredon._BLOCKS:
-        assert (embedding_count(source, target)
-                == EMBEDDING_CLASSES.get((target, source), 1)), (source, target)
+    # complexes.INCLUSIONS drives edge_end_assignments and
+    # series.restriction_block; the pinned Bredon blocks hold one entry
+    # per class of each inclusion of an edge stabilizer
+    assert set(tsr.bredon._BLOCKS) == {
+        (s, g, k) for (s, g), n in CLASSES.items() if s in SUPPORTED_EDGE_TAGS
+        for k in range(n)}
     for q in range(1, 5):
         blocks = {tuple(map(tuple, restriction_block("D2", "C2", emb, 2, q)))
-                  for emb in range(embedding_count("C2", "D2"))}
+                  for emb in range(CLASSES["C2", "D2"])}
         assert len(blocks) == 3, q
 
 
@@ -152,7 +152,7 @@ def test_splitting_first_basis_vector_is_regular():
 
 def test_all_inclusions_block_diagonal():
     for src, tgt in INCLUSIONS:
-        for emb in range(embedding_count(src, tgt)):
+        for emb in range(CLASSES[src, tgt]):
             mat = transformed_induction(src, tgt, emb)
             check_block_diagonal(mat, BLOCK_PARTS[tgt], BLOCK_PARTS[src])
 
@@ -380,7 +380,7 @@ def _union(parts) -> OrbitComplex:
 
 def _subgroup_tags(*vtags):
     return [t for t in SUPPORTED_EDGE_TAGS
-            if all(embedding_count(t, v) for v in vtags)]
+            if all((t, v) in CLASSES for v in vtags)]
 
 
 @st.composite
@@ -475,6 +475,32 @@ def test_split_blocks_match_whole_matrix_base_change(parts):
     split = [homology(b) for b in (blocks.trivial, blocks.two, blocks.three)]
     for d in range(3):
         assert total[d] == split[0][d] + split[1][d] + split[2][d], d
+
+
+#: The fixtures whose stabilizers bredon_complex supports.
+BREDON_FIXTURES = ("bianchi_circle2", "bianchi_edge3", "chain_c2_c2_d3", "graphfive",
+                   "graphtwo", "path_c2_d3_c2")
+
+
+def _assert_torsion_blocks_live_on_the_torsion_subcomplex(cx):
+    # a cell's split coordinates have an ell-part only when ell divides
+    # its stabilizer's order, and 2-cells are C1, so the ell-block is a
+    # chain complex on the ell-torsion subcomplex alone
+    for ell, block in ((2, "two"), (3, "three")):
+        whole, torsion = (homology(getattr(split_blocks(bredon_complex(c)), block))
+                          for c in (cx, torsion_subcomplex(cx, ell)))
+        assert whole == torsion, ell
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(bredon_components(), min_size=1, max_size=3))
+def test_torsion_blocks_live_on_the_torsion_subcomplex(parts):
+    _assert_torsion_blocks_live_on_the_torsion_subcomplex(_union(parts))
+
+
+@pytest.mark.parametrize("name", BREDON_FIXTURES)
+def test_fixture_torsion_blocks_live_on_the_torsion_subcomplex(name):
+    _assert_torsion_blocks_live_on_the_torsion_subcomplex(load(name))
 
 
 def test_orbit_block_is_quotient_graph_homology():

@@ -229,6 +229,36 @@ def test_repeated_census_key_exits_one(tmp_path, inline):
     assert out == b""
 
 
+def test_repeated_document_key_exits_one(tmp_path):
+    (tmp_path / "c.json").write_text('{"rigid": true, "rigid": false, "cells": [], '
+                                     '"incidences": []}')
+    code, out, err = run_cli("validate", "--input", str(tmp_path / "c.json"))
+    assert code == 1 and out == b""
+    assert err.decode().splitlines() == ["error: key 'rigid' appears twice"]
+
+
+def _path_document(vtag, etag):
+    """vtag - etag - vtag as a complex document."""
+    cells = [{"id": i, "dim": d, "stabilizer": t, "self_identified": False}
+             for i, d, t in (("a", 0, vtag), ("b", 0, vtag), ("e", 1, etag))]
+    return json.dumps({"rigid": True, "cells": cells, "incidences": [
+        {"face": "a", "coface": "e"}, {"face": "b", "coface": "e"}]})
+
+
+@pytest.mark.parametrize("tags,argv,message", [
+    # the oracle runs on the 3-torsion subcomplex, which keeps D3 in C3;
+    # H^1 and H^2 of D3 vanish at ell = 3, so only the table refuses it
+    (("C3", "D3"), ["oracle", "--prime", "3", "--min-degree", "1", "--degrees", "2"],
+     "error: unsupported inclusion 'D3' in 'C3'"),
+    (("D2", "C3"), ["bredon"], "error: unsupported inclusion 'C3' in 'D2' (embedding 0)"),
+])
+def test_non_inclusion_exits_one(tmp_path, tags, argv, message):
+    (tmp_path / "c.json").write_text(_path_document(*tags))
+    code, out, err = run_cli(*argv, "--input", str(tmp_path / "c.json"))
+    assert code == 1 and out == b""
+    assert err.decode().splitlines() == [message]
+
+
 @pytest.mark.parametrize("argv", [
     ["reduce", "--prime", "2", "--input", "sl3z_soule.json"],
     ["poincare", "--prime", "3", "--census", '{"lambda6":3,"mu3":2}', "--degrees", "2000"],

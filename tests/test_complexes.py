@@ -5,11 +5,15 @@ from pathlib import Path
 
 import pytest
 
-from tsr.complexes import (ComplexSchemaError, Incidence, OrbitCell,
+from tsr.bredon import SUPPORTED_EDGE_TAGS, SUPPORTED_VERTEX_TAGS
+from tsr.complexes import (INCLUSIONS, ComplexSchemaError, Incidence, OrbitCell,
                            OrbitComplex, classify_component,
                            connected_components, edge_end_assignments,
                            parse_complex, serialize_complex,
                            torsion_subcomplex)
+from tsr.groups import (FiniteGroup, are_isomorphic, catalog_group, compose, invert,
+                        subgroups)
+from tsr.series import ORACLE_STABILIZERS
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
@@ -74,6 +78,11 @@ def test_sl3_fixture_contents():
      '"self_identified": false}, {"id": "e", "dim": 1, "stabilizer": "C2", '
      '"self_identified": false}], "incidences": [{"face": "a", "coface": "e", '
      '"multiplicity": true}]}', "multiplicity must be"),
+    # a repeated key must not silently keep its last value
+    ('{"rigid": true, "rigid": false, "cells": [], "incidences": []}',
+     "key 'rigid' appears twice"),
+    ('{"rigid": true, "cells": [{"id": "v", "id": "w", "dim": 0, "stabilizer": "C2", '
+     '"self_identified": false}], "incidences": []}', "key 'id' appears twice"),
 ])
 def test_schema_errors(text, fragment):
     with pytest.raises(ComplexSchemaError) as err:
@@ -261,3 +270,28 @@ def test_edge_end_assignments_rejects_dangling_edge():
                       (Incidence("v", "e", 1),))
     with pytest.raises(ValueError, match="end slots"):
         edge_end_assignments(cx)
+
+
+def _conjugacy_classes_of_copies(sub: str, group: str) -> int:
+    """The number of conjugacy classes of subgroups of the catalog group
+    `group` that are isomorphic to the catalog group `sub`."""
+    G, S = catalog_group(group), catalog_group(sub)
+    copies = {H for H in subgroups(G) if are_isomorphic(H, S)}
+    classes = 0
+    while copies:
+        H = copies.pop()
+        copies -= {FiniteGroup(G.degree, [compose(compose(g, h), invert(g)) for h in H.elements])
+                   for g in G.elements}
+        classes += 1
+    return classes
+
+
+def test_inclusion_table_counts_conjugacy_classes():
+    # both consumers' domains: Bredon edges in Bredon vertices, and the
+    # oracle's stabilizers in each other
+    pairs = ({(s, g) for s in SUPPORTED_EDGE_TAGS for g in SUPPORTED_VERTEX_TAGS}
+             | {(s, g) for s in ORACLE_STABILIZERS for g in ORACLE_STABILIZERS})
+    assert len(pairs) == 28
+    for s, g in sorted(pairs):
+        assert _conjugacy_classes_of_copies(s, g) == INCLUSIONS.get((s, g), 0), (s, g)
+    assert pairs >= INCLUSIONS.keys()

@@ -453,6 +453,31 @@ def test_restriction_block_rejects_embedding_outside_its_classes(vtag, etag, emb
         restriction_block(vtag, etag, emb, 2, 2)
 
 
+def _path(*tags):
+    """The path v0 - e0 - v1 - e1 - ... with the given alternating vertex
+    and edge stabilizers."""
+    cells = tuple(OrbitCell(f"{'ve'[k % 2]}{k // 2}", k % 2, t) for k, t in enumerate(tags))
+    return OrbitComplex(cells, tuple(
+        Incidence(f"v{k}", f"e{j}") for j in range(len(tags) // 2) for k in (j, j + 1)))
+
+
+@pytest.mark.parametrize("tags,ell,degrees", [
+    (("D2", "C3", "D2"), 2, range(1, 6)),
+    (("C3", "D3", "C3"), 3, range(1, 3)),
+])
+def test_oracle_refuses_a_non_inclusion(tags, ell, degrees):
+    with pytest.raises(ValueError, match="unsupported inclusion"):
+        equivariant_graph_cohomology_oracle(_path(*tags), ell, degrees)
+
+
+@pytest.mark.parametrize("q", [0, 3])
+def test_restriction_block_refuses_a_non_inclusion(q):
+    # C3 is no subgroup of D2, also where its block would be empty (q = 3)
+    # or the identity (q = 0)
+    with pytest.raises(ValueError, match=r"^unsupported inclusion 'C3' in 'D2'$"):
+        restriction_block("D2", "C3", 0, 2, q)
+
+
 # --------------------------------------------------------------------------
 # Closed-form dimension formulas
 
