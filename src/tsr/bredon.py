@@ -6,11 +6,12 @@ map in unimodular splitting bases, where it is block diagonal: a rank-1
 block, a 2-torsion block and a 3-torsion block.  The test suite rebuilds
 every pinned block from the character tables, class fusions and
 splitting bases in ``tsr.groups``, by Frobenius reciprocity.
-The Bredon differentials and their split are the same signed sums of
-these blocks over the incidence terms of the complex, assembled as
-sparse rows that go straight to the elimination; ``split_blocks``
-checks that every entry of the split stays within its part.  Dense rows
-are made only for printing and for the Smith normal form of the
+The Bredon differentials are signed sums of these blocks over the
+incidence terms of the complex, assembled as sparse rows that go
+straight to the elimination; each block of the split is the same sum
+of the split blocks' corners on its part, and ``split_blocks`` checks
+every split block it reads for an entry that links two parts.  Dense
+rows are made only for printing and for the Smith normal form of the
 elimination's core.
 """
 
@@ -21,7 +22,7 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from ._modp import SpanTracker, _row, assemble
-from .complexes import OrbitComplex, _is_int, edge_end_assignments
+from .complexes import INCLUSIONS, OrbitComplex, _is_int, edge_end_assignments
 
 if TYPE_CHECKING:  # importing tsr.series at run time would load fractions
     from .series import SubgroupCensus
@@ -83,6 +84,8 @@ class BlockSplitError(AssertionError):
 
 
 def _blocks(source: str, target: str, embedding: int) -> tuple[Matrix, Matrix]:
+    if (source, target) not in INCLUSIONS:
+        raise ValueError(f"unsupported inclusion {source!r} in {target!r}")
     try:
         return _BLOCKS[source, target, embedding]
     except KeyError:
@@ -393,39 +396,33 @@ class SplitBlocks:
 
 def split_blocks(bc: BredonComplex) -> SplitBlocks:
     """The Bredon differentials in the pinned splitting bases, split into
-    the orbit-space block and the 2- and 3-torsion blocks.  They are
+    the orbit-space block and the 2- and 3-torsion blocks.  Block w is
     summed from the same terms as bredon_complex, with each induction
-    replaced by its split block.  One pass over each sum renumbers every
-    entry within its part and raises BlockSplitError at an entry that
-    links two different parts."""
+    replaced by the corner of its split block on the rows and columns of
+    part w in BLOCK_PARTS, so a cell spans its part w.  Each split block
+    read raises BlockSplitError at an entry that links two parts."""
 
-    def part_labels(cells):  # the block of each split coordinate
-        return [w for c in cells for _, w in sorted(
-            (i, w) for w, idx in enumerate(BLOCK_PARTS[c.stabilizer]) for i in idx)]
+    def block(w: int) -> IntegerChainComplex:
+        def width(tag):
+            return len(BLOCK_PARTS[tag][w])
 
-    parts = [part_labels(cells) for cells in (bc.vertices, bc.edges, bc.faces)]
+        def corner(source, target, emb):
+            mat = transformed_induction(source, target, emb)
+            rows, cols = BLOCK_PARTS[target][w], BLOCK_PARTS[source][w]
+            for r, row in enumerate(mat):
+                for c, x in enumerate(row):
+                    if x and (r in rows) != (c in cols):
+                        raise BlockSplitError(
+                            f"off-block entry {x} at ({r}, {c}) of the split block "
+                            f"of {source!r} in {target!r} (embedding {emb})")
+            return [[mat[r][c] for c in cols] for r in rows]
 
-    def split(name, terms, rows, cols, row_parts, col_parts):
-        seen, pos = [0, 0, 0], []  # each column's index within its part
-        for w in col_parts:
-            pos.append(seen[w])
-            seen[w] += 1
-        out = ([], [], [])
-        for i, row in enumerate(assemble(terms, rows, cols, RANKS.__getitem__,
-                                         transformed_induction)):
-            w = row_parts[i]
-            for j, x in row.items():
-                if col_parts[j] != w:
-                    raise BlockSplitError(f"off-block entry {x} at ({i}, {j}) "
-                                          f"of the split {name}")
-            out[w].append({pos[j]: x for j, x in row.items()})
-        return out
+        psi1 = assemble(bc.terms1, bc.vertices, bc.edges, width, corner)
+        psi2 = assemble(bc.terms2, bc.edges, bc.faces, width, corner)
+        return IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), sum(
+            width(f.stabilizer) for f in bc.faces)))
 
-    rows1 = split("psi1", bc.terms1, bc.vertices, bc.edges, parts[0], parts[1])
-    rows2 = split("psi2", bc.terms2, bc.edges, bc.faces, parts[1], parts[2])
-    return SplitBlocks(*(IntegerChainComplex(rows1[w], rows2[w],
-                                             tuple(part.count(w) for part in parts))
-                         for w in range(3)))
+    return SplitBlocks(*map(block, range(3)))
 
 
 # --------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line front end: fixture management and report generation.
 
-Exit codes: 0 success, 1 validation error (bad flags, missing files,
-schema or census problems) or a closed stdout, 2 internal invariant
-failure.  All output is deterministic for identical inputs.
+Exit codes: 0 success, 1 validation error (bad flags, missing or
+unreadable files, schema or census problems) or a closed stdout, 2
+internal invariant failure.  All output is deterministic for identical inputs.
 
 Only ``tsr.complexes`` is imported up front; each subcommand imports
 the modules it runs, so a cold process pays for no other.
@@ -346,7 +346,7 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout closed early, as by `| head`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, FileNotFoundError, ValueError, ZeroDivisionError) as exc:
+    except (CliError, OSError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except AssertionError as exc:  # bredon.BlockSplitError among them

@@ -21,7 +21,8 @@ from tsr.complexes import Incidence, OrbitCell, OrbitComplex, parse_complex, tor
 from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
                         check_block_diagonal, check_orthogonality, det,
                         induction_by_reciprocity)
-from tsr.series import SubgroupCensus, restriction_block
+from tsr.reduction import apply_move, reduce_complex
+from tsr.series import SubgroupCensus, equivariant_graph_cohomology_oracle, restriction_block
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -133,6 +134,18 @@ def test_unsupported_inclusion():
         induction_matrix("C3", "D2")
 
 
+def test_bredon_and_the_oracle_word_a_non_inclusion_alike():
+    # D2 - C3 - D2: C3 is no subgroup of D2
+    cx = _union([(["D2", "D2"], [(0, 1, "C3")], [])])
+    messages = []
+    for build in (bredon_complex,
+                  lambda c: equivariant_graph_cohomology_oracle(c, 2, range(1, 3))):
+        with pytest.raises(ValueError) as exc:
+            build(cx)
+        messages.append(str(exc.value))
+    assert messages == ["unsupported inclusion 'C3' in 'D2'"] * 2
+
+
 # --------------------------------------------------------------------------
 # Splitting bases (the reference in tsr.groups)
 
@@ -177,6 +190,22 @@ def test_corrupted_splitting_basis_is_caught(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("internal invariant failure: off-block entry")
     assert captured.err.count("\n") == 1
+
+
+def test_off_block_entries_that_cancel_in_the_sum_are_caught(monkeypatch, capsys):
+    # the C2 loop of bianchi_circle2 adds its split block at one end and
+    # subtracts it at the other, so a corrupted entry cancels in the sum;
+    # it is caught in the block itself
+    induction = induction_matrix("C2", "C2")
+    monkeypatch.setitem(tsr.bredon._BLOCKS, ("C2", "C2", 0), (induction, ((1, 1), (0, 1))))
+    message = "off-block entry 1 at (0, 1) of the split block of 'C2' in 'C2' (embedding 0)"
+    with pytest.raises(BlockSplitError) as exc:
+        split_blocks(bredon_complex(load("bianchi_circle2")))
+    assert str(exc.value) == message
+    assert main(["bredon", "--input", str(FIXTURES / "bianchi_circle2.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"internal invariant failure: {message}"]
 
 
 # --------------------------------------------------------------------------
@@ -501,6 +530,55 @@ def test_torsion_blocks_live_on_the_torsion_subcomplex(parts):
 @pytest.mark.parametrize("name", BREDON_FIXTURES)
 def test_fixture_torsion_blocks_live_on_the_torsion_subcomplex(name):
     _assert_torsion_blocks_live_on_the_torsion_subcomplex(load(name))
+
+
+def _assert_moves_preserve_the_torsion_block(cx, ell):
+    # each logged move, applied one at a time from the ell-torsion
+    # subcomplex, keeps the homology of the ell-block
+    def block_homology(c):
+        return homology(getattr(split_blocks(bredon_complex(c)), {2: "two", 3: "three"}[ell]))
+
+    state = torsion_subcomplex(cx, ell)
+    want = block_homology(state)
+    for move in reduce_complex(cx, ell)[1].moves:
+        state = apply_move(state, move, ell)
+        assert block_homology(state) == want, move
+
+
+@st.composite
+def torsion_graphs(draw):
+    """A prime ell and a graph on vertex tags of order divisible by ell,
+    D2 left out, each edge tagged with a common subgroup: a path through
+    all vertices, so that merges are frequent, and a few more edges."""
+    ell = draw(st.sampled_from((2, 3)))
+    palette = {2: ("C2", "D3"), 3: ("C3", "D3", "A4")}[ell]
+    vtags = draw(st.lists(st.sampled_from(palette), min_size=1, max_size=7))
+    ends = st.integers(0, len(vtags) - 1)
+    pairs = [(k, k + 1) for k in range(len(vtags) - 1)]
+    pairs += draw(st.lists(st.tuples(ends, ends), max_size=3))
+    return ell, _union([(vtags, [(u, v, draw(st.sampled_from(_subgroup_tags(vtags[u], vtags[v]))))
+                                 for u, v in pairs], [])])
+
+
+@settings(max_examples=300, deadline=None)
+@given(torsion_graphs())
+def test_moves_preserve_the_torsion_block(ell_and_complex):
+    _assert_moves_preserve_the_torsion_block(ell_and_complex[1], ell_and_complex[0])
+
+
+@pytest.mark.parametrize("ell", (2, 3))
+@pytest.mark.parametrize("name", BREDON_FIXTURES)
+def test_fixture_moves_preserve_the_torsion_block(name, ell):
+    _assert_moves_preserve_the_torsion_block(load(name), ell)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: the merge renames the edges at "
+                   "the D2 vertex, which rotates their C2 embeddings")
+def test_moves_preserve_the_torsion_block_next_to_d2():
+    # a D2 vertex with a C2 loop and two C2 edges to a D3 vertex; merging
+    # at the D3 vertex turns the two edges into a second loop
+    cx = _union([(["D2", "D3"], [(1, 0, "C2"), (0, 0, "C2"), (0, 1, "C2")], [])])
+    _assert_moves_preserve_the_torsion_block(cx, 2)
 
 
 def test_orbit_block_is_quotient_graph_homology():

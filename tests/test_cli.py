@@ -3,6 +3,7 @@
 import ast
 import builtins
 import contextlib
+import errno
 import io
 import json
 import os
@@ -250,7 +251,7 @@ def _path_document(vtag, etag):
     # H^1 and H^2 of D3 vanish at ell = 3, so only the table refuses it
     (("C3", "D3"), ["oracle", "--prime", "3", "--min-degree", "1", "--degrees", "2"],
      "error: unsupported inclusion 'D3' in 'C3'"),
-    (("D2", "C3"), ["bredon"], "error: unsupported inclusion 'C3' in 'D2' (embedding 0)"),
+    (("D2", "C3"), ["bredon"], "error: unsupported inclusion 'C3' in 'D2'"),
 ])
 def test_non_inclusion_exits_one(tmp_path, tags, argv, message):
     (tmp_path / "c.json").write_text(_path_document(*tags))
@@ -308,6 +309,22 @@ def test_fixtures_env_var(tmp_path, monkeypatch):
 def test_main_callable_directly(capsys):
     assert main(["validate", "--input", str(FIXTURES / "graphfive.json")]) == 0
     assert capsys.readouterr().out.strip() == "OK"
+
+
+@pytest.mark.parametrize("argv,fixtures", [
+    (["validate", "--input", "a" * 5000], None),
+    (["poincare", "--prime", "2", "--census", "a" * 5000], None),
+    (["validate", "--input", "nope.json"], "a" * 5000),
+], ids=["input", "census", "fixtures-env"])
+def test_os_error_exits_one_with_one_line(monkeypatch, capsys, argv, fixtures):
+    # a path longer than any file name makes Path.is_file raise OSError
+    if fixtures:
+        monkeypatch.setenv("TSR_FIXTURES", fixtures)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
 
 
 def test_block_split_error_exits_two(monkeypatch, capsys):
