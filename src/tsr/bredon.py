@@ -84,13 +84,14 @@ class BlockSplitError(AssertionError):
 
 
 def _blocks(source: str, target: str, embedding: int) -> tuple[Matrix, Matrix]:
-    if (source, target) not in INCLUSIONS:
-        raise ValueError(f"unsupported inclusion {source!r} in {target!r}")
-    try:
+    if (source, target, embedding) in _BLOCKS:
         return _BLOCKS[source, target, embedding]
-    except KeyError:
-        raise ValueError(f"unsupported inclusion {source!r} in {target!r} "
-                         f"(embedding {embedding})") from None
+    pair = f"{source!r} in {target!r}"
+    if (source, target) not in INCLUSIONS:
+        raise ValueError(f"unsupported inclusion {pair}")
+    if embedding not in range(INCLUSIONS[source, target]):
+        raise ValueError(f"unsupported inclusion {pair} (embedding {embedding})")
+    raise ValueError(f"no pinned block for the inclusion {pair}")  # D2 in D2, D3 in D3
 
 
 def induction_matrix(source: str, target: str, embedding: int = 0) -> Matrix:

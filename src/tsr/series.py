@@ -14,9 +14,9 @@ here, so every series vanishes below degree 3).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, partial
 from itertools import zip_longest
 from math import comb, gcd, lcm
 
@@ -362,7 +362,10 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     assembled degree by degree from the vertex-to-edge restriction maps
     over the edge end terms of edge_end_assignments:
     dim H^q = dim ker(alpha_q) + dim coker(alpha_{q-1}) for the map
-    alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e)."""
+    alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e).  Each distinct map is
+    eliminated once: its rank is kept under its content (the per-tag
+    dims and restriction blocks), not its degree, as equal maps have
+    equal ranks."""
     _check_prime(ell)
     if cx.dimension > 1:
         raise ValueError("oracle requires a complex of dimension <= 1")
@@ -372,14 +375,20 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     vertices, edges, ends = edge_end_assignments(cx)
     # alpha_q restricts from vertices to edges: rows and columns swapped
     terms = [(j, i, sign, emb) for i, j, sign, emb in ends]
+    vcount, ecount = (Counter(c.stabilizer for c in cells) for cells in (vertices, edges))
+    tags = sorted(vcount.keys() | ecount.keys())
+    incl = dict.fromkeys((vertices[i].stabilizer, edges[j].stabilizer, e) for i, j, _, e in ends)
+    ranks: dict[tuple, int] = {}
 
-    @cache
     def alpha(q: int) -> tuple[int, int, int]:
         """(rank, rows, columns) of alpha_q."""
-        dim = {t: stabilizer_cohomology_dim(t, ell, q) for t in ORACLE_STABILIZERS}
-        mat = assemble(terms, edges, vertices, dim.__getitem__,
-                       partial(restriction_block, ell=ell, q=q))
-        return rank_mod(mat, ell), len(mat), sum(dim[v.stabilizer] for v in vertices)
+        dim = {t: stabilizer_cohomology_dim(t, ell, q) for t in tags}
+        blocks = {k: restriction_block(*k, ell, q) for k in incl}
+        key = (tuple(dim.values()), tuple(tuple(map(tuple, b)) for b in blocks.values()))
+        if key not in ranks:
+            mat = assemble(terms, edges, vertices, dim.__getitem__, lambda *k: blocks[k])
+            ranks[key] = rank_mod(mat, ell)
+        return ranks[key], *(sum(dim[t] * n for t, n in c.items()) for c in (ecount, vcount))
 
     dims = {}
     for q in sorted(q_range):

@@ -134,6 +134,22 @@ def test_unsupported_inclusion():
         induction_matrix("C3", "D2")
 
 
+@pytest.mark.parametrize("lookup", [induction_matrix, transformed_induction])
+@pytest.mark.parametrize("source,target,emb,message", [
+    # rows of complexes.INCLUSIONS with no pinned block, as their
+    # subgroup is no edge stabilizer; class 0 exists, so none is blamed
+    ("D2", "D2", 0, "no pinned block for the inclusion 'D2' in 'D2'"),
+    ("D3", "D3", 0, "no pinned block for the inclusion 'D3' in 'D3'"),
+    ("D2", "D2", 1, "unsupported inclusion 'D2' in 'D2' (embedding 1)"),
+    ("C2", "D2", 3, "unsupported inclusion 'C2' in 'D2' (embedding 3)"),
+    ("C3", "D2", 0, "unsupported inclusion 'C3' in 'D2'"),
+])
+def test_block_refusals_name_what_is_missing(lookup, source, target, emb, message):
+    with pytest.raises(ValueError) as exc:
+        lookup(source, target, emb)
+    assert str(exc.value) == message
+
+
 def test_bredon_and_the_oracle_word_a_non_inclusion_alike():
     # D2 - C3 - D2: C3 is no subgroup of D2
     cx = _union([(["D2", "D2"], [(0, 1, "C3")], [])])

@@ -231,6 +231,21 @@ def test_oracle_theta_matches_series():
     assert all(dims[q] == coeffs[q] for q in range(3, 11))
 
 
+@pytest.mark.parametrize("name,ell,calls,expected", [
+    ("bianchi_circle2.json", 2, 1, [2] * 38),
+    ("bianchi_edge3.json", 3, 2, [2, 1, 0, 1] * 9 + [2, 1]),
+    # D2's blocks grow with q, so no two of the 39 maps alpha_2..alpha_40 agree
+    ("graphfive.json", 2, 39, [2 * q - 1 for q in range(3, 41)]),
+])
+def test_oracle_eliminates_each_distinct_map_once(monkeypatch, name, ell, calls, expected):
+    counted = []
+    monkeypatch.setattr("tsr.series.rank_mod",
+                        lambda mat, p: counted.append(p) or rank_mod(mat, p))
+    dims = equivariant_graph_cohomology_oracle(load(name), ell, range(3, 41))
+    assert dims == dict(zip(range(3, 41), expected))
+    assert len(counted) == calls
+
+
 def test_oracle_rejects_non_prime():
     # F_4 is no field: a rank over Z/4 is no dimension
     with pytest.raises(ValueError, match="is not prime"):
@@ -318,7 +333,7 @@ def test_degree_zero_restriction_is_identity():
 @settings(max_examples=150, deadline=None)
 @given(oracle_graphs(), st.sampled_from((2, 3)))
 def test_oracle_matches_dense_reference(cx, ell):
-    degrees = range(1, 9)
+    degrees = range(1, 13)
     assert (equivariant_graph_cohomology_oracle(cx, ell, degrees)
             == reference_oracle(cx, ell, degrees))
 
