@@ -306,6 +306,19 @@ def test_fixtures_env_var(tmp_path, monkeypatch):
     assert out.decode().strip() == "OK"
 
 
+def test_golden_corpus(capsys):
+    # every entry of tests/expected/cli.json, regenerated by make_cli.py
+    corpus = json.loads((Path(__file__).parent / "expected" / "cli.json").read_text())
+    assert len(corpus) == 80
+    wrong = []
+    for command, expected in corpus.items():
+        code = main(command.split())
+        out, err = capsys.readouterr()
+        if {"exit": code, "stdout": out, "stderr": err} != expected:
+            wrong.append(command)
+    assert wrong == []
+
+
 def test_main_callable_directly(capsys):
     assert main(["validate", "--input", str(FIXTURES / "graphfive.json")]) == 0
     assert capsys.readouterr().out.strip() == "OK"
