@@ -363,8 +363,6 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     rings: psi1 from the edge-to-vertex inductions over the edge end
     terms of edge_end_assignments, taken verbatim, and psi2 from oriented
     2-cell boundaries through the regular representation."""
-    if not cx.rigid:
-        raise ValueError("Bredon complex requires a rigid complex")
     if cx.dimension > 2:
         raise ValueError("complex dimension must be <= 2")
     # the first unsupported cell by (dimension, id) is the one reported

@@ -1,8 +1,9 @@
 """Command-line front end: fixture management and report generation.
 
 Exit codes: 0 success, 1 validation error (bad flags, missing or
-unreadable files, schema or census problems) or a closed stdout, 2
-internal invariant failure.  All output is deterministic for identical inputs.
+unreadable files, schema or census problems), a closed stdout or
+exhausted memory, 2 internal invariant failure.  All output is
+deterministic for identical inputs.
 
 Only ``tsr.complexes`` is imported up front; each subcommand imports
 the modules it runs, so a cold process pays for no other.
@@ -31,20 +32,11 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _fixtures_dir(args) -> Path:
-    if args.fixtures_dir:
-        return Path(args.fixtures_dir)
-    env = os.environ.get("TSR_FIXTURES")
-    if env:
-        return Path(env)
-    return Path(__file__).parent / "fixtures"
-
-
 def _read_input(args) -> str:
     path = Path(args.input)
     if path.is_file():
         return path.read_text()
-    candidate = _fixtures_dir(args) / args.input
+    candidate = Path(args.fixtures_dir or Path(__file__).parent / "fixtures") / args.input
     if candidate.is_file():
         return candidate.read_text()
     raise CliError(f"input file not found: {args.input}")
@@ -346,8 +338,11 @@ def main(argv=None) -> int:
     except BrokenPipeError:  # stdout closed early, as by `| head`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (CliError, OSError, ValueError, ZeroDivisionError) as exc:
+    except (CliError, OSError, OverflowError, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:  # as for an absurd --degrees bound; it has no message
+        print("error: out of memory", file=sys.stderr)
         return 1
     except AssertionError as exc:  # bredon.BlockSplitError among them
         print(f"internal invariant failure: {exc}", file=sys.stderr)

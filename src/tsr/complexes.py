@@ -4,7 +4,10 @@ A complex stores one record per orbit of cells, labelled by the
 isomorphism type of its stabilizer, plus face/coface incidences with
 multiplicities (the number of orbit representatives of the face in the
 coface's boundary).  Everything downstream (reduction, Bredon chains,
-the graph cohomology oracle) reads only this quotient data.
+the graph cohomology oracle) reads only this quotient data, and assumes
+what the paper's suitable cell complexes are: rigid, each stabilizer
+fixing its cell pointwise.  A document states it with ``"rigid": true``,
+and ``parse_complex`` refuses any other value.
 """
 
 from __future__ import annotations
@@ -83,8 +86,8 @@ class _Index:
     cofaces with it.  It checks nothing: OrbitComplex checks records from
     outside, and freeze() wraps records derived from checked ones."""
 
-    def __init__(self, cells, incidences, rigid: bool):
-        self.rigid, self.cells, self.incidences = rigid, {}, []
+    def __init__(self, cells, incidences):
+        self.cells, self.incidences = {}, []
         self._faces, self._cofaces = {}, {}  # id -> [Incidence], {id: Incidence}
         self.add(cells, incidences)
 
@@ -120,7 +123,7 @@ class _Index:
         self.incidences = [i for i in self.incidences if id(i) in live]
         cx = object.__new__(OrbitComplex)
         vars(cx).update(cells=tuple(self.cells.values()), incidences=tuple(self.incidences),
-                        rigid=self.rigid, _index=self)
+                        _index=self)
         return cx
 
 
@@ -132,10 +135,9 @@ class OrbitComplex:
 
     cells: tuple[OrbitCell, ...]
     incidences: tuple[Incidence, ...]
-    rigid: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", ix := _Index(self.cells, self.incidences, self.rigid))
+        object.__setattr__(self, "_index", ix := _Index(self.cells, self.incidences))
         if len(ix.cells) != len(self.cells):
             raise ComplexSchemaError("duplicate cell ids")
         if len({(i.face, i.coface) for i in self.incidences}) != len(self.incidences):
@@ -225,8 +227,8 @@ def parse_complex(text: str) -> OrbitComplex:
         raise ComplexSchemaError("document must be an object", "$")
     if extra := doc.keys() - {"rigid", "cells", "incidences"}:
         raise ComplexSchemaError(f"unknown keys {sorted(extra)}", "$")
-    if not isinstance(doc.get("rigid"), bool):
-        raise ComplexSchemaError("rigid must be a boolean", "$.rigid")
+    if doc.get("rigid") is not True:
+        raise ComplexSchemaError("rigid must be true", "$.rigid")
     for key in ("cells", "incidences"):
         if not isinstance(doc.get(key), list):
             raise ComplexSchemaError(f"{key} must be a list", f"$.{key}")
@@ -238,14 +240,14 @@ def parse_complex(text: str) -> OrbitComplex:
         tuple(OrbitCell(r["id"], r["dim"], r["stabilizer"], r["self_identified"])
               for r in doc["cells"]),
         tuple(Incidence(r["face"], r["coface"], r.get("multiplicity", 1))
-              for r in doc["incidences"]), doc["rigid"])
+              for r in doc["incidences"]))
 
 
 def serialize_complex(cx: OrbitComplex) -> str:
     """Canonical serialization: cells sorted by (dim, id), incidences by
     (face, coface); byte-stable across runs."""
     doc = {
-        "rigid": cx.rigid,
+        "rigid": True,
         "cells": [
             {"id": c.id, "dim": c.dim, "stabilizer": c.stabilizer,
              "self_identified": c.self_identified}
@@ -264,11 +266,9 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
     Cauchy's theorem, whose stabilizer contains an element of order ell),
     with incidences restricted accordingly."""
     _check_prime(ell)
-    if not cx.rigid:
-        raise ValueError("torsion subcomplex extraction requires a rigid complex")
     keep = {c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell == 0}
     return _Index([c for c in cx.cells if c.id in keep], [
-        i for i in cx.incidences if i.face in keep and i.coface in keep], cx.rigid).freeze()
+        i for i in cx.incidences if i.face in keep and i.coface in keep]).freeze()
 
 
 def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
@@ -292,7 +292,7 @@ def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
         cells.setdefault(find(c.id), []).append(c)
     for inc in cx.incidences:
         incs.setdefault(find(inc.face), []).append(inc)
-    comps = [_Index(cs, incs.get(r, ()), cx.rigid).freeze() for r, cs in cells.items()]
+    comps = [_Index(cs, incs.get(r, ())).freeze() for r, cs in cells.items()]
     comps.sort(key=lambda comp: min(c.id for c in comp.cells))
     return comps
 
@@ -309,11 +309,9 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     on one vertex.  Embedding indices enumerate the ends at each vertex,
     grouped by edge tag and ordered by (edge id, slot), and rotate
     through the conjugacy classes counted in INCLUSIONS (a pair outside
-    it gets 0, for its consumer to refuse).  A non-rigid complex, or an
-    edge without exactly two end slots, raises ValueError.
+    it gets 0, for its consumer to refuse).  An edge without exactly two
+    end slots raises ValueError.
     """
-    if not cx.rigid:
-        raise ValueError("edge end assignment requires a rigid complex")
     for e in cx.cells:  # in record order, so the first bad edge is named
         if e.dim == 1 and sum(i.multiplicity for i in cx.faces(e.id)) != 2:
             raise ValueError(f"edge {e.id!r} must have exactly two end slots")

@@ -16,8 +16,9 @@ applies its moves deterministically until none applies, editing the
 index (``complexes._Index``) of the torsion subcomplex it builds in
 place; a worklist re-examines only the cells a move touched, and the
 result is frozen once into an OrbitComplex that wraps the index, as every
-edit derives its records from checked ones.  ``replay`` and the public
-moves make an edit only where ``_move_at`` finds the same move.
+edit derives its records from checked ones.  ``replay`` and
+``apply_move`` make an edit only where ``_move_at`` finds the same move;
+``scripted_merge`` checks only that sigma bounds exactly its two taus.
 """
 
 from __future__ import annotations
@@ -31,13 +32,6 @@ from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
                         OrbitComplex, _Index, torsion_subcomplex)
 
 B_PRIME_1 = "B'(1)"
-
-
-@dataclass(frozen=True)
-class MergeCandidate:
-    sigma: str
-    tau1: str
-    tau2: str
 
 
 @dataclass(frozen=True)
@@ -101,7 +95,7 @@ def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | Non
 # Condition A and the moves
 
 
-def _rule_failure(ix: _Index | OrbitComplex, kind: str, sigma: str) -> str | None:
+def _rule_failure(ix: _Index, kind: str, sigma: str) -> str | None:
     """Why sigma starts no cut (the terminal test) or no merge (condition
     A), or None, from one read of its cofaces; B' is not read."""
     cofs = ix.cofaces(sigma)
@@ -116,31 +110,6 @@ def _rule_failure(ix: _Index | OrbitComplex, kind: str, sigma: str) -> str | Non
         if not (t1.self_identified or t2.self_identified) and t1.stabilizer == t2.stabilizer:
             return None
     return "not a terminal pair" if kind == "cut" else "condition A fails"
-
-
-def _bounds_exactly(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
-    """Adjacency shape of condition A: sigma bounds exactly the two
-    distinct cells tau1 and tau2, one dimension up."""
-    try:
-        s, t1, t2 = [cx.cell(cid) for cid in (sigma, tau1, tau2)]
-    except KeyError as exc:
-        raise ValueError(f"unknown cell {exc.args[0]!r}") from None
-    if t1.dim != s.dim + 1 or t2.dim != s.dim + 1:
-        raise ValueError("tau cells must have dimension dim(sigma) + 1")
-    cofs = cx.cofaces(sigma)  # distinct cofaces, by the schema
-    return len(cofs) == 2 and {c.coface for c in cofs} == {tau1, tau2}
-
-
-def check_condition_A(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> bool:
-    return _bounds_exactly(cx, sigma, tau1, tau2) and _rule_failure(cx, "merge", sigma) is None
-
-
-def find_terminal_cells(cx: OrbitComplex) -> list[tuple[str, str]]:
-    """All (sigma, tau) pairs where sigma has exactly one coface tau with
-    multiplicity 1 and no higher-dimensional cells over it."""
-    return [(c.id, cx.cofaces(c.id)[0].coface)
-            for c in sorted(cx.cells, key=lambda c: (c.dim, c.id))
-            if _rule_failure(cx, "cut", c.id) is None]
 
 
 def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | str:
@@ -191,38 +160,32 @@ def _apply(ix: _Index, move: Move, ell: int) -> None:
     _edit(ix, move)
 
 
-def _rigid_index(cx: OrbitComplex) -> _Index:
-    """A copy of cx's index for a public move to edit."""
-    if not cx.rigid:
-        raise ValueError("reduction requires a rigid complex")
-    return _Index(cx.cells, cx.incidences, cx.rigid)
-
-
 def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
-    ix = _rigid_index(cx)
+    """The complex after a cut (sigma's terminal pair) or a merge (of
+    sigma's two cofaces into one cell with the first tau's stabilizer and
+    both boundaries but sigma), if _move_at finds that move; its clause
+    is not read."""
+    ix = _Index(cx.cells, cx.incidences)
     _apply(ix, move, ell)
     return ix.freeze()
 
 
-def cut(cx: OrbitComplex, sigma: str, tau: str, ell: int) -> OrbitComplex:
-    """Remove the terminal cell sigma together with its unique coface."""
-    return apply_move(cx, Move("cut", sigma, (tau,), ""), ell)
-
-
-def merge(cx: OrbitComplex, cand: MergeCandidate, ell: int) -> OrbitComplex:
-    """Replace sigma, tau1, tau2 by one cell carrying tau1's stabilizer;
-    its boundary is the union of both tau boundaries minus sigma."""
-    return apply_move(cx, Move("merge", cand.sigma, (cand.tau1, cand.tau2), ""), ell)
-
-
 def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
     """Forced merge that skips the stabilizer-isomorphism gate of
-    condition A (adjacency shape is still validated).  Used to replay
-    reduction steps that the rule engine cannot derive on its own, such
-    as eliminating a vertex between two edges of unlike stabilizers."""
-    if not _bounds_exactly(cx, sigma, tau1, tau2):
+    condition A (sigma must still bound exactly the two distinct cells
+    tau1 and tau2, one dimension up).  Used to replay reduction steps
+    that the rule engine cannot derive on its own, such as eliminating a
+    vertex between two edges of unlike stabilizers."""
+    try:
+        s, t1, t2 = [cx.cell(cid) for cid in (sigma, tau1, tau2)]
+    except KeyError as exc:
+        raise ValueError(f"unknown cell {exc.args[0]!r}") from None
+    if t1.dim != s.dim + 1 or t2.dim != s.dim + 1:
+        raise ValueError("tau cells must have dimension dim(sigma) + 1")
+    cofs = cx.cofaces(sigma)  # distinct cofaces, by the schema
+    if len(cofs) != 2 or {c.coface for c in cofs} != {tau1, tau2}:
         raise ValueError("sigma must bound exactly tau1 and tau2")
-    ix = _rigid_index(cx)
+    ix = _Index(cx.cells, cx.incidences)
     _edit(ix, Move("merge", sigma, (tau1, tau2), ""))
     return ix.freeze()
 
@@ -235,7 +198,7 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
     its ell-torsion subcomplex first (idempotent).
     """
     # the torsion subcomplex is new and seen by no caller, so the reduction
-    # edits its index in place; building it checks that cx is rigid
+    # edits its index in place
     ix = torsion_subcomplex(cx, ell)._index
     # "cut" sorts before "merge": each cell that starts a move has a
     # (kind, dim, id) entry on the heap, among cells that may not

@@ -358,7 +358,7 @@ def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[
 
 def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
                                         q_range) -> dict[int, int]:
-    """Equivariant cohomology dims of a rigid complex of dimension <= 1,
+    """Equivariant cohomology dims of a complex of dimension <= 1,
     assembled degree by degree from the vertex-to-edge restriction maps
     over the edge end terms of edge_end_assignments:
     dim H^q = dim ker(alpha_q) + dim coker(alpha_{q-1}) for the map

@@ -374,8 +374,6 @@ def test_bredon_complex_validation():
             (OrbitCell("v", 0, "A4"), OrbitCell("w", 0, "A4"),
              OrbitCell("e", 1, "D2")),
             (Incidence("v", "e"), Incidence("w", "e"))))
-    with pytest.raises(ValueError, match="rigid"):
-        bredon_complex(OrbitComplex((OrbitCell("v", 0, "C2"),), (), rigid=False))
 
 
 def test_fixture_blocks_match_formula():

@@ -297,15 +297,6 @@ def test_fixtures_dir_flag(tmp_path):
     assert code == 0
 
 
-def test_fixtures_env_var(tmp_path, monkeypatch):
-    src = FIXTURES / "bianchi_circle2.json"
-    (tmp_path / "c.json").write_text(src.read_text())
-    monkeypatch.setenv("TSR_FIXTURES", str(tmp_path))
-    code, out, err = run_cli("validate", "--input", "c.json")
-    assert code == 0, err.decode()
-    assert out.decode().strip() == "OK"
-
-
 def test_golden_corpus(capsys):
     # every entry of tests/expected/cli.json, regenerated by make_cli.py
     corpus = json.loads((Path(__file__).parent / "expected" / "cli.json").read_text())
@@ -324,20 +315,43 @@ def test_main_callable_directly(capsys):
     assert capsys.readouterr().out.strip() == "OK"
 
 
-@pytest.mark.parametrize("argv,fixtures", [
-    (["validate", "--input", "a" * 5000], None),
-    (["poincare", "--prime", "2", "--census", "a" * 5000], None),
-    (["validate", "--input", "nope.json"], "a" * 5000),
-], ids=["input", "census", "fixtures-env"])
-def test_os_error_exits_one_with_one_line(monkeypatch, capsys, argv, fixtures):
+@pytest.mark.parametrize("argv", [
+    ["validate", "--input", "a" * 5000],
+    ["poincare", "--prime", "2", "--census", "a" * 5000],
+    ["validate", "--input", "nope.json", "--fixtures-dir", "a" * 5000],
+], ids=["input", "census", "fixtures-dir"])
+def test_os_error_exits_one_with_one_line(capsys, argv):
     # a path longer than any file name makes Path.is_file raise OSError
-    if fixtures:
-        monkeypatch.setenv("TSR_FIXTURES", fixtures)
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     (line,) = captured.err.splitlines()
     assert line.startswith(f"error: [Errno {errno.ENAMETOOLONG}] ")
+
+
+@pytest.mark.parametrize("degrees,message", [
+    (10**14, "error: out of memory"),
+    (10**19, "error: Python int too large to convert to C ssize_t"),
+])
+def test_absurd_degree_bound_exits_one_with_one_line(capsys, degrees, message):
+    # the oracle sorts the degrees it is given: a list of 10^14 of them
+    # cannot be allocated, and 10^19 is no list length at all
+    argv = ["oracle", "--prime", "2", "--input", "graphfive.json", "--degrees", str(degrees)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_non_rigid_document_is_refused_by_every_command(tmp_path):
+    path = tmp_path / "c.json"
+    path.write_text((FIXTURES / "graphfive.json").read_text().replace(
+        '"rigid": true', '"rigid": false'))
+    for argv in (["validate"], ["extract", "--prime", "2"], ["reduce", "--prime", "2"],
+                 ["classify", "--prime", "2"], ["bredon"], ["oracle", "--prime", "2"]):
+        code, out, err = run_cli(*argv, "--input", str(path))
+        assert (code, out) == (1, b""), argv
+        assert err.decode().splitlines() == ["error: $.rigid: rigid must be true"], argv
 
 
 def test_block_split_error_exits_two(monkeypatch, capsys):

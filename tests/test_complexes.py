@@ -155,10 +155,14 @@ def test_torsion_subcomplex_divisibility():
             assert (c.id in kept) == (TAG_ORDERS[c.stabilizer] % ell == 0)
 
 
-def test_torsion_subcomplex_requires_rigid():
-    cx = OrbitComplex((OrbitCell("a", 0, "C2"),), (), rigid=False)
-    with pytest.raises(ValueError, match="rigid"):
-        torsion_subcomplex(cx, 2)
+@pytest.mark.parametrize("rigid", ['"rigid": false, ', '"rigid": "yes", ', ""],
+                         ids=["false", "string", "missing"])
+def test_parse_refuses_a_non_rigid_document(rigid):
+    # reduction, Bredon chains and the oracle assume rigidity, so no
+    # complex without it is ever built from a document
+    with pytest.raises(ComplexSchemaError) as err:
+        parse_complex("{" + rigid + '"cells": [], "incidences": []}')
+    assert str(err.value) == "$.rigid: rigid must be true"
 
 
 def test_connected_components_empty():
@@ -189,7 +193,7 @@ def _components_by_rescan(cx):
     for c in cx.cells:
         groups.setdefault(find(c.id), set()).add(c.id)
     comps = [OrbitComplex(tuple(c for c in cx.cells if c.id in ids),
-                          tuple(i for i in cx.incidences if i.face in ids), cx.rigid)
+                          tuple(i for i in cx.incidences if i.face in ids))
              for ids in groups.values()]
     return sorted(comps, key=lambda comp: min(c.id for c in comp.cells))
 

@@ -13,10 +13,9 @@ from tsr.complexes import (Incidence, OrbitCell, OrbitComplex,
 from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
                         catalog_group, condition_B_prime_search,
                         mod_ell_homology_bruteforce)
-from tsr.reduction import (MergeCandidate, Move, ReductionLog, _rule_failure,
-                           apply_move, check_condition_A, check_condition_B_prime,
-                           cut, find_terminal_cells, merge, reduce_complex,
-                           replay, scripted_merge)
+from tsr.reduction import (Move, ReductionLog, _rule_failure, apply_move,
+                           check_condition_B_prime, reduce_complex, replay,
+                           scripted_merge)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -29,39 +28,66 @@ def load(name: str) -> OrbitComplex:
 # Condition A
 
 
-def test_condition_a_path_vertex():
-    assert check_condition_A(load("path_c2_d3_c2.json"), "v2", "e1", "e2")
+def refusal(cx: OrbitComplex, move: Move, ell: int = 2) -> str:
+    """The message with which apply_move refuses the move."""
+    with pytest.raises(ValueError) as exc:
+        apply_move(cx, move, ell)
+    return str(exc.value)
 
 
-def test_condition_a_fails_on_unlike_stabilizers():
-    # at Q the edges carry D2 and C2, which are not isomorphic
-    assert not check_condition_A(load("sl3z_intermediate.json"),
-                                 "Q", "f1_OQ", "f2_QM")
-
-
-def test_condition_a_fails_with_three_cofaces():
-    assert not check_condition_A(load("graphfive.json"), "u", "a", "b")
-
-
-def test_condition_a_dimension_error():
-    with pytest.raises(ValueError):
-        check_condition_A(load("path_c2_d3_c2.json"), "e1", "v1", "v2")
-
-
-def test_condition_a_blocked_by_higher_cells():
-    # inside the 2-dimensional complex, an edge-pair merge at a vertex is
-    # blocked because triangles sit above it
-    cx = load("sl3z_soule.json")
-    assert not check_condition_A(cx, "Q", "e01_QN", "e08_MQ")
-
-
-def test_condition_a_self_identified_blocks():
-    cells = (OrbitCell("s", 0, "C2"), OrbitCell("t1", 1, "C2", True),
+def two_edges_at_s(s_tag="C2", t1_self_identified=False, triangle_over_t1=False):
+    """w - t1 - s - t2 - x with C2 on every cell but s, optionally with t1
+    self-identified or bounding a triangle."""
+    cells = (OrbitCell("s", 0, s_tag), OrbitCell("t1", 1, "C2", t1_self_identified),
              OrbitCell("t2", 1, "C2"), OrbitCell("w", 0, "C2"),
              OrbitCell("x", 0, "C2"))
     incs = (Incidence("s", "t1"), Incidence("s", "t2"),
             Incidence("w", "t1"), Incidence("x", "t2"))
-    assert not check_condition_A(OrbitComplex(cells, incs), "s", "t1", "t2")
+    if triangle_over_t1:
+        cells += (OrbitCell("f", 2, "C2"),)
+        incs += (Incidence("t1", "f"),)
+    return OrbitComplex(cells, incs)
+
+
+def test_condition_a_path_vertex():
+    merged = apply_move(load("path_c2_d3_c2.json"), Move("merge", "v2", ("e1", "e2"), ""), 2)
+    assert sorted(c.id for c in merged.cells) == ["e1+", "v1", "v3"]
+
+
+def test_condition_a_fails_on_unlike_stabilizers():
+    # at Q the edges carry D2 and C2, which are not isomorphic
+    move = Move("merge", "Q", ("f1_OQ", "f2_QM"), "")
+    assert refusal(load("sl3z_intermediate.json"), move) == "merge at 'Q': condition A fails"
+
+
+def test_condition_a_fails_with_three_cofaces():
+    move = Move("merge", "u", ("a", "b"), "")
+    assert refusal(load("graphfive.json"), move) == "merge at 'u': condition A fails"
+
+
+def test_condition_a_dimension_error():
+    # e1 is a top cell, so it bounds nothing; the forced merge names the
+    # dimensions its arguments have
+    move = Move("merge", "e1", ("v1", "v2"), "")
+    assert refusal(load("path_c2_d3_c2.json"), move) == "merge at 'e1': condition A fails"
+    with pytest.raises(ValueError, match=r"tau cells must have dimension dim\(sigma\) \+ 1"):
+        scripted_merge(load("path_c2_d3_c2.json"), "e1", "v1", "v2")
+
+
+def test_condition_a_blocked_by_higher_cells():
+    # s bounds exactly two like edges, but a triangle sits above t1; in the
+    # 2-dimensional SL3 complex, Q bounds three edges that bound triangles
+    move = Move("merge", "s", ("t1", "t2"), "")
+    assert apply_move(two_edges_at_s(), move, 2).cells_of_dim(1)[0].id == "t1+"
+    assert refusal(two_edges_at_s(triangle_over_t1=True), move) == "merge at 's': condition A fails"
+    move = Move("merge", "Q", ("e01_QN", "e08_MQ"), "")
+    assert refusal(load("sl3z_soule.json"), move) == "merge at 'Q': condition A fails"
+
+
+def test_condition_a_self_identified_blocks():
+    move = Move("merge", "s", ("t1", "t2"), "")
+    assert refusal(two_edges_at_s(t1_self_identified=True), move) == (
+        "merge at 's': condition A fails")
 
 
 # --------------------------------------------------------------------------
@@ -184,12 +210,19 @@ def test_b_prime_soundness_dimension_check():
 
 
 def test_merge_path():
+    # condition A holds at v2, and D3 over C2 passes B'
     cx = load("path_c2_d3_c2.json")
-    merged = merge(cx, MergeCandidate("v2", "e1", "e2"), 2)
+    merged = apply_move(cx, Move("merge", "v2", ("e1", "e2"), ""), 2)
     ids = sorted(c.id for c in merged.cells)
     assert ids == ["e1+", "v1", "v3"]
     ends = sorted(i.face for i in merged.faces("e1+"))
     assert ends == ["v1", "v3"]
+
+
+def test_merge_rejects_non_candidate():
+    # condition A holds at s, but D2 over C2 fails B' at ell = 2
+    move = Move("merge", "s", ("t1", "t2"), "")
+    assert refusal(two_edges_at_s("D2"), move) == "merge at 's': condition B' fails"
 
 
 def test_merge_two_edge_loop_gives_circle():
@@ -198,17 +231,12 @@ def test_merge_two_edge_loop_gives_circle():
     incs = (Incidence("u", "a"), Incidence("v", "a"),
             Incidence("u", "b"), Incidence("v", "b"))
     cx = OrbitComplex(cells, incs)
-    out = merge(cx, MergeCandidate("u", "a", "b"), 2)
+    out = apply_move(cx, Move("merge", "u", ("a", "b"), ""), 2)
     assert len(out.cells_of_dim(1)) == 1
     loop = out.cells_of_dim(1)[0]
     (inc,) = out.faces(loop.id)
     assert inc.multiplicity == 2
     assert classify_component(out, 2) == "Circle"
-
-
-def test_merge_rejects_non_candidate():
-    with pytest.raises(ValueError):
-        merge(load("graphfive.json"), MergeCandidate("u", "a", "b"), 2)
 
 
 def test_reduce_two_edge_loop_to_circle():
@@ -222,15 +250,19 @@ def test_reduce_two_edge_loop_to_circle():
 
 
 def test_find_terminal_cells():
-    assert ("N", "f4_PN") in find_terminal_cells(load("sl3z_intermediate.json"))
-    assert find_terminal_cells(load("bianchi_circle2.json")) == []
+    # the terminal cells are those that start a cut; N in the SL3 complex
+    # is one, and no cell of a circle or of a bare vertex is
+    apply_move(load("sl3z_intermediate.json"), Move("cut", "N", ("f4_PN",), ""), 2)
     bare = OrbitComplex((OrbitCell("v", 0, "C2"),), ())
-    assert find_terminal_cells(bare) == []
+    for cx in (load("bianchi_circle2.json"), bare):
+        for c in cx.cells:
+            assert refusal(cx, Move("cut", c.id, ("v",), "")) == (
+                f"cut at {c.id!r}: not a terminal pair")
 
 
 def test_cut_sl3_terminal_branch():
     cx = load("sl3z_intermediate.json")
-    out = cut(cx, "N", "f4_PN", 2)
+    out = apply_move(cx, Move("cut", "N", ("f4_PN",), ""), 2)
     assert "N" not in {c.id for c in out.cells}
     assert "f4_PN" not in {c.id for c in out.cells}
     assert len(out.cells) == 7
@@ -238,31 +270,39 @@ def test_cut_sl3_terminal_branch():
 
 def test_cut_c2_leaf_removable():
     cx = load("chain_c2_c2_d3.json")
-    out = cut(cx, "v1", "e1", 2)
+    out = apply_move(cx, Move("cut", "v1", ("e1",), ""), 2)
     assert len(out.cells) == 3
 
 
-@pytest.mark.parametrize("name,move", [
-    # N's only coface is f4_PN
-    ("sl3z_intermediate.json", Move("cut", "N", ("f1_OQ",), "")),
-    # u bounds three edges
-    ("graphfive.json", Move("merge", "u", ("a", "b"), "")),
-    ("path_c2_d3_c2.json", Move("merge", "nope", ("e1", "e2"), "")),
-    ("path_c2_d3_c2.json", Move("cut", "nope", ("e1",), "")),
-    ("path_c2_d3_c2.json", Move("merge", "v2", ("e1", "nope"), "")),
-    ("path_c2_d3_c2.json", Move("merge", "v2", ("e1",), "")),
-    ("sl3z_intermediate.json", Move("cut", "N", ("nope",), "")),
-    ("path_c2_d3_c2.json", Move("swap", "v2", ("e1", "e2"), "")),
-])
-def test_forged_move_raises_value_error(name, move):
-    with pytest.raises(ValueError):
-        apply_move(torsion_subcomplex(load(name), 2), move, 2)
+FORGED_MOVES = [
+    ("sl3z_intermediate.json", Move("cut", "N", ("f1_OQ",), ""),
+     "cut at 'N': its top cells are ['f4_PN']"),
+    ("graphfive.json", Move("merge", "u", ("a", "b"), ""), "merge at 'u': condition A fails"),
+    ("path_c2_d3_c2.json", Move("merge", "nope", ("e1", "e2"), ""),
+     "merge at 'nope': condition A fails"),
+    ("path_c2_d3_c2.json", Move("cut", "nope", ("e1",), ""),
+     "cut at 'nope': not a terminal pair"),
+    ("path_c2_d3_c2.json", Move("merge", "v2", ("e1", "nope"), ""),
+     "merge at 'v2': its top cells are ['e1', 'e2']"),
+    ("path_c2_d3_c2.json", Move("merge", "v2", ("e1",), ""),
+     "merge at 'v2': its top cells are ['e1', 'e2']"),
+    ("sl3z_intermediate.json", Move("cut", "N", ("nope",), ""),
+     "cut at 'N': its top cells are ['f4_PN']"),
+    ("path_c2_d3_c2.json", Move("swap", "v2", ("e1", "e2"), ""),
+     "swap at 'v2': unknown move kind"),
+]
+
+
+@pytest.mark.parametrize("name,move,message", FORGED_MOVES,
+                         ids=[f"{name}-move{k}" for k, (name, _, _) in enumerate(FORGED_MOVES)])
+def test_forged_move_raises_value_error(name, move, message):
+    assert refusal(torsion_subcomplex(load(name), 2), move) == message
 
 
 @pytest.mark.parametrize("call", [
-    lambda cx: check_condition_A(cx, "nope", "e1", "e2"),
-    lambda cx: check_condition_A(cx, "v2", "e1", "nope"),
     lambda cx: scripted_merge(cx, "nope", "e1", "e2"),
+    lambda cx: scripted_merge(cx, "v2", "e1", "nope"),
+    lambda cx: scripted_merge(cx, "v2", "nope", "e2"),
 ])
 def test_unknown_cell_raises_value_error(call):
     with pytest.raises(ValueError, match="unknown cell 'nope'"):
@@ -270,11 +310,10 @@ def test_unknown_cell_raises_value_error(call):
 
 
 def test_cut_d2_leaf_not_removable():
-    cx = load("path_c2_d3_c2.json")
-    reduced, _ = reduce_complex(cx, 2)
-    (sigma, tau) = find_terminal_cells(reduced)[0]
-    with pytest.raises(ValueError, match="B'"):
-        cut(reduced, sigma, tau, 2)
+    # v1 is terminal in the reduced path, but D2 over C2 fails B'
+    reduced, _ = reduce_complex(load("path_c2_d3_c2.json"), 2)
+    move = Move("cut", "v1", ("e1+",), "")
+    assert refusal(reduced, move) == "cut at 'v1': condition B' fails"
 
 
 # --------------------------------------------------------------------------
@@ -381,7 +420,6 @@ def test_log_jsonl_roundtrip():
 def test_euler_bookkeeping():
     # each move removes one (n-1)-cell and one n-cell net (a merge takes
     # two n-cells and adds one back)
-    from tsr.reduction import apply_move
     for name, ell in [("sl3z_soule.json", 2), ("path_c2_d3_c2.json", 2)]:
         state = torsion_subcomplex(load(name), ell)
         _, log = reduce_complex(state, ell)
@@ -407,12 +445,6 @@ def test_reduce_checks_b_prime_once_per_candidate(monkeypatch):
     assert len(calls) == 11
 
 
-def test_reduce_requires_rigid():
-    cx = OrbitComplex((OrbitCell("v", 0, "C2"),), (), rigid=False)
-    with pytest.raises(ValueError, match="rigid"):
-        reduce_complex(cx, 2)
-
-
 def test_scripted_merge_reaches_final_chain():
     reduced, _ = reduce_complex(load("sl3z_intermediate.json"), 2)
     chain = scripted_merge(reduced, "Q", "f2_QM", "f1_OQ")
@@ -421,23 +453,9 @@ def test_scripted_merge_reaches_final_chain():
 
 
 def test_scripted_merge_validates_adjacency():
-    with pytest.raises(ValueError):
+    # u bounds three edges
+    with pytest.raises(ValueError, match="sigma must bound exactly tau1 and tau2"):
         scripted_merge(load("graphfive.json"), "u", "a", "b")
-
-
-@pytest.mark.parametrize("edit", [
-    lambda cx, move: apply_move(cx, move, 2),
-    lambda cx, move: cut(cx, "v1", "e1", 2),
-    lambda cx, move: merge(cx, MergeCandidate("v2", "e1", "e2"), 2),
-    lambda cx, move: scripted_merge(cx, "v2", "e1", "e2"),
-    lambda cx, move: reduce_complex(cx, 2),
-    lambda cx, move: replay(cx, ReductionLog((move,)), 2),
-], ids=["apply_move", "cut", "merge", "scripted_merge", "reduce_complex", "replay"])
-def test_every_editing_entry_point_rejects_a_non_rigid_complex(edit):
-    cx = load("path_c2_d3_c2.json")
-    _, log = reduce_complex(cx, 2)
-    with pytest.raises(ValueError, match="requires a rigid complex"):
-        edit(OrbitComplex(cx.cells, cx.incidences, False), log.moves[0])
 
 
 def test_scripted_merge_rejects_one_tau_twice():
@@ -491,7 +509,7 @@ def reference_reduce(cx: OrbitComplex, ell: int):
         return OrbitComplex(
             tuple(c for c in cx.cells if c.id not in drop),
             tuple(i for i in cx.incidences
-                  if i.face not in drop and i.coface not in drop), cx.rigid)
+                  if i.face not in drop and i.coface not in drop))
 
     def next_move():
         order = sorted(cx.cells, key=lambda c: (c.dim, c.id))
@@ -537,8 +555,7 @@ def reference_reduce(cx: OrbitComplex, ell: int):
         cx = OrbitComplex(
             base.cells + (OrbitCell(move.merged, t1.dim, t1.stabilizer),),
             base.incidences + tuple(Incidence(f, move.merged, m)
-                                    for f, m in sorted(boundary.items())),
-            cx.rigid)
+                                    for f, m in sorted(boundary.items())))
     return cx, ReductionLog(tuple(moves))
 
 
@@ -603,7 +620,6 @@ def test_logged_moves_apply_one_at_a_time(ell_and_complex):
     assert serialize_complex(state) == serialize_complex(reduced)
 
 
-
 # --------------------------------------------------------------------------
 # The rule function against the separate helpers it replaced, on the
 # complexes above
@@ -637,11 +653,12 @@ def test_rule_failure_matches_separate_helpers(ell_and_complex):
     _, cx = ell_and_complex
     for c in cx.cells:
         cut_ok = _terminal_coface(cx, c.id) is not None
-        assert _rule_failure(cx, "cut", c.id) == (None if cut_ok else "not a terminal pair")
+        assert _rule_failure(cx._index, "cut", c.id) == (
+            None if cut_ok else "not a terminal pair")
         taus = sorted(i.coface for i in cx.cofaces(c.id))
         merge_ok = len(taus) == 2 and _separate_condition_A(cx, c.id, *taus)
-        assert _rule_failure(cx, "merge", c.id) == (None if merge_ok else "condition A fails")
-        assert _rule_failure(cx._index, "merge", c.id) == _rule_failure(cx, "merge", c.id)
+        assert _rule_failure(cx._index, "merge", c.id) == (
+            None if merge_ok else "condition A fails")
 
 
 @st.composite
@@ -699,7 +716,7 @@ def test_reduce_long_inputs_match_reference_and_replay(ell_and_complex):
 
 
 def _answers_as_if_checked(d: OrbitComplex) -> None:
-    ref = OrbitComplex(d.cells, d.incidences, d.rigid)  # raises on a bad record
+    ref = OrbitComplex(d.cells, d.incidences)  # raises on a bad record
     assert d == ref
     for cid in [c.id for c in d.cells]:
         assert d.cell(cid) is ref.cell(cid)

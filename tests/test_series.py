@@ -252,13 +252,6 @@ def test_oracle_rejects_non_prime():
         equivariant_graph_cohomology_oracle(load("bianchi_edge3.json"), 4, range(1, 4))
 
 
-def test_oracle_rejects_non_rigid_complex():
-    cx = load("graphfive.json")
-    cx = OrbitComplex(cx.cells, cx.incidences, rigid=False)
-    with pytest.raises(ValueError, match="rigid"):
-        equivariant_graph_cohomology_oracle(cx, 2, range(3, 6))
-
-
 def test_oracle_rejects_unsupported_stabilizer():
     with pytest.raises(ValueError, match="unsupported"):
         equivariant_graph_cohomology_oracle(load("graphtwo.json"), 2, range(3, 4))
