@@ -374,6 +374,11 @@ def test_bredon_complex_validation():
             (OrbitCell("v", 0, "A4"), OrbitCell("w", 0, "A4"),
              OrbitCell("e", 1, "D2")),
             (Incidence("v", "e"), Incidence("w", "e"))))
+    # a non-rigid document is refused where it is parsed
+    with pytest.raises(ValueError, match="rigid must be true"):
+        bredon_complex(parse_complex('{"rigid": false, "cells": [{"id": "v", "dim": 0, '
+                                     '"stabilizer": "C2", "self_identified": false}], '
+                                     '"incidences": []}'))
 
 
 def test_fixture_blocks_match_formula():

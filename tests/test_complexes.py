@@ -155,6 +155,16 @@ def test_torsion_subcomplex_divisibility():
             assert (c.id in kept) == (TAG_ORDERS[c.stabilizer] % ell == 0)
 
 
+def test_torsion_subcomplex_requires_rigid():
+    # the rigid flag is read only by parse_complex, so a non-rigid document
+    # is refused before torsion_subcomplex sees it
+    text = ('{"rigid": true, "cells": [{"id": "a", "dim": 0, "stabilizer": "C2", '
+            '"self_identified": false}], "incidences": []}')
+    assert [c.id for c in torsion_subcomplex(parse_complex(text), 2).cells] == ["a"]
+    with pytest.raises(ValueError, match="rigid must be true"):
+        torsion_subcomplex(parse_complex(text.replace("true", "false")), 2)
+
+
 @pytest.mark.parametrize("rigid", ['"rigid": false, ', '"rigid": "yes", ', ""],
                          ids=["false", "string", "missing"])
 def test_parse_refuses_a_non_rigid_document(rigid):

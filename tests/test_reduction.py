@@ -452,6 +452,40 @@ def test_scripted_merge_reaches_final_chain():
     assert stabs == [(0, "S4"), (0, "S4"), (0, "S4"), (1, "C2"), (1, "D4")]
 
 
+def non_rigid_copy(name: str) -> str:
+    """The fixture's document with its rigid key set to false."""
+    text = FIXTURES.joinpath(name).read_text()
+    assert text.count('"rigid": true') == 1
+    return text.replace('"rigid": true', '"rigid": false')
+
+
+def test_reduce_requires_rigid():
+    # the rigid flag is read only by parse_complex, so a non-rigid document
+    # is refused before reduce_complex sees it
+    reduced, _ = reduce_complex(load("path_c2_d3_c2.json"), 2)
+    assert len(reduced.cells) == 3
+    with pytest.raises(ValueError, match="rigid must be true"):
+        reduce_complex(parse_complex(non_rigid_copy("path_c2_d3_c2.json")), 2)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda cx, move: apply_move(cx, move, 2),
+    lambda cx, move: apply_move(cx, Move("cut", "v1", ("e1",), ""), 2),
+    lambda cx, move: apply_move(cx, Move("merge", "v2", ("e1", "e2"), ""), 2),
+    lambda cx, move: scripted_merge(cx, "v2", "e1", "e2"),
+    lambda cx, move: reduce_complex(cx, 2),
+    lambda cx, move: replay(cx, ReductionLog((move,)), 2),
+], ids=["apply_move", "cut", "merge", "scripted_merge", "reduce_complex", "replay"])
+def test_every_editing_entry_point_rejects_a_non_rigid_complex(edit):
+    # each edit goes through on the rigid document; its non-rigid copy is
+    # refused where it is parsed, so no edit ever sees it
+    cx = load("chain_c2_c2_d3.json")
+    _, log = reduce_complex(cx, 2)
+    edit(cx, log.moves[0])
+    with pytest.raises(ValueError, match="rigid must be true"):
+        edit(parse_complex(non_rigid_copy("chain_c2_c2_d3.json")), log.moves[0])
+
+
 def test_scripted_merge_validates_adjacency():
     # u bounds three edges
     with pytest.raises(ValueError, match="sigma must bound exactly tau1 and tau2"):

@@ -252,6 +252,16 @@ def test_oracle_rejects_non_prime():
         equivariant_graph_cohomology_oracle(load("bianchi_edge3.json"), 4, range(1, 4))
 
 
+def test_oracle_rejects_non_rigid_complex():
+    # the rigid flag is read only by parse_complex, so a non-rigid document
+    # is refused before the oracle sees it
+    text = FIXTURES.joinpath("graphfive.json").read_text()
+    equivariant_graph_cohomology_oracle(parse_complex(text), 2, range(3, 6))
+    with pytest.raises(ValueError, match="rigid must be true"):
+        cx = parse_complex(text.replace('"rigid": true', '"rigid": false'))
+        equivariant_graph_cohomology_oracle(cx, 2, range(3, 6))
+
+
 def test_oracle_rejects_unsupported_stabilizer():
     with pytest.raises(ValueError, match="unsupported"):
         equivariant_graph_cohomology_oracle(load("graphtwo.json"), 2, range(3, 4))
