@@ -8,6 +8,10 @@ scaled to 1 and cleared from every other row.  Over Z a reduced row
 with no unit joins the ``core``, which also stays zero in every pivot
 column, so the elementary divisors are one 1 per pivot plus those of
 the core (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).
+When the core's entries share a factor g, its divisors are g times
+those of the core divided by g, which the same elimination peels again
+(``bredon.elementary_divisors``); only a core of content 1 with no unit
+entry is left to a dense Smith normal form.
 ``rank_mod`` and ``nullspace_mod`` feed a matrix's rows through it.
 
 ``assemble`` builds those rows: every matrix of a cell complex here (the
@@ -62,7 +66,13 @@ def assemble(terms, rows, cols, width, block) -> list[dict[int, int]]:
 class SpanTracker:
     """Incrementally maintained row space over F_p, or row lattice over
     Z (p = 0).  ``pivots`` maps each pivot column to its row; ``rank``
-    counts the pivots (over Z the core adds to the rank of the lattice)."""
+    counts the pivots (over Z the core adds to the rank of the lattice).
+
+    ``add``, ``contains`` and the constructor take any dense or dict row
+    and normalise it once with ``_row``, into a new dict of Python ints
+    that the tracker then owns.  ``_add`` takes a clean row (nonzero int
+    entries, reduced mod p) as it is and keeps it, so a caller passes a
+    copy of any row it still reads."""
 
     def __init__(self, p: int, rows=()):
         self.p = p
@@ -75,10 +85,9 @@ class SpanTracker:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def _reduce(self, vec) -> dict[int, int]:
+    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
         # each pivot row is zero in the other pivot columns, so the
         # coefficients are the vector's own entries there
-        v = _row(vec, self.p)
         for c in [c for c in v if c in self.pivots]:
             _subtract(v, v[c], self.pivots[c], self.p)
         return v
@@ -86,11 +95,14 @@ class SpanTracker:
     def contains(self, vec) -> bool:
         if not self.p:
             raise ValueError("membership is only decided over F_p")
-        return not self._reduce(vec)
+        return not self._reduce(_row(vec, self.p))
 
     def add(self, vec) -> bool:
         """Add a row; returns True if it enlarged the span."""
-        v = self._reduce(vec)
+        return self._add(_row(vec, self.p))
+
+    def _add(self, v: dict[int, int]) -> bool:
+        v = self._reduce(v)
         if not v:
             return False
         p = self.p

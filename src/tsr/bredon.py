@@ -233,15 +233,34 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
 
 def elementary_divisors(mat) -> list[int]:
     """The nonzero elementary divisors of a matrix given as a list of
-    rows: one 1 per unit pivot of the sparse elimination, then the Smith
-    normal form of the core it leaves."""
-    span = SpanTracker(0, mat)
-    core = [row for row in span.core if row]
-    if not core:
-        return [1] * span.rank
-    cols = sorted({j for row in core for j in row})
-    _, d, _ = smith_normal_form([[row.get(j, 0) for j in cols] for row in core])
-    return [1] * span.rank + [d[i][i] for i in range(min(len(d), len(d[0]))) if d[i][i]]
+    dense or dict rows, in divisibility order: one 1 per unit pivot of
+    the sparse elimination, then those of the core it leaves.  When the
+    core's entries share a factor g > 1, its divisors are g times those
+    of the core divided by g, so the elimination runs again on the
+    quotient and its pivots count g each; this repeats on whatever core
+    is left.  Only a core of content 1 with no unit entry goes to the
+    Smith normal form."""
+    return _divisors([_row(r, 0) for r in mat])
+
+
+def _divisors(rows: list[dict[int, int]]) -> list[int]:
+    """elementary_divisors of clean rows, which the elimination takes over."""
+    out, scale = [], 1
+    while rows:
+        span = SpanTracker(0)
+        for row in rows:
+            span._add(row)
+        out += [scale] * span.rank
+        rows = [row for row in span.core if row]
+        g = gcd(*(x for row in rows for x in row.values()))
+        if g > 1:
+            scale *= g
+            rows = [{j: x // g for j, x in row.items()} for row in rows]
+        elif rows and not any(x in (1, -1) for row in rows for x in row.values()):
+            cols = sorted({j for row in rows for j in row})
+            _, d, _ = smith_normal_form([[row.get(j, 0) for j in cols] for row in rows])
+            return out + [scale * d[i][i] for i in range(min(len(d), len(cols))) if d[i][i]]
+    return out
 
 
 @dataclass(frozen=True)
@@ -275,8 +294,8 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
     elementary divisors of both differentials (the complex checked
     itself when it was built)."""
     n0, n1, n2 = chain.dims
-    div1 = elementary_divisors(chain.psi1)
-    div2 = elementary_divisors(chain.psi2)
+    # the stored rows are clean; the elimination edits its own copies
+    div1, div2 = (_divisors([dict(r) for r in rows]) for rows in (chain.psi1, chain.psi2))
     rank1, rank2 = len(div1), len(div2)
     h0 = AbelianGroup(n0 - rank1, tuple(d for d in div1 if d > 1))
     h1 = AbelianGroup((n1 - rank1) - rank2, tuple(d for d in div2 if d > 1))

@@ -150,7 +150,10 @@ def _edit(ix: _Index, move: Move) -> str | None:
 
 def _apply(ix: _Index, move: Move, ell: int) -> None:
     """Make the edit of a move if _move_at finds one of its kind at its
-    sigma with the same taus, in any order; its clause is not read."""
+    sigma with the same taus, in any order; its clause is not read.  An
+    unknown sigma is refused as scripted_merge refuses it."""
+    if move.sigma not in ix.cells:
+        raise ValueError(f"unknown cell {move.sigma!r}")
     found = (_move_at(ix, move.kind, move.sigma, ell) if move.kind in ("cut", "merge")
              else "unknown move kind")
     if isinstance(found, Move) and set(found.taus) != set(move.taus):

@@ -1,5 +1,6 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -335,6 +336,16 @@ def test_homology_reads_dense_rows(psi1, psi2, dims, want):
     assert [str(h) for h in homology(IntegerChainComplex(psi1, psi2, dims))] == want
 
 
+def test_outside_dict_rows_become_python_ints():
+    # dict rows from outside are normalised too: int64 entries would wrap
+    # at 3**60 in the elimination
+    big, one = np.int64(3 ** 30), np.int64(1)
+    rows = [{0: big, 1: one}, {0: one, 1: big}]
+    assert elementary_divisors(rows) == [1, 3 ** 60 - 1]
+    assert homology(IntegerChainComplex(rows, [{}, {}], (2, 2, 0)))[0] == \
+        AbelianGroup(0, (3 ** 60 - 1,))
+
+
 def test_homology_of_trivial_complex():
     chain = IntegerChainComplex(np.zeros((0, 0), dtype=int),
                                 np.zeros((0, 0), dtype=int), (0, 0, 0))
@@ -406,6 +417,23 @@ def test_splitting_theorem_direct_sum():
                  homology(blocks.three)]
         for i in range(3):
             assert full[i] == parts[0][i] + parts[1][i] + parts[2][i], name
+
+
+def test_many_theta_components(monkeypatch):
+    # 64 graphfive copies, ids suffixed per copy: each θ component adds one
+    # Z/2 to H0, which the elimination reads off the core's content, never
+    # from the Smith normal form of a 128 x 128 core
+    doc = json.loads(FIXTURES.joinpath("graphfive.json").read_text())
+    doc["cells"] = [dict(c, id=f"{c['id']}_{k}") for k in range(64) for c in doc["cells"]]
+    doc["incidences"] = [dict(i, face=f"{i['face']}_{k}", coface=f"{i['coface']}_{k}")
+                         for k in range(64) for i in doc["incidences"]]
+    monkeypatch.setattr(tsr.bredon, "smith_normal_form", None)
+    bc = bredon_complex(parse_complex(json.dumps(doc)))
+    full = homology(bc.total)
+    assert full == [AbelianGroup(256, (2,) * 64), AbelianGroup(128), AbelianGroup()]
+    blocks = split_blocks(bc)
+    parts = [homology(b) for b in (blocks.trivial, blocks.two, blocks.three)]
+    assert full == [parts[0][i] + parts[1][i] + parts[2][i] for i in range(3)]
 
 
 def _union(parts) -> OrbitComplex:

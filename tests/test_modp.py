@@ -1,10 +1,14 @@
 """Properties of the sparse elimination kernel on random matrices, over
 F_p and over Z (against the Smith normal form)."""
 
+from math import gcd
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsr.bredon
 from tsr._modp import SpanTracker, nullspace_mod, rank_mod
 from tsr.bredon import elementary_divisors, smith_normal_form
 
@@ -53,14 +57,34 @@ def test_span_tracker_spans_the_rows(case):
     assert tracker.contains(np.arange(len(a)) @ a)  # a combination of the rows
 
 
+# mostly zeros and small non-units, so that the unit-pivot elimination
+# often leaves a non-empty core
+ENTRY = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -6, 9))
+
+
+def _block(draw, side, entry=ENTRY):
+    rows, cols = draw(st.integers(0, side)), draw(st.integers(0, side))
+    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+
+
+def _diagonal(a, b):
+    """The block-diagonal matrix with blocks a and b."""
+    ca, cb = (len(m[0]) if m else 0 for m in (a, b))
+    return [row + [0] * cb for row in a] + [[0] * ca + row for row in b]
+
+
 @st.composite
 def integer_matrices(draw):
-    rows = draw(st.integers(0, 8))
-    cols = draw(st.integers(0, 8))
-    # mostly zeros and small non-units, so that the unit-pivot
-    # elimination often leaves a non-empty core for the SNF
-    entry = st.sampled_from((0, 0, 0, 1, -1, 2, -2, 3, 4, 6, -6, 9))
-    return [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    m = _block(draw, 8)
+    if draw(st.booleans()):
+        return m
+    # the block scaled by g, sometimes inside a second scaled block, next
+    # to a unit part: the elimination peels the core's content, and leaves
+    # any core of content 1 without a unit to the Smith normal form
+    for _ in range(draw(st.integers(1, 2))):
+        g = draw(st.sampled_from((2, 3, 4, 6)))
+        m = [[g * x for x in row] for row in _diagonal(_block(draw, 3), m)]
+    return _diagonal(_block(draw, 4, st.sampled_from((0, 1, -1))), m)
 
 
 @settings(max_examples=300, deadline=None)
@@ -75,3 +99,16 @@ def test_elementary_divisors_match_the_smith_normal_form(m):
 @given(integer_matrices(), st.sampled_from((2, 3, 5)))
 def test_rank_mod_p_counts_divisors_prime_to_p(m, p):
     assert rank_mod(m, p) == sum(1 for d in elementary_divisors(m) if d % p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_smith_normal_form_sees_only_a_core_of_content_one_without_units(m):
+    def dense(core):
+        entries = [x for row in core for x in row]
+        assert gcd(*entries) == 1 and not any(x in (1, -1) for x in entries)
+        return smith_normal_form(core)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tsr.bredon, "smith_normal_form", dense)
+        elementary_divisors(m)

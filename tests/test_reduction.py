@@ -278,10 +278,8 @@ FORGED_MOVES = [
     ("sl3z_intermediate.json", Move("cut", "N", ("f1_OQ",), ""),
      "cut at 'N': its top cells are ['f4_PN']"),
     ("graphfive.json", Move("merge", "u", ("a", "b"), ""), "merge at 'u': condition A fails"),
-    ("path_c2_d3_c2.json", Move("merge", "nope", ("e1", "e2"), ""),
-     "merge at 'nope': condition A fails"),
-    ("path_c2_d3_c2.json", Move("cut", "nope", ("e1",), ""),
-     "cut at 'nope': not a terminal pair"),
+    ("path_c2_d3_c2.json", Move("merge", "nope", ("e1", "e2"), ""), "unknown cell 'nope'"),
+    ("path_c2_d3_c2.json", Move("cut", "nope", ("e1",), ""), "unknown cell 'nope'"),
     ("path_c2_d3_c2.json", Move("merge", "v2", ("e1", "nope"), ""),
      "merge at 'v2': its top cells are ['e1', 'e2']"),
     ("path_c2_d3_c2.json", Move("merge", "v2", ("e1",), ""),
@@ -303,6 +301,7 @@ def test_forged_move_raises_value_error(name, move, message):
     lambda cx: scripted_merge(cx, "nope", "e1", "e2"),
     lambda cx: scripted_merge(cx, "v2", "e1", "nope"),
     lambda cx: scripted_merge(cx, "v2", "nope", "e2"),
+    lambda cx: replay(cx, ReductionLog((Move("cut", "nope", ("e1",), ""),)), 2),
 ])
 def test_unknown_cell_raises_value_error(call):
     with pytest.raises(ValueError, match="unknown cell 'nope'"):
