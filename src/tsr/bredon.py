@@ -11,12 +11,13 @@ incidence terms of the complex, assembled as sparse rows that go
 straight to the elimination; each block of the split is the same sum
 of the split blocks' corners on its part, and ``split_blocks`` checks
 every split block it reads for an entry that links two parts.  Dense
-rows are made only for printing and for the Smith normal form of the
-elimination's core.
+rows are made only for the Smith normal form of the elimination's core
+and for the dense ``BredonComplex.psi1``/``psi2`` views.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import TYPE_CHECKING
@@ -130,12 +131,14 @@ def _dense(rows: list[dict[int, int]], width: int) -> list[list[int]]:
 
 def _invariant_factors(entries) -> tuple[int, ...]:
     """Normalize torsion entries (> 1) into a divisibility chain.  Each
-    entry moves down the chain from its top as (lcm, gcd) pairs, which
-    sorts the valuations at every prime at once, with no factoring."""
+    entry moves down the chain as (lcm, gcd) pairs, which sorts the
+    valuations at every prime at once, with no factoring.  The pairs
+    leave the suffix of entries it divides as it is, so the walk starts
+    below that suffix."""
     chain: list[int] = []
     for n in entries:
         n = int(n)
-        for i in reversed(range(len(chain))):
+        for i in reversed(range(bisect_left(chain, True, key=lambda c: c % n == 0))):
             chain[i], n = lcm(chain[i], n), gcd(chain[i], n)
         if n > 1:
             chain.insert(0, n)
@@ -313,7 +316,7 @@ class BredonComplex:
     incidence terms (row cell, column cell, sign, embedding) its
     differentials are summed from, with cells as indices: terms1
     (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
-    copies, for printing."""
+    copies of the total's rows."""
 
     vertices: tuple
     edges: tuple

@@ -36,7 +36,7 @@ def _read_input(args) -> str:
     path = Path(args.input)
     if path.is_file():
         return path.read_text()
-    candidate = Path(args.fixtures_dir or Path(__file__).parent / "fixtures") / args.input
+    candidate = Path(__file__).parent / "fixtures" / args.input
     if candidate.is_file():
         return candidate.read_text()
     raise CliError(f"input file not found: {args.input}")
@@ -122,8 +122,7 @@ def _cmd_reduce(args) -> int:
         })
     else:
         print(f"moves: {len(log.moves)}")
-        for move in log.moves:
-            print(move.to_json())
+        sys.stdout.write(log.to_jsonl())
         print("log verified")
         sys.stdout.write(text)
     return 0
@@ -153,13 +152,11 @@ def _cmd_bredon(args) -> int:
     blocks = split_blocks(bc)
     named = [("orbit", blocks.trivial), ("2-torsion", blocks.two),
              ("3-torsion", blocks.three)]
-    total = homology(bc.chain())
+    total = homology(bc.total)
     if args.json:
-        doc = {
-            "total": [str(h) for h in total],
-            "psi1": bc.psi1,
-            "psi2": bc.psi2,
-        }
+        doc = {"total": [str(h) for h in total], "dims": list(bc.total.dims)}
+        for name, rows in (("psi1", bc.total.psi1), ("psi2", bc.total.psi2)):
+            doc[name] = [[i, j, x] for i, row in enumerate(rows) for j, x in sorted(row.items())]
         for name, chain in named:
             doc[name.replace("-", "_")] = [str(h) for h in homology(chain)]
         _emit_json(doc)
@@ -174,11 +171,8 @@ def _cmd_bredon(args) -> int:
 def _cmd_khomology(args) -> int:
     from .bredon import AbelianGroup, k_homology
     census = _load_census(args)
-    h1_free = census.beta1 if args.h1_free is None else args.h1_free
-    torsion = tuple(int(t) for t in args.h1_torsion.split(",") if t.strip()) \
-        if args.h1_torsion else ()
-    h1 = AbelianGroup(h1_free, torsion)
-    result = k_homology(census, h1, census.beta2)
+    torsion = tuple(int(t) for t in args.h1_torsion.split(",") if t.strip())
+    result = k_homology(census, AbelianGroup(census.beta1, torsion), census.beta2)
     if args.json:
         _emit_json({k: str(v) for k, v in result.items()})
     else:
@@ -221,12 +215,7 @@ def _cmd_e2page(args) -> int:
     xs_rows = _json_option(args.xs_rows, "--xs-rows")
     if not isinstance(xs_rows, dict):
         raise CliError("--xs-rows must be a JSON object")
-    defaults = {"E01": 0, "E11": 0, "E03": 0, "E13": 0, "H2Xsprime": 0}
-    unknown = sorted(set(xs_rows) - set(defaults))
-    if unknown:
-        raise CliError(f"--xs-rows: unknown keys {unknown}")
-    defaults.update(xs_rows)
-    page = e2_page(census, args.chi_xs, defaults)
+    page = e2_page(census, args.chi_xs, xs_rows)
     if args.json:
         _emit_json({
             "a1": page.a1, "a2": page.a2, "a3": page.a3,
@@ -285,8 +274,8 @@ def build_parser() -> _Parser:
         if prime:
             p.add_argument("--prime", type=int, choices=(2, 3), required=True)
         if input_file:
-            p.add_argument("--input", required=True, help="complex JSON file")
-            p.add_argument("--fixtures-dir", help="directory searched for --input files")
+            p.add_argument("--input", required=True,
+                           help="complex JSON file, or the name of a bundled fixture")
         if census:
             p.add_argument("--census", help="census JSON file or inline object")
         if degrees is not None:
@@ -304,8 +293,6 @@ def build_parser() -> _Parser:
         input_file=True)
     p = add("khomology", _cmd_khomology, "equivariant K-homology from a census",
             census=True)
-    p.add_argument("--h1-free", type=int, default=None,
-                   help="free rank of the orbit-space H1 (default: beta1)")
     p.add_argument("--h1-torsion", default="",
                    help="comma-separated torsion coefficients of the orbit-space H1")
     p = add("chenruan", _cmd_chenruan, "orbifold cohomology dimensions",

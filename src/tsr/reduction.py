@@ -51,14 +51,6 @@ class Move:
             doc["tau"] = self.taus[0]
         return json.dumps(doc, sort_keys=True)
 
-    @staticmethod
-    def from_json(line: str) -> "Move":
-        doc = json.loads(line)
-        if doc["kind"] == "merge":
-            return Move("merge", doc["sigma"], (doc["tau1"], doc["tau2"]),
-                        doc["condition"], doc["merged"])
-        return Move("cut", doc["sigma"], (doc["tau"],), doc["condition"])
-
 
 @dataclass(frozen=True)
 class ReductionLog:
@@ -66,11 +58,6 @@ class ReductionLog:
 
     def to_jsonl(self) -> str:
         return "".join(m.to_json() + "\n" for m in self.moves)
-
-    @staticmethod
-    def from_jsonl(text: str) -> "ReductionLog":
-        return ReductionLog(tuple(Move.from_json(line)
-                                  for line in text.splitlines() if line.strip()))
 
 
 # --------------------------------------------------------------------------

@@ -480,14 +480,15 @@ class E2Page:
 def e2_page(census: SubgroupCensus, chi_xs: int, xs_rows: dict) -> E2Page:
     """Assemble the 4-row page from the census (v, c), the orbit space
     Betti numbers, the Euler characteristic of the torsion subcomplex
-    quotient and its own page entries (E01, E11, E03, E13, H2Xsprime)."""
-    required = {"E01", "E11", "E03", "E13", "H2Xsprime"}
-    missing = required - set(xs_rows)
-    if missing:
-        raise ValueError(f"missing xs_rows entries: {sorted(missing)}")
+    quotient and its own page entries (E01, E11, E03, E13, H2Xsprime);
+    an entry left out reads 0, and any other key is refused."""
+    rows = {"E01": 0, "E11": 0, "E03": 0, "E13": 0, "H2Xsprime": 0}
     for name, val in xs_rows.items():
+        if name not in rows:
+            raise ValueError(f"unknown xs_rows key {name!r}")
         if not _is_int(val) or val < 0:
             raise ValueError(f"xs_rows entry {name} = {val!r} is not a non-negative integer")
+        rows[name] = val
     v, c = census.v, census.c
     b1, b2 = census.beta1, census.beta2
     sign_v = 0 if v == 0 else 1
@@ -499,9 +500,9 @@ def e2_page(census: SubgroupCensus, chi_xs: int, xs_rows: dict) -> E2Page:
             raise ValueError(f"inconsistent inputs: {name} = {val} < 0")
     entries = {
         (0, 0): 1, (1, 0): b1, (2, 0): b2,
-        (0, 1): xs_rows["E01"], (1, 1): xs_rows["E11"] + a1, (2, 1): a2,
-        (0, 2): xs_rows["H2Xsprime"] + (1 - sign_v), (1, 2): a3, (2, 2): b2,
-        (0, 3): xs_rows["E03"], (1, 3): xs_rows["E13"] + a1, (2, 3): a2,
+        (0, 1): rows["E01"], (1, 1): rows["E11"] + a1, (2, 1): a2,
+        (0, 2): rows["H2Xsprime"] + (1 - sign_v), (1, 2): a3, (2, 2): b2,
+        (0, 3): rows["E03"], (1, 3): rows["E13"] + a1, (2, 3): a2,
     }
     return E2Page(entries, a1, a2, a3)
 

@@ -18,7 +18,8 @@ from tsr.bredon import (BLOCK_PARTS, RANKS, SUPPORTED_EDGE_TAGS,
                         split_blocks, transformed_induction)
 from tsr.cli import main
 from tsr.complexes import INCLUSIONS as CLASSES
-from tsr.complexes import Incidence, OrbitCell, OrbitComplex, parse_complex, torsion_subcomplex
+from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, parse_complex,
+                           serialize_complex, torsion_subcomplex)
 from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
                         check_block_diagonal, check_orthogonality, det,
                         induction_by_reciprocity)
@@ -281,10 +282,13 @@ def test_abelian_group_invariant_factors():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.integers(1, 2000), max_size=6))
+@given(st.lists(st.integers(1, 2000), max_size=6)
+       | st.lists(st.tuples(st.sampled_from((1, 2, 3, 4, 6, 12)), st.integers(1, 8)),
+                  max_size=4).map(lambda runs: [e for e, k in runs for _ in range(k)]))
 def test_invariant_factors_match_smith_normal_form(entries):
     # the torsion of Z/e1 + ... + Z/ek is the non-unit diagonal of the
-    # Smith normal form of diag(e1, ..., ek)
+    # Smith normal form of diag(e1, ..., ek); the second strategy draws
+    # long runs of equal entries, which divide a suffix of the chain
     diag = [[e if i == j else 0 for j in range(len(entries))]
             for i, e in enumerate(entries)]
     _, d, _ = smith_normal_form(diag)
@@ -556,6 +560,36 @@ def test_split_blocks_match_whole_matrix_base_change(parts):
 #: The fixtures whose stabilizers bredon_complex supports.
 BREDON_FIXTURES = ("bianchi_circle2", "bianchi_edge3", "chain_c2_c2_d3", "graphfive",
                    "graphtwo", "path_c2_d3_c2")
+
+
+@pytest.mark.parametrize("name", BREDON_FIXTURES + ("c1_strip",))
+def test_bredon_json_triples_rebuild_the_differentials(name, tmp_path, capsys):
+    # bredon --json prints each nonzero entry of psi1 and psi2 once, as
+    # [row, column, entry] in row order, and the dims; together they
+    # rebuild the dense views exactly
+    path = FIXTURES / f"{name}.json"
+    if name == "c1_strip":  # its 2-cells go through _oriented_boundary_walk
+        n = 4
+        edges = [(k, k + 1, "C1") for k in range(n + 1)] + [(k, k + 2, "C1") for k in range(n)]
+        strip = _union([(["C1"] * (n + 2), edges, [(k, k + 1, n + 1 + k) for k in range(n)])])
+        path = tmp_path / "strip.json"
+        path.write_text(serialize_complex(strip))
+    assert main(["bredon", "--json", "--input", str(path)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    bc = bredon_complex(parse_complex(path.read_text()))
+    assert doc["dims"] == list(bc.total.dims)
+    n0, n1, n2 = doc["dims"]
+    for key, (height, width), dense in (("psi1", (n0, n1), bc.psi1),
+                                        ("psi2", (n1, n2), bc.psi2)):
+        triples = doc[key]
+        assert triples == sorted(triples) and all(x for _, _, x in triples)
+        assert len({(i, j) for i, j, _ in triples}) == len(triples)
+        rebuilt = [[0] * width for _ in range(height)]
+        for i, j, x in triples:
+            rebuilt[i][j] = x
+        assert rebuilt == dense, key
+    if name == "c1_strip":
+        assert n2 == n and doc["psi2"]
 
 
 def _assert_torsion_blocks_live_on_the_torsion_subcomplex(cx):

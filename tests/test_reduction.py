@@ -411,11 +411,6 @@ def test_replay_reproduces_fixpoint():
     assert serialize_complex(replay(cx, log, 2)) == serialize_complex(reduced)
 
 
-def test_log_jsonl_roundtrip():
-    _, log = reduce_complex(load("sl3z_soule.json"), 2)
-    assert ReductionLog.from_jsonl(log.to_jsonl()) == log
-
-
 def test_euler_bookkeeping():
     # each move removes one (n-1)-cell and one n-cell net (a merge takes
     # two n-cells and adds one back)

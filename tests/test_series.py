@@ -534,8 +534,10 @@ def test_e2_page_assembly():
     assert page.entries[(0, 2)] == 0
     with pytest.raises(ValueError, match="a1"):
         e2_page(SubgroupCensus(), 0, zeros)
-    with pytest.raises(ValueError, match="missing"):
-        e2_page(SubgroupCensus(), 1, {})
+    # an entry left out reads 0; a key that names no entry is refused
+    assert e2_page(SubgroupCensus(beta1=2, v=3), 1, {}) == page
+    with pytest.raises(ValueError, match="unknown xs_rows key 'BOGUS'"):
+        e2_page(SubgroupCensus(), 1, {"E01": 0, "BOGUS": 0})
 
 
 @pytest.mark.parametrize("key, val", [("E11", 0.5), ("E03", "x"), ("E01", -1),
