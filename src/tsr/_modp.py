@@ -68,7 +68,7 @@ class SpanTracker:
     Z (p = 0).  ``pivots`` maps each pivot column to its row; ``rank``
     counts the pivots (over Z the core adds to the rank of the lattice).
 
-    ``add``, ``contains`` and the constructor take any dense or dict row
+    ``add`` and the constructor take any dense or dict row
     and normalise it once with ``_row``, into a new dict of Python ints
     that the tracker then owns.  ``_add`` takes a clean row (nonzero int
     entries, reduced mod p) as it is and keeps it, so a caller passes a
@@ -91,11 +91,6 @@ class SpanTracker:
         for c in [c for c in v if c in self.pivots]:
             _subtract(v, v[c], self.pivots[c], self.p)
         return v
-
-    def contains(self, vec) -> bool:
-        if not self.p:
-            raise ValueError("membership is only decided over F_p")
-        return not self._reduce(_row(vec, self.p))
 
     def add(self, vec) -> bool:
         """Add a row; returns True if it enlarged the span."""

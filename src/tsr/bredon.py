@@ -161,10 +161,6 @@ class AbelianGroup:
         return AbelianGroup(self.free_rank + other.free_rank,
                             self.torsion + other.torsion)
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.free_rank == 0 and not self.torsion
-
     def __str__(self) -> str:
         parts = []
         if self.free_rank == 1:

@@ -49,8 +49,6 @@ def _load_complex(args):
 def _load_census(args):
     from .series import CensusError, SubgroupCensus
     text = args.census
-    if text is None:
-        raise CliError("--census is required for this command")
     if not text.lstrip().startswith(("{", "[")):  # a path, not inline JSON
         path = Path(text)
         if not path.is_file():
@@ -247,12 +245,12 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    cx = torsion_subcomplex(_load_complex(args), args.prime)
-    comps = connected_components(cx)
+    from .reduction import reduce_complex
+    reduced, _ = reduce_complex(_load_complex(args), args.prime)
     rows = []
-    for comp in comps:
+    for comp in connected_components(reduced):
         least = min(c.id for c in comp.cells)
-        rows.append((least, classify_component(comp, args.prime)))
+        rows.append((least, classify_component(comp)))
     if args.json:
         _emit_json({least: kind for least, kind in rows})
     else:
@@ -277,7 +275,8 @@ def build_parser() -> _Parser:
             p.add_argument("--input", required=True,
                            help="complex JSON file, or the name of a bundled fixture")
         if census:
-            p.add_argument("--census", help="census JSON file or inline object")
+            p.add_argument("--census", required=True,
+                           help="census JSON file or inline object")
         if degrees is not None:
             p.add_argument("--degrees", type=int, default=degrees)
         return p

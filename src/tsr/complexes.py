@@ -72,6 +72,7 @@ class Incidence:
 
 
 # Connected component types of reduced torsion subcomplex quotients.
+COMPONENT_POINT = "Point"
 COMPONENT_CIRCLE = "Circle"
 COMPONENT_EDGE = "Edge"
 COMPONENT_GRAPH_FIVE = "GraphFive"
@@ -331,16 +332,18 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     return vertices, edges, tuple(ends)
 
 
-def classify_component(cx: OrbitComplex, ell: int) -> str:
-    """Shape classification of a reduced 1-dimensional component.
+def classify_component(cx: OrbitComplex) -> str:
+    """Shape classification of a component of a reduced torsion subcomplex.
 
-    Circle: a single loop edge; Edge: a single segment with distinct
-    endpoints; GraphFive / GraphTwo: multi-edge components whose
-    non-cyclic vertex stabilizers follow the (D2, D2) resp. (D2, A4)
-    endpoint pattern; anything else is Other.
+    Point: a lone vertex; Circle: a single loop edge; Edge: a single
+    segment with distinct endpoints; GraphFive / GraphTwo: multi-edge
+    1-dimensional components whose non-cyclic vertex stabilizers follow
+    the (D2, D2) resp. (D2, A4) endpoint pattern; anything else, a
+    2-dimensional component among them, is Other.
     """
     if cx.dimension != 1:
-        raise ValueError("component is not 1-dimensional")
+        lone = cx.dimension == 0 and len(cx.cells) == 1
+        return COMPONENT_POINT if lone else COMPONENT_OTHER
     vertices = cx.cells_of_dim(0)
     edges = cx.cells_of_dim(1)
     if len(edges) == 1:

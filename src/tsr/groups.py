@@ -327,14 +327,6 @@ def are_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     return False
 
 
-def identify_catalog_tag(G: FiniteGroup) -> str | None:
-    """Catalog tag of G's isomorphism class, if it has one."""
-    for tag in CATALOG_TAGS:
-        if TAG_ORDERS[tag] == G.order and are_isomorphic(G, catalog_group(tag)):
-            return tag
-    return None
-
-
 def has_trivial_mod_ell_cohomology(G: FiniteGroup, ell: int) -> bool:
     """True iff gcd(|G|, ell) = 1: for a finite group the reduced mod-ell
     cohomology vanishes exactly when the order is invertible mod ell."""
@@ -425,10 +417,11 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
         tracker = SpanTracker(ell)
         gens = []
         for v in basis:
-            if tracker.contains(v):
+            # elements[0] is the identity, so v is its own first translate
+            if not tracker.add(v):
                 continue
             gens.append(v)
-            for gi in range(n):
+            for gi in range(1, n):
                 tracker.add(left_act(v, gi))
         return gens
 

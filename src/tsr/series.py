@@ -208,20 +208,9 @@ def canonical_series(kind: str) -> RationalSeries:
 # --------------------------------------------------------------------------
 # Subgroup census
 
-_CENSUS_ALIASES = {
-    "lambda4": "lambda4", "λ4": "lambda4", "lambda_4": "lambda4",
-    "lambda4star": "lambda4star", "λ4*": "lambda4star", "λ4star": "lambda4star",
-    "lambda_4*": "lambda4star",
-    "lambda6": "lambda6", "λ6": "lambda6", "lambda_6": "lambda6",
-    "lambda6star": "lambda6star", "λ6*": "lambda6star", "λ6star": "lambda6star",
-    "lambda_6*": "lambda6star",
-    "mu2": "mu2", "μ2": "mu2", "mu_2": "mu2",
-    "mu3": "mu3", "μ3": "mu3", "mu_3": "mu3",
-    "muT": "muT", "μT": "muT", "mu_T": "muT", "μ_T": "muT",
-    "z2": "z2", "d2": "d2", "v": "v", "c": "c",
-    "beta1": "beta1", "β1": "beta1", "β¹": "beta1",
-    "beta2": "beta2", "β2": "beta2", "β²": "beta2",
-}
+_CENSUS_GREEK = {"λ4": "lambda4", "λ4*": "lambda4star", "λ6": "lambda6",
+                 "λ6*": "lambda6star", "μ2": "mu2", "μ3": "mu3", "μT": "muT",
+                 "β1": "beta1", "β2": "beta2"}
 
 
 @dataclass(frozen=True)
@@ -280,8 +269,8 @@ class SubgroupCensus:
     def from_dict(doc: dict) -> "SubgroupCensus":
         fields = {}
         for key, val in doc.items():
-            name = _CENSUS_ALIASES.get(key)
-            if name is None:
+            name = _CENSUS_GREEK.get(key, key)
+            if name not in SubgroupCensus.__dataclass_fields__:
                 raise CensusError(f"unknown census field {key!r}")
             if name in fields:
                 raise CensusError(f"duplicate census field {key!r}")
@@ -289,8 +278,8 @@ class SubgroupCensus:
         return SubgroupCensus(**fields)
 
 
-def _validated_expansion(series: RationalSeries, what: str, degree: int = 20) -> None:
-    coeffs = series.expand(degree)
+def _validated_expansion(series: RationalSeries, what: str) -> None:
+    coeffs = series.expand(20)
     for q, cq in enumerate(coeffs):
         if cq.denominator != 1 or cq < 0 or (q < 3 and cq != 0):
             raise CensusError(

@@ -353,7 +353,7 @@ def test_outside_dict_rows_become_python_ints():
 def test_homology_of_trivial_complex():
     chain = IntegerChainComplex(np.zeros((0, 0), dtype=int),
                                 np.zeros((0, 0), dtype=int), (0, 0, 0))
-    assert all(h.is_trivial for h in homology(chain))
+    assert all(h == AbelianGroup() for h in homology(chain))
 
 
 # --------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def test_single_vertex_complex():
     bc = bredon_complex(cx)
     hs = homology(bc.chain())
     assert str(hs[0]) == "Z^3"
-    assert hs[1].is_trivial and hs[2].is_trivial
+    assert hs[1] == hs[2] == AbelianGroup()
 
 
 def test_edge3_psi1_shape_and_signs():
@@ -702,7 +702,7 @@ def test_bredon_homology_formula_examples():
     f = bredon_homology_formula(SubgroupCensus(lambda6=1, lambda6star=1))
     assert str(f["H0_3block"]) == "Z" and str(f["H1_3block"]) == "Z"
     f = bredon_homology_formula(SubgroupCensus())
-    assert all(v.is_trivial for v in f.values())
+    assert all(v == AbelianGroup() for v in f.values())
 
 
 def test_k_homology_examples():

@@ -223,6 +223,31 @@ def test_repeated_census_key_exits_one(tmp_path, inline):
     assert out == b""
 
 
+GREEK_CENSUS_KEYS = ["λ4", "λ4*", "λ6", "λ6*", "μ2", "μ3", "μT", "β1", "β2"]
+DROPPED_CENSUS_KEYS = ["lambda_4", "lambda_4*", "λ4star", "lambda_6", "lambda_6*",
+                       "λ6star", "mu_2", "mu_3", "mu_T", "μ_T", "β¹", "β²"]
+
+
+@pytest.mark.parametrize("key", list(SubgroupCensus.__dataclass_fields__)
+                         + GREEK_CENSUS_KEYS + DROPPED_CENSUS_KEYS)
+def test_census_spellings(capsys, key):
+    # the field names and nine Greek spellings are accepted; nothing else is
+    code = main(["poincare", "--prime", "2", "--census", json.dumps({key: 0})])
+    out, err = capsys.readouterr()
+    if key in DROPPED_CENSUS_KEYS:
+        assert (code, out, err) == (1, "", f"error: unknown census field {key!r}\n")
+    else:
+        assert (code, err) == (0, ""), err
+
+
+def test_census_is_required(capsys):
+    assert main(["poincare", "--prime", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line == "error: the following arguments are required: --census"
+
+
 def test_repeated_document_key_exits_one(tmp_path):
     (tmp_path / "c.json").write_text('{"rigid": true, "rigid": false, "cells": [], '
                                      '"incidences": []}')
@@ -285,7 +310,7 @@ def test_classify_command():
 def test_golden_corpus(capsys):
     # every entry of tests/expected/cli.json, regenerated by make_cli.py
     corpus = json.loads((Path(__file__).parent / "expected" / "cli.json").read_text())
-    assert len(corpus) == 80
+    assert len(corpus) == 124
     wrong = []
     for command, expected in corpus.items():
         code = main(command.split())

@@ -236,31 +236,31 @@ def test_sl3_two_subcomplex_connected():
 
 
 def test_classification_of_fixtures():
-    assert classify_component(load("bianchi_circle2.json"), 2) == "Circle"
-    assert classify_component(load("bianchi_edge3.json"), 3) == "Edge"
-    assert classify_component(load("graphfive.json"), 2) == "GraphFive"
-    assert classify_component(load("graphtwo.json"), 2) == "GraphTwo"
+    assert classify_component(load("bianchi_circle2.json")) == "Circle"
+    assert classify_component(load("bianchi_edge3.json")) == "Edge"
+    assert classify_component(load("graphfive.json")) == "GraphFive"
+    assert classify_component(load("graphtwo.json")) == "GraphTwo"
 
 
 def test_classification_edge_with_a4_endpoints():
     cx = OrbitComplex((OrbitCell("u", 0, "A4"), OrbitCell("v", 0, "A4"),
                        OrbitCell("e", 1, "C2")),
                       (Incidence("u", "e"), Incidence("v", "e")))
-    assert classify_component(cx, 2) == "Edge"
+    assert classify_component(cx) == "Edge"
 
 
 def test_classification_invariant_under_reordering():
     cx = load("graphfive.json")
     shuffled = OrbitComplex(tuple(reversed(cx.cells)),
                             tuple(reversed(cx.incidences)))
-    assert classify_component(shuffled, 2) == "GraphFive"
+    assert classify_component(shuffled) == "GraphFive"
 
 
-def test_classification_requires_dimension_one():
-    with pytest.raises(ValueError):
-        classify_component(load("sl3z_soule.json"), 2)
-    with pytest.raises(ValueError):
-        classify_component(OrbitComplex((OrbitCell("v", 0, "D3"),), ()), 3)
+def test_classification_of_a_point_and_a_two_dimensional_component():
+    assert classify_component(OrbitComplex((OrbitCell("v", 0, "D3"),), ())) == "Point"
+    sub = torsion_subcomplex(load("sl3z_soule.json"), 2)
+    assert sub.dimension == 2 and len(connected_components(sub)) == 1
+    assert classify_component(sub) == "Other"
 
 
 def test_edge_end_assignments_theta():

@@ -13,7 +13,7 @@ from tsr.groups import (CATALOG_TAGS, CHARACTER_TABLES, FUSIONS, TAG_ORDERS,
                         check_orthogonality, compose, dihedral_group,
                         induction_by_reciprocity,
                         dihedral_mod_ell_homology, has_trivial_mod_ell_cohomology,
-                        identify_catalog_tag, invert, is_ell_normal,
+                        invert, is_ell_normal,
                         mod_ell_homology_bruteforce, normal_subgroups,
                         normalizer, perm_order, quotient_group, subgroups,
                         sylow_subgroup, all_sylow_subgroups)
@@ -182,12 +182,6 @@ def test_catalog_tags_pairwise_non_isomorphic():
         assert key not in fingerprints, (tag, fingerprints.get(key))
         fingerprints[key] = tag
     assert set(CATALOG_TAGS) == set(TAG_ORDERS)
-
-
-def test_identify_catalog_tag():
-    a4 = catalog_group("A4")
-    v4 = next(h for h in subgroups(a4) if h.order == 4)
-    assert identify_catalog_tag(v4) == "D2"
 
 
 def test_quotient_group():

@@ -53,8 +53,10 @@ def test_span_tracker_spans_the_rows(case):
     tracker = SpanTracker(p)
     grew = [tracker.add(row) for row in a]
     assert sum(grew) == tracker.rank == rank_mod(a, p)
-    assert all(tracker.contains(row) for row in a)
-    assert tracker.contains(np.arange(len(a)) @ a)  # a combination of the rows
+    # a row of the span, or a combination of the rows, leaves the rank as it is
+    for row in (*a, np.arange(len(a)) @ a):
+        assert not tracker.add(row)
+        assert tracker.rank == rank_mod(a, p)
 
 
 # mostly zeros and small non-units, so that the unit-pivot elimination

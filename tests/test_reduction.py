@@ -236,7 +236,7 @@ def test_merge_two_edge_loop_gives_circle():
     loop = out.cells_of_dim(1)[0]
     (inc,) = out.faces(loop.id)
     assert inc.multiplicity == 2
-    assert classify_component(out, 2) == "Circle"
+    assert classify_component(out) == "Circle"
 
 
 def test_reduce_two_edge_loop_to_circle():
@@ -246,7 +246,7 @@ def test_reduce_two_edge_loop_to_circle():
             Incidence("u", "b"), Incidence("v", "b"))
     reduced, log = reduce_complex(OrbitComplex(cells, incs), 2)
     assert [m.kind for m in log.moves] == ["merge"]
-    assert classify_component(reduced, 2) == "Circle"
+    assert classify_component(reduced) == "Circle"
 
 
 def test_find_terminal_cells():

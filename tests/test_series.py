@@ -118,6 +118,11 @@ def test_census_unknown_key():
         SubgroupCensus.from_dict({"lambda9": 1})
 
 
+def test_census_field_in_two_spellings_is_a_duplicate():
+    with pytest.raises(CensusError, match="duplicate census field 'lambda4'"):
+        SubgroupCensus.from_dict({"λ4": 1, "lambda4": 1})
+
+
 def test_census_boolean_count_rejected():
     with pytest.raises(CensusError, match="lambda4 must be"):
         SubgroupCensus.from_dict({"lambda4": True})
