@@ -1,6 +1,7 @@
 """Regenerate cli.json: stdout, stderr and exit code of each pinned
 command on each bundled fixture, and of the README's census commands,
-each run as a fresh ``tsr`` process.
+and of ``bredon`` on the 2-cell documents beside this file, each run as
+a fresh ``tsr`` process from the repository root.
 
     PYTHONPATH=src python tests/expected/make_cli.py
 
@@ -28,12 +29,19 @@ CENSUS_COMMANDS = [
      "--quotient-dims", "[1,0,0]"],
     ["e2page", "--census", '{"beta1":1,"v":1,"c":0}', "--chi-xs", "1"],
 ]
+#: Documents beside this file whose C1 faces reach the oriented boundary
+#: walk: a strip of six triangles on C2 vertices and edges, and one face
+#: whose boundary passes its D3 vertex twice (two triangles sharing it).
+#: Their paths are relative to the repository root.
+FACE_DOCUMENTS = ["tests/expected/c1_strip.json", "tests/expected/c1_bowtie.json"]
+FACE_COMMANDS = [["bredon"], ["bredon", "--json"]]
 
 
 def main() -> None:
     corpus = {}
     runs = [[*cmd, "--input", name] for name in FIXTURES for cmd in COMMANDS]
-    for argv in runs + CENSUS_COMMANDS:
+    faces = [[*cmd, "--input", path] for path in FACE_DOCUMENTS for cmd in FACE_COMMANDS]
+    for argv in runs + CENSUS_COMMANDS + faces:
         proc = subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
                               capture_output=True, text=True, cwd=ROOT)
         corpus[" ".join(argv)] = {"exit": proc.returncode, "stdout": proc.stdout,
