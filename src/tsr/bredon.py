@@ -23,17 +23,28 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING
 
 from ._modp import SpanTracker, _row, assemble
-from .complexes import INCLUSIONS, OrbitComplex, _is_int, edge_end_assignments
+from .complexes import OrbitComplex, _is_int, check_inclusion, edge_end_assignments
 
 if TYPE_CHECKING:  # importing tsr.series at run time would load fractions
     from .series import SubgroupCensus
 
-SUPPORTED_VERTEX_TAGS = ("C1", "C2", "C3", "D2", "D3", "A4")
+#: Index partition of the split coordinates into the rank-1 part, the
+#: 2-torsion part and the 3-torsion part.
+BLOCK_PARTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {
+    "C1": ((0,), (), ()),
+    "C2": ((0,), (1,), ()),
+    "C3": ((0,), (), (1, 2)),
+    "D2": ((0,), (1, 2, 3), ()),
+    "D3": ((0,), (1,), (2,)),
+    "A4": ((0,), (1,), (2, 3)),
+}
+
+SUPPORTED_VERTEX_TAGS = tuple(BLOCK_PARTS)
 SUPPORTED_EDGE_TAGS = ("C1", "C2", "C3")
 
 #: Rank of the complex representation ring: the number of irreducible
-#: characters.
-RANKS = {"C1": 1, "C2": 2, "C3": 3, "D2": 4, "D3": 3, "A4": 4}
+#: characters, which the parts split.
+RANKS = {tag: sum(map(len, parts)) for tag, parts in BLOCK_PARTS.items()}
 
 Matrix = tuple[tuple[int, ...], ...]  # rows, rank(target) x rank(source)
 
@@ -66,17 +77,6 @@ _BLOCKS: dict[tuple[str, str, int], tuple[Matrix, Matrix]] = {
                       ((1, 0, 0), (0, 0, 0), (0, 1, 0), (0, 0, 1))),
 }
 
-#: Index partition of the split coordinates into the rank-1 part, the
-#: 2-torsion part and the 3-torsion part.
-BLOCK_PARTS: dict[str, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {
-    "C1": ((0,), (), ()),
-    "C2": ((0,), (1,), ()),
-    "C3": ((0,), (), (1, 2)),
-    "D2": ((0,), (1, 2, 3), ()),
-    "D3": ((0,), (1,), (2,)),
-    "A4": ((0,), (1,), (2, 3)),
-}
-
 
 class BlockSplitError(AssertionError):
     """A split Bredon differential links two different parts; this would
@@ -87,12 +87,9 @@ class BlockSplitError(AssertionError):
 def _blocks(source: str, target: str, embedding: int) -> tuple[Matrix, Matrix]:
     if (source, target, embedding) in _BLOCKS:
         return _BLOCKS[source, target, embedding]
-    pair = f"{source!r} in {target!r}"
-    if (source, target) not in INCLUSIONS:
-        raise ValueError(f"unsupported inclusion {pair}")
-    if embedding not in range(INCLUSIONS[source, target]):
-        raise ValueError(f"unsupported inclusion {pair} (embedding {embedding})")
-    raise ValueError(f"no pinned block for the inclusion {pair}")  # D2 in D2, D3 in D3
+    check_inclusion(source, target, embedding)
+    raise ValueError(  # D2 in D2, D3 in D3
+        f"no pinned block for the inclusion {source!r} in {target!r}")
 
 
 def induction_matrix(source: str, target: str, embedding: int = 0) -> Matrix:
@@ -335,41 +332,35 @@ class BredonComplex:
 
 def _oriented_boundary_walk(face_id: str, uses: list[int],
                             ends: tuple) -> list[tuple[int, int]]:
-    """Decompose a 2-cell boundary, given as one edge index per use, into
-    a closed edge walk from its least vertex; returns (edge index, sign)
-    pairs where the sign compares the traversal with the edge's intrinsic
-    direction (second end slot -> first end slot).  Edge j's end slots
+    """Sign a 2-cell boundary, given as one edge index per use, by a
+    depth-first walk from its least vertex: the top vertex takes its first
+    unused use, and a vertex with none left is popped.  Each use is signed
+    by the direction in which the walk first takes it, compared with the
+    edge's intrinsic direction (second end slot -> first end slot); returns
+    (edge index, sign) per use, in the order of uses.  Edge j's end slots
     are ends[2j] and ends[2j + 1], as edge_end_assignments orders them."""
-    # each use is an undirected connection (edge, tail, head) between end vertices
-    joins = [(j, ends[2 * j + 1][0], ends[2 * j][0]) for j in uses]
+    # each use is an undirected connection (tail, head) between end vertices
+    joins = [(ends[2 * j + 1][0], ends[2 * j][0]) for j in uses]
     adj: dict[int, list[int]] = {}
-    for k, (_, v_tail, v_head) in enumerate(joins):
-        adj.setdefault(v_tail, []).append(k)
-        adj.setdefault(v_head, []).append(k)
+    for k, (tail, head) in enumerate(joins):
+        adj.setdefault(tail, []).append(k)
+        adj.setdefault(head, []).append(k)
     if any(len(v) % 2 for v in adj.values()):
         raise ValueError(f"boundary of {face_id!r} is not a closed walk")
-    # iterative Hierholzer circuit from the least vertex; records (use, from, to)
-    used: set[int] = set()
+    signs = [0] * len(uses)  # 0 until the walk takes the use
     st: list[int] = [min(adj)] if adj else []
-    edge_stack: list[tuple[int, int, int]] = []
-    out: list[tuple[int, int, int]] = []
     while st:
         v = st[-1]
-        found = next((k for k in adj[v] if k not in used), None)
+        found = next((k for k in adj[v] if not signs[k]), None)
         if found is None:
             st.pop()
-            if edge_stack:
-                out.append(edge_stack.pop())
         else:
-            used.add(found)
-            _, a, b = joins[found]
-            w = b if v == a else a
-            edge_stack.append((found, v, w))
-            st.append(w)
-    if len(out) != len(uses):
+            tail, head = joins[found]
+            signs[found] = 1 if v == tail else -1
+            st.append(head if v == tail else tail)
+    if not all(signs):
         raise ValueError(f"boundary of {face_id!r} is not connected")
-    return [(joins[k][0], 1 if (frm, to) == joins[k][1:] else -1)
-            for k, frm, to in reversed(out)]
+    return list(zip(uses, signs))
 
 
 #: The stabilizers bredon_complex supports on cells of each dimension.
@@ -459,34 +450,32 @@ def bredon_homology_formula(census: SubgroupCensus) -> dict[str, AbelianGroup]:
     }
 
 
-def k_homology(census: SubgroupCensus, h1_orbit: AbelianGroup,
-               beta2: int) -> dict[str, AbelianGroup]:
-    """Equivariant K-homology in degrees 0 and 1 from the census, the
-    orbit-space H1 and its second Betti number (the classifying space is
-    assumed at most 2-dimensional, where the spectral sequence collapses)."""
-    if beta2 < 0:
-        raise ValueError("beta2 must be non-negative")
-    k0 = AbelianGroup(1 + beta2 + census.z2 + 2 * census.o3 + census.iota3,
+def k_homology(census: SubgroupCensus,
+               h1_torsion: tuple[int, ...] = ()) -> dict[str, AbelianGroup]:
+    """Equivariant K-homology in degrees 0 and 1 from the census, whose
+    beta1 and beta2 are the orbit space's Betti numbers, and the torsion
+    coefficients of the orbit space's H1 (the classifying space is assumed
+    at most 2-dimensional, where the spectral sequence collapses)."""
+    k0 = AbelianGroup(1 + census.beta2 + census.z2 + 2 * census.o3 + census.iota3,
                       (2,) * (census.d2 // 2))
-    k1 = h1_orbit + AbelianGroup(census.o2 + 2 * census.o3 + census.iota3)
+    k1 = AbelianGroup(census.beta1 + census.o2 + 2 * census.o3 + census.iota3, h1_torsion)
     return {"K0": k0, "K1": k1}
 
 
-def chen_ruan_dims(census: SubgroupCensus, quotient_dims: dict[int, int],
+def chen_ruan_dims(census: SubgroupCensus, quotient_dims: list[int],
                    complexified: bool) -> dict[int, int]:
-    """Orbifold cohomology dimensions: the quotient-space contribution
-    plus the twisted-sector counts.
+    """Orbifold cohomology dimensions by degree: the quotient-space
+    contribution, entry d of quotient_dims in degree d, plus the
+    twisted-sector counts.
 
     Complexified: sectors add in degrees 2 and 3.  Real: each edge-type
     sector adds a point contribution (degree 0) and each circle-type
     sector a circle contribution (degrees 0 and 1)."""
-    for d, v in quotient_dims.items():
-        if not _is_int(d) or d < 0:
-            raise ValueError(f"quotient degree {d!r} is not a non-negative integer")
+    for d, v in enumerate(quotient_dims):
         if not _is_int(v) or v < 0:
             raise ValueError(f"quotient dimension {v!r} in degree {d} "
                              "is not a non-negative integer")
-    dims = dict(quotient_dims)
+    dims = dict(enumerate(quotient_dims))
     circle3 = 2 * census.lambda6 - census.lambda6star
     if complexified:
         add = {2: census.lambda4 + circle3,

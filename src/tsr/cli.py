@@ -88,23 +88,21 @@ def _series_table(coeffs, lo: int) -> str:
 # Subcommands
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> None:
     cx = _load_complex(args)
     if args.json:
         _emit_json({"status": "OK", "cells": len(cx.cells),
                     "incidences": len(cx.incidences)})
     else:
         print("OK")
-    return 0
 
 
-def _cmd_extract(args) -> int:
+def _cmd_extract(args) -> None:
     cx = torsion_subcomplex(_load_complex(args), args.prime)
     sys.stdout.write(serialize_complex(cx))
-    return 0
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> None:
     from .reduction import reduce_complex, replay
     cx = _load_complex(args)
     reduced, log = reduce_complex(cx, args.prime)
@@ -123,10 +121,9 @@ def _cmd_reduce(args) -> int:
         sys.stdout.write(log.to_jsonl())
         print("log verified")
         sys.stdout.write(text)
-    return 0
 
 
-def _cmd_poincare(args) -> int:
+def _cmd_poincare(args) -> None:
     from .series import poincare_2torsion, poincare_3torsion
     census = _load_census(args)
     series = poincare_2torsion(census) if args.prime == 2 else poincare_3torsion(census)
@@ -140,10 +137,9 @@ def _cmd_poincare(args) -> int:
     else:
         print(f"P^{args.prime}(t) = {series}")
         print(_series_table(coeffs, 3 if args.degrees >= 3 else 0))
-    return 0
 
 
-def _cmd_bredon(args) -> int:
+def _cmd_bredon(args) -> None:
     from .bredon import bredon_complex, homology, split_blocks
     cx = _load_complex(args)
     bc = bredon_complex(cx)
@@ -163,39 +159,26 @@ def _cmd_bredon(args) -> int:
             hs = homology(chain)
             print(f"{name} block: " + ", ".join(f"H_{i} = {h}" for i, h in enumerate(hs)))
         print("total: " + ", ".join(f"H_{i} = {h}" for i, h in enumerate(total)))
-    return 0
 
 
-def _cmd_khomology(args) -> int:
-    from .bredon import AbelianGroup, k_homology
+def _cmd_khomology(args) -> None:
+    from .bredon import k_homology
     census = _load_census(args)
     torsion = tuple(int(t) for t in args.h1_torsion.split(",") if t.strip())
-    result = k_homology(census, AbelianGroup(census.beta1, torsion), census.beta2)
+    result = k_homology(census, torsion)
     if args.json:
         _emit_json({k: str(v) for k, v in result.items()})
     else:
         print(f"K_0 = {result['K0']}")
         print(f"K_1 = {result['K1']}")
-    return 0
 
 
-def _cmd_chenruan(args) -> int:
+def _cmd_chenruan(args) -> None:
     from .bredon import chen_ruan_dims
     census = _load_census(args)
     qdims = _json_option(args.quotient_dims, "--quotient-dims")
-    if isinstance(qdims, list):
-        qdims = dict(enumerate(qdims))
-    elif isinstance(qdims, dict):
-        by_degree = {}
-        for k, v in qdims.items():
-            if not (k.isascii() and k.isdecimal()):
-                raise CliError(f"--quotient-dims: degree {k!r} is not a non-negative integer")
-            if int(k) in by_degree:
-                raise CliError(f"--quotient-dims: degree {int(k)} appears twice")
-            by_degree[int(k)] = v
-        qdims = by_degree
-    else:
-        raise CliError("--quotient-dims must be a JSON list or object")
+    if not isinstance(qdims, list):
+        raise CliError("--quotient-dims must be a JSON list")
     dims = chen_ruan_dims(census, qdims, complexified=not args.real)
     if args.json:
         _emit_json({str(d): dims[d] for d in sorted(dims)})
@@ -204,10 +187,9 @@ def _cmd_chenruan(args) -> int:
         print(f"orbifold cohomology dimensions ({label}):")
         for d in sorted(dims):
             print(f"  d={d}: {dims[d]}")
-    return 0
 
 
-def _cmd_e2page(args) -> int:
+def _cmd_e2page(args) -> None:
     from .series import e2_page
     census = _load_census(args)
     xs_rows = _json_option(args.xs_rows, "--xs-rows")
@@ -224,10 +206,9 @@ def _cmd_e2page(args) -> int:
         for r in (3, 2, 1, 0):
             print(f"q = 4k+{r}: " + "  ".join(str(x) for x in page.row(r)))
         print("columns: n = 0, 1, 2")
-    return 0
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> None:
     from .series import equivariant_graph_cohomology_oracle
     cx = torsion_subcomplex(_load_complex(args), args.prime)
     lo = max(args.min_degree, 1)
@@ -241,10 +222,9 @@ def _cmd_oracle(args) -> int:
         for q, d in dims.items():
             coeffs[q] = d
         print(_series_table(coeffs, lo))
-    return 0
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> None:
     from .reduction import reduce_complex
     reduced, _ = reduce_complex(_load_complex(args), args.prime)
     rows = []
@@ -256,7 +236,6 @@ def _cmd_classify(args) -> int:
     else:
         for least, kind in rows:
             print(f"{least}: {kind}")
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -298,8 +277,8 @@ def build_parser() -> _Parser:
             census=True)
     p.add_argument("--real", action="store_true",
                    help="real sectors instead of the complexified default")
-    p.add_argument("--quotient-dims", default="{}",
-                   help="quotient-space dims as JSON list or {degree: dim} object")
+    p.add_argument("--quotient-dims", default="[]",
+                   help="quotient-space dims as a JSON list indexed by degree")
     p = add("e2page", _cmd_e2page, "assemble the spectral-sequence page",
             census=True)
     p.add_argument("--chi-xs", type=int, required=True,
@@ -318,9 +297,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
+        args.func(args)
         sys.stdout.flush()
-        return code
+        return 0
     except BrokenPipeError:  # stdout closed early, as by `| head`
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1

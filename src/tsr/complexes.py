@@ -48,6 +48,17 @@ INCLUSIONS = {
 }
 
 
+def check_inclusion(subgroup: str, group: str, embedding: int) -> None:
+    """The one refusal of a non-inclusion, which the Bredon blocks and the
+    oracle's restriction blocks share: ValueError when the pair is not in
+    INCLUSIONS or the embedding index is outside its conjugacy classes."""
+    classes = INCLUSIONS.get((subgroup, group), 0)
+    if embedding not in range(classes):
+        pair = f"{subgroup!r} in {group!r}"
+        raise ValueError(f"unsupported inclusion {pair} (embedding {embedding})" if classes
+                         else f"unsupported inclusion {pair}")
+
+
 class ComplexSchemaError(ValueError):
     """Raised on malformed complex documents, with a field path."""
 

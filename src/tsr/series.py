@@ -21,7 +21,7 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 
 from ._modp import _check_prime, assemble, rank_mod
-from .complexes import (_ELL_QUOTIENT, INCLUSIONS, OrbitComplex, _is_int,
+from .complexes import (_ELL_QUOTIENT, OrbitComplex, _is_int, check_inclusion,
                         edge_end_assignments)
 
 
@@ -333,10 +333,7 @@ def restriction_block(vtag: str, etag: str, emb: int, ell: int, q: int) -> list[
     between spaces of dimension <= 1 (the edge stabilizer contains a Sylow
     ell-subgroup); C2 in D2 is the leading coordinate at class 0, and at
     classes 1 and 2 the one exception."""
-    if (etag, vtag) not in INCLUSIONS:
-        raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r}")
-    if emb not in range(INCLUSIONS[etag, vtag]):
-        raise ValueError(f"unsupported inclusion {etag!r} in {vtag!r} (embedding {emb})")
+    check_inclusion(etag, vtag, emb)
     dv, de = (stabilizer_cohomology_dim(tag, ell, q) for tag in (vtag, etag))
     block = [[int(i == j) for j in range(dv)] for i in range(de)]
     if emb and de:  # C2 in D2, at ell = 2 or q = 0: H^q(D2; F2) has the basis

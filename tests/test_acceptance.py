@@ -17,7 +17,7 @@ import numpy as np
 
 from tsr.bredon import (BLOCK_PARTS, bredon_complex, bredon_homology_formula,
                         chen_ruan_dims, homology, k_homology,
-                        split_blocks, transformed_induction, AbelianGroup)
+                        split_blocks, transformed_induction)
 from tsr.complexes import INCLUSIONS, parse_complex, serialize_complex, torsion_subcomplex
 from tsr.groups import (SPLITTING_BASES, check_block_diagonal, dihedral_group,
                         dihedral_mod_ell_homology, mod_ell_homology_bruteforce)
@@ -182,13 +182,12 @@ def test_criterion_07():
 
 @criterion(8, "K-homology and orbifold-dimension substitutions")
 def test_criterion_08():
-    res = k_homology(SubgroupCensus(z2=1, lambda4=1, lambda6=1, lambda6star=1),
-                     AbelianGroup(1), 0)
+    res = k_homology(SubgroupCensus(z2=1, lambda4=1, lambda6=1, lambda6star=1, beta1=1))
     assert str(res["K0"]) == "Z^3" and str(res["K1"]) == "Z^3"
-    res = k_homology(SubgroupCensus(z2=1, d2=2, mu2=2), AbelianGroup(0), 0)
+    res = k_homology(SubgroupCensus(z2=1, d2=2, mu2=2))
     assert str(res["K0"]) == "Z^2 ⊕ Z/2"
     dims = chen_ruan_dims(SubgroupCensus(lambda4=2, lambda4star=1, lambda6=1,
-                                         lambda6star=1, mu2=2), {0: 1}, True)
+                                         lambda6star=1, mu2=2), [1], True)
     assert dims == {0: 1, 2: 3, 3: 2}
 
 

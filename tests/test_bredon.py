@@ -1,6 +1,7 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -162,6 +163,24 @@ def test_bredon_and_the_oracle_word_a_non_inclusion_alike():
             build(cx)
         messages.append(str(exc.value))
     assert messages == ["unsupported inclusion 'C3' in 'D2'"] * 2
+
+
+@pytest.mark.parametrize("source,target,emb", [
+    ("C3", "D2", 0), ("D3", "C3", 0), ("A4", "C1", 0), ("C2", "D2", 3),
+    ("C2", "D2", -1), ("C2", "C2", 1), ("C3", "D3", 2), ("D2", "D2", 1),
+])
+@pytest.mark.parametrize("q", [0, 2])
+def test_blocks_and_restrictions_word_a_refusal_alike(source, target, emb, q):
+    # a pair that is no inclusion, or a class index outside its classes,
+    # is refused by complexes.check_inclusion for both lookups
+    messages = []
+    for lookup in (lambda: induction_matrix(source, target, emb),
+                   lambda: restriction_block(target, source, emb, 2, q)):
+        with pytest.raises(ValueError) as exc:
+            lookup()
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith(f"unsupported inclusion {source!r} in {target!r}")
 
 
 # --------------------------------------------------------------------------
@@ -706,39 +725,58 @@ def test_bredon_homology_formula_examples():
 
 
 def test_k_homology_examples():
-    res = k_homology(SubgroupCensus(z2=1, lambda4=1, lambda6=1, lambda6star=1),
-                     AbelianGroup(1), 0)
+    res = k_homology(SubgroupCensus(z2=1, lambda4=1, lambda6=1, lambda6star=1, beta1=1))
     assert str(res["K0"]) == "Z^3" and str(res["K1"]) == "Z^3"
-    res = k_homology(SubgroupCensus(), AbelianGroup(0), 0)
+    res = k_homology(SubgroupCensus())
     assert str(res["K0"]) == "Z" and str(res["K1"]) == "0"
-    res = k_homology(SubgroupCensus(z2=1, d2=2, mu2=2), AbelianGroup(0), 0)
+    res = k_homology(SubgroupCensus(z2=1, d2=2, mu2=2))
     assert str(res["K0"]) == "Z^2 ⊕ Z/2"
 
 
+def test_k_homology_reads_the_orbit_space_from_the_census():
+    # beta1 and the H1 torsion reach K1, beta2 reaches K0, and nothing
+    # else moves: the census is the only source of the Betti numbers
+    census = SubgroupCensus(z2=1, d2=2, lambda4=1, lambda6=2, lambda6star=1)
+    base = k_homology(census)
+    assert base == {"K0": AbelianGroup(5, (2,)), "K1": AbelianGroup(4)}
+    res = k_homology(replace(census, beta1=2, beta2=3), (6, 4))
+    assert res["K0"] == base["K0"] + AbelianGroup(3)
+    assert res["K1"] == base["K1"] + AbelianGroup(2, (2, 12))
+
+
 def test_chen_ruan_examples():
-    base = {0: 1, 1: 2}
-    assert chen_ruan_dims(SubgroupCensus(), base, True) == base
+    base = [1, 2]
+    assert chen_ruan_dims(SubgroupCensus(), base, True) == {0: 1, 1: 2}
     dims = chen_ruan_dims(SubgroupCensus(lambda4=2, lambda4star=1, lambda6=1,
-                                         lambda6star=1, mu2=2), {0: 1}, True)
+                                         lambda6star=1, mu2=2), [1], True)
     assert dims == {0: 1, 2: 3, 3: 2}
-    dims = chen_ruan_dims(SubgroupCensus(lambda4=1), {0: 1}, False)
+    dims = chen_ruan_dims(SubgroupCensus(lambda4=1), [1], False)
     assert dims == {0: 2, 1: 1}
+    assert chen_ruan_dims(SubgroupCensus(lambda4=1), [], True) == {2: 1, 3: 1}
 
 
 @pytest.mark.parametrize("quotient_dims", [
-    {0: 1.5}, {0: "3"}, {0: True}, {0: -1},
+    [1.5], ["3"], [True], [-1], [0, [1]],
 ])
 def test_chen_ruan_rejects_invalid_dimension(quotient_dims):
     with pytest.raises(ValueError, match="dimension"):
         chen_ruan_dims(SubgroupCensus(), quotient_dims, True)
 
 
-@pytest.mark.parametrize("quotient_dims", [
-    {"2": 3}, {1.0: 1}, {True: 1}, {-1: 1},
-])
-def test_chen_ruan_rejects_invalid_degree(quotient_dims):
-    with pytest.raises(ValueError, match="degree"):
-        chen_ruan_dims(SubgroupCensus(), quotient_dims, True)
+def test_boundary_walk_signs_each_use_where_it_is_first_taken():
+    # edges as (tail, head): e0 and e1 run 0 -> 1, e2 is a loop at 0 and
+    # e3 a loop at 3; edge j's first end slot is its head, the second its tail
+    pairs = [(0, 1), (0, 1), (0, 0), (3, 3)]
+    ends = tuple(end for j, (tail, head) in enumerate(pairs)
+                 for end in ((head, j, 1, 0), (tail, j, -1, 0)))
+    walk = tsr.bredon._oriented_boundary_walk
+    # from vertex 0 the walk takes e1 forward, e0 backward, then the loop
+    assert walk("f", [1, 2, 0], ends) == [(1, 1), (2, 1), (0, -1)]
+    assert walk("f", [], ends) == []
+    with pytest.raises(ValueError, match="'f' is not a closed walk"):
+        walk("f", [0], ends)
+    with pytest.raises(ValueError, match="'f' is not connected"):
+        walk("f", [2, 3], ends)
 
 
 def test_lone_two_cell():

@@ -171,6 +171,7 @@ DEEP_OBJECT = '{"a":' * 3000 + "1" + "}" * 3000
     ["poincare", "--prime", "2", "--census", DEEP_OBJECT],
     ["chenruan", "--quotient-dims", DEEP_OBJECT],
     ["e2page", "--chi-xs", "1", "--xs-rows", DEEP_OBJECT],
+    ["chenruan", "--quotient-dims", '{"0": 1}'],  # only a list is read
 ])
 def test_malformed_json_option_exits_one(argv):
     # a --census in argv comes later, so it replaces the valid one
