@@ -164,7 +164,10 @@ def _cmd_bredon(args) -> None:
 def _cmd_khomology(args) -> None:
     from .bredon import k_homology
     census = _load_census(args)
-    torsion = tuple(int(t) for t in args.h1_torsion.split(",") if t.strip())
+    try:
+        torsion = tuple(int(t) for t in args.h1_torsion.split(",") if t.strip())
+    except ValueError:
+        raise CliError("--h1-torsion must be comma-separated integers") from None
     result = k_homology(census, torsion)
     if args.json:
         _emit_json({k: str(v) for k, v in result.items()})

@@ -91,72 +91,34 @@ COMPONENT_GRAPH_TWO = "GraphTwo"
 COMPONENT_OTHER = "Other"
 
 
-class _Index:
-    """Cells by id, and each cell's faces and cofaces in incidence order.
-    Cofaces are {coface id: Incidence}, so drop() removes one in O(1) at a
-    vertex of any degree; faces stay a list, as a move drops a cell's
-    cofaces with it.  It checks nothing: OrbitComplex checks records from
-    outside, and freeze() wraps records derived from checked ones."""
-
-    def __init__(self, cells, incidences):
-        self.cells, self.incidences = {}, []
-        self._faces, self._cofaces = {}, {}  # id -> [Incidence], {id: Incidence}
-        self.add(cells, incidences)
-
-    def cell(self, cell_id: str) -> OrbitCell:
-        return self.cells[cell_id]
-
-    def faces(self, cell_id: str):
-        return self._faces.get(cell_id, [])
-
-    def cofaces(self, cell_id: str):
-        return self._cofaces.get(cell_id, {}).values()
-
-    def add(self, cells, incidences) -> None:
-        """Link new cells and incidences in, unchecked."""
-        self.cells.update((c.id, c) for c in cells)
-        for inc in incidences:
-            self._faces.setdefault(inc.coface, []).append(inc)
-            self._cofaces.setdefault(inc.face, {})[inc.coface] = inc
-        self.incidences += incidences
-
-    def drop(self, cell_id: str) -> None:
-        """Remove a cell with every incidence it takes part in."""
-        del self.cells[cell_id]
-        for inc in self._faces.pop(cell_id, ()):
-            del self._cofaces[inc.face][cell_id]
-        for inc in self._cofaces.pop(cell_id, {}).values():
-            self._faces[inc.coface].remove(inc)
-
-    def freeze(self) -> OrbitComplex:
-        """The cells and incidences left, in record order, as an unchecked
-        OrbitComplex that wraps this index, which must not be edited after."""
-        live = {id(i) for incs in self._faces.values() for i in incs}
-        self.incidences = [i for i in self.incidences if id(i) in live]
-        cx = object.__new__(OrbitComplex)
-        vars(cx).update(cells=tuple(self.cells.values()), incidences=tuple(self.incidences),
-                        _index=self)
-        return cx
-
-
 @dataclass(frozen=True)
 class OrbitComplex:
-    """Cell and incidence records, checked when built by hand or parsed,
-    and the _Index that cell(), faces() and cofaces() read; the last two
-    return new lists.  Complexes derived from it come from _Index.freeze()."""
+    """Cell and incidence records and their index: cells by id, each
+    cell's faces in incidence order, its cofaces keyed by coface id, and
+    the records in order.  The constructor checks the records where they
+    enter, by hand or parsed; _derived indexes records derived from
+    checked ones without a check.  cell(), faces() and cofaces() read the
+    index, the last two into new lists.  The reducer edits a complex it
+    derived through _add and _drop, then _settle sets its records."""
 
     cells: tuple[OrbitCell, ...]
     incidences: tuple[Incidence, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "_index", ix := _Index(self.cells, self.incidences))
-        if len(ix.cells) != len(self.cells):
+        for k, c in enumerate(self.cells):
+            if not (_is_int(c.dim) and c.dim >= 0):
+                raise ComplexSchemaError("dim must be a non-negative integer", f"$.cells[{k}]")
+            if not (isinstance(c.stabilizer, str) and c.stabilizer in TAG_ORDERS):
+                raise ComplexSchemaError(f"stabilizer must be one of {sorted(TAG_ORDERS)}",
+                                         f"$.cells[{k}]")
+        self._link(self.cells, self.incidences)
+        if len(self._cells) != len(self.cells):
             raise ComplexSchemaError("duplicate cell ids")
         if len({(i.face, i.coface) for i in self.incidences}) != len(self.incidences):
             raise ComplexSchemaError(
                 "duplicate incidence records (use multiplicity instead)")
         for inc in self.incidences:
-            face, coface = ix.cells.get(inc.face), ix.cells.get(inc.coface)
+            face, coface = self._cells.get(inc.face), self._cells.get(inc.coface)
             if face is None:
                 raise ComplexSchemaError(f"unknown face {inc.face!r}")
             if coface is None:
@@ -167,8 +129,44 @@ class OrbitComplex:
             if inc.multiplicity < 1:
                 raise ComplexSchemaError("multiplicity must be >= 1")
 
+    @classmethod
+    def _derived(cls, cells, incidences) -> OrbitComplex:
+        """A complex over records derived from checked ones, indexed unchecked."""
+        return object.__new__(cls)._link(tuple(cells), tuple(incidences))
+
+    def _link(self, cells, incidences) -> OrbitComplex:
+        """Set the records and build their index."""
+        for name, value in (("cells", cells), ("incidences", incidences), ("_cells", {}),
+                            ("_faces", {}), ("_cofaces", {}), ("_records", [])):
+            object.__setattr__(self, name, value)
+        self._add(cells, incidences)
+        return self
+
+    def _add(self, cells, incidences) -> None:
+        """Link new cells and incidences in, unchecked."""
+        self._cells.update((c.id, c) for c in cells)
+        for inc in incidences:
+            self._faces.setdefault(inc.coface, []).append(inc)
+            self._cofaces.setdefault(inc.face, {})[inc.coface] = inc
+        self._records.extend(incidences)
+
+    def _drop(self, cell_id: str) -> None:
+        """Unlink a cell with every incidence it takes part in."""
+        del self._cells[cell_id]
+        for inc in self._faces.pop(cell_id, ()):
+            del self._cofaces[inc.face][cell_id]
+        for inc in self._cofaces.pop(cell_id, {}).values():
+            self._faces[inc.coface].remove(inc)
+
+    def _settle(self) -> OrbitComplex:
+        """Set the records to the cells and incidences left, in record order."""
+        live = {id(i) for incs in self._faces.values() for i in incs}
+        object.__setattr__(self, "cells", tuple(self._cells.values()))
+        object.__setattr__(self, "incidences", tuple(i for i in self._records if id(i) in live))
+        return self
+
     def cell(self, cell_id: str) -> OrbitCell:
-        return self._index.cells[cell_id]
+        return self._cells[cell_id]
 
     @property
     def dimension(self) -> int:
@@ -178,10 +176,10 @@ class OrbitComplex:
         return [c for c in self.cells if c.dim == d]
 
     def cofaces(self, cell_id: str) -> list[Incidence]:
-        return list(self._index.cofaces(cell_id))
+        return list(self._cofaces.get(cell_id, {}).values())
 
     def faces(self, cell_id: str) -> list[Incidence]:
-        return list(self._index.faces(cell_id))
+        return list(self._faces.get(cell_id, ()))
 
 
 def _is_int(val) -> bool:
@@ -204,10 +202,6 @@ def _record_problem(raw, kind: str) -> str | None:
         return None if _is_int(mult) and mult >= 1 else "multiplicity must be a positive integer"
     if not (isinstance(raw.get("id"), str) and raw["id"]):
         return "id must be a string"
-    if not (_is_int(raw.get("dim")) and raw["dim"] >= 0):
-        return "dim must be a non-negative integer"
-    if not (isinstance(raw.get("stabilizer"), str) and raw["stabilizer"] in TAG_ORDERS):
-        return f"stabilizer must be one of {sorted(TAG_ORDERS)}"
     if not isinstance(raw.get("self_identified"), bool):
         return "self_identified must be a boolean"
     return None
@@ -249,7 +243,7 @@ def parse_complex(text: str) -> OrbitComplex:
             if (problem := _record_problem(raw, kind)) is not None:
                 raise ComplexSchemaError(problem, f"$.{kind}s[{k}]")
     return OrbitComplex(
-        tuple(OrbitCell(r["id"], r["dim"], r["stabilizer"], r["self_identified"])
+        tuple(OrbitCell(r["id"], r.get("dim"), r.get("stabilizer"), r["self_identified"])
               for r in doc["cells"]),
         tuple(Incidence(r["face"], r["coface"], r.get("multiplicity", 1))
               for r in doc["incidences"]))
@@ -279,8 +273,8 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
     with incidences restricted accordingly."""
     _check_prime(ell)
     keep = {c.id for c in cx.cells if TAG_ORDERS[c.stabilizer] % ell == 0}
-    return _Index([c for c in cx.cells if c.id in keep], [
-        i for i in cx.incidences if i.face in keep and i.coface in keep]).freeze()
+    return OrbitComplex._derived([c for c in cx.cells if c.id in keep], [
+        i for i in cx.incidences if i.face in keep and i.coface in keep])
 
 
 def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
@@ -304,7 +298,7 @@ def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
         cells.setdefault(find(c.id), []).append(c)
     for inc in cx.incidences:
         incs.setdefault(find(inc.face), []).append(inc)
-    comps = [_Index(cs, incs.get(r, ())).freeze() for r, cs in cells.items()]
+    comps = [OrbitComplex._derived(cs, incs.get(r, ())) for r, cs in cells.items()]
     comps.sort(key=lambda comp: min(c.id for c in comp.cells))
     return comps
 

@@ -13,11 +13,11 @@ is not imported here.  ``_rule_failure`` alone states the terminal test
 and condition A, and ``_move_at`` alone decides a move: it returns the
 move a cell starts, or the first check it fails.  The reduction loop
 applies its moves deterministically until none applies, editing the
-index (``complexes._Index``) of the torsion subcomplex it builds in
-place; a worklist re-examines only the cells a move touched, and the
-result is frozen once into an OrbitComplex that wraps the index, as every
-edit derives its records from checked ones.  ``replay`` and
-``apply_move`` make an edit only where ``_move_at`` finds the same move;
+torsion subcomplex it derives in place through its own index
+(``OrbitComplex._add``, ``_drop``) and setting its records once at the
+end, unchecked, as every edit derives them from checked ones; a worklist
+re-examines only the cells a move touched.  ``replay`` and ``apply_move``
+make an edit only where ``_move_at`` finds the same move;
 ``scripted_merge`` checks only that sigma bounds exactly its two taus.
 """
 
@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 from ._modp import _check_prime
 from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
-                        OrbitComplex, _Index, torsion_subcomplex)
+                        OrbitComplex, torsion_subcomplex)
 
 B_PRIME_1 = "B'(1)"
 
@@ -82,72 +82,72 @@ def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | Non
 # Condition A and the moves
 
 
-def _rule_failure(ix: _Index, kind: str, sigma: str) -> str | None:
+def _rule_failure(cx: OrbitComplex, kind: str, sigma: str) -> str | None:
     """Why sigma starts no cut (the terminal test) or no merge (condition
-    A), or None, from one read of its cofaces; B' is not read."""
-    cofs = ix.cofaces(sigma)
+    A), or None, from one read of its cofaces in the index; B' is not read."""
+    cofs = cx._cofaces.get(sigma, {}).values()
     # "no higher-dimensional cells touch sigma" read as: no coface has a
     # coface, as every incidence raises the dimension by exactly 1
     if (len(cofs) == (1 if kind == "cut" else 2) and all(i.multiplicity == 1 for i in cofs)
-            and not any(ix.cofaces(i.coface) for i in cofs)):
+            and not any(cx._cofaces.get(i.coface) for i in cofs)):
         if kind == "cut":
             return None
-        t1, t2 = (ix.cell(i.coface) for i in cofs)
+        t1, t2 = (cx._cells[i.coface] for i in cofs)
         # the catalog tags are pairwise non-isomorphic: equal tags, isomorphic
         if not (t1.self_identified or t2.self_identified) and t1.stabilizer == t2.stabilizer:
             return None
     return "not a terminal pair" if kind == "cut" else "condition A fails"
 
 
-def _move_at(ix: _Index, kind: str, sigma: str, ell: int) -> Move | str:
+def _move_at(cx: OrbitComplex, kind: str, sigma: str, ell: int) -> Move | str:
     """The cut of sigma's terminal pair or the merge of its two cofaces
     under condition A, if it passes B'; else the first check it fails."""
-    if (failure := _rule_failure(ix, kind, sigma)) is not None:
+    if (failure := _rule_failure(cx, kind, sigma)) is not None:
         return failure
-    taus = tuple(sorted(i.coface for i in ix.cofaces(sigma)))
-    clause = check_condition_B_prime(ix.cell(sigma).stabilizer,
-                                     ix.cell(taus[0]).stabilizer, ell)
+    taus = tuple(sorted(cx._cofaces[sigma]))
+    clause = check_condition_B_prime(cx._cells[sigma].stabilizer,
+                                     cx._cells[taus[0]].stabilizer, ell)
     return Move(kind, sigma, taus, clause) if clause else "condition B' fails"
 
 
-def _edit(ix: _Index, move: Move) -> str | None:
+def _edit(cx: OrbitComplex, move: Move) -> str | None:
     """Make the edit of a move, unchecked; a merge's new cell, whose id it
     returns, is named after its first tau and has an unused id, the taus'
     faces and positive multiplicities, so its records need no check."""
     sigma, taus = move.sigma, move.taus
     if move.kind == "cut":
-        ix.drop(sigma)
-        ix.drop(taus[0])
+        cx._drop(sigma)
+        cx._drop(taus[0])
         return None
     boundary: dict[str, int] = {}
     for tau in taus:
-        for inc in ix.faces(tau):
+        for inc in cx._faces.get(tau, ()):
             if inc.face != sigma:
                 boundary[inc.face] = boundary.get(inc.face, 0) + inc.multiplicity
-    t1 = ix.cell(taus[0])
+    t1 = cx._cells[taus[0]]
     merged_id = t1.id + "+"
-    while merged_id in ix.cells:
+    while merged_id in cx._cells:
         merged_id += "+"
     for cid in (sigma, *taus):
-        ix.drop(cid)
-    ix.add([OrbitCell(merged_id, t1.dim, t1.stabilizer, False)],
-           [Incidence(face, merged_id, mult) for face, mult in sorted(boundary.items())])
+        cx._drop(cid)
+    cx._add([OrbitCell(merged_id, t1.dim, t1.stabilizer, False)],
+            [Incidence(face, merged_id, mult) for face, mult in sorted(boundary.items())])
     return merged_id
 
 
-def _apply(ix: _Index, move: Move, ell: int) -> None:
+def _apply(cx: OrbitComplex, move: Move, ell: int) -> None:
     """Make the edit of a move if _move_at finds one of its kind at its
     sigma with the same taus, in any order; its clause is not read.  An
     unknown sigma is refused as scripted_merge refuses it."""
-    if move.sigma not in ix.cells:
+    if move.sigma not in cx._cells:
         raise ValueError(f"unknown cell {move.sigma!r}")
-    found = (_move_at(ix, move.kind, move.sigma, ell) if move.kind in ("cut", "merge")
+    found = (_move_at(cx, move.kind, move.sigma, ell) if move.kind in ("cut", "merge")
              else "unknown move kind")
     if isinstance(found, Move) and set(found.taus) != set(move.taus):
         found = f"its top cells are {list(found.taus)}"
     if isinstance(found, str):
         raise ValueError(f"{move.kind} at {move.sigma!r}: {found}")
-    _edit(ix, move)
+    _edit(cx, move)
 
 
 def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
@@ -155,9 +155,9 @@ def apply_move(cx: OrbitComplex, move: Move, ell: int) -> OrbitComplex:
     sigma's two cofaces into one cell with the first tau's stabilizer and
     both boundaries but sigma), if _move_at finds that move; its clause
     is not read."""
-    ix = _Index(cx.cells, cx.incidences)
-    _apply(ix, move, ell)
-    return ix.freeze()
+    new = OrbitComplex._derived(cx.cells, cx.incidences)
+    _apply(new, move, ell)
+    return new._settle()
 
 
 def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitComplex:
@@ -175,9 +175,9 @@ def scripted_merge(cx: OrbitComplex, sigma: str, tau1: str, tau2: str) -> OrbitC
     cofs = cx.cofaces(sigma)  # distinct cofaces, by the schema
     if len(cofs) != 2 or {c.coface for c in cofs} != {tau1, tau2}:
         raise ValueError("sigma must bound exactly tau1 and tau2")
-    ix = _Index(cx.cells, cx.incidences)
-    _edit(ix, Move("merge", sigma, (tau1, tau2), ""))
-    return ix.freeze()
+    new = OrbitComplex._derived(cx.cells, cx.incidences)
+    _edit(new, Move("merge", sigma, (tau1, tau2), ""))
+    return new._settle()
 
 
 def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionLog]:
@@ -187,34 +187,33 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
     (dimension, id) of the boundary cell.  The input is normalized to
     its ell-torsion subcomplex first (idempotent).
     """
-    # the torsion subcomplex is new and seen by no caller, so the reduction
-    # edits its index in place
-    ix = torsion_subcomplex(cx, ell)._index
+    # the torsion subcomplex is new and seen by no caller: it is edited in place
+    tx = torsion_subcomplex(cx, ell)
     # "cut" sorts before "merge": each cell that starts a move has a
     # (kind, dim, id) entry on the heap, among cells that may not
-    heap = sorted((k, c.dim, c.id) for k in ("cut", "merge") for c in ix.cells.values())
+    heap = sorted((k, c.dim, c.id) for k in ("cut", "merge") for c in tx.cells)
     moves = []
     while heap:
         kind, _, sigma = heap[0]
-        move = _move_at(ix, kind, sigma, ell)
+        move = _move_at(tx, kind, sigma, ell)
         if isinstance(move, str):
             heapq.heappop(heap)
             continue
         # whether a cell starts a move reads only its cofaces and theirs, so a
         # move can change that only for the faces of removed cells and theirs
-        near = {i.face for cid in (sigma, *move.taus) for i in ix.faces(cid)}
-        near |= {i.face for cid in near for i in ix.faces(cid)}
-        moves.append(replace(move, merged=_edit(ix, move)))
-        for cid in near & ix.cells.keys():
+        near = {i.face for cid in (sigma, *move.taus) for i in tx._faces.get(cid, ())}
+        near |= {i.face for cid in near for i in tx._faces.get(cid, ())}
+        moves.append(replace(move, merged=_edit(tx, move)))
+        for cid in near & tx._cells.keys():
             for kind in ("cut", "merge"):
-                heapq.heappush(heap, (kind, ix.cells[cid].dim, cid))
-    return ix.freeze(), ReductionLog(tuple(moves))
+                heapq.heappush(heap, (kind, tx._cells[cid].dim, cid))
+    return tx._settle(), ReductionLog(tuple(moves))
 
 
 def replay(cx: OrbitComplex, log: ReductionLog, ell: int) -> OrbitComplex:
     """Re-apply a reduction log, checking every move; reproduces the
     reduce output exactly."""
-    ix = torsion_subcomplex(cx, ell)._index  # new and private, as in reduce_complex
+    tx = torsion_subcomplex(cx, ell)  # new and private, as in reduce_complex
     for move in log.moves:
-        _apply(ix, move, ell)
-    return ix.freeze()
+        _apply(tx, move, ell)
+    return tx._settle()

@@ -152,16 +152,16 @@ class RationalSeries:
         c = gcd(*self.den)
         p0, *tail = (x // c for x in self.den)
         steps = [(j, pj * p0 ** (j - 1)) for j, pj in enumerate(tail, 1) if pj]
-        b, out, power = [], [], 1
+        b, out, power = [0] * (n + 1), [0] * (n + 1), 1  # an absurd n fails here
         for k in range(n + 1):
             acc = power * self.num[k] if k < len(self.num) else 0
             for j, e in steps:
                 if j > k:
                     break
                 acc -= e * b[k - j]
-            b.append(acc)
+            b[k] = acc
             power *= p0
-            out.append(Fraction(acc, c * power))
+            out[k] = Fraction(acc, c * power)
         return out
 
     def __str__(self) -> str:

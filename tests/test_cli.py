@@ -125,6 +125,7 @@ def test_khomology_large_prime_torsion():
 @pytest.mark.parametrize("flags", [
     ["--census", '{"beta1": -3}'],
     ["--h1-torsion=-2,0,1"],
+    ["--h1-torsion=abc"],
 ])
 def test_khomology_invalid_h1_exits_one(flags):
     # a --census in flags comes later, so it replaces the valid one
@@ -132,6 +133,8 @@ def test_khomology_invalid_h1_exits_one(flags):
     lines = err.decode().splitlines()
     assert code == 1, err.decode()
     assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    if flags == ["--h1-torsion=abc"]:  # a coefficient that is no integer names its option
+        assert lines == ["error: --h1-torsion must be comma-separated integers"]
     assert out == b""
 
 
@@ -310,9 +313,10 @@ def test_classify_command():
 
 def test_golden_corpus(capsys, monkeypatch):
     # every entry of tests/expected/cli.json, regenerated by make_cli.py;
-    # the 2-cell documents' paths are relative to the repository root
+    # the paths of the documents beside it are relative to the repository
+    # root; 11 of the entries are refusals, each exit 1
     corpus = json.loads((Path(__file__).parent / "expected" / "cli.json").read_text())
-    assert len(corpus) == 128
+    assert len(corpus) == 139
     monkeypatch.chdir(FIXTURES.parents[2])
     wrong = []
     for command, expected in corpus.items():

@@ -1,5 +1,6 @@
 """Tests for the orbit complex model, file format and classification."""
 
+import json
 import random
 from pathlib import Path
 
@@ -99,6 +100,25 @@ def test_incidence_dimension_check():
     with pytest.raises(ComplexSchemaError, match="dimension"):
         OrbitComplex((OrbitCell("a", 0, "C2"), OrbitCell("b", 0, "C2")),
                      (Incidence("a", "b"),))
+
+
+@pytest.mark.parametrize("cell,message", [
+    (OrbitCell("v", 0, "Z9"), "$.cells[1]: stabilizer must be one of ['A4', "),
+    (OrbitCell("v", -3, "C2"), "$.cells[1]: dim must be a non-negative integer"),
+])
+def test_hand_built_cells_are_checked_as_parsed_ones(cell, message):
+    # the constructor runs the checks that parse_complex relies on, in the
+    # same words and with the same path, so a later reader never meets a
+    # tag or a dimension outside the catalog
+    with pytest.raises(ComplexSchemaError) as err:
+        OrbitComplex((OrbitCell("w", 0, "C2"), cell), ())
+    assert str(err.value).startswith(message)
+    doc = {"rigid": True, "incidences": [], "cells": [
+        {"id": c.id, "dim": c.dim, "stabilizer": c.stabilizer, "self_identified": False}
+        for c in (OrbitCell("w", 0, "C2"), cell)]}
+    with pytest.raises(ComplexSchemaError) as parsed:
+        parse_complex(json.dumps(doc))
+    assert str(parsed.value) == str(err.value)
 
 
 def test_lookups_match_a_scan_in_incidence_order():

@@ -493,18 +493,17 @@ def test_scripted_merge_rejects_one_tau_twice():
 
 
 def test_reduce_and_replay_index_each_complex_once(monkeypatch):
-    # the torsion subcomplex in each of the two calls; the frozen result
-    # wraps the index it was edited in
-    import tsr.complexes
+    # the torsion subcomplex in each of the two calls, which is edited in
+    # place and returned with the index it was edited in
     calls = []
-    init = tsr.complexes._Index.__init__
+    link = OrbitComplex._link
 
     def counted(self, *args):
         calls.append(args)
-        init(self, *args)
+        return link(self, *args)
 
     cx = load("sl3z_soule.json")
-    monkeypatch.setattr(tsr.complexes._Index, "__init__", counted)
+    monkeypatch.setattr(OrbitComplex, "_link", counted)
     _, log = reduce_complex(cx, 2)
     replay(cx, log, 2)
     assert len(calls) == 2
@@ -681,11 +680,11 @@ def test_rule_failure_matches_separate_helpers(ell_and_complex):
     _, cx = ell_and_complex
     for c in cx.cells:
         cut_ok = _terminal_coface(cx, c.id) is not None
-        assert _rule_failure(cx._index, "cut", c.id) == (
+        assert _rule_failure(cx, "cut", c.id) == (
             None if cut_ok else "not a terminal pair")
         taus = sorted(i.coface for i in cx.cofaces(c.id))
         merge_ok = len(taus) == 2 and _separate_condition_A(cx, c.id, *taus)
-        assert _rule_failure(cx._index, "merge", c.id) == (
+        assert _rule_failure(cx, "merge", c.id) == (
             None if merge_ok else "condition A fails")
 
 
@@ -740,7 +739,7 @@ def test_reduce_long_inputs_match_reference_and_replay(ell_and_complex):
 
 
 # --------------------------------------------------------------------------
-# Derived complexes wrap an index that no check runs on again
+# Derived complexes hold an index that no check runs on again
 
 
 def _answers_as_if_checked(d: OrbitComplex) -> None:
@@ -772,3 +771,6 @@ def test_derived_complexes_answer_as_if_checked(ell_and_complex):
     for move in log.moves:
         state = apply_move(state, move, ell)
         _answers_as_if_checked(state)
+    for c in cx.cells:  # a forced merge wherever a cell bounds exactly two cells
+        if len(taus := [i.coface for i in cx.cofaces(c.id)]) == 2:
+            _answers_as_if_checked(scripted_merge(cx, c.id, *taus))
