@@ -14,8 +14,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
+from operator import attrgetter
 
 from ._modp import _check_prime
+
+_int = int.__repr__  # as json.dumps prints an int, whatever its subclass
 
 #: Catalog tags and their group orders.  D2 is the Klein four-group.
 TAG_ORDERS = {
@@ -106,11 +110,17 @@ class OrbitComplex:
 
     def __post_init__(self):
         for k, c in enumerate(self.cells):
-            if not (_is_int(c.dim) and c.dim >= 0):
-                raise ComplexSchemaError("dim must be a non-negative integer", f"$.cells[{k}]")
-            if not (isinstance(c.stabilizer, str) and c.stabilizer in TAG_ORDERS):
-                raise ComplexSchemaError(f"stabilizer must be one of {sorted(TAG_ORDERS)}",
-                                         f"$.cells[{k}]")
+            problem = _cell_problem(c.id, c.self_identified)
+            if problem is None and not (_is_int(c.dim) and c.dim >= 0):
+                problem = "dim must be a non-negative integer"
+            if problem is None and not (isinstance(c.stabilizer, str)
+                                        and c.stabilizer in TAG_ORDERS):
+                problem = f"stabilizer must be one of {sorted(TAG_ORDERS)}"
+            if problem is not None:
+                raise ComplexSchemaError(problem, f"$.cells[{k}]")
+        for k, inc in enumerate(self.incidences):
+            if (problem := _incidence_problem(inc.face, inc.coface, inc.multiplicity)):
+                raise ComplexSchemaError(problem, f"$.incidences[{k}]")
         self._link(self.cells, self.incidences)
         if len(self._cells) != len(self.cells):
             raise ComplexSchemaError("duplicate cell ids")
@@ -126,8 +136,6 @@ class OrbitComplex:
             if coface.dim != face.dim + 1:
                 raise ComplexSchemaError(
                     f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
-            if inc.multiplicity < 1:
-                raise ComplexSchemaError("multiplicity must be >= 1")
 
     @classmethod
     def _derived(cls, cells, incidences) -> OrbitComplex:
@@ -195,15 +203,29 @@ def _record_problem(raw, kind: str) -> str | None:
     if extra := raw.keys() - keys:
         return f"unknown keys {sorted(extra)}"
     if kind == "incidence":
-        for end in ("face", "coface"):
-            if not isinstance(raw.get(end), str):
-                return f"{end} must be a string"
-        mult = raw.get("multiplicity", 1)
-        return None if _is_int(mult) and mult >= 1 else "multiplicity must be a positive integer"
-    if not (isinstance(raw.get("id"), str) and raw["id"]):
+        return _incidence_problem(raw.get("face"), raw.get("coface"), raw.get("multiplicity", 1))
+    return _cell_problem(raw.get("id"), raw.get("self_identified"))
+
+
+def _cell_problem(cell_id, self_identified) -> str | None:
+    """The first check of a cell's id or flag that fails, or None.  The
+    constructor runs the dim and stabilizer checks after it;
+    parse_complex runs it on every record before it builds the complex."""
+    if not (isinstance(cell_id, str) and cell_id):
         return "id must be a string"
-    if not isinstance(raw.get("self_identified"), bool):
+    if not isinstance(self_identified, bool):
         return "self_identified must be a boolean"
+    return None
+
+
+def _incidence_problem(face, coface, multiplicity) -> str | None:
+    """The first check of an incidence's fields that fails, or None."""
+    if not isinstance(face, str):
+        return "face must be a string"
+    if not isinstance(coface, str):
+        return "coface must be a string"
+    if not (_is_int(multiplicity) and multiplicity >= 1):
+        return "multiplicity must be a positive integer"
     return None
 
 
@@ -250,21 +272,30 @@ def parse_complex(text: str) -> OrbitComplex:
 
 
 def serialize_complex(cx: OrbitComplex) -> str:
-    """Canonical serialization: cells sorted by (dim, id), incidences by
-    (face, coface); byte-stable across runs."""
-    doc = {
-        "rigid": True,
-        "cells": [
-            {"id": c.id, "dim": c.dim, "stabilizer": c.stabilizer,
-             "self_identified": c.self_identified}
-            for c in sorted(cx.cells, key=lambda c: (c.dim, c.id))
-        ],
-        "incidences": [
-            {"face": i.face, "coface": i.coface, "multiplicity": i.multiplicity}
-            for i in sorted(cx.incidences, key=lambda i: (i.face, i.coface))
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """Canonical serialization, byte-stable across runs: one object with
+    the keys rigid (always true), cells and incidences, in that order;
+    cells sorted by (dim, id), each with the keys id, dim, stabilizer,
+    self_identified; incidences sorted by (face, coface), each with the
+    keys face, coface, multiplicity.  Two-space indent, one key or list
+    item per line, an empty list as [], strings with ASCII-only JSON
+    escapes, a newline at the end.  These are the bytes of
+    json.dumps(doc, indent=2) + "\\n", the tests' reference, written by a
+    template: the C escaper of json.dumps quotes every string."""
+    cells = ",\n".join(
+        f'    {{\n      "id": {_quote(c.id)},\n      "dim": {_int(c.dim)},\n'
+        f'      "stabilizer": {_quote(c.stabilizer)},\n'
+        f'      "self_identified": {"true" if c.self_identified else "false"}\n    }}'
+        for c in sorted(cx.cells, key=attrgetter("dim", "id")))
+    incidences = ",\n".join(
+        f'    {{\n      "face": {_quote(i.face)},\n      "coface": {_quote(i.coface)},\n'
+        f'      "multiplicity": {_int(i.multiplicity)}\n    }}'
+        for i in sorted(cx.incidences, key=attrgetter("face", "coface")))
+    return (f'{{\n  "rigid": true,\n  "cells": {_listed(cells)},\n'
+            f'  "incidences": {_listed(incidences)}\n}}\n')
+
+
+def _listed(items: str) -> str:
+    return f"[\n{items}\n  ]" if items else "[]"
 
 
 def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:

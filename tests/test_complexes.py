@@ -5,9 +5,11 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsr.bredon import SUPPORTED_EDGE_TAGS, SUPPORTED_VERTEX_TAGS
-from tsr.complexes import (INCLUSIONS, ComplexSchemaError, Incidence, OrbitCell,
+from tsr.complexes import (INCLUSIONS, TAG_ORDERS, ComplexSchemaError, Incidence, OrbitCell,
                            OrbitComplex, classify_component,
                            connected_components, edge_end_assignments,
                            parse_complex, serialize_complex,
@@ -39,6 +41,44 @@ def test_fixture_roundtrip_byte_identical():
 def test_parse_serialize_identity():
     cx = load("graphtwo.json")
     assert parse_complex(serialize_complex(cx)) == cx
+
+
+def reference_doc(cx: OrbitComplex) -> dict:
+    """The document serialize_complex writes, as the dict that
+    json.dumps(doc, indent=2) turns into the same bytes."""
+    return {
+        "rigid": True,
+        "cells": [{"id": c.id, "dim": c.dim, "stabilizer": c.stabilizer,
+                   "self_identified": c.self_identified}
+                  for c in sorted(cx.cells, key=lambda c: (c.dim, c.id))],
+        "incidences": [{"face": i.face, "coface": i.coface, "multiplicity": i.multiplicity}
+                       for i in sorted(cx.incidences, key=lambda i: (i.face, i.coface))],
+    }
+
+
+#: Ids that need every kind of JSON escape: quotes, backslashes, control
+#: characters, non-ASCII and astral characters, lone surrogates.
+_IDS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001f600\ud800\udfff'),
+                         st.characters()), min_size=1, max_size=6)
+
+
+@st.composite
+def _complexes(draw) -> OrbitComplex:
+    cells = [OrbitCell(i, draw(st.integers(0, 2)), draw(st.sampled_from(sorted(TAG_ORDERS))),
+                       draw(st.booleans()))
+             for i in draw(st.lists(_IDS, unique=True, max_size=8))]
+    pairs = [(f.id, c.id) for f in cells for c in cells if c.dim == f.dim + 1]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return OrbitComplex(tuple(cells), tuple(
+        Incidence(f, c, draw(st.integers(1, 10**12))) for f, c in chosen))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_complexes())
+def test_serialize_writes_the_bytes_of_json_dumps(cx):
+    text = serialize_complex(cx)
+    assert text == json.dumps(reference_doc(cx), indent=2) + "\n"
+    assert serialize_complex(parse_complex(text)) == text
 
 
 def test_omitted_multiplicity_is_one():
@@ -105,17 +145,37 @@ def test_incidence_dimension_check():
 @pytest.mark.parametrize("cell,message", [
     (OrbitCell("v", 0, "Z9"), "$.cells[1]: stabilizer must be one of ['A4', "),
     (OrbitCell("v", -3, "C2"), "$.cells[1]: dim must be a non-negative integer"),
+    (OrbitCell(5, 0, "C2"), "$.cells[1]: id must be a string"),
+    (OrbitCell("", 0, "C2"), "$.cells[1]: id must be a string"),
+    (OrbitCell("v", 0, "C2", "yes"), "$.cells[1]: self_identified must be a boolean"),
 ])
 def test_hand_built_cells_are_checked_as_parsed_ones(cell, message):
     # the constructor runs the checks that parse_complex relies on, in the
     # same words and with the same path, so a later reader never meets a
-    # tag or a dimension outside the catalog
+    # tag or a dimension outside the catalog, and every complex that can
+    # be built serializes to a document that parses
     with pytest.raises(ComplexSchemaError) as err:
         OrbitComplex((OrbitCell("w", 0, "C2"), cell), ())
     assert str(err.value).startswith(message)
     doc = {"rigid": True, "incidences": [], "cells": [
-        {"id": c.id, "dim": c.dim, "stabilizer": c.stabilizer, "self_identified": False}
+        {"id": c.id, "dim": c.dim, "stabilizer": c.stabilizer,
+         "self_identified": c.self_identified}
         for c in (OrbitCell("w", 0, "C2"), cell)]}
+    with pytest.raises(ComplexSchemaError) as parsed:
+        parse_complex(json.dumps(doc))
+    assert str(parsed.value) == str(err.value)
+
+
+@pytest.mark.parametrize("multiplicity", [2.0, True, 0])
+def test_hand_built_incidences_are_checked_as_parsed_ones(multiplicity):
+    # a float or a boolean would reach the Bredon differentials as a
+    # count, and the writer would print it where the parser refuses it
+    cells = (OrbitCell("v", 0, "C2"), OrbitCell("e", 1, "C2"), OrbitCell("f", 1, "C2"))
+    with pytest.raises(ComplexSchemaError) as err:
+        OrbitComplex(cells, (Incidence("v", "e"), Incidence("v", "f", multiplicity)))
+    assert str(err.value) == "$.incidences[1]: multiplicity must be a positive integer"
+    doc = {"rigid": True, "cells": [vars(c) for c in cells], "incidences": [
+        {"face": "v", "coface": "e"}, {"face": "v", "coface": "f", "multiplicity": multiplicity}]}
     with pytest.raises(ComplexSchemaError) as parsed:
         parse_complex(json.dumps(doc))
     assert str(parsed.value) == str(err.value)
