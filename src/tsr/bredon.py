@@ -18,9 +18,8 @@ and for the dense ``BredonComplex.psi1``/``psi2`` views.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from math import gcd, lcm
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from ._modp import SpanTracker, _row, assemble
 from .complexes import OrbitComplex, _is_int, check_inclusion, edge_end_assignments
@@ -142,17 +141,23 @@ def _invariant_factors(entries) -> tuple[int, ...]:
     return tuple(chain)
 
 
-@dataclass(frozen=True)
-class AbelianGroup:
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+class AbelianGroup(NamedTuple("AbelianGroup", [("free_rank", int), ("torsion", tuple)])):
+    """Z^free_rank plus the cyclic groups of its torsion, which the
+    constructor checks and puts in invariant-factor form."""
 
-    def __post_init__(self):
-        if self.free_rank < 0:
-            raise ValueError(f"free rank must be non-negative, got {self.free_rank}")
-        if any(n < 1 for n in self.torsion):
-            raise ValueError(f"torsion coefficients must be positive, got {list(self.torsion)}")
-        object.__setattr__(self, "torsion", _invariant_factors(self.torsion))
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if not _is_int(free_rank):
+            raise ValueError(f"free rank must be an integer, got {free_rank!r}")
+        if free_rank < 0:
+            raise ValueError(f"free rank must be non-negative, got {free_rank}")
+        if not all(map(_is_int, torsion)):
+            raise ValueError(f"torsion coefficients must be integers, got {list(torsion)}")
+        if any(n < 1 for n in torsion):
+            raise ValueError(f"torsion coefficients must be positive, got {list(torsion)}")
+        return super().__new__(cls, free_rank, _invariant_factors(torsion))
 
     def __add__(self, other: "AbelianGroup") -> "AbelianGroup":
         return AbelianGroup(self.free_rank + other.free_rank,
@@ -259,30 +264,28 @@ def _divisors(rows: list[dict[int, int]]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class IntegerChainComplex:
+class IntegerChainComplex(NamedTuple("IntegerChainComplex",
+                                      [("psi1", list), ("psi2", list), ("dims", tuple)])):
     """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0 with
     dims = (n0, n1, n2).  The differentials may be given as dense or
     sparse rows; they are stored as sparse {column: entry} rows, and a
     complex is checked once, when it is built: the rows must fit dims
     and psi1 @ psi2 must vanish, or ValueError is raised."""
 
-    psi1: list[dict[int, int]]
-    psi2: list[dict[int, int]]
-    dims: tuple[int, int, int]
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
-    def __post_init__(self):
-        psi1, psi2 = ([_row(r, 0) for r in rows] for rows in (self.psi1, self.psi2))
-        n0, n1, n2 = self.dims
+    def __new__(cls, psi1, psi2, dims: tuple[int, int, int]):
+        psi1, psi2 = ([_row(r, 0) for r in rows] for rows in (psi1, psi2))
+        n0, n1, n2 = dims
         if (len(psi1) != n0 or len(psi2) != n1
                 or any(not 0 <= j < n1 for row in psi1 for j in row)
                 or any(not 0 <= j < n2 for row in psi2 for j in row)):
             raise ValueError("psi1 and psi2 are not composable with dims "
-                             f"{self.dims}")
+                             f"{dims}")
         if any(_matmul(psi1, psi2)):
             raise ValueError("not a chain complex: psi1 @ psi2 != 0")
-        object.__setattr__(self, "psi1", psi1)
-        object.__setattr__(self, "psi2", psi2)
+        return super().__new__(cls, psi1, psi2, dims)
 
 
 def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
@@ -303,8 +306,7 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
 # The Bredon complex of a reduced orbit complex
 
 
-@dataclass(frozen=True)
-class BredonComplex:
+class BredonComplex(NamedTuple):
     """The total chain complex (vertices x edges, edges x faces), and the
     incidence terms (row cell, column cell, sign, embedding) its
     differentials are summed from, with cells as indices: terms1
@@ -395,8 +397,7 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     return BredonComplex(vertices, edges, faces, total, terms1, terms2)
 
 
-@dataclass(frozen=True)
-class SplitBlocks:
+class SplitBlocks(NamedTuple):
     trivial: IntegerChainComplex
     two: IntegerChainComplex
     three: IntegerChainComplex

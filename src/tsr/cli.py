@@ -6,7 +6,10 @@ exhausted memory, 2 internal invariant failure.  All output is
 deterministic for identical inputs.
 
 Only ``tsr.complexes`` is imported up front; each subcommand imports
-the modules it runs, so a cold process pays for no other.
+the modules it runs, so a cold process pays for no other.  The records
+are named tuples, so no module loads ``inspect`` (nor ``ast`` and
+``dis``) or numpy; the tests and CI guard the import set of every
+subcommand.
 """
 
 from __future__ import annotations

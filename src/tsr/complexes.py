@@ -13,9 +13,9 @@ and ``parse_complex`` refuses any other value.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
+from typing import NamedTuple
 
 from ._modp import _check_prime
 
@@ -71,16 +71,14 @@ class ComplexSchemaError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-@dataclass(frozen=True)
-class OrbitCell:
+class OrbitCell(NamedTuple):
     id: str
     dim: int
     stabilizer: str
     self_identified: bool = False
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     face: str
     coface: str
     multiplicity: int = 1
@@ -95,7 +93,6 @@ COMPONENT_GRAPH_TWO = "GraphTwo"
 COMPONENT_OTHER = "Other"
 
 
-@dataclass(frozen=True)
 class OrbitComplex:
     """Cell and incidence records and their index: cells by id, each
     cell's faces in incidence order, its cofaces keyed by coface id, and
@@ -103,13 +100,13 @@ class OrbitComplex:
     enter, by hand or parsed; _derived indexes records derived from
     checked ones without a check.  cell(), faces() and cofaces() read the
     index, the last two into new lists.  The reducer edits a complex it
-    derived through _add and _drop, then _settle sets its records."""
+    derived through _add and _drop, then _settle sets its records.  Two
+    complexes are equal when their records are."""
 
-    cells: tuple[OrbitCell, ...]
-    incidences: tuple[Incidence, ...]
+    __slots__ = ("cells", "incidences", "_cells", "_faces", "_cofaces", "_records")
 
-    def __post_init__(self):
-        for k, c in enumerate(self.cells):
+    def __init__(self, cells: tuple[OrbitCell, ...], incidences: tuple[Incidence, ...]):
+        for k, c in enumerate(cells):
             problem = _cell_problem(c.id, c.self_identified)
             if problem is None and not (_is_int(c.dim) and c.dim >= 0):
                 problem = "dim must be a non-negative integer"
@@ -118,16 +115,16 @@ class OrbitComplex:
                 problem = f"stabilizer must be one of {sorted(TAG_ORDERS)}"
             if problem is not None:
                 raise ComplexSchemaError(problem, f"$.cells[{k}]")
-        for k, inc in enumerate(self.incidences):
+        for k, inc in enumerate(incidences):
             if (problem := _incidence_problem(inc.face, inc.coface, inc.multiplicity)):
                 raise ComplexSchemaError(problem, f"$.incidences[{k}]")
-        self._link(self.cells, self.incidences)
-        if len(self._cells) != len(self.cells):
+        self._link(cells, incidences)
+        if len(self._cells) != len(cells):
             raise ComplexSchemaError("duplicate cell ids")
-        if len({(i.face, i.coface) for i in self.incidences}) != len(self.incidences):
+        if len({(i.face, i.coface) for i in incidences}) != len(incidences):
             raise ComplexSchemaError(
                 "duplicate incidence records (use multiplicity instead)")
-        for inc in self.incidences:
+        for inc in incidences:
             face, coface = self._cells.get(inc.face), self._cells.get(inc.coface)
             if face is None:
                 raise ComplexSchemaError(f"unknown face {inc.face!r}")
@@ -137,6 +134,17 @@ class OrbitComplex:
                 raise ComplexSchemaError(
                     f"incidence {inc.face!r} -> {inc.coface!r} must raise dimension by 1")
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cells, self.incidences) == (other.cells, other.incidences)
+
+    def __hash__(self):
+        return hash((self.cells, self.incidences))
+
+    def __repr__(self):
+        return f"OrbitComplex(cells={self.cells!r}, incidences={self.incidences!r})"
+
     @classmethod
     def _derived(cls, cells, incidences) -> OrbitComplex:
         """A complex over records derived from checked ones, indexed unchecked."""
@@ -144,9 +152,8 @@ class OrbitComplex:
 
     def _link(self, cells, incidences) -> OrbitComplex:
         """Set the records and build their index."""
-        for name, value in (("cells", cells), ("incidences", incidences), ("_cells", {}),
-                            ("_faces", {}), ("_cofaces", {}), ("_records", [])):
-            object.__setattr__(self, name, value)
+        self.cells, self.incidences = cells, incidences
+        self._cells, self._faces, self._cofaces, self._records = {}, {}, {}, []
         self._add(cells, incidences)
         return self
 
@@ -169,8 +176,8 @@ class OrbitComplex:
     def _settle(self) -> OrbitComplex:
         """Set the records to the cells and incidences left, in record order."""
         live = {id(i) for incs in self._faces.values() for i in incs}
-        object.__setattr__(self, "cells", tuple(self._cells.values()))
-        object.__setattr__(self, "incidences", tuple(i for i in self._records if id(i) in live))
+        self.cells = tuple(self._cells.values())
+        self.incidences = tuple(i for i in self._records if id(i) in live)
         return self
 
     def cell(self, cell_id: str) -> OrbitCell:

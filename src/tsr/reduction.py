@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from ._modp import _check_prime
 from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
@@ -34,8 +34,7 @@ from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
 B_PRIME_1 = "B'(1)"
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     kind: str  # "merge" or "cut"
     sigma: str
     taus: tuple[str, ...]
@@ -52,8 +51,7 @@ class Move:
         return json.dumps(doc, sort_keys=True)
 
 
-@dataclass(frozen=True)
-class ReductionLog:
+class ReductionLog(NamedTuple):
     moves: tuple[Move, ...]
 
     def to_jsonl(self) -> str:
@@ -203,7 +201,7 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
         # move can change that only for the faces of removed cells and theirs
         near = {i.face for cid in (sigma, *move.taus) for i in tx._faces.get(cid, ())}
         near |= {i.face for cid in near for i in tx._faces.get(cid, ())}
-        moves.append(replace(move, merged=_edit(tx, move)))
+        moves.append(move._replace(merged=_edit(tx, move)))
         for cid in near & tx._cells.keys():
             for kind in ("cut", "merge"):
                 heapq.heappush(heap, (kind, tx._cells[cid].dim, cid))

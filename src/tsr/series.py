@@ -15,10 +15,10 @@ here, so every series vanishes below degree 3).
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from ._modp import _check_prime, assemble, rank_mod
 from .complexes import (_ELL_QUOTIENT, OrbitComplex, _is_int, check_inclusion,
@@ -213,14 +213,7 @@ _CENSUS_GREEK = {"λ4": "lambda4", "λ4*": "lambda4star", "λ6": "lambda6",
                  "β1": "beta1", "β2": "beta2"}
 
 
-@dataclass(frozen=True)
-class SubgroupCensus:
-    """Counts of conjugacy classes of finite subgroups, by type, plus the
-    Betti data of the orbit space.  Missing fields default to zero; the
-    counts are inputs here, never computed from number fields.  A census
-    is validated when it is built, so an inconsistent one raises
-    CensusError and never reaches a formula."""
-
+class _Counts(NamedTuple):
     lambda4: int = 0
     lambda4star: int = 0
     lambda6: int = 0
@@ -235,8 +228,20 @@ class SubgroupCensus:
     beta1: int = 0
     beta2: int = 0
 
-    def __post_init__(self):
-        self.validate()
+
+class SubgroupCensus(_Counts):
+    """Counts of conjugacy classes of finite subgroups, by type, plus the
+    Betti data of the orbit space.  Missing fields default to zero; the
+    counts are inputs here, never computed from number fields.  A census
+    is validated when it is built, _replace included, so an inconsistent
+    one raises CensusError and never reaches a formula."""
+
+    __slots__ = ()
+    FIELDS = _Counts._fields
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs).validate()
 
     @property
     def o2(self) -> int:
@@ -251,7 +256,7 @@ class SubgroupCensus:
         return self.lambda6star
 
     def validate(self) -> "SubgroupCensus":
-        for name in self.__dataclass_fields__:
+        for name in self.FIELDS:
             val = getattr(self, name)
             if not _is_int(val) or val < 0:
                 raise CensusError(f"{name} must be a non-negative integer")
@@ -270,7 +275,7 @@ class SubgroupCensus:
         fields = {}
         for key, val in doc.items():
             name = _CENSUS_GREEK.get(key, key)
-            if name not in SubgroupCensus.__dataclass_fields__:
+            if name not in SubgroupCensus.FIELDS:
                 raise CensusError(f"unknown census field {key!r}")
             if name in fields:
                 raise CensusError(f"duplicate census field {key!r}")
@@ -449,12 +454,11 @@ def sl2_mod2_dims(beta1: int, beta2: int, q: int) -> int:
     return beta1 + beta2  # q = 4k+5
 
 
-@dataclass(frozen=True)
-class E2Page:
+class E2Page(NamedTuple):
     """The spectral-sequence page concentrated in columns n = 0, 1, 2,
     with 4-periodic rows; entries are F_2-dimensions."""
 
-    entries: dict[tuple[int, int], int] = field(default_factory=dict)
+    entries: dict[tuple[int, int], int]
     a1: int = 0
     a2: int = 0
     a3: int = 0

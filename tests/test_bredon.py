@@ -1,7 +1,6 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -326,6 +325,30 @@ def test_abelian_group_rejects_nonpositive_torsion(torsion):
         AbelianGroup(0, torsion)
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, (2.5,)), "torsion coefficients must be integers, got [2.5]"),
+    ((0, (2, True)), "torsion coefficients must be integers, got [2, True]"),
+    ((1.5,), "free rank must be an integer, got 1.5"),
+    ((True,), "free rank must be an integer, got True"),
+])
+def test_abelian_group_rejects_non_integers(args, message):
+    # int() would read 2.5 as Z/2, and str() would print a rank 1.5 as Z^1.5
+    with pytest.raises(ValueError) as err:
+        AbelianGroup(*args)
+    assert str(err.value) == message
+
+
+def test_abelian_group_is_a_checked_value():
+    group = AbelianGroup(1, (2,))
+    assert repr(group) == "AbelianGroup(free_rank=1, torsion=(2,))"
+    with pytest.raises(AttributeError):
+        group.free_rank = 2
+    # _replace builds through the constructor: normalised and checked
+    assert group._replace(torsion=(4, 2)) == AbelianGroup(1, (2, 4))
+    with pytest.raises(ValueError, match="free rank"):
+        group._replace(free_rank=-1)
+
+
 def test_homology_rejects_non_chain():
     psi1 = [{0: 1}, {1: 1}]
     psi2 = [{0: 1}, {}]
@@ -348,6 +371,10 @@ def test_homology_rejects_rows_outside_dims(psi1, psi2):
 def test_chain_complex_checks_itself_when_built():
     with pytest.raises(ValueError, match="not a chain complex"):
         IntegerChainComplex([{0: 1}, {1: 1}], [{0: 1}, {}], (2, 2, 1))
+    chain = IntegerChainComplex([[1, 0], [0, 1]], [[0], [0]], (2, 2, 1))
+    assert chain == IntegerChainComplex([{0: 1}, {1: 1}], [{}, {}], (2, 2, 1))
+    with pytest.raises(ValueError, match="not a chain complex"):
+        chain._replace(psi2=[{0: 1}, {}])
 
 
 @pytest.mark.parametrize("psi1, psi2, dims, want", [
@@ -739,7 +766,7 @@ def test_k_homology_reads_the_orbit_space_from_the_census():
     census = SubgroupCensus(z2=1, d2=2, lambda4=1, lambda6=2, lambda6star=1)
     base = k_homology(census)
     assert base == {"K0": AbelianGroup(5, (2,)), "K1": AbelianGroup(4)}
-    res = k_homology(replace(census, beta1=2, beta2=3), (6, 4))
+    res = k_homology(census._replace(beta1=2, beta2=3), (6, 4))
     assert res["K0"] == base["K0"] + AbelianGroup(3)
     assert res["K1"] == base["K1"] + AbelianGroup(2, (2, 12))
 

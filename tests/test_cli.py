@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr.cli import main
-from tsr.complexes import parse_complex
+from tsr.complexes import OrbitComplex, parse_complex
 from tsr.series import SubgroupCensus
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
@@ -200,18 +200,34 @@ def test_deeply_nested_document_exits_one(tmp_path):
 def test_a_command_checks_its_complex_once(monkeypatch, capsys, argv):
     # the parsed document; the torsion subcomplex, its components and the
     # reduction results wrap indices that are not checked again
-    from tsr.complexes import OrbitComplex
     calls = []
-    post_init = OrbitComplex.__post_init__
+    init = OrbitComplex.__init__
 
-    def counted(self):
+    def counted(self, *args):
         calls.append(self)
-        post_init(self)
+        init(self, *args)
 
-    monkeypatch.setattr(OrbitComplex, "__post_init__", counted)
+    monkeypatch.setattr(OrbitComplex, "__init__", counted)
     assert main(argv) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_reduce_exits_two_when_the_replay_diverges(monkeypatch, capsys):
+    # a replay one multiplicity off the fixpoint compares unequal
+    import tsr.reduction
+
+    def replay(cx, log, ell):
+        reduced = tsr.reduction.reduce_complex(cx, ell)[0]
+        inc = reduced.incidences[0]
+        return OrbitComplex(reduced.cells, (inc._replace(multiplicity=inc.multiplicity + 1),)
+                            + reduced.incidences[1:])
+
+    monkeypatch.setattr(tsr.reduction, "replay", replay)
+    assert main(["reduce", "--prime", "2", "--input", "sl3z_soule.json"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "internal invariant failure: "
+                              "reduction log replay diverged from the fixpoint\n")
 
 
 @pytest.mark.parametrize("inline", [True, False])
@@ -232,7 +248,7 @@ DROPPED_CENSUS_KEYS = ["lambda_4", "lambda_4*", "λ4star", "lambda_6", "lambda_6
                        "λ6star", "mu_2", "mu_3", "mu_T", "μ_T", "β¹", "β²"]
 
 
-@pytest.mark.parametrize("key", list(SubgroupCensus.__dataclass_fields__)
+@pytest.mark.parametrize("key", list(SubgroupCensus.FIELDS)
                          + GREEK_CENSUS_KEYS + DROPPED_CENSUS_KEYS)
 def test_census_spellings(capsys, key):
     # the field names and nine Greek spellings are accepted; nothing else is
@@ -390,27 +406,35 @@ def test_extract_outputs_canonical_json():
     assert [(c.id, c.stabilizer) for c in cx.cells] == [("v2", "D3")]
 
 
+#: Modules no tsr process needs: numpy left the runtime for its import
+#: time, and dataclasses would pull in inspect, ast, dis and tokenize.
+UNUSED_MODULES = ("numpy", "dataclasses", "inspect")
+
+
 def test_runtime_does_not_import_numpy():
-    code = ("import importlib, pkgutil, sys, tsr\n"
-            "names = [m.name for m in pkgutil.iter_modules(tsr.__path__)]\n"
+    # the module names come from a glob: pkgutil.iter_modules imports inspect
+    code = ("import importlib, pathlib, sys, tsr\n"
+            "names = [p.stem for p in pathlib.Path(tsr.__file__).parent.glob('*.py')\n"
+            "         if p.stem != '__init__']\n"
             "for name in names:\n"
             "    importlib.import_module('tsr.' + name)\n"
-            "print(len(names), 'numpy' in sys.modules)\n")
+            f"print(len(names), *(m in sys.modules for m in {UNUSED_MODULES}))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["7", "False"]
+    assert proc.stdout.split() == ["7", "False", "False", "False"]
 
 
 def _modules_after(argv):
-    """The tsr modules loaded in a fresh process by main(argv)."""
+    """The tsr modules, and those of UNUSED_MODULES, loaded in a fresh
+    process by main(argv)."""
     code = ("import json, sys\n"
             "from tsr.cli import main\n"
             "try:\n"
             "    main(json.loads(sys.argv[1]))\n"
             "except SystemExit:\n"
             "    pass\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsr.'))),"
-            " file=sys.stderr)\n")
+            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsr.')"
+            f" or m in {UNUSED_MODULES})), file=sys.stderr)\n")
     proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
                           capture_output=True, text=True)
     return set(json.loads(proc.stderr.splitlines()[-1]))
@@ -439,6 +463,7 @@ def test_subcommand_imports_only_what_it_runs(argv, absent):
     loaded = _modules_after(argv)
     assert "tsr.cli" in loaded
     assert not loaded & {f"tsr.{name}" for name in absent}, loaded
+    assert not loaded & set(UNUSED_MODULES), loaded
 
 
 def test_bredon_import_loads_no_fractions():
@@ -504,7 +529,7 @@ def test_annotations_name_only_module_level_bindings():
 # Fuzzing main() in process
 
 FIXTURE_DOCS = [json.loads(p.read_text()) for p in sorted(FIXTURES.glob("*.json"))]
-CENSUS_FIELDS = list(SubgroupCensus.__dataclass_fields__)
+CENSUS_FIELDS = list(SubgroupCensus.FIELDS)
 #: Values a mutated field or a census entry may take: wrong types, small
 #: integers of either sign, catalog tags and unknown strings.
 JUNK = st.sampled_from([None, True, False, -1, 0, 1, 2, 3, 1.5, [], {}, [1],

@@ -174,11 +174,28 @@ def test_hand_built_incidences_are_checked_as_parsed_ones(multiplicity):
     with pytest.raises(ComplexSchemaError) as err:
         OrbitComplex(cells, (Incidence("v", "e"), Incidence("v", "f", multiplicity)))
     assert str(err.value) == "$.incidences[1]: multiplicity must be a positive integer"
-    doc = {"rigid": True, "cells": [vars(c) for c in cells], "incidences": [
+    doc = {"rigid": True, "cells": [c._asdict() for c in cells], "incidences": [
         {"face": "v", "coface": "e"}, {"face": "v", "coface": "f", "multiplicity": multiplicity}]}
     with pytest.raises(ComplexSchemaError) as parsed:
         parse_complex(json.dumps(doc))
     assert str(parsed.value) == str(err.value)
+
+
+def test_complexes_and_records_are_values():
+    # complexes one multiplicity apart differ, so the replay check of
+    # `tsr reduce` can fail; records are read-only
+    cells = (OrbitCell("v", 0, "C2"), OrbitCell("e", 1, "C2"))
+    loop = OrbitComplex(cells, (Incidence("v", "e", 2),))
+    assert loop == OrbitComplex(cells, (Incidence("v", "e", 2),))
+    assert hash(loop) == hash(OrbitComplex(cells, (Incidence("v", "e", 2),)))
+    assert loop != OrbitComplex(cells, (Incidence("v", "e", 1),))
+    assert repr(loop) == ("OrbitComplex(cells=(OrbitCell(id='v', dim=0, stabilizer='C2', "
+                          "self_identified=False), OrbitCell(id='e', dim=1, stabilizer='C2', "
+                          "self_identified=False)), incidences=(Incidence(face='v', "
+                          "coface='e', multiplicity=2),))")
+    for record, name in ((cells[0], "dim"), (loop.incidences[0], "multiplicity")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 3)
 
 
 def test_lookups_match_a_scan_in_incidence_order():

@@ -1,6 +1,5 @@
 """Tests for conditions A and B', the moves, and the reduction fixpoint."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -639,12 +638,21 @@ def test_logged_moves_apply_one_at_a_time(ell_and_complex):
     state = torsion_subcomplex(cx, ell)
     for move in log.moves:
         if move.kind == "merge":
-            swapped = apply_move(state, replace(move, taus=move.taus[::-1]), ell)
+            swapped = apply_move(state, move._replace(taus=move.taus[::-1]), ell)
             (new,) = {c.id for c in swapped.cells} - {c.id for c in state.cells}
             first = move.taus[1]
             assert new[:len(first)] == first and set(new[len(first):]) == {"+"}, move
         state = apply_move(state, move, ell)
     assert serialize_complex(state) == serialize_complex(reduced)
+
+
+def test_moves_are_read_only_values():
+    move = Move("merge", "s", ("a", "b"), "B'(1)")
+    assert repr(move) == ("Move(kind='merge', sigma='s', taus=('a', 'b'), "
+                          "condition=\"B'(1)\", merged=None)")
+    with pytest.raises(AttributeError):
+        move.merged = "a+"
+    assert move._replace(merged="a+") == Move("merge", "s", ("a", "b"), "B'(1)", "a+")
 
 
 # --------------------------------------------------------------------------

@@ -135,6 +135,9 @@ def test_census_invariants():
         SubgroupCensus(mu3=3).validate()
     with pytest.raises(CensusError):
         SubgroupCensus(d2=1).validate()
+    # _replace builds through the constructor, so it validates too
+    with pytest.raises(CensusError, match="mu3 must be even"):
+        SubgroupCensus(mu3=2)._replace(mu3=3)
 
 
 @pytest.mark.parametrize("fields", [{"d2": 1}, {"beta2": -1}, {"beta2": -1, "c": True}])
