@@ -17,6 +17,7 @@ entry is left to a dense Smith normal form.
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
 is a signed sum of small per-inclusion blocks at the cells' offsets.
+The module holds elimination and assembly only.
 """
 
 from __future__ import annotations
@@ -139,7 +140,3 @@ def nullspace_mod(mat, p: int, cols: int) -> list[list[int]]:
         basis.append(vec)
     return basis
 
-
-def _check_prime(ell: int) -> None:
-    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
-        raise ValueError(f"{ell} is not prime")

@@ -8,6 +8,9 @@ the graph cohomology oracle) reads only this quotient data, and assumes
 what the paper's suitable cell complexes are: rigid, each stabilizer
 fixing its cell pointwise.  A document states it with ``"rigid": true``,
 and ``parse_complex`` refuses any other value.
+
+``parse_complex`` checks the shape of a document and of each record, and
+the ``OrbitComplex`` constructor every field, parsed or built by hand.
 """
 
 from __future__ import annotations
@@ -16,8 +19,6 @@ import json
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
 from typing import NamedTuple
-
-from ._modp import _check_prime
 
 _int = int.__repr__  # as json.dumps prints an int, whatever its subclass
 
@@ -64,10 +65,9 @@ def check_inclusion(subgroup: str, group: str, embedding: int) -> None:
 
 
 class ComplexSchemaError(ValueError):
-    """Raised on malformed complex documents, with a field path."""
+    """Raised on malformed complex documents; the message leads with its path."""
 
     def __init__(self, message: str, path: str = ""):
-        self.path = path
         super().__init__(f"{path}: {message}" if path else message)
 
 
@@ -96,9 +96,9 @@ COMPONENT_OTHER = "Other"
 class OrbitComplex:
     """Cell and incidence records and their index: cells by id, each
     cell's faces in incidence order, its cofaces keyed by coface id, and
-    the records in order.  The constructor checks the records where they
-    enter, by hand or parsed; _derived indexes records derived from
-    checked ones without a check.  cell(), faces() and cofaces() read the
+    the records in order.  The constructor checks every record field,
+    parsed or built by hand, cells first; _derived indexes records derived
+    from checked ones without a check.  cell(), faces() and cofaces() read the
     index, the last two into new lists.  The reducer edits a complex it
     derived through _add and _drop, then _settle sets its records.  Two
     complexes are equal when their records are."""
@@ -107,17 +107,27 @@ class OrbitComplex:
 
     def __init__(self, cells: tuple[OrbitCell, ...], incidences: tuple[Incidence, ...]):
         for k, c in enumerate(cells):
-            problem = _cell_problem(c.id, c.self_identified)
-            if problem is None and not (_is_int(c.dim) and c.dim >= 0):
+            if not (isinstance(c.id, str) and c.id):
+                problem = "id must be a string"
+            elif not isinstance(c.self_identified, bool):
+                problem = "self_identified must be a boolean"
+            elif not (_is_int(c.dim) and c.dim >= 0):
                 problem = "dim must be a non-negative integer"
-            if problem is None and not (isinstance(c.stabilizer, str)
-                                        and c.stabilizer in TAG_ORDERS):
+            elif not (isinstance(c.stabilizer, str) and c.stabilizer in TAG_ORDERS):
                 problem = f"stabilizer must be one of {sorted(TAG_ORDERS)}"
-            if problem is not None:
-                raise ComplexSchemaError(problem, f"$.cells[{k}]")
+            else:
+                continue
+            raise ComplexSchemaError(problem, f"$.cells[{k}]")
         for k, inc in enumerate(incidences):
-            if (problem := _incidence_problem(inc.face, inc.coface, inc.multiplicity)):
-                raise ComplexSchemaError(problem, f"$.incidences[{k}]")
+            if not isinstance(inc.face, str):
+                problem = "face must be a string"
+            elif not isinstance(inc.coface, str):
+                problem = "coface must be a string"
+            elif not (_is_int(inc.multiplicity) and inc.multiplicity >= 1):
+                problem = "multiplicity must be a positive integer"
+            else:
+                continue
+            raise ComplexSchemaError(problem, f"$.incidences[{k}]")
         self._link(cells, incidences)
         if len(self._cells) != len(cells):
             raise ComplexSchemaError("duplicate cell ids")
@@ -201,39 +211,9 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)  # JSON true is no integer
 
 
-def _record_problem(raw, kind: str) -> str | None:
-    """The first check a cell or an incidence record fails, or None."""
-    if not isinstance(raw, dict):
-        return f"{kind} must be an object"
-    keys = ({"id", "dim", "stabilizer", "self_identified"} if kind == "cell"
-            else {"face", "coface", "multiplicity"})
-    if extra := raw.keys() - keys:
-        return f"unknown keys {sorted(extra)}"
-    if kind == "incidence":
-        return _incidence_problem(raw.get("face"), raw.get("coface"), raw.get("multiplicity", 1))
-    return _cell_problem(raw.get("id"), raw.get("self_identified"))
-
-
-def _cell_problem(cell_id, self_identified) -> str | None:
-    """The first check of a cell's id or flag that fails, or None.  The
-    constructor runs the dim and stabilizer checks after it;
-    parse_complex runs it on every record before it builds the complex."""
-    if not (isinstance(cell_id, str) and cell_id):
-        return "id must be a string"
-    if not isinstance(self_identified, bool):
-        return "self_identified must be a boolean"
-    return None
-
-
-def _incidence_problem(face, coface, multiplicity) -> str | None:
-    """The first check of an incidence's fields that fails, or None."""
-    if not isinstance(face, str):
-        return "face must be a string"
-    if not isinstance(coface, str):
-        return "coface must be a string"
-    if not (_is_int(multiplicity) and multiplicity >= 1):
-        return "multiplicity must be a positive integer"
-    return None
+def _check_prime(ell: int) -> None:
+    if ell < 2 or any(ell % d == 0 for d in range(2, int(ell ** 0.5) + 1)):
+        raise ValueError(f"{ell} is not prime")
 
 
 def _unique_keys(pairs) -> dict:
@@ -267,14 +247,16 @@ def parse_complex(text: str) -> OrbitComplex:
     for key in ("cells", "incidences"):
         if not isinstance(doc.get(key), list):
             raise ComplexSchemaError(f"{key} must be a list", f"$.{key}")
-    for kind in ("cell", "incidence"):
+    for kind, record in (("cell", OrbitCell), ("incidence", Incidence)):
         for k, raw in enumerate(doc[kind + "s"]):
-            if (problem := _record_problem(raw, kind)) is not None:
-                raise ComplexSchemaError(problem, f"$.{kind}s[{k}]")
+            if not isinstance(raw, dict):
+                raise ComplexSchemaError(f"{kind} must be an object", f"$.{kind}s[{k}]")
+            if extra := raw.keys() - record._fields:
+                raise ComplexSchemaError(f"unknown keys {sorted(extra)}", f"$.{kind}s[{k}]")
     return OrbitComplex(
-        tuple(OrbitCell(r["id"], r.get("dim"), r.get("stabilizer"), r["self_identified"])
+        tuple(OrbitCell(r.get("id"), r.get("dim"), r.get("stabilizer"), r.get("self_identified"))
               for r in doc["cells"]),
-        tuple(Incidence(r["face"], r["coface"], r.get("multiplicity", 1))
+        tuple(Incidence(r.get("face"), r.get("coface"), r.get("multiplicity", 1))
               for r in doc["incidences"]))
 
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from ._modp import SpanTracker, _check_prime, nullspace_mod, rank_mod
-from .complexes import TAG_ORDERS
+from ._modp import SpanTracker, nullspace_mod, rank_mod
+from .complexes import TAG_ORDERS, _check_prime
 from .series import dihedral_mod_ell_homology  # noqa: F401  (re-exported)
 
 Perm = tuple[int, ...]

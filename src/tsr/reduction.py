@@ -27,9 +27,8 @@ import heapq
 import json
 from typing import NamedTuple
 
-from ._modp import _check_prime
 from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
-                        OrbitComplex, torsion_subcomplex)
+                        OrbitComplex, _check_prime, torsion_subcomplex)
 
 B_PRIME_1 = "B'(1)"
 

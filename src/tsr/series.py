@@ -20,8 +20,8 @@ from itertools import zip_longest
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
-from ._modp import _check_prime, assemble, rank_mod
-from .complexes import (_ELL_QUOTIENT, OrbitComplex, _is_int, check_inclusion,
+from ._modp import assemble, rank_mod
+from .complexes import (_ELL_QUOTIENT, OrbitComplex, _check_prime, _is_int, check_inclusion,
                         edge_end_assignments)
 
 

@@ -441,14 +441,14 @@ def _modules_after(argv):
 
 
 @pytest.mark.parametrize("argv,absent", [
-    (["--version"], {"groups", "series", "bredon"}),
-    (["validate", "--input", "sl3z_soule.json"], {"groups", "series", "bredon"}),
+    (["--version"], {"groups", "series", "bredon", "_modp"}),
+    (["validate", "--input", "sl3z_soule.json"], {"groups", "series", "bredon", "_modp"}),
     (["extract", "--prime", "2", "--input", "sl3z_soule.json"],
-     {"groups", "series", "bredon"}),
+     {"groups", "series", "bredon", "_modp"}),
     (["classify", "--prime", "2", "--input", "graphfive.json"],
-     {"groups", "series", "bredon"}),
+     {"groups", "series", "bredon", "_modp"}),
     (["reduce", "--prime", "2", "--input", "sl3z_soule.json"],
-     {"groups", "series", "bredon"}),
+     {"groups", "series", "bredon", "_modp"}),
     (["poincare", "--prime", "2", "--census", '{"lambda4":2}'],
      {"groups", "reduction", "bredon"}),
     (["e2page", "--census", '{"beta1":1,"v":1}', "--chi-xs", "1"],

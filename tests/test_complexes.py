@@ -124,6 +124,11 @@ def test_sl3_fixture_contents():
      "key 'rigid' appears twice"),
     ('{"rigid": true, "cells": [{"id": "v", "id": "w", "dim": 0, "stabilizer": "C2", '
      '"self_identified": false}], "incidences": []}', "key 'id' appears twice"),
+    # every record's shape is checked before any record's fields
+    ('{"rigid": true, "cells": [{"id": "v", "dim": 0, "stabilizer": "Z9", '
+     '"self_identified": false}, {"id": "w", "dim": 0, "stabilizer": "C2", '
+     '"self_identified": false, "bogus": 1}], "incidences": []}',
+     "$.cells[1]: unknown keys ['bogus']"),
 ])
 def test_schema_errors(text, fragment):
     with pytest.raises(ComplexSchemaError) as err:
@@ -150,10 +155,10 @@ def test_incidence_dimension_check():
     (OrbitCell("v", 0, "C2", "yes"), "$.cells[1]: self_identified must be a boolean"),
 ])
 def test_hand_built_cells_are_checked_as_parsed_ones(cell, message):
-    # the constructor runs the checks that parse_complex relies on, in the
-    # same words and with the same path, so a later reader never meets a
-    # tag or a dimension outside the catalog, and every complex that can
-    # be built serializes to a document that parses
+    # the constructor runs every field check, for parsed and hand-built
+    # records alike, so a later reader never meets a tag or a dimension
+    # outside the catalog, and every complex that can be built serializes
+    # to a document that parses
     with pytest.raises(ComplexSchemaError) as err:
         OrbitComplex((OrbitCell("w", 0, "C2"), cell), ())
     assert str(err.value).startswith(message)
@@ -179,6 +184,73 @@ def test_hand_built_incidences_are_checked_as_parsed_ones(multiplicity):
     with pytest.raises(ComplexSchemaError) as parsed:
         parse_complex(json.dumps(doc))
     assert str(parsed.value) == str(err.value)
+
+
+#: A valid complex: two vertices joined by one edge.
+_CELLS = (OrbitCell("v", 0, "C2"), OrbitCell("w", 0, "D2", True), OrbitCell("e", 1, "C2"))
+_INCIDENCES = (Incidence("v", "e"), Incidence("w", "e"))
+
+#: Values each field check refuses.
+_BAD_FIELDS = {
+    "cells": {"id": [5, "", None], "self_identified": ["yes", 0, None],
+              "dim": [-1, True, 1.0], "stabilizer": ["Z9", [], None]},
+    "incidences": {"face": [3, None], "coface": [True, ["e"]],
+                   "multiplicity": [0, True, 2.0]},
+}
+
+
+def _refusals(doc: dict) -> tuple[str, str]:
+    """The messages of parse_complex on doc and of OrbitComplex on its records."""
+    with pytest.raises(ComplexSchemaError) as parsed:
+        parse_complex(json.dumps(doc))
+    with pytest.raises(ComplexSchemaError) as built:
+        OrbitComplex(tuple(OrbitCell(**c) for c in doc["cells"]),
+                     tuple(Incidence(**i) for i in doc["incidences"]))
+    return str(parsed.value), str(built.value)
+
+
+def _document(**edits) -> dict:
+    """The valid document with fields replaced, keyed like cells_0={"id": 5}."""
+    doc = {"rigid": True, "cells": [c._asdict() for c in _CELLS],
+           "incidences": [i._asdict() for i in _INCIDENCES]}
+    for slot, fields in edits.items():
+        key, k = slot.rsplit("_", 1)
+        doc[key][int(k)].update(fields)
+    return doc
+
+
+@st.composite
+def _documents_with_bad_fields(draw) -> dict:
+    slots = [f"{key}_{k}" for key, records in (("cells", _CELLS), ("incidences", _INCIDENCES))
+             for k in range(len(records))]
+    edits = {}
+    for slot in draw(st.lists(st.sampled_from(slots), min_size=2, unique=True)):
+        bad = _BAD_FIELDS[slot.rsplit("_", 1)[0]]
+        field = draw(st.sampled_from(sorted(bad)))
+        edits[slot] = {field: draw(st.sampled_from(bad[field]))}
+    return _document(**edits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents_with_bad_fields())
+def test_parsing_and_construction_refuse_alike(doc):
+    # one code path checks the fields, so both name the same record first
+    parsed, built = _refusals(doc)
+    assert parsed == built
+
+
+@pytest.mark.parametrize("edits,message", [
+    ({"cells_0": {"stabilizer": "Z9"}, "cells_1": {"id": 5}},
+     "$.cells[0]: stabilizer must be one of ['A4', "),
+    ({"cells_2": {"dim": -1}, "incidences_0": {"face": 3}},
+     "$.cells[2]: dim must be a non-negative integer"),
+    ({"incidences_0": {"multiplicity": True}, "incidences_1": {"coface": None}},
+     "$.incidences[0]: multiplicity must be a positive integer"),
+])
+def test_the_first_bad_record_is_named(edits, message):
+    parsed, built = _refusals(_document(**edits))
+    assert parsed == built
+    assert parsed.startswith(message)
 
 
 def test_complexes_and_records_are_values():
