@@ -18,14 +18,11 @@ and for the dense ``BredonComplex.psi1``/``psi2`` views.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from math import gcd, lcm
-from typing import TYPE_CHECKING, NamedTuple
 
 from ._modp import SpanTracker, _row, assemble
 from .complexes import OrbitComplex, _is_int, check_inclusion, edge_end_assignments
-
-if TYPE_CHECKING:  # importing tsr.series at run time would load fractions
-    from .series import SubgroupCensus
 
 #: Index partition of the split coordinates into the rank-1 part, the
 #: 2-torsion part and the 3-torsion part.
@@ -141,7 +138,7 @@ def _invariant_factors(entries) -> tuple[int, ...]:
     return tuple(chain)
 
 
-class AbelianGroup(NamedTuple("AbelianGroup", [("free_rank", int), ("torsion", tuple)])):
+class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
     """Z^free_rank plus the cyclic groups of its torsion, which the
     constructor checks and puts in invariant-factor form."""
 
@@ -264,8 +261,7 @@ def _divisors(rows: list[dict[int, int]]) -> list[int]:
     return out
 
 
-class IntegerChainComplex(NamedTuple("IntegerChainComplex",
-                                      [("psi1", list), ("psi2", list), ("dims", tuple)])):
+class IntegerChainComplex(namedtuple("IntegerChainComplex", "psi1 psi2 dims")):
     """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0 with
     dims = (n0, n1, n2).  The differentials may be given as dense or
     sparse rows; they are stored as sparse {column: entry} rows, and a
@@ -306,19 +302,14 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
 # The Bredon complex of a reduced orbit complex
 
 
-class BredonComplex(NamedTuple):
-    """The total chain complex (vertices x edges, edges x faces), and the
-    incidence terms (row cell, column cell, sign, embedding) its
-    differentials are summed from, with cells as indices: terms1
-    (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
+class BredonComplex(namedtuple("BredonComplex", "vertices edges faces total terms1 terms2")):
+    """The cells by dimension, the total chain complex (vertices x edges,
+    edges x faces), and the incidence terms (row cell, column cell, sign,
+    embedding) its differentials are summed from, with cells as indices:
+    terms1 (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
     copies of the total's rows."""
 
-    vertices: tuple
-    edges: tuple
-    faces: tuple
-    total: IntegerChainComplex
-    terms1: tuple
-    terms2: tuple
+    __slots__ = ()
 
     @property
     def psi1(self) -> list[list[int]]:
@@ -397,10 +388,7 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     return BredonComplex(vertices, edges, faces, total, terms1, terms2)
 
 
-class SplitBlocks(NamedTuple):
-    trivial: IntegerChainComplex
-    two: IntegerChainComplex
-    three: IntegerChainComplex
+SplitBlocks = namedtuple("SplitBlocks", "trivial two three")
 
 
 def split_blocks(bc: BredonComplex) -> SplitBlocks:
@@ -438,10 +426,10 @@ def split_blocks(bc: BredonComplex) -> SplitBlocks:
 # Closed-form homology, K-homology, orbifold dimensions
 
 
-def bredon_homology_formula(census: SubgroupCensus) -> dict[str, AbelianGroup]:
-    """The displayed closed forms for the torsion blocks: the 2-block has
-    H0 = Z^z2 + (Z/2)^(d2/2), H1 = Z^o2; the 3-block has H0 = H1 =
-    Z^(2 o3 + iota3)."""
+def bredon_homology_formula(census) -> dict[str, AbelianGroup]:
+    """The displayed closed forms for the torsion blocks, from a
+    series.SubgroupCensus: the 2-block has H0 = Z^z2 + (Z/2)^(d2/2),
+    H1 = Z^o2; the 3-block has H0 = H1 = Z^(2 o3 + iota3)."""
     three = AbelianGroup(2 * census.o3 + census.iota3)
     return {
         "H0_2block": AbelianGroup(census.z2, (2,) * (census.d2 // 2)),
@@ -451,23 +439,22 @@ def bredon_homology_formula(census: SubgroupCensus) -> dict[str, AbelianGroup]:
     }
 
 
-def k_homology(census: SubgroupCensus,
-               h1_torsion: tuple[int, ...] = ()) -> dict[str, AbelianGroup]:
-    """Equivariant K-homology in degrees 0 and 1 from the census, whose
-    beta1 and beta2 are the orbit space's Betti numbers, and the torsion
-    coefficients of the orbit space's H1 (the classifying space is assumed
-    at most 2-dimensional, where the spectral sequence collapses)."""
+def k_homology(census, h1_torsion: tuple[int, ...] = ()) -> dict[str, AbelianGroup]:
+    """Equivariant K-homology in degrees 0 and 1 from a
+    series.SubgroupCensus, whose beta1 and beta2 are the orbit space's
+    Betti numbers, and the torsion coefficients of the orbit space's H1
+    (the classifying space is assumed at most 2-dimensional, where the
+    spectral sequence collapses)."""
     k0 = AbelianGroup(1 + census.beta2 + census.z2 + 2 * census.o3 + census.iota3,
                       (2,) * (census.d2 // 2))
     k1 = AbelianGroup(census.beta1 + census.o2 + 2 * census.o3 + census.iota3, h1_torsion)
     return {"K0": k0, "K1": k1}
 
 
-def chen_ruan_dims(census: SubgroupCensus, quotient_dims: list[int],
-                   complexified: bool) -> dict[int, int]:
+def chen_ruan_dims(census, quotient_dims: list[int], complexified: bool) -> dict[int, int]:
     """Orbifold cohomology dimensions by degree: the quotient-space
     contribution, entry d of quotient_dims in degree d, plus the
-    twisted-sector counts.
+    twisted-sector counts of a series.SubgroupCensus.
 
     Complexified: sectors add in degrees 2 and 3.  Real: each edge-type
     sector adds a point contribution (degree 0) and each circle-type

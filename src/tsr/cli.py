@@ -7,9 +7,9 @@ deterministic for identical inputs.
 
 Only ``tsr.complexes`` is imported up front; each subcommand imports
 the modules it runs, so a cold process pays for no other.  The records
-are named tuples, so no module loads ``inspect`` (nor ``ast`` and
-``dis``) or numpy; the tests and CI guard the import set of every
-subcommand.
+are ``collections.namedtuple`` classes, so no module loads ``typing``
+or ``inspect`` (nor ``ast`` and ``dis``) or numpy; the tests and CI
+guard the import set of every subcommand.
 """
 
 from __future__ import annotations

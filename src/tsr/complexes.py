@@ -16,11 +16,16 @@ the ``OrbitComplex`` constructor every field, parsed or built by hand.
 from __future__ import annotations
 
 import json
+import re
+from collections import namedtuple
 from json.encoder import encode_basestring_ascii as _quote
 from operator import attrgetter
-from typing import NamedTuple
 
 _int = int.__repr__  # as json.dumps prints an int, whatever its subclass
+
+#: A high surrogate before a low one: JSON reads the pair back as one
+#: astral character, so an id holding it cannot be written faithfully.
+_SURROGATE_PAIR = re.compile("[\ud800-\udbff][\udc00-\udfff]")
 
 #: Catalog tags and their group orders.  D2 is the Klein four-group.
 TAG_ORDERS = {
@@ -71,17 +76,8 @@ class ComplexSchemaError(ValueError):
         super().__init__(f"{path}: {message}" if path else message)
 
 
-class OrbitCell(NamedTuple):
-    id: str
-    dim: int
-    stabilizer: str
-    self_identified: bool = False
-
-
-class Incidence(NamedTuple):
-    face: str
-    coface: str
-    multiplicity: int = 1
+OrbitCell = namedtuple("OrbitCell", "id dim stabilizer self_identified", defaults=(False,))
+Incidence = namedtuple("Incidence", "face coface multiplicity", defaults=(1,))
 
 
 # Connected component types of reduced torsion subcomplex quotients.
@@ -118,6 +114,9 @@ class OrbitComplex:
             else:
                 continue
             raise ComplexSchemaError(problem, f"$.cells[{k}]")
+        if _SURROGATE_PAIR.search("\n".join([c.id for c in cells])):
+            k = next(k for k, c in enumerate(cells) if _SURROGATE_PAIR.search(c.id))
+            raise ComplexSchemaError("id must not hold a surrogate pair", f"$.cells[{k}]")
         for k, inc in enumerate(incidences):
             if not isinstance(inc.face, str):
                 problem = "face must be a string"

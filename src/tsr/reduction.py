@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from typing import NamedTuple
+from collections import namedtuple
 
 from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
                         OrbitComplex, _check_prime, torsion_subcomplex)
@@ -33,12 +33,11 @@ from .complexes import (_ELL_QUOTIENT, TAG_ORDERS, Incidence, OrbitCell,
 B_PRIME_1 = "B'(1)"
 
 
-class Move(NamedTuple):
-    kind: str  # "merge" or "cut"
-    sigma: str
-    taus: tuple[str, ...]
-    condition: str
-    merged: str | None = None
+class Move(namedtuple("Move", "kind sigma taus condition merged", defaults=(None,))):
+    """A "merge" or "cut" at sigma of its one or two taus, under the B'
+    clause named by condition; merged is the id of a merge's new cell."""
+
+    __slots__ = ()
 
     def to_json(self) -> str:
         doc = {"kind": self.kind, "sigma": self.sigma, "condition": self.condition}
@@ -50,8 +49,8 @@ class Move(NamedTuple):
         return json.dumps(doc, sort_keys=True)
 
 
-class ReductionLog(NamedTuple):
-    moves: tuple[Move, ...]
+class ReductionLog(namedtuple("ReductionLog", "moves")):
+    __slots__ = ()
 
     def to_jsonl(self) -> str:
         return "".join(m.to_json() + "\n" for m in self.moves)

@@ -14,11 +14,10 @@ here, so every series vanishes below degree 3).
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, namedtuple
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm
-from typing import NamedTuple
 
 from ._modp import assemble, rank_mod
 from .complexes import (_ELL_QUOTIENT, OrbitComplex, _check_prime, _is_int, check_inclusion,
@@ -213,23 +212,8 @@ _CENSUS_GREEK = {"λ4": "lambda4", "λ4*": "lambda4star", "λ6": "lambda6",
                  "β1": "beta1", "β2": "beta2"}
 
 
-class _Counts(NamedTuple):
-    lambda4: int = 0
-    lambda4star: int = 0
-    lambda6: int = 0
-    lambda6star: int = 0
-    mu2: int = 0
-    mu3: int = 0
-    muT: int = 0
-    z2: int = 0
-    d2: int = 0
-    v: int = 0
-    c: int = 0
-    beta1: int = 0
-    beta2: int = 0
-
-
-class SubgroupCensus(_Counts):
+class SubgroupCensus(namedtuple("SubgroupCensus", "lambda4 lambda4star lambda6 lambda6star "
+                                "mu2 mu3 muT z2 d2 v c beta1 beta2", defaults=(0,) * 13)):
     """Counts of conjugacy classes of finite subgroups, by type, plus the
     Betti data of the orbit space.  Missing fields default to zero; the
     counts are inputs here, never computed from number fields.  A census
@@ -237,7 +221,6 @@ class SubgroupCensus(_Counts):
     one raises CensusError and never reaches a formula."""
 
     __slots__ = ()
-    FIELDS = _Counts._fields
     _make = classmethod(lambda cls, fields: cls(*fields))
 
     def __new__(cls, *args, **kwargs):
@@ -256,8 +239,7 @@ class SubgroupCensus(_Counts):
         return self.lambda6star
 
     def validate(self) -> "SubgroupCensus":
-        for name in self.FIELDS:
-            val = getattr(self, name)
+        for name, val in zip(self._fields, self):
             if not _is_int(val) or val < 0:
                 raise CensusError(f"{name} must be a non-negative integer")
         if self.lambda4star > self.lambda4:
@@ -281,6 +263,10 @@ class SubgroupCensus(_Counts):
                 raise CensusError(f"duplicate census field {key!r}")
             fields[name] = val
         return SubgroupCensus(**fields)
+
+
+#: The census field names, in order.
+SubgroupCensus.FIELDS = SubgroupCensus._fields
 
 
 def _validated_expansion(series: RationalSeries, what: str) -> None:
@@ -454,14 +440,11 @@ def sl2_mod2_dims(beta1: int, beta2: int, q: int) -> int:
     return beta1 + beta2  # q = 4k+5
 
 
-class E2Page(NamedTuple):
+class E2Page(namedtuple("E2Page", "entries a1 a2 a3", defaults=(0, 0, 0))):
     """The spectral-sequence page concentrated in columns n = 0, 1, 2,
-    with 4-periodic rows; entries are F_2-dimensions."""
+    with 4-periodic rows; entries maps (n, q mod 4) to an F_2-dimension."""
 
-    entries: dict[tuple[int, int], int]
-    a1: int = 0
-    a2: int = 0
-    a3: int = 0
+    __slots__ = ()
 
     def row(self, q_mod4: int) -> tuple[int, int, int]:
         return tuple(self.entries[(n, q_mod4)] for n in range(3))

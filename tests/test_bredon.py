@@ -265,6 +265,11 @@ def test_snf_zero_matrix():
     assert not d.any()
 
 
+def test_snf_refuses_ragged_rows():
+    with pytest.raises(ValueError, match="expected a matrix"):
+        smith_normal_form([[1, 2], [3]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_snf_properties(rows, cols, data):

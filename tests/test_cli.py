@@ -276,6 +276,16 @@ def test_repeated_document_key_exits_one(tmp_path):
     assert err.decode().splitlines() == ["error: key 'rigid' appears twice"]
 
 
+def test_bredon_refuses_a_three_cell(tmp_path, capsys):
+    # the Bredon complex has chains in dimensions 0, 1 and 2 only
+    (tmp_path / "c.json").write_text('{"rigid": true, "cells": [{"id": "t", "dim": 3, '
+                                     '"stabilizer": "C1", "self_identified": false}], '
+                                     '"incidences": []}')
+    assert main(["bredon", "--input", str(tmp_path / "c.json")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["error: complex dimension must be <= 2"]
+
+
 def _path_document(vtag, etag):
     """vtag - etag - vtag as a complex document."""
     cells = [{"id": i, "dim": d, "stabilizer": t, "self_identified": False}
@@ -407,36 +417,45 @@ def test_extract_outputs_canonical_json():
 
 
 #: Modules no tsr process needs: numpy left the runtime for its import
-#: time, and dataclasses would pull in inspect, ast, dis and tokenize.
-UNUSED_MODULES = ("numpy", "dataclasses", "inspect")
+#: time, dataclasses would pull in inspect, ast, dis and tokenize, and
+#: the records are collections.namedtuple classes, so typing is not needed.
+UNUSED_MODULES = ("numpy", "dataclasses", "inspect", "typing")
+
+
+def _bare_python(code, *args):
+    """Run code in a fresh ``python -S`` process, with the directory that
+    holds tsr first on its path: without site, no .pth file imports a
+    module (typing among them) before tsr starts."""
+    setup = f"import sys; sys.path.insert(0, {str(FIXTURES.parents[1])!r})\n"
+    return subprocess.run([sys.executable, "-S", "-c", setup + code, *args],
+                          capture_output=True, text=True)
 
 
 def test_runtime_does_not_import_numpy():
     # the module names come from a glob: pkgutil.iter_modules imports inspect
-    code = ("import importlib, pathlib, sys, tsr\n"
-            "names = [p.stem for p in pathlib.Path(tsr.__file__).parent.glob('*.py')\n"
-            "         if p.stem != '__init__']\n"
-            "for name in names:\n"
-            "    importlib.import_module('tsr.' + name)\n"
-            f"print(len(names), *(m in sys.modules for m in {UNUSED_MODULES}))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = _bare_python(
+        "import importlib, pathlib, tsr\n"
+        "names = [p.stem for p in pathlib.Path(tsr.__file__).parent.glob('*.py')\n"
+        "         if p.stem != '__init__']\n"
+        "for name in names:\n"
+        "    importlib.import_module('tsr.' + name)\n"
+        f"print(len(names), *(m in sys.modules for m in {UNUSED_MODULES}))\n")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["7", "False", "False", "False"]
+    assert proc.stdout.split() == ["7", "False", "False", "False", "False"]
 
 
 def _modules_after(argv):
     """The tsr modules, and those of UNUSED_MODULES, loaded in a fresh
     process by main(argv)."""
-    code = ("import json, sys\n"
-            "from tsr.cli import main\n"
-            "try:\n"
-            "    main(json.loads(sys.argv[1]))\n"
-            "except SystemExit:\n"
-            "    pass\n"
-            "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsr.')"
-            f" or m in {UNUSED_MODULES})), file=sys.stderr)\n")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps(argv)],
-                          capture_output=True, text=True)
+    proc = _bare_python(
+        "import json\n"
+        "from tsr.cli import main\n"
+        "try:\n"
+        "    main(json.loads(sys.argv[1]))\n"
+        "except SystemExit:\n"
+        "    pass\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsr.')"
+        f" or m in {UNUSED_MODULES})), file=sys.stderr)\n", json.dumps(argv))
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -57,9 +58,11 @@ def reference_doc(cx: OrbitComplex) -> dict:
 
 
 #: Ids that need every kind of JSON escape: quotes, backslashes, control
-#: characters, non-ASCII and astral characters, lone surrogates.
+#: characters, non-ASCII and astral characters, lone surrogates.  A high
+#: surrogate before a low one is no id (test_surrogate_pair_id_rejected).
 _IDS = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\xe9\u2028\U0001f600\ud800\udfff'),
-                         st.characters()), min_size=1, max_size=6)
+                         st.characters()), min_size=1, max_size=6).filter(
+    lambda s: not re.search("[\ud800-\udbff][\udc00-\udfff]", s))
 
 
 @st.composite
@@ -129,11 +132,30 @@ def test_sl3_fixture_contents():
      '"self_identified": false}, {"id": "w", "dim": 0, "stabilizer": "C2", '
      '"self_identified": false, "bogus": 1}], "incidences": []}',
      "$.cells[1]: unknown keys ['bogus']"),
+    ('[]', "$: document must be an object"),
+    ('{"rigid": true, "cells": [1], "incidences": []}', "$.cells[0]: cell must be an object"),
+    # one (face, coface) pair is one record, however many times it bounds
+    ('{"rigid": true, "cells": [{"id": "a", "dim": 0, "stabilizer": "C2", '
+     '"self_identified": false}, {"id": "e", "dim": 1, "stabilizer": "C2", '
+     '"self_identified": false}], "incidences": [{"face": "a", "coface": "e"}, '
+     '{"face": "a", "coface": "e"}]}',
+     "duplicate incidence records (use multiplicity instead)"),
 ])
 def test_schema_errors(text, fragment):
     with pytest.raises(ComplexSchemaError) as err:
         parse_complex(text)
     assert fragment.lower() in str(err.value).lower()
+
+
+def test_surrogate_pair_id_rejected():
+    # json.loads reads the escaped pair back as U+103FF, so parsing what
+    # serialize_complex wrote would rename the cell and reorder the cells
+    with pytest.raises(ComplexSchemaError, match=r"\$\.cells\[1\]: id must not hold a surrogate pair"):
+        OrbitComplex((OrbitCell("\udfff", 0, "C2"), OrbitCell("a\ud800\udfff", 0, "C2")), ())
+    lone = OrbitComplex((OrbitCell("\udfff\ud800", 0, "C2"),), ())
+    assert parse_complex(serialize_complex(lone)) == lone
+    astral = parse_complex(serialize_complex(OrbitComplex((OrbitCell("\U000103ff", 0, "C2"),), ())))
+    assert astral.cells[0].id == "\U000103ff"
 
 
 def test_duplicate_ids_rejected():

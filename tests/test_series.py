@@ -82,6 +82,11 @@ def test_denominator_root_at_zero_rejected():
         RationalSeries([1], [0, 1])
 
 
+def test_zero_denominator_rejected():
+    with pytest.raises(ZeroDivisionError, match="zero denominator"):
+        RationalSeries([1], [0])
+
+
 def test_series_add_scale():
     a = canonical_series("Circle")
     b = a.scale(Fraction(1, 2))
@@ -135,6 +140,8 @@ def test_census_invariants():
         SubgroupCensus(mu3=3).validate()
     with pytest.raises(CensusError):
         SubgroupCensus(d2=1).validate()
+    with pytest.raises(CensusError, match="lambda6star exceeds lambda6"):
+        SubgroupCensus(lambda6=1, lambda6star=2)
     # _replace builds through the constructor, so it validates too
     with pytest.raises(CensusError, match="mu3 must be even"):
         SubgroupCensus(mu3=2)._replace(mu3=3)
@@ -258,6 +265,11 @@ def test_oracle_rejects_non_prime():
     # F_4 is no field: a rank over Z/4 is no dimension
     with pytest.raises(ValueError, match="is not prime"):
         equivariant_graph_cohomology_oracle(load("bianchi_edge3.json"), 4, range(1, 4))
+
+
+def test_oracle_rejects_degree_zero():
+    with pytest.raises(ValueError, match="oracle degrees must be >= 1"):
+        equivariant_graph_cohomology_oracle(load("bianchi_circle2.json"), 2, range(0, 3))
 
 
 def test_oracle_rejects_non_rigid_complex():
