@@ -19,7 +19,6 @@ from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, lcm
 
-from ._modp import assemble, rank_mod
 from .complexes import (_ELL_QUOTIENT, OrbitComplex, _check_prime, _is_int, check_inclusion,
                         edge_end_assignments)
 
@@ -343,6 +342,8 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     eliminated once: its rank is kept under its content (the per-tag
     dims and restriction blocks), not its degree, as equal maps have
     equal ranks."""
+    # here, not at the top: poincare and e2page never compile the kernel
+    from ._modp import assemble, rank_mod
     _check_prime(ell)
     if cx.dimension > 1:
         raise ValueError("oracle requires a complex of dimension <= 1")

@@ -469,9 +469,9 @@ def _modules_after(argv):
     (["reduce", "--prime", "2", "--input", "sl3z_soule.json"],
      {"groups", "series", "bredon", "_modp"}),
     (["poincare", "--prime", "2", "--census", '{"lambda4":2}'],
-     {"groups", "reduction", "bredon"}),
+     {"groups", "reduction", "bredon", "_modp"}),
     (["e2page", "--census", '{"beta1":1,"v":1}', "--chi-xs", "1"],
-     {"groups", "reduction", "bredon"}),
+     {"groups", "reduction", "bredon", "_modp"}),
     (["oracle", "--prime", "2", "--input", "graphfive.json"],
      {"groups", "reduction", "bredon"}),
     (["bredon", "--input", "graphtwo.json"], {"groups", "series", "reduction"}),

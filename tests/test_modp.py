@@ -1,6 +1,7 @@
 """Properties of the sparse elimination kernel on random matrices, over
 F_p and over Z (against the Smith normal form)."""
 
+import json
 from math import gcd
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 import tsr.bredon
 from tsr._modp import SpanTracker, nullspace_mod, rank_mod
-from tsr.bredon import elementary_divisors, smith_normal_form
+from tsr.bredon import bredon_complex, elementary_divisors, smith_normal_form
+from tsr.complexes import parse_complex
 
 
 @st.composite
@@ -53,6 +55,10 @@ def test_span_tracker_spans_the_rows(case):
     tracker = SpanTracker(p)
     grew = [tracker.add(row) for row in a]
     assert sum(grew) == tracker.rank == rank_mod(a, p)
+    # over F_p the pivot rows stay in reduced echelon form, which
+    # nullspace_mod reads: each is zero in every other pivot column
+    for c, row in tracker.pivots.items():
+        assert row[c] == 1 and not any(d in row for d in tracker.pivots if d != c)
     # a row of the span, or a combination of the rows, leaves the rank as it is
     for row in (*a, np.arange(len(a)) @ a):
         assert not tracker.add(row)
@@ -114,3 +120,40 @@ def test_smith_normal_form_sees_only_a_core_of_content_one_without_units(m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tsr.bredon, "smith_normal_form", dense)
         elementary_divisors(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices())
+def test_core_over_z_is_zero_in_every_pivot_column(m):
+    span = SpanTracker(0, m)
+    assert not any(c in row for row in span.core for c in span.pivots)
+    # the pivot rows are in echelon form: zero in every older pivot column
+    seen = []
+    for c, row in span.pivots.items():
+        assert row[c] == 1 and not any(d in row for d in seen)
+        seen.append(c)
+
+
+def _strip(n: int) -> str:
+    """n C1 triangles on C2 vertices and edges, spelled v0, v1, v10, ...
+    once sorted, as in the strip that CI runs through ``tsr bredon``."""
+    def cell(i, d):
+        return {"id": i, "dim": d, "stabilizer": ("C2", "C2", "C1")[d], "self_identified": False}
+
+    return json.dumps({
+        "rigid": True,
+        "cells": [cell(f"v{k}", 0) for k in range(n + 2)]
+        + [cell(f"e{k}_{s}", 1) for s in (1, 2) for k in range(n + 2 - s)]
+        + [cell(f"f{k}", 2) for k in range(n)],
+        "incidences": [{"face": f"v{k + t}", "coface": f"e{k}_{s}"}
+                       for s in (1, 2) for k in range(n + 2 - s) for t in (0, s)]
+        + [{"face": e, "coface": f"f{k}"} for k in range(n)
+           for e in (f"e{k}_1", f"e{k + 1}_1", f"e{k}_2")]})
+
+
+def test_echelon_elimination_of_a_strip_makes_no_fill():
+    # psi_1 of 1,000 triangles has 2,004 rows of at most 4 nonzeros; kept
+    # in reduced echelon form, its pivot rows filled to 823,202 nonzeros
+    psi1 = bredon_complex(parse_complex(_strip(1000))).total.psi1
+    span = SpanTracker(0, psi1)
+    assert sum(len(row) for row in span.pivots.values()) <= 15_000

@@ -254,7 +254,7 @@ def test_oracle_theta_matches_series():
 ])
 def test_oracle_eliminates_each_distinct_map_once(monkeypatch, name, ell, calls, expected):
     counted = []
-    monkeypatch.setattr("tsr.series.rank_mod",
+    monkeypatch.setattr("tsr._modp.rank_mod",
                         lambda mat, p: counted.append(p) or rank_mod(mat, p))
     dims = equivariant_graph_cohomology_oracle(load(name), ell, range(3, 41))
     assert dims == dict(zip(range(3, 41), expected))
