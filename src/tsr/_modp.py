@@ -15,14 +15,13 @@ core divided by g, which the same elimination peels again
 (``bredon.elementary_divisors``); only a core of content 1 with no unit
 entry is left to a dense Smith normal form.
 
-The form depends on the ring.  Over Z only the rank and the core are
-read, so the pivot rows stay in echelon form: clearing each new pivot
-column from every older row scans them all and fills them (psi_1 of a
-1,000-triangle strip: 823,202 pivot nonzeros against 11,818).  Over
-F_p they stay in reduced echelon form, which ``nullspace_mod`` reads,
-and against which the many dependent rows of the brute-force group
-homology reduce fastest.  ``rank_mod`` and ``nullspace_mod`` feed a
-matrix's rows through the kernel.
+The form is the same in every ring: a pivot row is zero in the older
+pivot columns, and no pivot row changes once it is made.  Clearing each
+new pivot column from every older row would scan them all and fill
+them (psi_1 of a 1,000-triangle strip: 823,202 pivot nonzeros against
+11,818).  ``rank_mod`` reads only the rank; ``nullspace_mod`` alone
+needs the reduced echelon form, and clears its own pivot rows into it
+once, newest first.
 
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
@@ -44,11 +43,9 @@ def _row(vec, p: int) -> dict[int, int]:
 
 
 def _subtract(row: dict[int, int], a: int, v: dict[int, int], p: int) -> None:
-    """row -= a * v in place (mod p if p > 0)."""
+    """row -= a * v mod p, in place."""
     for j, x in v.items():
-        y = row.get(j, 0) - a * x
-        if p:
-            y %= p
+        y = (row.get(j, 0) - a * x) % p
         if y:
             row[j] = y
         else:
@@ -84,9 +81,7 @@ class SpanTracker:
     first; ``rank`` counts the pivots (over Z the core adds to the rank
     of the lattice).
 
-    Over F_p the pivot rows are in reduced echelon form, which
-    ``nullspace_mod`` reads.  Over Z, where only ``rank`` and ``core``
-    are read, they are in echelon form, which does not fill: a row is
+    The pivot rows are in echelon form, which does not fill: a row is
     reduced against the pivots oldest first, from a heap of their
     creation indices (a pivot row is zero in the older pivot columns,
     so a subtraction only brings in newer ones), and no row is cleared
@@ -119,17 +114,10 @@ class SpanTracker:
             self._echelon(row)
         return self._core
 
-    def _reduce(self, v: dict[int, int]) -> dict[int, int]:
-        # over F_p each pivot row is zero in the other pivot columns, so
-        # the coefficients are the vector's own entries there
-        for c in [c for c in v if c in self.pivots]:
-            _subtract(v, v[c], self.pivots[c], self.p)
-        return v
-
     def _echelon(self, v: dict[int, int]) -> dict[int, int]:
-        """v reduced in place over Z against the pivot rows, oldest
-        first; the subtraction is inlined, as this loop is the hot one."""
-        index, created = self._index, self._created
+        """v reduced in place against the pivot rows, oldest first (mod p
+        if p > 0); the subtraction is inlined, as this loop is the hot one."""
+        index, created, p = self._index, self._created, self.p
         heap = [index[c] for c in v if c in index]
         heapify(heap)
         while heap:
@@ -139,12 +127,12 @@ class SpanTracker:
                 continue
             for j, x in row.items():
                 y = v.get(j)
-                if y is None:
-                    v[j] = -a * x
+                if y is None:  # nonzero mod p too, as p is prime
+                    v[j] = -a * x % p if p else -a * x
                     if j in index:
                         heappush(heap, index[j])
                 else:
-                    y -= a * x
+                    y = (y - a * x) % p if p else y - a * x
                     if y:
                         v[j] = y
                     else:
@@ -157,7 +145,7 @@ class SpanTracker:
 
     def _add(self, v: dict[int, int]) -> bool:
         p = self.p
-        v = self._reduce(v) if p else self._echelon(v)
+        v = self._echelon(v)
         if not v:
             return False
         units = [j for j, x in v.items() if p or x in (1, -1)]
@@ -168,10 +156,6 @@ class SpanTracker:
         inv = pow(v[c], -1, p) if p else v[c]
         if inv != 1:
             v = {j: x * inv % p if p else -x for j, x in v.items()}
-        if p:
-            for row in self.pivots.values():
-                if c in row:
-                    _subtract(row, row[c], v, p)
         self._index[c] = len(self._created)
         self._created.append((c, v))
         self.pivots[c] = v
@@ -189,6 +173,11 @@ def nullspace_mod(mat, p: int, cols: int) -> list[list[int]]:
     read off the RREF (the identity on the free columns), so it is
     deterministic."""
     pivots = SpanTracker(p, mat).pivots
+    # into reduced echelon form, newest pivot first: each row is zero in
+    # the older pivot columns, and every newer row is reduced already
+    for c, row in reversed(pivots.items()):
+        for d in [d for d in row if d != c and d in pivots]:
+            _subtract(row, row[d], pivots[d], p)
     basis = []
     for f in range(cols):
         if f in pivots:
@@ -200,4 +189,3 @@ def nullspace_mod(mat, p: int, cols: int) -> list[list[int]]:
                 vec[c] = p - row[f]
         basis.append(vec)
     return basis
-

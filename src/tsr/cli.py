@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
+from stat import S_ISREG
 
 from . import __version__
 from .complexes import (ComplexSchemaError, _unique_keys, classify_component,
@@ -35,28 +35,32 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _read_input(args) -> str:
-    path = Path(args.input)
-    if path.is_file():
-        return path.read_text()
-    candidate = Path(__file__).parent / "fixtures" / args.input
-    if candidate.is_file():
-        return candidate.read_text()
-    raise CliError(f"input file not found: {args.input}")
+def _read_file(path: str) -> str | None:
+    """The text of the regular file at path, or None where there is none,
+    as Path.is_file says without importing pathlib; other refusals raise."""
+    try:
+        if not S_ISREG(os.stat(path).st_mode):
+            return None
+    except (FileNotFoundError, NotADirectoryError, ValueError):
+        return None
+    with open(path) as f:
+        return f.read()
 
 
 def _load_complex(args):
-    return parse_complex(_read_input(args))
+    for path in (args.input, os.path.join(os.path.dirname(__file__), "fixtures", args.input)):
+        if (text := _read_file(path)) is not None:
+            return parse_complex(text)
+    raise CliError(f"input file not found: {args.input}")
 
 
 def _load_census(args):
     from .series import CensusError, SubgroupCensus
     text = args.census
     if not text.lstrip().startswith(("{", "[")):  # a path, not inline JSON
-        path = Path(text)
-        if not path.is_file():
-            raise CliError(f"census file not found: {text}")
-        text = path.read_text()
+        text = _read_file(args.census)
+        if text is None:
+            raise CliError(f"census file not found: {args.census}")
     doc = _json_option(text, "--census")
     if not isinstance(doc, dict):
         raise CensusError("census must be a JSON object")
@@ -247,13 +251,15 @@ def _cmd_classify(args) -> None:
 def build_parser() -> _Parser:
     parser = _Parser(prog="tsr", description=__doc__)
     parser.add_argument("--version", action="version", version=f"tsr {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # given a prog, argparse formats no usage line to make one
+    sub = parser.add_subparsers(dest="command", required=True, prog="tsr")
 
     def add(name, func, help_text, *, prime=False, input_file=False, census=False,
-            degrees=None):
+            degrees=None, json_flag=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--json", action="store_true", help="machine-readable output")
+        if json_flag:
+            p.add_argument("--json", action="store_true", help="machine-readable output")
         if prime:
             p.add_argument("--prime", type=int, choices=(2, 3), required=True)
         if input_file:
@@ -268,7 +274,7 @@ def build_parser() -> _Parser:
 
     add("validate", _cmd_validate, "check a complex document", input_file=True)
     add("extract", _cmd_extract, "extract the torsion subcomplex",
-        prime=True, input_file=True)
+        prime=True, input_file=True, json_flag=False)  # its output is JSON already
     add("reduce", _cmd_reduce, "reduce the torsion subcomplex",
         prime=True, input_file=True)
     add("poincare", _cmd_poincare, "Poincare series from a census",

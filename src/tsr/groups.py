@@ -423,6 +423,8 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
             gens.append(v)
             for gi in range(1, n):
                 tracker.add(left_act(v, gi))
+                if tracker.rank == len(basis):  # the span is the whole kernel
+                    return gens
         return gens
 
     kernel = nullspace_mod([[1] * n], ell, n)

@@ -416,10 +416,24 @@ def test_extract_outputs_canonical_json():
     assert [(c.id, c.stabilizer) for c in cx.cells] == [("v2", "D3")]
 
 
+def test_extract_takes_no_json_flag(capsys):
+    # its output is JSON already
+    assert main(["extract", "--json", "--prime", "2", "--input", "graphtwo.json"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: unrecognized arguments: --json"]
+
+
 #: Modules no tsr process needs: numpy left the runtime for its import
 #: time, dataclasses would pull in inspect, ast, dis and tokenize, and
 #: the records are collections.namedtuple classes, so typing is not needed.
 UNUSED_MODULES = ("numpy", "dataclasses", "inspect", "typing")
+
+#: Nor does a cold CLI run load pathlib: files are read with os and open.
+#: argparse itself loads shutil and locale on every run (CPython 3.11:
+#: each add_argument builds a HelpFormatter to check its metavar, and
+#: the first translated message makes gettext import locale).
+CLI_UNUSED_MODULES = UNUSED_MODULES + ("pathlib",)
 
 
 def _bare_python(code, *args):
@@ -445,8 +459,8 @@ def test_runtime_does_not_import_numpy():
 
 
 def _modules_after(argv):
-    """The tsr modules, and those of UNUSED_MODULES, loaded in a fresh
-    process by main(argv)."""
+    """The tsr modules, and those of CLI_UNUSED_MODULES, loaded in a
+    fresh process by main(argv)."""
     proc = _bare_python(
         "import json\n"
         "from tsr.cli import main\n"
@@ -455,7 +469,7 @@ def _modules_after(argv):
         "except SystemExit:\n"
         "    pass\n"
         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tsr.')"
-        f" or m in {UNUSED_MODULES})), file=sys.stderr)\n", json.dumps(argv))
+        f" or m in {CLI_UNUSED_MODULES})), file=sys.stderr)\n", json.dumps(argv))
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
@@ -482,7 +496,7 @@ def test_subcommand_imports_only_what_it_runs(argv, absent):
     loaded = _modules_after(argv)
     assert "tsr.cli" in loaded
     assert not loaded & {f"tsr.{name}" for name in absent}, loaded
-    assert not loaded & set(UNUSED_MODULES), loaded
+    assert not loaded & set(CLI_UNUSED_MODULES), loaded
 
 
 def test_bredon_import_loads_no_fractions():

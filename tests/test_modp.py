@@ -48,6 +48,15 @@ def test_nullspace_and_rank(case):
     assert ((n >= 0) & (n < p)).all()
 
 
+def _assert_echelon(tracker):
+    """Each pivot row is 1 at its pivot and zero in every older pivot
+    column, in every ring."""
+    seen = []
+    for c, row in tracker.pivots.items():
+        assert row[c] == 1 and not any(d in row for d in seen)
+        seen.append(c)
+
+
 @settings(max_examples=100, deadline=None)
 @given(matrices())
 def test_span_tracker_spans_the_rows(case):
@@ -55,10 +64,7 @@ def test_span_tracker_spans_the_rows(case):
     tracker = SpanTracker(p)
     grew = [tracker.add(row) for row in a]
     assert sum(grew) == tracker.rank == rank_mod(a, p)
-    # over F_p the pivot rows stay in reduced echelon form, which
-    # nullspace_mod reads: each is zero in every other pivot column
-    for c, row in tracker.pivots.items():
-        assert row[c] == 1 and not any(d in row for d in tracker.pivots if d != c)
+    _assert_echelon(tracker)
     # a row of the span, or a combination of the rows, leaves the rank as it is
     for row in (*a, np.arange(len(a)) @ a):
         assert not tracker.add(row)
@@ -127,11 +133,21 @@ def test_smith_normal_form_sees_only_a_core_of_content_one_without_units(m):
 def test_core_over_z_is_zero_in_every_pivot_column(m):
     span = SpanTracker(0, m)
     assert not any(c in row for row in span.core for c in span.pivots)
-    # the pivot rows are in echelon form: zero in every older pivot column
-    seen = []
-    for c, row in span.pivots.items():
-        assert row[c] == 1 and not any(d in row for d in seen)
-        seen.append(c)
+    _assert_echelon(span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(matrices(), integer_matrices().map(lambda m: (m, 0))))
+def test_no_pivot_row_changes_once_made(case):
+    # over F_p as over Z: the elimination edits only the incoming row
+    m, p = case
+    tracker, snapshots = SpanTracker(p), {}
+    for row in m:
+        tracker.add(row)
+        assert all(tracker.pivots[c] == old for c, old in snapshots.items())
+        snapshots.update((c, dict(row)) for c, row in tracker.pivots.items()
+                         if c not in snapshots)
+    _assert_echelon(tracker)
 
 
 def _strip(n: int) -> str:
