@@ -6,13 +6,13 @@ map in unimodular splitting bases, where it is block diagonal: a rank-1
 block, a 2-torsion block and a 3-torsion block.  The test suite rebuilds
 every pinned block from the character tables, class fusions and
 splitting bases in ``tsr.groups``, by Frobenius reciprocity.
-The Bredon differentials are signed sums of these blocks over the
-incidence terms of the complex, assembled as sparse rows that go
-straight to the elimination; each block of the split is the same sum
-of the split blocks' corners on its part, and ``split_blocks`` checks
-every split block it reads for an entry that links two parts.  Dense
-rows are made only for the Smith normal form of the elimination's core
-and for the dense ``BredonComplex.psi1``/``psi2`` views.
+Each block of the split sums the split blocks' corners on its part
+over the incidence terms of the complex, as sparse rows that go
+straight to the elimination; ``split_blocks`` checks every split block
+it reads for an entry that links two parts.  The total, whose homology
+is the blocks' direct sum, is assembled only by ``BredonComplex.chain``.
+Dense rows are made only for the Smith normal form of the elimination's
+core and for the dense ``BredonComplex.psi1``/``psi2`` views.
 """
 
 from __future__ import annotations
@@ -111,11 +111,6 @@ def _matmul(a, b) -> list[dict[int, int]]:
                 acc[j] = acc.get(j, 0) + x * y
         out.append({j: x for j, x in acc.items() if x})
     return out
-
-
-def _dense(rows: list[dict[int, int]], width: int) -> list[list[int]]:
-    """Sparse rows with columns in range(width) as dense rows."""
-    return [[r.get(j, 0) for j in range(width)] for r in rows]
 
 
 # --------------------------------------------------------------------------
@@ -302,25 +297,36 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
 # The Bredon complex of a reduced orbit complex
 
 
-class BredonComplex(namedtuple("BredonComplex", "vertices edges faces total terms1 terms2")):
-    """The cells by dimension, the total chain complex (vertices x edges,
-    edges x faces), and the incidence terms (row cell, column cell, sign,
-    embedding) its differentials are summed from, with cells as indices:
-    terms1 (vertex, edge), terms2 (edge, face).  psi1 and psi2 are dense
-    copies of the total's rows."""
+class BredonComplex(namedtuple("BredonComplex", "vertices edges faces terms1 terms2")):
+    """The cells by dimension and the incidence terms (row cell, column
+    cell, sign, embedding) the Bredon differentials are summed from, with
+    cells as indices: terms1 (vertex, edge), terms2 (edge, face).  psi1
+    and psi2 are dense copies of the rows of chain()."""
 
     __slots__ = ()
 
     @property
     def psi1(self) -> list[list[int]]:
-        return _dense(self.total.psi1, self.total.dims[1])
+        total = self.chain()
+        return [[r.get(j, 0) for j in range(total.dims[1])] for r in total.psi1]
 
     @property
     def psi2(self) -> list[list[int]]:
-        return _dense(self.total.psi2, self.total.dims[2])
+        total = self.chain()
+        return [[r.get(j, 0) for j in range(total.dims[2])] for r in total.psi2]
 
     def chain(self) -> IntegerChainComplex:
-        return self.total
+        """The total chain complex, assembled and checked on each call."""
+        return _summed(self, RANKS.__getitem__, induction_matrix)
+
+
+def _summed(bc: BredonComplex, width, block) -> IntegerChainComplex:
+    """The chain complex summed from bc's terms: a cell spans width(tag)
+    coordinates, an inclusion adds block(source, target, embedding)."""
+    psi1 = assemble(bc.terms1, bc.vertices, bc.edges, width, block)
+    psi2 = assemble(bc.terms2, bc.edges, bc.faces, width, block)
+    return IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), sum(
+        width(f.stabilizer) for f in bc.faces)))
 
 
 def _oriented_boundary_walk(face_id: str, uses: list[int],
@@ -361,10 +367,10 @@ _SUPPORTED_TAGS = {0: SUPPORTED_VERTEX_TAGS, 1: SUPPORTED_EDGE_TAGS, 2: ("C1",)}
 
 
 def bredon_complex(cx: OrbitComplex) -> BredonComplex:
-    """Block differential matrices of the chain complex of representation
-    rings: psi1 from the edge-to-vertex inductions over the edge end
-    terms of edge_end_assignments, taken verbatim, and psi2 from oriented
-    2-cell boundaries through the regular representation."""
+    """The terms of the chain complex of representation rings, refusing a
+    non-inclusion: psi1's are the edge end terms of edge_end_assignments,
+    taken verbatim, and psi2's come from oriented 2-cell boundaries
+    through the regular representation.  No matrix is assembled."""
     if cx.dimension > 2:
         raise ValueError("complex dimension must be <= 2")
     # the first unsupported cell by (dimension, id) is the one reported
@@ -382,10 +388,9 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
                    for k, sign in _oriented_boundary_walk(f.id, [
                        eindex[inc.face] for inc in cx.faces(f.id)
                        for _ in range(inc.multiplicity)], terms1))
-    psi1 = assemble(terms1, vertices, edges, RANKS.__getitem__, induction_matrix)
-    psi2 = assemble(terms2, edges, faces, RANKS.__getitem__, induction_matrix)
-    total = IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), len(faces)))
-    return BredonComplex(vertices, edges, faces, total, terms1, terms2)
+    for i, j, _, emb in terms1:
+        check_inclusion(edges[j].stabilizer, vertices[i].stabilizer, emb)
+    return BredonComplex(vertices, edges, faces, terms1, terms2)
 
 
 SplitBlocks = namedtuple("SplitBlocks", "trivial two three")
@@ -394,10 +399,10 @@ SplitBlocks = namedtuple("SplitBlocks", "trivial two three")
 def split_blocks(bc: BredonComplex) -> SplitBlocks:
     """The Bredon differentials in the pinned splitting bases, split into
     the orbit-space block and the 2- and 3-torsion blocks.  Block w is
-    summed from the same terms as bredon_complex, with each induction
-    replaced by the corner of its split block on the rows and columns of
-    part w in BLOCK_PARTS, so a cell spans its part w.  Each split block
-    read raises BlockSplitError at an entry that links two parts."""
+    summed from the same terms as chain(), with each induction replaced
+    by the corner of its split block on the rows and columns of part w
+    in BLOCK_PARTS, so a cell spans its part w.  Each split block read
+    raises BlockSplitError at an entry that links two parts."""
 
     def block(w: int) -> IntegerChainComplex:
         def width(tag):
@@ -414,10 +419,7 @@ def split_blocks(bc: BredonComplex) -> SplitBlocks:
                             f"of {source!r} in {target!r} (embedding {emb})")
             return [[mat[r][c] for c in cols] for r in rows]
 
-        psi1 = assemble(bc.terms1, bc.vertices, bc.edges, width, corner)
-        psi2 = assemble(bc.terms2, bc.edges, bc.faces, width, corner)
-        return IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), sum(
-            width(f.stabilizer) for f in bc.faces)))
+        return _summed(bc, width, corner)
 
     return SplitBlocks(*map(block, range(3)))
 

@@ -43,7 +43,7 @@ def _read_file(path: str) -> str | None:
             return None
     except (FileNotFoundError, NotADirectoryError, ValueError):
         return None
-    with open(path) as f:
+    with open(path, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259)
         return f.read()
 
 
@@ -148,22 +148,20 @@ def _cmd_poincare(args) -> None:
 
 def _cmd_bredon(args) -> None:
     from .bredon import bredon_complex, homology, split_blocks
-    cx = _load_complex(args)
-    bc = bredon_complex(cx)
-    blocks = split_blocks(bc)
-    named = [("orbit", blocks.trivial), ("2-torsion", blocks.two),
-             ("3-torsion", blocks.three)]
-    total = homology(bc.total)
+    bc = bredon_complex(_load_complex(args))
+    blocks = dict(zip(("orbit", "2-torsion", "3-torsion"), map(homology, split_blocks(bc))))
+    # the blocks are the total in unimodular bases: its homology is their sum
+    total = [a + b + c for a, b, c in zip(*blocks.values())]
     if args.json:
-        doc = {"total": [str(h) for h in total], "dims": list(bc.total.dims)}
-        for name, rows in (("psi1", bc.total.psi1), ("psi2", bc.total.psi2)):
+        chain = bc.chain()
+        doc = {"total": [str(h) for h in total], "dims": list(chain.dims)}
+        for name, rows in (("psi1", chain.psi1), ("psi2", chain.psi2)):
             doc[name] = [[i, j, x] for i, row in enumerate(rows) for j, x in sorted(row.items())]
-        for name, chain in named:
-            doc[name.replace("-", "_")] = [str(h) for h in homology(chain)]
+        for name, hs in blocks.items():
+            doc[name.replace("-", "_")] = [str(h) for h in hs]
         _emit_json(doc)
     else:
-        for name, chain in named:
-            hs = homology(chain)
+        for name, hs in blocks.items():
             print(f"{name} block: " + ", ".join(f"H_{i} = {h}" for i, h in enumerate(hs)))
         print("total: " + ", ".join(f"H_{i} = {h}" for i, h in enumerate(total)))
 

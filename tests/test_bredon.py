@@ -1,6 +1,8 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +27,8 @@ from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
                         induction_by_reciprocity)
 from tsr.reduction import apply_move, reduce_complex
 from tsr.series import SubgroupCensus, equivariant_graph_cohomology_oracle, restriction_block
+
+from test_modp import _strip
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -474,17 +478,23 @@ def test_splitting_theorem_direct_sum():
             assert full[i] == parts[0][i] + parts[1][i] + parts[2][i], name
 
 
-def test_many_theta_components(monkeypatch):
-    # 64 graphfive copies, ids suffixed per copy: each θ component adds one
-    # Z/2 to H0, which the elimination reads off the core's content, never
-    # from the Smith normal form of a 128 x 128 core
+def _graphfive_copies(n: int) -> str:
+    """n graphfive copies, ids suffixed per copy, as in CI's document of
+    1,000 copies."""
     doc = json.loads(FIXTURES.joinpath("graphfive.json").read_text())
-    doc["cells"] = [dict(c, id=f"{c['id']}_{k}") for k in range(64) for c in doc["cells"]]
+    doc["cells"] = [dict(c, id=f"{c['id']}_{k}") for k in range(n) for c in doc["cells"]]
     doc["incidences"] = [dict(i, face=f"{i['face']}_{k}", coface=f"{i['coface']}_{k}")
-                         for k in range(64) for i in doc["incidences"]]
+                         for k in range(n) for i in doc["incidences"]]
+    return json.dumps(doc)
+
+
+def test_many_theta_components(monkeypatch):
+    # 64 graphfive copies: each θ component adds one Z/2 to H0, which the
+    # elimination reads off the core's content, never from the Smith
+    # normal form of a 128 x 128 core
     monkeypatch.setattr(tsr.bredon, "smith_normal_form", None)
-    bc = bredon_complex(parse_complex(json.dumps(doc)))
-    full = homology(bc.total)
+    bc = bredon_complex(parse_complex(_graphfive_copies(64)))
+    full = homology(bc.chain())
     assert full == [AbelianGroup(256, (2,) * 64), AbelianGroup(128), AbelianGroup()]
     blocks = split_blocks(bc)
     parts = [homology(b) for b in (blocks.trivial, blocks.two, blocks.three)]
@@ -628,7 +638,7 @@ def test_bredon_json_triples_rebuild_the_differentials(name, tmp_path, capsys):
     assert main(["bredon", "--json", "--input", str(path)]) == 0
     doc = json.loads(capsys.readouterr().out)
     bc = bredon_complex(parse_complex(path.read_text()))
-    assert doc["dims"] == list(bc.total.dims)
+    assert doc["dims"] == list(bc.chain().dims)
     n0, n1, n2 = doc["dims"]
     for key, (height, width), dense in (("psi1", (n0, n1), bc.psi1),
                                         ("psi2", (n1, n2), bc.psi2)):
@@ -819,13 +829,10 @@ def test_lone_two_cell():
     assert [str(h) for h in homology(bc.chain())] == ["0", "0", "Z"]
 
 
-def test_bredon_total_is_built_once():
-    bc = bredon_complex(load("graphfive"))
-    assert bc.chain() is bc.chain()
-
-
-def test_bredon_command_checks_each_complex_once(monkeypatch, capsys):
-    # one product per built complex: the total and its three blocks
+@pytest.mark.parametrize("flags,products", [([], 3), (["--json"], 4)], ids=["text", "json"])
+def test_bredon_command_checks_each_complex_once(monkeypatch, capsys, flags, products):
+    # one product per built complex: the three blocks, whose homology sums
+    # to the total's, and the total only where --json prints its rows
     calls, matmul = [], tsr.bredon._matmul
 
     def counting(a, b):
@@ -833,6 +840,42 @@ def test_bredon_command_checks_each_complex_once(monkeypatch, capsys):
         return matmul(a, b)
 
     monkeypatch.setattr(tsr.bredon, "_matmul", counting)
-    assert main(["bredon", "--input", "graphfive.json"]) == 0
+    assert main(["bredon", *flags, "--input", "graphfive.json"]) == 0
     capsys.readouterr()
-    assert len(calls) == 4
+    assert len(calls) == products
+
+
+def _circles(n: int) -> str:
+    """n C2 loop edges, each on its own C2 vertex, as in CI's document of
+    20,000 circles."""
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": f"{k}{i}", "dim": d, "stabilizer": "C2", "self_identified": False}
+                  for i in range(n) for k, d in (("v", 0), ("e", 1))],
+        "incidences": [{"face": f"v{i}", "coface": f"e{i}", "multiplicity": 2}
+                       for i in range(n)]})
+
+
+@pytest.mark.parametrize("document,timeout,flag_sets", [
+    (lambda: _circles(20000), 20, ([], ["--json"])),
+    (lambda: _graphfive_copies(1000), 20, ([],)),
+    (lambda: _strip(500), 5, ([],)),
+    (lambda: _strip(2000), 5, ([],)),
+], ids=["circles20000", "graphfive1000", "strip500", "strip2000"])
+def test_bredon_command_at_ci_scale(document, timeout, flag_sets, tmp_path):
+    # CI's Bredon documents under CI's timeouts: the printed total, the sum
+    # of the three block homologies, is the homology of the assembled total
+    text = document()
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    want = [str(h) for h in homology(bredon_complex(parse_complex(text)).chain())]
+    for flags in flag_sets:
+        proc = subprocess.run([sys.executable, "-m", "tsr.cli", "bredon", *flags,
+                               "--input", str(path)], capture_output=True, timeout=timeout)
+        assert (proc.returncode, proc.stderr) == (0, b""), flags
+        out = proc.stdout.decode()
+        if flags:
+            assert json.loads(out)["total"] == want
+        else:
+            assert out.splitlines()[-1] == "total: " + ", ".join(
+                f"H_{i} = {h}" for i, h in enumerate(want))

@@ -40,6 +40,23 @@ def test_validate_missing_file():
     assert b"not found" in err
 
 
+def test_files_are_read_as_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259, section 8.1): a raw é in a document's id and a
+    # Greek key in a census file read alike under the C locale
+    doc, census = tmp_path / "doc.json", tmp_path / "census.json"
+    doc.write_bytes(json.dumps({"rigid": True, "cells": [
+        {"id": "é", "dim": 0, "stabilizer": "C2", "self_identified": False}],
+        "incidences": []}, ensure_ascii=False).encode())
+    census.write_bytes('{"λ4": 1}'.encode())
+    c_locale = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    for argv in (["extract", "--prime", "2", "--input", str(doc)],
+                 ["poincare", "--prime", "2", "--census", str(census)]):
+        procs = [subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
+                                capture_output=True, env=env) for env in (c_locale, None)]
+        assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2, argv
+        assert procs[0].stdout == procs[1].stdout, argv
+
+
 def test_unknown_flag_exits_one():
     code, _, err = run_cli("validate", "--wat")
     assert code == 1

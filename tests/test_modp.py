@@ -170,6 +170,6 @@ def _strip(n: int) -> str:
 def test_echelon_elimination_of_a_strip_makes_no_fill():
     # psi_1 of 1,000 triangles has 2,004 rows of at most 4 nonzeros; kept
     # in reduced echelon form, its pivot rows filled to 823,202 nonzeros
-    psi1 = bredon_complex(parse_complex(_strip(1000))).total.psi1
+    psi1 = bredon_complex(parse_complex(_strip(1000))).chain().psi1
     span = SpanTracker(0, psi1)
     assert sum(len(row) for row in span.pivots.values()) <= 15_000
