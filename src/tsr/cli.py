@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 validation error (bad flags, missing or
 unreadable files, schema or census problems), a closed stdout or
 exhausted memory, 2 internal invariant failure.  All output is
-deterministic for identical inputs.
+deterministic for identical inputs, and stdout is UTF-8 in every locale.
 
 Only ``tsr.complexes`` is imported up front; each subcommand imports
 the modules it runs, so a cold process pays for no other.  The records
@@ -307,6 +307,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if hasattr(sys.stdout, "reconfigure"):  # a captured StringIO has none
+            # UTF-8 in any locale: ids and the reports' ⊕ are not ASCII
+            sys.stdout.reconfigure(encoding="utf-8", errors=sys.stdout.errors)
         args.func(args)
         sys.stdout.flush()
         return 0

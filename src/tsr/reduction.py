@@ -15,8 +15,11 @@ move a cell starts, or the first check it fails.  The reduction loop
 applies its moves deterministically until none applies, editing the
 torsion subcomplex it derives in place through its own index
 (``OrbitComplex._add``, ``_drop``) and setting its records once at the
-end, unchecked, as every edit derives them from checked ones; a worklist
-re-examines only the cells a move touched.  ``replay`` and ``apply_move``
+end, unchecked, as every edit derives them from checked ones.  A cut
+needs a cell with exactly one coface and a merge one with exactly two,
+so its worklist holds each cell only under the one kind its coface
+count allows, and re-examines only the cells a move touched, the only
+cells whose count a move changes.  ``replay`` and ``apply_move``
 make an edit only where ``_move_at`` finds the same move;
 ``scripted_merge`` checks only that sigma bounds exactly its two taus.
 """
@@ -63,15 +66,17 @@ class ReductionLog(namedtuple("ReductionLog", "moves")):
 def check_condition_B_prime(sigma_tag: str, tau_tag: str, ell: int) -> str | None:
     """First satisfied clause of condition B' for the stabilizer pair
     (boundary cell, top cell), or None: B'(1) when the pinned quotients
-    G/O_ell'(G) of the two stabilizers agree."""
+    G/O_ell'(G) of the two stabilizers agree.  A hit in the table's row
+    for ell implies that ell is prime and both tags are catalog tags, so
+    those checks, and their refusals, run only on a miss."""
+    quotient = _ELL_QUOTIENT.get(ell, {})
+    if sigma_tag in quotient and tau_tag in quotient:  # a prime and two catalog tags
+        return B_PRIME_1 if quotient[sigma_tag] == quotient[tau_tag] else None
     _check_prime(ell)
     for tag in (sigma_tag, tau_tag):
         if tag not in TAG_ORDERS:
             raise ValueError(f"unknown catalog tag {tag!r}")
-    quotient = _ELL_QUOTIENT.get(ell)
-    if quotient is None or quotient[sigma_tag] == quotient[tau_tag]:
-        return B_PRIME_1
-    return None
+    return B_PRIME_1  # every catalog order is 2^a 3^b: at ell >= 5 both quotients are C1
 
 
 # --------------------------------------------------------------------------
@@ -185,9 +190,17 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
     """
     # the torsion subcomplex is new and seen by no caller: it is edited in place
     tx = torsion_subcomplex(cx, ell)
-    # "cut" sorts before "merge": each cell that starts a move has a
-    # (kind, dim, id) entry on the heap, among cells that may not
-    heap = sorted((k, c.dim, c.id) for k in ("cut", "merge") for c in tx.cells)
+    # a cut needs 1 coface and a merge 2 (_rule_failure), so a cell is queued
+    # only under the kind its coface count allows; a move changes that count
+    # only for cells in near below, which are queued again.  "cut" sorts
+    # before "merge": each cell that starts a move has a (kind, dim, id)
+    # entry on the heap, among cells that may not
+    kinds = {1: "cut", 2: "merge"}
+
+    def entry(cid):
+        return kinds.get(len(tx._cofaces.get(cid, ()))), tx._cells[cid].dim, cid
+
+    heap = sorted(e for e in map(entry, tx._cells) if e[0])
     moves = []
     while heap:
         kind, _, sigma = heap[0]
@@ -201,8 +214,8 @@ def reduce_complex(cx: OrbitComplex, ell: int) -> tuple[OrbitComplex, ReductionL
         near |= {i.face for cid in near for i in tx._faces.get(cid, ())}
         moves.append(move._replace(merged=_edit(tx, move)))
         for cid in near & tx._cells.keys():
-            for kind in ("cut", "merge"):
-                heapq.heappush(heap, (kind, tx._cells[cid].dim, cid))
+            if (e := entry(cid))[0]:
+                heapq.heappush(heap, e)
     return tx._settle(), ReductionLog(tuple(moves))
 
 

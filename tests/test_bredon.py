@@ -856,15 +856,30 @@ def _circles(n: int) -> str:
                        for i in range(n)]})
 
 
+def _d3_c2_path(n: int) -> str:
+    """n + 1 D3 vertices v0..vn joined in a line by the n C2 edges e0..e(n-1),
+    a document with a 3-torsion block."""
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": f"v{k}", "dim": 0, "stabilizer": "D3", "self_identified": False}
+                  for k in range(n + 1)]
+        + [{"id": f"e{k}", "dim": 1, "stabilizer": "C2", "self_identified": False}
+           for k in range(n)],
+        "incidences": [{"face": f"v{k + t}", "coface": f"e{k}"}
+                       for k in range(n) for t in (0, 1)]})
+
+
 @pytest.mark.parametrize("document,timeout,flag_sets", [
     (lambda: _circles(20000), 20, ([], ["--json"])),
     (lambda: _graphfive_copies(1000), 20, ([],)),
     (lambda: _strip(500), 5, ([],)),
     (lambda: _strip(2000), 5, ([],)),
-], ids=["circles20000", "graphfive1000", "strip500", "strip2000"])
+    (lambda: _d3_c2_path(8000), 20, ([],)),
+], ids=["circles20000", "graphfive1000", "strip500", "strip2000", "d3c2path8000"])
 def test_bredon_command_at_ci_scale(document, timeout, flag_sets, tmp_path):
-    # CI's Bredon documents under CI's timeouts: the printed total, the sum
-    # of the three block homologies, is the homology of the assembled total
+    # CI's Bredon documents under CI's timeouts, and a D3-C2 path, the one
+    # with a 3-torsion block: the printed total, the sum of the three block
+    # homologies, is the homology of the assembled total
     text = document()
     path = tmp_path / "doc.json"
     path.write_text(text)

@@ -40,21 +40,43 @@ def test_validate_missing_file():
     assert b"not found" in err
 
 
-def test_files_are_read_as_utf8_in_any_locale(tmp_path):
-    # JSON is UTF-8 (RFC 8259, section 8.1): a raw é in a document's id and a
-    # Greek key in a census file read alike under the C locale
-    doc, census = tmp_path / "doc.json", tmp_path / "census.json"
+def _raw_e_document(tmp_path):
+    """A document whose one cell id is a raw é, written as UTF-8."""
+    doc = tmp_path / "doc.json"
     doc.write_bytes(json.dumps({"rigid": True, "cells": [
         {"id": "é", "dim": 0, "stabilizer": "C2", "self_identified": False}],
         "incidences": []}, ensure_ascii=False).encode())
-    census.write_bytes('{"λ4": 1}'.encode())
+    return doc
+
+
+def _stdout_in_any_locale(argv) -> bytes:
+    """The stdout of a command that exits 0 with an empty stderr, and with
+    the same stdout, under the C locale and the default one."""
     c_locale = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-    for argv in (["extract", "--prime", "2", "--input", str(doc)],
-                 ["poincare", "--prime", "2", "--census", str(census)]):
-        procs = [subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
-                                capture_output=True, env=env) for env in (c_locale, None)]
-        assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2, argv
-        assert procs[0].stdout == procs[1].stdout, argv
+    procs = [subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
+                            capture_output=True, env=env) for env in (c_locale, None)]
+    assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2, argv
+    assert procs[0].stdout == procs[1].stdout, argv
+    return procs[0].stdout
+
+
+def test_files_are_read_as_utf8_in_any_locale(tmp_path):
+    # JSON is UTF-8 (RFC 8259, section 8.1): a raw é in a document's id and a
+    # Greek key in a census file read alike under the C locale
+    census = tmp_path / "census.json"
+    census.write_bytes('{"λ4": 1}'.encode())
+    _stdout_in_any_locale(["extract", "--prime", "2", "--input", str(_raw_e_document(tmp_path))])
+    _stdout_in_any_locale(["poincare", "--prime", "2", "--census", str(census)])
+
+
+def test_stdout_is_utf8_in_any_locale(tmp_path):
+    # the reports' ⊕ and a raw é id print alike under the C locale, where
+    # the locale's ascii codec refused them
+    assert "⊕" in _stdout_in_any_locale(["bredon", "--input", "graphfive.json"]).decode()
+    assert "⊕" in _stdout_in_any_locale(["khomology", "--census", '{"d2":2}']).decode()
+    out = _stdout_in_any_locale(["classify", "--prime", "2",
+                                 "--input", str(_raw_e_document(tmp_path))])
+    assert out.decode() == "é: Point\n"
 
 
 def test_unknown_flag_exits_one():

@@ -1,5 +1,8 @@
 """Tests for conditions A and B', the moves, and the reduction fixpoint."""
 
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,6 +18,8 @@ from tsr.groups import (CATALOG_TAGS, TAG_ORDERS, are_isomorphic,
 from tsr.reduction import (Move, ReductionLog, _rule_failure, apply_move,
                            check_condition_B_prime, reduce_complex, replay,
                            scripted_merge)
+
+from test_bredon import _circles
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -435,7 +440,49 @@ def test_reduce_checks_b_prime_once_per_candidate(monkeypatch):
 
     monkeypatch.setattr(tsr.reduction, "check_condition_B_prime", counted)
     reduce_complex(load("sl3z_soule.json"), 2)
-    assert len(calls) == 11
+    # 8 moves and the refusals at O and P: a cell is queued only under the
+    # kind its coface count allows, so P is no longer re-checked from a
+    # second "cut" entry pushed while it had two cofaces
+    assert len(calls) == 10
+
+
+@pytest.mark.parametrize("n", (1, 10, 1000))
+def test_reduce_tries_only_cells_that_can_start_a_move(monkeypatch, n):
+    # a cell is queued only under the kind its coface count allows: each
+    # circle's vertex is tried once, as a cut (its one coface has
+    # multiplicity 2), and its loop edge, with no coface, never
+    import tsr.reduction
+    calls, move_at = [], tsr.reduction._move_at
+
+    def counted(*args):
+        calls.append(args[1:3])
+        return move_at(*args)
+
+    monkeypatch.setattr(tsr.reduction, "_move_at", counted)
+    reduced, log = reduce_complex(parse_complex(_circles(n)), 2)
+    assert (len(reduced.cells), log.moves) == (2 * n, ())
+    assert sorted(calls) == sorted(("cut", f"v{i}") for i in range(n))
+
+
+def test_reduce_command_at_ci_scale(tmp_path):
+    # CI's 20,000 circles under CI's timeout: both output formats print the
+    # fixpoint and the log that reduce_complex gives in process
+    text = _circles(20000)
+    path = tmp_path / "circles.json"
+    path.write_text(text)
+    reduced, log = reduce_complex(parse_complex(text), 2)
+    doc = serialize_complex(reduced)
+    want = {
+        (): f"moves: {len(log.moves)}\n{log.to_jsonl()}log verified\n{doc}",
+        ("--json",): json.dumps({"complex": json.loads(doc),
+                                 "moves": [json.loads(m.to_json()) for m in log.moves]},
+                                indent=2, sort_keys=True) + "\n",
+    }
+    for flags, out in want.items():
+        proc = subprocess.run([sys.executable, "-m", "tsr.cli", "reduce", "--prime", "2",
+                               *flags, "--input", str(path)], capture_output=True, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, b""), flags
+        assert proc.stdout == out.encode(), flags
 
 
 def test_scripted_merge_reaches_final_chain():
