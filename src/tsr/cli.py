@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from stat import S_ISREG
 
 from . import __version__
 from .complexes import (ComplexSchemaError, _unique_keys, classify_component,
@@ -36,14 +35,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_file(path: str) -> str | None:
-    """The text of the regular file at path, or None where there is none,
-    as Path.is_file says without importing pathlib; other refusals raise."""
+    """The text at path, a pipe such as /dev/stdin included, or None where
+    there is no file (a directory among them); other refusals raise."""
     try:
-        if not S_ISREG(os.stat(path).st_mode):
-            return None
-    except (FileNotFoundError, NotADirectoryError, ValueError):
+        f = open(path, encoding="utf-8")  # JSON is UTF-8 (RFC 8259)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError, ValueError):
         return None
-    with open(path, encoding="utf-8") as f:  # JSON is UTF-8 (RFC 8259)
+    with f:
         return f.read()
 
 

@@ -1,0 +1,114 @@
+"""The documents the tests generate, one generator each, and the one
+runner of ``tsr`` as a fresh process.  Only the standard library and
+``tsr`` are imported: the source tree's or an installed package's."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import tsr
+from tsr.complexes import parse_complex
+
+FIXTURES = Path(tsr.__file__).parent / "fixtures"
+
+
+def load(name: str):
+    """The bundled fixture name, parsed."""
+    return parse_complex(FIXTURES.joinpath(name).read_text())
+
+
+#: PYTHONPATH with its relative entries (such as ``PYTHONPATH=src``) made
+#: absolute, so that a process run from any directory imports this tsr.
+PYTHONPATH = os.pathsep.join(os.path.abspath(p) for p in
+                             os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
+
+
+def run_cli(*argv, env=os.environ, **kwargs):
+    """(exit code, stdout, stderr) of ``python -m tsr.cli argv`` as a fresh
+    process; kwargs (cwd, input, timeout) go to subprocess.run."""
+    proc = subprocess.run([sys.executable, "-m", "tsr.cli", *argv], capture_output=True,
+                          env=dict(env, PYTHONPATH=PYTHONPATH), **kwargs)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def circles(n: int) -> str:
+    """n C2 loops e0.. of multiplicity 2, each on its own C2 vertex v0.."""
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": f"{k}{i}", "dim": d, "stabilizer": "C2", "self_identified": False}
+                  for i in range(n) for k, d in (("v", 0), ("e", 1))],
+        "incidences": [{"face": f"v{i}", "coface": f"e{i}", "multiplicity": 2}
+                       for i in range(n)]})
+
+
+def strip(n: int) -> str:
+    """n C1 triangles on C2 vertices and edges, spelled v0, v1, v10, ...
+    once sorted (no zero padding)."""
+    def cell(i, d):
+        return {"id": i, "dim": d, "stabilizer": ("C2", "C2", "C1")[d], "self_identified": False}
+
+    return json.dumps({
+        "rigid": True,
+        "cells": [cell(f"v{k}", 0) for k in range(n + 2)]
+        + [cell(f"e{k}_{s}", 1) for s in (1, 2) for k in range(n + 2 - s)]
+        + [cell(f"f{k}", 2) for k in range(n)],
+        "incidences": [{"face": f"v{k + t}", "coface": f"e{k}_{s}"}
+                       for s in (1, 2) for k in range(n + 2 - s) for t in (0, s)]
+        + [{"face": e, "coface": f"f{k}"} for k in range(n)
+           for e in (f"e{k}_1", f"e{k + 1}_1", f"e{k}_2")]})
+
+
+def graphfive_copies(n: int) -> str:
+    """n copies of the graphfive fixture, ids suffixed _0, _1, ... per copy."""
+    doc = json.loads(FIXTURES.joinpath("graphfive.json").read_text())
+    doc["cells"] = [dict(c, id=f"{c['id']}_{k}") for k in range(n) for c in doc["cells"]]
+    doc["incidences"] = [dict(i, face=f"{i['face']}_{k}", coface=f"{i['coface']}_{k}")
+                         for k in range(n) for i in doc["incidences"]]
+    return json.dumps(doc)
+
+
+def d3_c2_path(n: int) -> str:
+    """n + 1 D3 vertices v0..vn joined in a line by the n C2 edges e0..e(n-1),
+    a document with a 3-torsion block."""
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": f"v{k}", "dim": 0, "stabilizer": "D3", "self_identified": False}
+                  for k in range(n + 1)]
+        + [{"id": f"e{k}", "dim": 1, "stabilizer": "C2", "self_identified": False}
+           for k in range(n)],
+        "incidences": [{"face": f"v{k + t}", "coface": f"e{k}"}
+                       for k in range(n) for t in (0, 1)]})
+
+
+def two_vertex_path(vtag: str, etag: str) -> str:
+    """vtag - etag - vtag: the vertices a and b on the edge e."""
+    cells = [{"id": i, "dim": d, "stabilizer": t, "self_identified": False}
+             for i, d, t in (("a", 0, vtag), ("b", 0, vtag), ("e", 1, etag))]
+    return json.dumps({"rigid": True, "cells": cells, "incidences": [
+        {"face": "a", "coface": "e"}, {"face": "b", "coface": "e"}]})
+
+
+def escaped_ids() -> str:
+    """A C2 loop on a self-identified vertex, and a lone vertex v, whose
+    ids need every JSON escape: a quote, a backslash, a control character,
+    non-ASCII, a character outside the BMP and a lone surrogate."""
+    esc = "q\"b\\s\x01é\U0001f600\ud800"
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": i, "dim": d, "stabilizer": "C2", "self_identified": d == 0}
+                  for i, d in ((esc, 0), (esc + "e", 1), ("v", 0))],
+        "incidences": [{"face": esc, "coface": esc + "e", "multiplicity": 2}]})
+
+
+def non_rigid(name: str) -> str:
+    """The bundled fixture's document with its rigid key set to false."""
+    text = FIXTURES.joinpath(name).read_text()
+    assert text.count('"rigid": true') == 1
+    return text.replace('"rigid": true', '"rigid": false')
+
+
+def deep_json() -> str:
+    """100,000 opening brackets: deeper than any JSON parser recurses."""
+    return "[" * 100_000

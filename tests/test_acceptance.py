@@ -6,10 +6,7 @@ deferred to calibration.
 """
 
 import functools
-import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +15,7 @@ import numpy as np
 from tsr.bredon import (BLOCK_PARTS, bredon_complex, bredon_homology_formula,
                         chen_ruan_dims, homology, k_homology,
                         split_blocks, transformed_induction)
-from tsr.complexes import INCLUSIONS, parse_complex, serialize_complex, torsion_subcomplex
+from tsr.complexes import INCLUSIONS, serialize_complex, torsion_subcomplex
 from tsr.groups import (SPLITTING_BASES, check_block_diagonal, dihedral_group,
                         dihedral_mod_ell_homology, mod_ell_homology_bruteforce)
 from tsr.reduction import apply_move, reduce_complex, replay
@@ -26,13 +23,9 @@ from tsr.series import (SubgroupCensus, canonical_series,
                         equivariant_graph_cohomology_oracle, poincare_2torsion,
                         poincare_3torsion, sl2_mod2_dims)
 
-ROOT = Path(__file__).resolve().parents[1]
-FIXTURES = ROOT / "src" / "tsr" / "fixtures"
-EXPECTED = ROOT / "tests" / "expected"
+from documents import load, run_cli
 
-
-def load(name):
-    return parse_complex(FIXTURES.joinpath(name).read_text())
+EXPECTED = Path(__file__).parent / "expected"
 
 
 def criterion(number, title):
@@ -217,11 +210,9 @@ def test_criterion_10():
         ["classify", "--prime", "2", "--input", "graphfive.json"],
     ]
     for argv in commands:
-        runs = [subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
-                               capture_output=True) for _ in range(2)]
-        assert runs[0].returncode == 0, (argv, runs[0].stderr)
-        assert runs[0].stdout == runs[1].stdout, argv
-        assert runs[0].returncode == runs[1].returncode
+        (code, out, err), again = run_cli(*argv), run_cli(*argv)
+        assert code == 0, (argv, err)
+        assert (code, out) == again[:2], argv
     # reduction logs replay to the same fixpoint
     for name, ell in [("sl3z_soule.json", 2), ("path_c2_d3_c2.json", 2)]:
         cx = load(name)

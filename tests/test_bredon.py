@@ -1,9 +1,6 @@
 """Tests for representation rings, splitting, SNF and Bredon homology."""
 
 import json
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,9 +25,7 @@ from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
 from tsr.reduction import apply_move, reduce_complex
 from tsr.series import SubgroupCensus, equivariant_graph_cohomology_oracle, restriction_block
 
-from test_modp import _strip
-
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
+from documents import FIXTURES, graphfive_copies
 
 INCLUSIONS = [("C2", "D2"), ("C2", "D3"), ("C3", "D3"), ("C2", "A4"),
               ("C3", "A4")]
@@ -478,22 +473,12 @@ def test_splitting_theorem_direct_sum():
             assert full[i] == parts[0][i] + parts[1][i] + parts[2][i], name
 
 
-def _graphfive_copies(n: int) -> str:
-    """n graphfive copies, ids suffixed per copy, as in CI's document of
-    1,000 copies."""
-    doc = json.loads(FIXTURES.joinpath("graphfive.json").read_text())
-    doc["cells"] = [dict(c, id=f"{c['id']}_{k}") for k in range(n) for c in doc["cells"]]
-    doc["incidences"] = [dict(i, face=f"{i['face']}_{k}", coface=f"{i['coface']}_{k}")
-                         for k in range(n) for i in doc["incidences"]]
-    return json.dumps(doc)
-
-
 def test_many_theta_components(monkeypatch):
     # 64 graphfive copies: each θ component adds one Z/2 to H0, which the
     # elimination reads off the core's content, never from the Smith
     # normal form of a 128 x 128 core
     monkeypatch.setattr(tsr.bredon, "smith_normal_form", None)
-    bc = bredon_complex(parse_complex(_graphfive_copies(64)))
+    bc = bredon_complex(parse_complex(graphfive_copies(64)))
     full = homology(bc.chain())
     assert full == [AbelianGroup(256, (2,) * 64), AbelianGroup(128), AbelianGroup()]
     blocks = split_blocks(bc)
@@ -843,54 +828,3 @@ def test_bredon_command_checks_each_complex_once(monkeypatch, capsys, flags, pro
     assert main(["bredon", *flags, "--input", "graphfive.json"]) == 0
     capsys.readouterr()
     assert len(calls) == products
-
-
-def _circles(n: int) -> str:
-    """n C2 loop edges, each on its own C2 vertex, as in CI's document of
-    20,000 circles."""
-    return json.dumps({
-        "rigid": True,
-        "cells": [{"id": f"{k}{i}", "dim": d, "stabilizer": "C2", "self_identified": False}
-                  for i in range(n) for k, d in (("v", 0), ("e", 1))],
-        "incidences": [{"face": f"v{i}", "coface": f"e{i}", "multiplicity": 2}
-                       for i in range(n)]})
-
-
-def _d3_c2_path(n: int) -> str:
-    """n + 1 D3 vertices v0..vn joined in a line by the n C2 edges e0..e(n-1),
-    a document with a 3-torsion block."""
-    return json.dumps({
-        "rigid": True,
-        "cells": [{"id": f"v{k}", "dim": 0, "stabilizer": "D3", "self_identified": False}
-                  for k in range(n + 1)]
-        + [{"id": f"e{k}", "dim": 1, "stabilizer": "C2", "self_identified": False}
-           for k in range(n)],
-        "incidences": [{"face": f"v{k + t}", "coface": f"e{k}"}
-                       for k in range(n) for t in (0, 1)]})
-
-
-@pytest.mark.parametrize("document,timeout,flag_sets", [
-    (lambda: _circles(20000), 20, ([], ["--json"])),
-    (lambda: _graphfive_copies(1000), 20, ([],)),
-    (lambda: _strip(500), 5, ([],)),
-    (lambda: _strip(2000), 5, ([],)),
-    (lambda: _d3_c2_path(8000), 20, ([],)),
-], ids=["circles20000", "graphfive1000", "strip500", "strip2000", "d3c2path8000"])
-def test_bredon_command_at_ci_scale(document, timeout, flag_sets, tmp_path):
-    # CI's Bredon documents under CI's timeouts, and a D3-C2 path, the one
-    # with a 3-torsion block: the printed total, the sum of the three block
-    # homologies, is the homology of the assembled total
-    text = document()
-    path = tmp_path / "doc.json"
-    path.write_text(text)
-    want = [str(h) for h in homology(bredon_complex(parse_complex(text)).chain())]
-    for flags in flag_sets:
-        proc = subprocess.run([sys.executable, "-m", "tsr.cli", "bredon", *flags,
-                               "--input", str(path)], capture_output=True, timeout=timeout)
-        assert (proc.returncode, proc.stderr) == (0, b""), flags
-        out = proc.stdout.decode()
-        if flags:
-            assert json.loads(out)["total"] == want
-        else:
-            assert out.splitlines()[-1] == "total: " + ", ".join(
-                f"H_{i} = {h}" for i, h in enumerate(want))

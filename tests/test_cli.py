@@ -19,13 +19,9 @@ from tsr.cli import main
 from tsr.complexes import OrbitComplex, parse_complex
 from tsr.series import SubgroupCensus
 
+from documents import deep_json, non_rigid, run_cli, two_vertex_path
+
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
-
-
-def run_cli(*argv):
-    proc = subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
-                          capture_output=True)
-    return proc.returncode, proc.stdout, proc.stderr
 
 
 def test_validate_fixture():
@@ -53,11 +49,10 @@ def _stdout_in_any_locale(argv) -> bytes:
     """The stdout of a command that exits 0 with an empty stderr, and with
     the same stdout, under the C locale and the default one."""
     c_locale = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
-    procs = [subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
-                            capture_output=True, env=env) for env in (c_locale, None)]
-    assert [(p.returncode, p.stderr) for p in procs] == [(0, b"")] * 2, argv
-    assert procs[0].stdout == procs[1].stdout, argv
-    return procs[0].stdout
+    runs = [run_cli(*argv, env=env) for env in (c_locale, os.environ)]
+    assert [(code, err) for code, _, err in runs] == [(0, b"")] * 2, argv
+    assert runs[0][1] == runs[1][1], argv
+    return runs[0][1]
 
 
 def test_files_are_read_as_utf8_in_any_locale(tmp_path):
@@ -154,11 +149,10 @@ def test_khomology_report():
 def test_khomology_large_prime_torsion():
     # the torsion chain is normalised by gcd and lcm, not by factoring, so
     # a large prime coefficient returns at once
-    proc = subprocess.run([sys.executable, "-m", "tsr.cli", "khomology", "--census", "{}",
-                           "--h1-torsion", "1000000000000000003"],
-                          capture_output=True, timeout=20)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "K_0 = Z\nK_1 = Z/1000000000000000003\n".encode()
+    code, out, err = run_cli("khomology", "--census", "{}", "--h1-torsion", "1000000000000000003",
+                             timeout=20)
+    assert code == 0, err
+    assert out == "K_0 = Z\nK_1 = Z/1000000000000000003\n".encode()
 
 
 @pytest.mark.parametrize("flags", [
@@ -225,7 +219,7 @@ def test_malformed_json_option_exits_one(argv):
 
 
 def test_deeply_nested_document_exits_one(tmp_path):
-    (tmp_path / "deep.json").write_text("[" * 100_000)
+    (tmp_path / "deep.json").write_text(deep_json())
     code, out, err = run_cli("validate", "--input", str(tmp_path / "deep.json"))
     assert code == 1 and out == b""
     assert err.decode().splitlines() == ["error: invalid JSON: nested too deeply"]
@@ -325,14 +319,6 @@ def test_bredon_refuses_a_three_cell(tmp_path, capsys):
     assert out == "" and err.splitlines() == ["error: complex dimension must be <= 2"]
 
 
-def _path_document(vtag, etag):
-    """vtag - etag - vtag as a complex document."""
-    cells = [{"id": i, "dim": d, "stabilizer": t, "self_identified": False}
-             for i, d, t in (("a", 0, vtag), ("b", 0, vtag), ("e", 1, etag))]
-    return json.dumps({"rigid": True, "cells": cells, "incidences": [
-        {"face": "a", "coface": "e"}, {"face": "b", "coface": "e"}]})
-
-
 @pytest.mark.parametrize("tags,argv,message", [
     # the oracle runs on the 3-torsion subcomplex, which keeps D3 in C3;
     # H^1 and H^2 of D3 vanish at ell = 3, so only the table refuses it
@@ -341,7 +327,7 @@ def _path_document(vtag, etag):
     (("D2", "C3"), ["bredon"], "error: unsupported inclusion 'C3' in 'D2'"),
 ])
 def test_non_inclusion_exits_one(tmp_path, tags, argv, message):
-    (tmp_path / "c.json").write_text(_path_document(*tags))
+    (tmp_path / "c.json").write_text(two_vertex_path(*tags))
     code, out, err = run_cli(*argv, "--input", str(tmp_path / "c.json"))
     assert code == 1 and out == b""
     assert err.decode().splitlines() == [message]
@@ -402,7 +388,7 @@ def test_main_callable_directly(capsys):
     ["poincare", "--prime", "2", "--census", "a" * 5000],
 ], ids=["input", "census"])
 def test_os_error_exits_one_with_one_line(capsys, argv):
-    # a path longer than any file name makes Path.is_file raise OSError
+    # a path longer than any file name makes open raise OSError
     assert main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -426,8 +412,7 @@ def test_absurd_degree_bound_exits_one_with_one_line(capsys, degrees, message):
 
 def test_non_rigid_document_is_refused_by_every_command(tmp_path):
     path = tmp_path / "c.json"
-    path.write_text((FIXTURES / "graphfive.json").read_text().replace(
-        '"rigid": true', '"rigid": false'))
+    path.write_text(non_rigid("graphfive.json"))
     for argv in (["validate"], ["extract", "--prime", "2"], ["reduce", "--prime", "2"],
                  ["classify", "--prime", "2"], ["bredon"], ["oracle", "--prime", "2"]):
         code, out, err = run_cli(*argv, "--input", str(path))
@@ -541,7 +526,8 @@ def test_subcommand_imports_only_what_it_runs(argv, absent):
 def test_bredon_import_loads_no_fractions():
     # the representation blocks are pinned integers: no Q(w) arithmetic
     code = ("import sys, tsr.bredon\n"
-            "print(sorted(m for m in ('fractions', 'tsr.groups', 'tsr.series')"
+            "print(sorted(m for m in ('fractions', 'tsr.groups', 'tsr.series', 'dataclasses',"
+            " 'inspect')"
             " if m in sys.modules))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

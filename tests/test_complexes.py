@@ -3,7 +3,6 @@
 import json
 import random
 import re
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +18,9 @@ from tsr.groups import (FiniteGroup, are_isomorphic, catalog_group, compose, inv
                         subgroups)
 from tsr.series import ORACLE_STABILIZERS
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
+from documents import FIXTURES, load
+
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
-
-
-def load(name: str) -> OrbitComplex:
-    return parse_complex(FIXTURES.joinpath(name).read_text())
 
 
 def test_empty_complex():

@@ -1,7 +1,6 @@
 """Properties of the sparse elimination kernel on random matrices, over
 F_p and over Z (against the Smith normal form)."""
 
-import json
 from math import gcd
 
 import numpy as np
@@ -13,6 +12,8 @@ import tsr.bredon
 from tsr._modp import SpanTracker, nullspace_mod, rank_mod
 from tsr.bredon import bredon_complex, elementary_divisors, smith_normal_form
 from tsr.complexes import parse_complex
+
+from documents import strip
 
 
 @st.composite
@@ -150,26 +151,9 @@ def test_no_pivot_row_changes_once_made(case):
     _assert_echelon(tracker)
 
 
-def _strip(n: int) -> str:
-    """n C1 triangles on C2 vertices and edges, spelled v0, v1, v10, ...
-    once sorted, as in the strip that CI runs through ``tsr bredon``."""
-    def cell(i, d):
-        return {"id": i, "dim": d, "stabilizer": ("C2", "C2", "C1")[d], "self_identified": False}
-
-    return json.dumps({
-        "rigid": True,
-        "cells": [cell(f"v{k}", 0) for k in range(n + 2)]
-        + [cell(f"e{k}_{s}", 1) for s in (1, 2) for k in range(n + 2 - s)]
-        + [cell(f"f{k}", 2) for k in range(n)],
-        "incidences": [{"face": f"v{k + t}", "coface": f"e{k}_{s}"}
-                       for s in (1, 2) for k in range(n + 2 - s) for t in (0, s)]
-        + [{"face": e, "coface": f"f{k}"} for k in range(n)
-           for e in (f"e{k}_1", f"e{k + 1}_1", f"e{k}_2")]})
-
-
 def test_echelon_elimination_of_a_strip_makes_no_fill():
     # psi_1 of 1,000 triangles has 2,004 rows of at most 4 nonzeros; kept
     # in reduced echelon form, its pivot rows filled to 823,202 nonzeros
-    psi1 = bredon_complex(parse_complex(_strip(1000))).chain().psi1
+    psi1 = bredon_complex(parse_complex(strip(1000))).chain().psi1
     span = SpanTracker(0, psi1)
     assert sum(len(row) for row in span.pivots.values()) <= 15_000

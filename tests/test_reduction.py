@@ -1,10 +1,5 @@
 """Tests for conditions A and B', the moves, and the reduction fixpoint."""
 
-import json
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,13 +14,7 @@ from tsr.reduction import (Move, ReductionLog, _rule_failure, apply_move,
                            check_condition_B_prime, reduce_complex, replay,
                            scripted_merge)
 
-from test_bredon import _circles
-
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
-
-
-def load(name: str) -> OrbitComplex:
-    return parse_complex(FIXTURES.joinpath(name).read_text())
+from documents import circles, load, non_rigid
 
 
 # --------------------------------------------------------------------------
@@ -459,30 +448,9 @@ def test_reduce_tries_only_cells_that_can_start_a_move(monkeypatch, n):
         return move_at(*args)
 
     monkeypatch.setattr(tsr.reduction, "_move_at", counted)
-    reduced, log = reduce_complex(parse_complex(_circles(n)), 2)
+    reduced, log = reduce_complex(parse_complex(circles(n)), 2)
     assert (len(reduced.cells), log.moves) == (2 * n, ())
     assert sorted(calls) == sorted(("cut", f"v{i}") for i in range(n))
-
-
-def test_reduce_command_at_ci_scale(tmp_path):
-    # CI's 20,000 circles under CI's timeout: both output formats print the
-    # fixpoint and the log that reduce_complex gives in process
-    text = _circles(20000)
-    path = tmp_path / "circles.json"
-    path.write_text(text)
-    reduced, log = reduce_complex(parse_complex(text), 2)
-    doc = serialize_complex(reduced)
-    want = {
-        (): f"moves: {len(log.moves)}\n{log.to_jsonl()}log verified\n{doc}",
-        ("--json",): json.dumps({"complex": json.loads(doc),
-                                 "moves": [json.loads(m.to_json()) for m in log.moves]},
-                                indent=2, sort_keys=True) + "\n",
-    }
-    for flags, out in want.items():
-        proc = subprocess.run([sys.executable, "-m", "tsr.cli", "reduce", "--prime", "2",
-                               *flags, "--input", str(path)], capture_output=True, timeout=20)
-        assert (proc.returncode, proc.stderr) == (0, b""), flags
-        assert proc.stdout == out.encode(), flags
 
 
 def test_scripted_merge_reaches_final_chain():
@@ -492,20 +460,13 @@ def test_scripted_merge_reaches_final_chain():
     assert stabs == [(0, "S4"), (0, "S4"), (0, "S4"), (1, "C2"), (1, "D4")]
 
 
-def non_rigid_copy(name: str) -> str:
-    """The fixture's document with its rigid key set to false."""
-    text = FIXTURES.joinpath(name).read_text()
-    assert text.count('"rigid": true') == 1
-    return text.replace('"rigid": true', '"rigid": false')
-
-
 def test_reduce_requires_rigid():
     # the rigid flag is read only by parse_complex, so a non-rigid document
     # is refused before reduce_complex sees it
     reduced, _ = reduce_complex(load("path_c2_d3_c2.json"), 2)
     assert len(reduced.cells) == 3
     with pytest.raises(ValueError, match="rigid must be true"):
-        reduce_complex(parse_complex(non_rigid_copy("path_c2_d3_c2.json")), 2)
+        reduce_complex(parse_complex(non_rigid("path_c2_d3_c2.json")), 2)
 
 
 @pytest.mark.parametrize("edit", [
@@ -523,7 +484,7 @@ def test_every_editing_entry_point_rejects_a_non_rigid_complex(edit):
     _, log = reduce_complex(cx, 2)
     edit(cx, log.moves[0])
     with pytest.raises(ValueError, match="rigid must be true"):
-        edit(parse_complex(non_rigid_copy("chain_c2_c2_d3.json")), log.moves[0])
+        edit(parse_complex(non_rigid("chain_c2_c2_d3.json")), log.moves[0])
 
 
 def test_scripted_merge_validates_adjacency():

@@ -5,7 +5,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,11 +22,7 @@ from tsr.series import (ORACLE_STABILIZERS, CensusError, RationalSeries, Subgrou
                         poincare_3torsion, restriction_block, sl2_mod2_dims,
                         stabilizer_cohomology_dim, triangle_group_homology)
 
-FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
-
-
-def load(name):
-    return parse_complex(FIXTURES.joinpath(name).read_text())
+from documents import load, non_rigid
 
 
 def ints(coeffs):
@@ -275,10 +270,9 @@ def test_oracle_rejects_degree_zero():
 def test_oracle_rejects_non_rigid_complex():
     # the rigid flag is read only by parse_complex, so a non-rigid document
     # is refused before the oracle sees it
-    text = FIXTURES.joinpath("graphfive.json").read_text()
-    equivariant_graph_cohomology_oracle(parse_complex(text), 2, range(3, 6))
+    equivariant_graph_cohomology_oracle(load("graphfive.json"), 2, range(3, 6))
     with pytest.raises(ValueError, match="rigid must be true"):
-        cx = parse_complex(text.replace('"rigid": true', '"rigid": false'))
+        cx = parse_complex(non_rigid("graphfive.json"))
         equivariant_graph_cohomology_oracle(cx, 2, range(3, 6))
 
 
