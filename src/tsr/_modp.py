@@ -26,6 +26,9 @@ once, newest first.
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
 is a signed sum of small per-inclusion blocks at the cells' offsets.
+It drops an entry whose terms cancel as it sums, so its rows are clean
+over Z (nonzero Python ints) and the Bredon chain check takes them as
+they are; over F_p ``rank_mod`` still reduces them with ``_row``.
 The module holds elimination and assembly only.
 """
 
@@ -57,9 +60,9 @@ def assemble(terms, rows, cols, width, block) -> list[dict[int, int]]:
     over the terms (row cell, column cell, sign, emb), given as indices
     into the cell sequences rows and cols; a cell spans width(its tag)
     rows or columns, and a block is a list of rows, read once per key.
-    Terms that cancel leave explicit zeros in the rows: both consumers,
-    ``bredon.IntegerChainComplex`` and ``SpanTracker.add`` (through
-    ``rank_mod``), clean every row with ``_row``."""
+    An entry whose terms cancel is dropped when it reaches zero, so the
+    rows hold no zeros: with integer blocks they are clean over Z, and
+    ``bredon`` builds its chain complexes from them without a copy."""
     roff, coff = (list(accumulate((width(c.stabilizer) for c in cells), initial=0))
                   for cells in (rows, cols))
     out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
@@ -71,7 +74,11 @@ def assemble(terms, rows, cols, width, block) -> list[dict[int, int]]:
                             for c, x in enumerate(brow) if x]
         for r, c, x in entries[key]:
             row, c = out[roff[i] + r], coff[j] + c
-            row[c] = row.get(c, 0) + sign * x
+            x = row.get(c, 0) + sign * x
+            if x:
+                row[c] = x
+            else:  # cancelled: the entry was there, and goes
+                del row[c]
     return out
 
 

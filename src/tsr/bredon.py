@@ -9,7 +9,10 @@ splitting bases in ``tsr.groups``, by Frobenius reciprocity.
 Each block of the split sums the split blocks' corners on its part
 over the incidence terms of the complex, as sparse rows that go
 straight to the elimination; ``split_blocks`` checks every split block
-it reads for an entry that links two parts.  The total, whose homology
+it reads for an entry that links two parts.  Assembled rows are clean,
+so a built complex keeps them without a copy and checks them once;
+only rows from outside, given to ``IntegerChainComplex``, are
+normalised first.  The total, whose homology
 is the blocks' direct sum, is assembled only by ``BredonComplex.chain``.
 Dense rows are made only for the Smith normal form of the elimination's
 core and for the dense ``BredonComplex.psi1``/``psi2`` views.
@@ -99,18 +102,6 @@ def transformed_induction(source: str, target: str, embedding: int = 0) -> Matri
     """The induced map in the splitting bases, block diagonal by
     BLOCK_PARTS."""
     return _blocks(source, target, embedding)[1]
-
-
-def _matmul(a, b) -> list[dict[int, int]]:
-    """a @ b as sparse rows; a and b are lists of sparse rows."""
-    out = []
-    for r in a:
-        acc: dict[int, int] = {}
-        for k, x in r.items():
-            for j, y in b[k].items():
-                acc[j] = acc.get(j, 0) + x * y
-        out.append({j: x for j, x in acc.items() if x})
-    return out
 
 
 # --------------------------------------------------------------------------
@@ -256,26 +247,45 @@ def _divisors(rows: list[dict[int, int]]) -> list[int]:
     return out
 
 
+def _check_chain(psi1, psi2, dims: tuple[int, int, int]) -> None:
+    """ValueError unless the sparse rows fit dims and psi1 @ psi2 = 0.  A
+    row's columns are in range when its least and greatest key are; the
+    product is formed one row at a time, up to the first nonzero row."""
+    n0, n1, n2 = dims
+    if (len(psi1) != n0 or len(psi2) != n1
+            or any(row and (min(row) < 0 or max(row) >= n1) for row in psi1)
+            or any(row and (min(row) < 0 or max(row) >= n2) for row in psi2)):
+        raise ValueError("psi1 and psi2 are not composable with dims "
+                         f"{dims}")
+    for row in psi1:
+        acc: dict[int, int] = {}
+        for k, x in row.items():
+            for j, y in psi2[k].items():
+                acc[j] = acc.get(j, 0) + x * y
+        if any(acc.values()):
+            raise ValueError("not a chain complex: psi1 @ psi2 != 0")
+
+
 class IntegerChainComplex(namedtuple("IntegerChainComplex", "psi1 psi2 dims")):
     """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0 with
     dims = (n0, n1, n2).  The differentials may be given as dense or
-    sparse rows; they are stored as sparse {column: entry} rows, and a
-    complex is checked once, when it is built: the rows must fit dims
-    and psi1 @ psi2 must vanish, or ValueError is raised."""
+    sparse rows; the constructor normalises them once with ``_row``
+    into sparse {column: entry} rows of Python ints, which it stores.
+    ``_of_clean_rows`` takes rows that are clean already, as assembled,
+    and keeps them as they are.  Either way a complex is checked once,
+    when it is built: the rows must fit dims and psi1 @ psi2 must
+    vanish, or ValueError is raised."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, psi1, psi2, dims: tuple[int, int, int]):
-        psi1, psi2 = ([_row(r, 0) for r in rows] for rows in (psi1, psi2))
-        n0, n1, n2 = dims
-        if (len(psi1) != n0 or len(psi2) != n1
-                or any(not 0 <= j < n1 for row in psi1 for j in row)
-                or any(not 0 <= j < n2 for row in psi2 for j in row)):
-            raise ValueError("psi1 and psi2 are not composable with dims "
-                             f"{dims}")
-        if any(_matmul(psi1, psi2)):
-            raise ValueError("not a chain complex: psi1 @ psi2 != 0")
+        return cls._of_clean_rows(*([_row(r, 0) for r in rows] for rows in (psi1, psi2)),
+                                  dims)
+
+    @classmethod
+    def _of_clean_rows(cls, psi1, psi2, dims: tuple[int, int, int]) -> IntegerChainComplex:
+        _check_chain(psi1, psi2, dims)
         return super().__new__(cls, psi1, psi2, dims)
 
 
@@ -325,7 +335,7 @@ def _summed(bc: BredonComplex, width, block) -> IntegerChainComplex:
     coordinates, an inclusion adds block(source, target, embedding)."""
     psi1 = assemble(bc.terms1, bc.vertices, bc.edges, width, block)
     psi2 = assemble(bc.terms2, bc.edges, bc.faces, width, block)
-    return IntegerChainComplex(psi1, psi2, (len(psi1), len(psi2), sum(
+    return IntegerChainComplex._of_clean_rows(psi1, psi2, (len(psi1), len(psi2), sum(
         width(f.stabilizer) for f in bc.faces)))
 
 
@@ -333,7 +343,9 @@ def _oriented_boundary_walk(face_id: str, uses: list[int],
                             ends: tuple) -> list[tuple[int, int]]:
     """Sign a 2-cell boundary, given as one edge index per use, by a
     depth-first walk from its least vertex: the top vertex takes its first
-    unused use, and a vertex with none left is popped.  Each use is signed
+    unused use, and a vertex with none left is popped.  A use, once taken,
+    stays taken, so each vertex keeps a cursor into its uses that only
+    moves forward, and the walk is linear in the uses.  Each use is signed
     by the direction in which the walk first takes it, compared with the
     edge's intrinsic direction (second end slot -> first end slot); returns
     (edge index, sign) per use, in the order of uses.  Edge j's end slots
@@ -347,15 +359,19 @@ def _oriented_boundary_walk(face_id: str, uses: list[int],
     if any(len(v) % 2 for v in adj.values()):
         raise ValueError(f"boundary of {face_id!r} is not a closed walk")
     signs = [0] * len(uses)  # 0 until the walk takes the use
+    cursor = dict.fromkeys(adj, 0)
     st: list[int] = [min(adj)] if adj else []
     while st:
         v = st[-1]
-        found = next((k for k in adj[v] if not signs[k]), None)
-        if found is None:
+        at, n = adj[v], cursor[v]
+        while n < len(at) and signs[at[n]]:
+            n += 1
+        cursor[v] = n
+        if n == len(at):
             st.pop()
         else:
-            tail, head = joins[found]
-            signs[found] = 1 if v == tail else -1
+            tail, head = joins[at[n]]
+            signs[at[n]] = 1 if v == tail else -1
             st.append(head if v == tail else tail)
     if not all(signs):
         raise ValueError(f"boundary of {face_id!r} is not connected")
@@ -386,8 +402,8 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     # a face's block is the induction from C1: the regular representation
     terms2 = tuple((k, j, sign, 0) for j, f in enumerate(faces)
                    for k, sign in _oriented_boundary_walk(f.id, [
-                       eindex[inc.face] for inc in cx.faces(f.id)
-                       for _ in range(inc.multiplicity)], terms1))
+                       use for inc in cx._faces.get(f.id, ())
+                       for use in [eindex[inc.face]] * inc.multiplicity], terms1))
     for i, j, _, emb in terms1:
         check_inclusion(edges[j].stabilizer, vertices[i].stabilizer, emb)
     return BredonComplex(vertices, edges, faces, terms1, terms2)
@@ -405,8 +421,7 @@ def split_blocks(bc: BredonComplex) -> SplitBlocks:
     raises BlockSplitError at an entry that links two parts."""
 
     def block(w: int) -> IntegerChainComplex:
-        def width(tag):
-            return len(BLOCK_PARTS[tag][w])
+        width = {tag: len(parts[w]) for tag, parts in BLOCK_PARTS.items()}.__getitem__
 
         def corner(source, target, emb):
             mat = transformed_induction(source, target, emb)

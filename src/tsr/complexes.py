@@ -337,23 +337,33 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     it gets 0, for its consumer to refuse).  An edge without exactly two
     end slots raises ValueError.
     """
-    for e in cx.cells:  # in record order, so the first bad edge is named
-        if e.dim == 1 and sum(i.multiplicity for i in cx.faces(e.id)) != 2:
-            raise ValueError(f"edge {e.id!r} must have exactly two end slots")
-    vertices = tuple(sorted(cx.cells_of_dim(0), key=lambda c: c.id))
-    edges = tuple(sorted(cx.cells_of_dim(1), key=lambda c: c.id))
+    vertices, edges, pairs = [], [], {}
+    for c in cx.cells:  # in record order, so the first bad edge is named
+        if c.dim == 0:
+            vertices.append(c)
+        elif c.dim == 1:
+            # positive multiplicities summing to 2: one loop incidence or two ends
+            incs = cx._faces.get(c.id, ())
+            if len(incs) == 1 and incs[0].multiplicity == 2:
+                pairs[c.id] = (incs[0].face,) * 2
+            elif len(incs) == 2 and incs[0].multiplicity == incs[1].multiplicity == 1:
+                pairs[c.id] = sorted((incs[0].face, incs[1].face))
+            else:
+                raise ValueError(f"edge {c.id!r} must have exactly two end slots")
+            edges.append(c)
+    vertices.sort(key=attrgetter("id"))
+    edges.sort(key=attrgetter("id"))
     index = {v.id: i for i, v in enumerate(vertices)}
     counters: dict[tuple[int, str], int] = {}  # ends so far per (vertex, edge tag)
     ends = []
     for j, e in enumerate(edges):
-        slots = [index[inc.face] for inc in sorted(cx.faces(e.id), key=lambda i: i.face)
-                 for _ in range(inc.multiplicity)]
-        for i, sign in zip(slots, (1, -1)):
+        for face, sign in zip(pairs[e.id], (1, -1)):
+            i = index[face]
             n = counters.get((i, e.stabilizer), 0)
             counters[i, e.stabilizer] = n + 1
             classes = INCLUSIONS.get((e.stabilizer, vertices[i].stabilizer), 1)
             ends.append((i, j, sign, n % classes))
-    return vertices, edges, tuple(ends)
+    return tuple(vertices), tuple(edges), tuple(ends)
 
 
 def classify_component(cx: OrbitComplex) -> str:

@@ -338,10 +338,10 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     assembled degree by degree from the vertex-to-edge restriction maps
     over the edge end terms of edge_end_assignments:
     dim H^q = dim ker(alpha_q) + dim coker(alpha_{q-1}) for the map
-    alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e).  Each distinct map is
-    eliminated once: its rank is kept under its content (the per-tag
-    dims and restriction blocks), not its degree, as equal maps have
-    equal ranks."""
+    alpha_q : (+)_v H^q(G_v) -> (+)_e H^q(G_e).  Each degree's map is
+    built once, and each distinct map is eliminated once: its rank is
+    kept under its content (the per-tag dims and restriction blocks),
+    not its degree, as equal maps have equal ranks."""
     # here, not at the top: poincare and e2page never compile the kernel
     from ._modp import assemble, rank_mod
     _check_prime(ell)
@@ -357,16 +357,20 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     tags = sorted(vcount.keys() | ecount.keys())
     incl = dict.fromkeys((vertices[i].stabilizer, edges[j].stabilizer, e) for i, j, _, e in ends)
     ranks: dict[tuple, int] = {}
+    maps: dict[int, tuple[int, int, int]] = {}
 
     def alpha(q: int) -> tuple[int, int, int]:
-        """(rank, rows, columns) of alpha_q."""
+        """(rank, rows, columns) of alpha_q, built once per degree."""
+        if q in maps:
+            return maps[q]
         dim = {t: stabilizer_cohomology_dim(t, ell, q) for t in tags}
         blocks = {k: restriction_block(*k, ell, q) for k in incl}
         key = (tuple(dim.values()), tuple(tuple(map(tuple, b)) for b in blocks.values()))
         if key not in ranks:
             mat = assemble(terms, edges, vertices, dim.__getitem__, lambda *k: blocks[k])
             ranks[key] = rank_mod(mat, ell)
-        return ranks[key], *(sum(dim[t] * n for t, n in c.items()) for c in (ecount, vcount))
+        maps[q] = ranks[key], *(sum(dim[t] * n for t, n in c.items()) for c in (ecount, vcount))
+        return maps[q]
 
     dims = {}
     for q in sorted(q_range):

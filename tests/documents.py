@@ -82,6 +82,17 @@ def d3_c2_path(n: int) -> str:
                        for k in range(n) for t in (0, 1)]})
 
 
+def wound_loop(m: int) -> str:
+    """A C1 face f whose boundary winds the C1 loop e on the C1 vertex v m
+    times: one incidence of multiplicity m, so H_1 of the total is Z/m."""
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": i, "dim": d, "stabilizer": "C1", "self_identified": False}
+                  for d, i in enumerate("vef")],
+        "incidences": [{"face": "v", "coface": "e", "multiplicity": 2},
+                       {"face": "e", "coface": "f", "multiplicity": m}]})
+
+
 def two_vertex_path(vtag: str, etag: str) -> str:
     """vtag - etag - vtag: the vertices a and b on the edge e."""
     cells = [{"id": i, "dim": d, "stabilizer": t, "self_identified": False}

@@ -364,17 +364,26 @@ def test_homology_rejects_non_chain():
     ([{0: 1}, {2: 1}], [{}, {}]),   # a psi1 column past n1
     ([{0: 1}, {-1: 1}], [{}, {}]),  # a negative psi1 column
     ([{0: 1}, {}], [{1: 1}, {}]),   # a psi2 column past n2
+    ([{0: 1}, {}], [{-1: 1}, {}]),  # a negative psi2 column
     ([{0: 1}], [{}, {}]),           # one psi1 row short of n0
     ([{0: 1}, {}], [{}]),           # one psi2 row short of n1
 ])
 def test_homology_rejects_rows_outside_dims(psi1, psi2):
-    with pytest.raises(ValueError, match="not composable"):
-        homology(IntegerChainComplex(psi1, psi2, (2, 2, 1)))
+    # the constructor and the path of assembled rows refuse alike
+    for build in (IntegerChainComplex, IntegerChainComplex._of_clean_rows):
+        with pytest.raises(ValueError) as err:
+            build(psi1, psi2, (2, 2, 1))
+        assert str(err.value) == "psi1 and psi2 are not composable with dims (2, 2, 1)"
 
 
 def test_chain_complex_checks_itself_when_built():
-    with pytest.raises(ValueError, match="not a chain complex"):
-        IntegerChainComplex([{0: 1}, {1: 1}], [{0: 1}, {}], (2, 2, 1))
+    # a product row that cancels to zero is no refusal, a later one is
+    for psi1, psi2 in (([{0: 1}, {1: 1}], [{0: 1}, {}]),
+                       ([{0: 1, 1: 1}, {1: 1}], [{0: 1}, {0: -1}])):
+        for build in (IntegerChainComplex, IntegerChainComplex._of_clean_rows):
+            with pytest.raises(ValueError) as err:
+                build(psi1, psi2, (2, 2, 1))
+            assert str(err.value) == "not a chain complex: psi1 @ psi2 != 0"
     chain = IntegerChainComplex([[1, 0], [0, 1]], [[0], [0]], (2, 2, 1))
     assert chain == IntegerChainComplex([{0: 1}, {1: 1}], [{}, {}], (2, 2, 1))
     with pytest.raises(ValueError, match="not a chain complex"):
@@ -603,6 +612,43 @@ def test_split_blocks_match_whole_matrix_base_change(parts):
         assert total[d] == split[0][d] + split[1][d] + split[2][d], d
 
 
+def _summed_with_zeros(terms, rows, cols) -> list[dict[int, int]]:
+    """The total's sparse rows as a plain sum of induction blocks over the
+    terms, keeping an entry whose terms cancel as an explicit zero."""
+    roff, coff = ([0] for _ in range(2))
+    for off, cells in ((roff, rows), (coff, cols)):
+        for c in cells:
+            off.append(off[-1] + RANKS[c.stabilizer])
+    out = [{} for _ in range(roff[-1])]
+    for i, j, sign, emb in terms:
+        for r, brow in enumerate(induction_matrix(cols[j].stabilizer, rows[i].stabilizer, emb)):
+            for c, x in enumerate(brow):
+                if x:
+                    row = out[roff[i] + r]
+                    row[coff[j] + c] = row.get(coff[j] + c, 0) + sign * x
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(bredon_components(), min_size=1, max_size=3))
+def test_assembled_complex_equals_the_public_constructor(parts):
+    # the total as chain() builds it, from assembled rows taken as they
+    # are, is the complex the constructor builds from the plain sum, whose
+    # cancelled entries (a loop's two ends on one embedding) it cleans
+    bc = bredon_complex(_union(parts))
+    chain = bc.chain()
+    raw = (_summed_with_zeros(bc.terms1, bc.vertices, bc.edges),
+           _summed_with_zeros(bc.terms2, bc.edges, bc.faces))
+    assert chain == IntegerChainComplex(*raw, chain.dims)
+    assert all(type(x) is int and x for rows in chain[:2] for row in rows for x in row.values())
+
+
+def test_a_loop_cancels_in_assembly():
+    bc = bredon_complex(load("bianchi_circle2"))
+    assert _summed_with_zeros(bc.terms1, bc.vertices, bc.edges) == [{0: 0}, {1: 0}]
+    assert bc.chain().psi1 == [{}, {}]
+
+
 #: The fixtures whose stabilizers bredon_complex supports.
 BREDON_FIXTURES = ("bianchi_circle2", "bianchi_edge3", "chain_c2_c2_d3", "graphfive",
                    "graphtwo", "path_c2_d3_c2")
@@ -814,17 +860,17 @@ def test_lone_two_cell():
     assert [str(h) for h in homology(bc.chain())] == ["0", "0", "Z"]
 
 
-@pytest.mark.parametrize("flags,products", [([], 3), (["--json"], 4)], ids=["text", "json"])
-def test_bredon_command_checks_each_complex_once(monkeypatch, capsys, flags, products):
-    # one product per built complex: the three blocks, whose homology sums
+@pytest.mark.parametrize("flags,checks", [([], 3), (["--json"], 4)], ids=["text", "json"])
+def test_bredon_command_checks_each_complex_once(monkeypatch, capsys, flags, checks):
+    # one check per built complex: the three blocks, whose homology sums
     # to the total's, and the total only where --json prints its rows
-    calls, matmul = [], tsr.bredon._matmul
+    calls, check = [], tsr.bredon._check_chain
 
-    def counting(a, b):
+    def counting(*args):
         calls.append(1)
-        return matmul(a, b)
+        return check(*args)
 
-    monkeypatch.setattr(tsr.bredon, "_matmul", counting)
+    monkeypatch.setattr(tsr.bredon, "_check_chain", counting)
     assert main(["bredon", *flags, "--input", "graphfive.json"]) == 0
     capsys.readouterr()
-    assert len(calls) == products
+    assert len(calls) == checks

@@ -19,7 +19,7 @@ from tsr.cli import main
 from tsr.complexes import OrbitComplex, parse_complex
 from tsr.series import SubgroupCensus
 
-from documents import deep_json, non_rigid, run_cli, two_vertex_path
+from documents import deep_json, non_rigid, run_cli, two_vertex_path, wound_loop
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "tsr" / "fixtures"
 
@@ -408,6 +408,18 @@ def test_absurd_degree_bound_exits_one_with_one_line(capsys, degrees, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [message]
+
+
+def test_face_multiplicity_past_a_list_length_exits_one_with_one_line(capsys, tmp_path):
+    # a face's uses are one list: a multiplicity that no list length holds
+    # is refused before anything is allocated (10^12 is the smoke row's
+    # out-of-memory case, run there as a process with a capped address space)
+    path = tmp_path / "wound.json"
+    path.write_text(wound_loop(10 ** 20))
+    assert main(["bredon", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == ["error: cannot fit 'int' into an index-sized integer"]
 
 
 def test_non_rigid_document_is_refused_by_every_command(tmp_path):

@@ -355,6 +355,19 @@ def test_oracle_matches_dense_reference(cx, ell):
             == reference_oracle(cx, ell, degrees))
 
 
+@settings(max_examples=60, deadline=None)
+@given(oracle_graphs(), st.sampled_from((2, 3)),
+       st.lists(st.integers(2, 14), unique=True, max_size=6), st.randoms())
+def test_oracle_reads_each_degree_once_in_any_order(cx, ell, degrees, rnd):
+    # each degree's map is built once and kept, whichever degree asks for
+    # it first: an unsorted, gapped range with q = 1 gives the dims of the
+    # reference, which rebuilds alpha_q and alpha_{q-1} for every degree
+    degrees.append(1)
+    rnd.shuffle(degrees)
+    assert (equivariant_graph_cohomology_oracle(cx, ell, degrees)
+            == reference_oracle(cx, ell, sorted(degrees)))
+
+
 def _cochain_cohomology_restriction_rank(vtag, etag, fusion, ell, q):
     """Independent check of the pinned restriction ranks: cohomology of
     the normalized inhomogeneous cochain complex plus the cochain-level

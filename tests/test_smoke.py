@@ -2,7 +2,9 @@
 in a new directory, where fixture names go through the bundled-fixture
 lookup.  A row gives the argv, the exit code, the stdout check (None, the
 exact text, or a predicate of the text and the row's generated document),
-the exact stderr, the timeout and the stdin.  An argument ``@name`` is
+the exact stderr, the timeout, the stdin and a cap on the process's
+address space in bytes (so a refused allocation fails at once, whatever
+the machine's overcommit policy).  An argument ``@name`` is
 ``DOCUMENTS[name]``, built once per module and written into the directory.
 
 Only the standard library and ``tsr`` are imported, so from outside the
@@ -11,12 +13,13 @@ checkout with no ``PYTHONPATH`` the rows check the installed package.
 
 import functools
 import json
+import resource
 from collections import namedtuple
 
 import pytest
 
 from documents import (FIXTURES, circles, d3_c2_path, escaped_ids, graphfive_copies, run_cli,
-                       strip)
+                       strip, wound_loop)
 from tsr.bredon import bredon_complex, homology
 from tsr.complexes import parse_complex, serialize_complex
 from tsr.reduction import reduce_complex
@@ -28,6 +31,8 @@ DOCUMENTS = {
     "strip2000": lambda: strip(2000),
     "d3c2path8000": lambda: d3_c2_path(8000),
     "escaped": escaped_ids,
+    "wound100000": lambda: wound_loop(100_000),
+    "wound1e12": lambda: wound_loop(10 ** 12),
 }
 
 
@@ -76,7 +81,8 @@ def json_dumps(out: str, doc: str) -> bool:
 
 
 GRAPHFIVE = FIXTURES.joinpath("graphfive.json").read_bytes()
-Row = namedtuple("Row", "argv code out err timeout stdin", defaults=(0, None, "", None, None))
+Row = namedtuple("Row", "argv code out err timeout stdin memory",
+                 defaults=(0, None, "", None, None, None))
 
 ROWS = [
     # the subcommands on bundled fixtures, named from an empty directory
@@ -118,6 +124,16 @@ ROWS = [
     # the one large document with a 3-torsion block
     Row(["bredon", "--input", "@d3c2path8000"], out=total, timeout=20),
     Row(["extract", "--prime", "2", "--input", "@escaped"], out=json_dumps),
+    # the 2-cell boundary walk keeps a cursor per vertex: linear in the uses
+    Row(["bredon", "--input", "@wound100000"], timeout=5, out=(
+        "orbit block: H_0 = Z, H_1 = Z/100000, H_2 = 0\n"
+        "2-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
+        "3-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
+        "total: H_0 = Z, H_1 = Z/100000, H_2 = 0\n")),
+    # a face's uses are one list of its incidences' multiplicities: one
+    # of 10^12 is refused when it is allocated, not after 10^12 appends
+    Row(["bredon", "--input", "@wound1e12"], code=1, out="", err="error: out of memory\n",
+        timeout=5, memory=2 ** 31),
 ]
 
 
@@ -126,8 +142,9 @@ def test_row(row, tmp_path):
     names = [a[1:] for a in row.argv if a.startswith("@")]
     for name in names:
         (tmp_path / name).write_text(text(name))
+    cap = row.memory and (lambda: resource.setrlimit(resource.RLIMIT_AS, (row.memory,) * 2))
     code, out, err = run_cli(*(a.lstrip("@") for a in row.argv), cwd=tmp_path,
-                             input=row.stdin, timeout=row.timeout)
+                             input=row.stdin, timeout=row.timeout, preexec_fn=cap)
     assert (code, err.decode()) == (row.code, row.err)
     if isinstance(row.out, str):
         assert out.decode() == row.out
