@@ -20,9 +20,8 @@ import os
 import sys
 
 from . import __version__
-from .complexes import (ComplexSchemaError, _unique_keys, classify_component,
-                        connected_components, parse_complex, serialize_complex,
-                        torsion_subcomplex)
+from .complexes import (ComplexSchemaError, _unique_keys, classify_components, parse_complex,
+                        serialize_complex, torsion_subcomplex)
 
 
 class CliError(Exception):
@@ -233,12 +232,9 @@ def _cmd_oracle(args) -> None:
 def _cmd_classify(args) -> None:
     from .reduction import reduce_complex
     reduced, _ = reduce_complex(_load_complex(args), args.prime)
-    rows = []
-    for comp in connected_components(reduced):
-        least = min(c.id for c in comp.cells)
-        rows.append((least, classify_component(comp)))
+    rows = classify_components(reduced)
     if args.json:
-        _emit_json({least: kind for least, kind in rows})
+        _emit_json(dict(rows))
     else:
         for least, kind in rows:
             print(f"{least}: {kind}")

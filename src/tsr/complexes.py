@@ -87,6 +87,11 @@ COMPONENT_EDGE = "Edge"
 COMPONENT_GRAPH_FIVE = "GraphFive"
 COMPONENT_GRAPH_TWO = "GraphTwo"
 COMPONENT_OTHER = "Other"
+#: A one-edge component's shape by its edge's incidence multiplicities
+#: (a loop, or two distinct ends), a multi-edge one's by its sorted
+#: non-cyclic vertex tags; any other shape is Other.
+_SEGMENTS = {(2,): COMPONENT_CIRCLE, (1, 1): COMPONENT_EDGE}
+_GRAPHS = {("D2", "D2"): COMPONENT_GRAPH_FIVE, ("A4", "D2"): COMPONENT_GRAPH_TWO}
 
 
 class OrbitComplex:
@@ -296,32 +301,6 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
         i for i in cx.incidences if i.face in keep and i.coface in keep])
 
 
-def connected_components(cx: OrbitComplex) -> list[OrbitComplex]:
-    """Partition by incidence connectivity, ordered by least cell id."""
-    parent: dict[str, str] = {c.id: c.id for c in cx.cells}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for inc in cx.incidences:
-        a, b = find(inc.face), find(inc.coface)
-        if a != b:
-            parent[a] = b
-    # one pass over the cells and one over the incidences, in record order
-    cells: dict[str, list[OrbitCell]] = {}
-    incs: dict[str, list[Incidence]] = {}
-    for c in cx.cells:
-        cells.setdefault(find(c.id), []).append(c)
-    for inc in cx.incidences:
-        incs.setdefault(find(inc.face), []).append(inc)
-    comps = [OrbitComplex._derived(cs, incs.get(r, ())) for r, cs in cells.items()]
-    comps.sort(key=lambda comp: min(c.id for c in comp.cells))
-    return comps
-
-
 def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     """The one reading of a complex as a graph of groups, which the Bredon
     differentials and the cohomology oracle both assemble.
@@ -366,8 +345,11 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     return tuple(vertices), tuple(edges), tuple(ends)
 
 
-def classify_component(cx: OrbitComplex) -> str:
-    """Shape classification of a component of a reduced torsion subcomplex.
+def classify_components(cx: OrbitComplex) -> list[tuple[str, str]]:
+    """The connected components of a reduced torsion subcomplex, one row
+    each: its least cell id and its shape, sorted by least id.  The
+    components are the union-find's groups of cells over the incidences;
+    no complex is built for one.
 
     Point: a lone vertex; Circle: a single loop edge; Edge: a single
     segment with distinct endpoints; GraphFive / GraphTwo: multi-edge
@@ -375,25 +357,34 @@ def classify_component(cx: OrbitComplex) -> str:
     the (D2, D2) resp. (D2, A4) endpoint pattern; anything else, a
     2-dimensional component among them, is Other.
     """
-    if cx.dimension != 1:
-        lone = cx.dimension == 0 and len(cx.cells) == 1
-        return COMPONENT_POINT if lone else COMPONENT_OTHER
-    vertices = cx.cells_of_dim(0)
-    edges = cx.cells_of_dim(1)
-    if len(edges) == 1:
-        ends = cx.faces(edges[0].id)
-        total = sum(i.multiplicity for i in ends)
-        if total != 2:
-            return COMPONENT_OTHER
-        if len(ends) == 1 and len(vertices) == 1:
-            return COMPONENT_CIRCLE
-        if len(ends) == 2 and len(vertices) == 2:
-            return COMPONENT_EDGE
-        return COMPONENT_OTHER
-    noncyclic = sorted(v.stabilizer for v in vertices
-                       if v.stabilizer in ("D2", "D3", "A4", "D4", "D6", "S4"))
-    if noncyclic == ["D2", "D2"]:
-        return COMPONENT_GRAPH_FIVE
-    if noncyclic == ["A4", "D2"]:
-        return COMPONENT_GRAPH_TWO
-    return COMPONENT_OTHER
+    parent = {c.id: c.id for c in cx.cells}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for inc in cx.incidences:
+        a, b = find(inc.face), find(inc.coface)
+        if a != b:
+            parent[a] = b
+    groups: dict[str, list[OrbitCell]] = {}
+    for c in cx.cells:
+        groups.setdefault(find(c.id), []).append(c)
+    rows = []
+    for cells in groups.values():
+        dim = max(c.dim for c in cells)
+        edges = [c for c in cells if c.dim == 1]
+        if dim != 1:  # no incidence joins two vertices, so dim 0 is a lone one
+            shape = COMPONENT_POINT if dim == 0 else COMPONENT_OTHER
+        elif len(edges) == 1:  # its other cells are the faces of its one edge
+            ends = tuple(i.multiplicity for i in cx._faces.get(edges[0].id, ()))
+            shape = _SEGMENTS.get(ends, COMPONENT_OTHER)
+        else:
+            noncyclic = sorted(c.stabilizer for c in cells if c.dim == 0
+                               and c.stabilizer in ("D2", "D3", "A4", "D4", "D6", "S4"))
+            shape = _GRAPHS.get(tuple(noncyclic), COMPONENT_OTHER)
+        rows.append((min(c.id for c in cells), shape))
+    rows.sort()
+    return rows

@@ -60,11 +60,16 @@ ERROR_COMMANDS = [
 ]
 
 
-def main() -> None:
-    corpus = {}
+def argvs() -> list[list[str]]:
+    """The argv of every corpus entry, in the corpus's order."""
     runs = [[*cmd, "--input", name] for name in FIXTURES for cmd in COMMANDS]
     faces = [[*cmd, "--input", path] for path in FACE_DOCUMENTS for cmd in FACE_COMMANDS]
-    for argv in runs + CENSUS_COMMANDS + faces + ERROR_COMMANDS:
+    return runs + CENSUS_COMMANDS + faces + ERROR_COMMANDS
+
+
+def main() -> None:
+    corpus = {}
+    for argv in argvs():
         proc = subprocess.run([sys.executable, "-m", "tsr.cli", *argv],
                               capture_output=True, text=True, cwd=ROOT)
         corpus[" ".join(argv)] = {"exit": proc.returncode, "stdout": proc.stdout,

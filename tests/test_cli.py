@@ -4,6 +4,7 @@ import ast
 import builtins
 import contextlib
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -376,6 +377,17 @@ def test_golden_corpus(capsys, monkeypatch):
         if {"exit": code, "stdout": out, "stderr": err} != expected:
             wrong.append(command)
     assert wrong == []
+
+
+def test_golden_corpus_holds_the_generators_commands():
+    # make_cli.py imported, not run: a command added to it but never
+    # regenerated into cli.json, or one left behind there, shows here
+    expected = Path(__file__).parent / "expected"
+    spec = importlib.util.spec_from_file_location("make_cli", expected / "make_cli.py")
+    make_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_cli)
+    corpus = json.loads((expected / "cli.json").read_text(encoding="utf-8"))
+    assert [" ".join(argv) for argv in make_cli.argvs()] == list(corpus)
 
 
 def test_main_callable_directly(capsys):

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 
 from tsr.bredon import SUPPORTED_EDGE_TAGS, SUPPORTED_VERTEX_TAGS
 from tsr.complexes import (INCLUSIONS, TAG_ORDERS, ComplexSchemaError, Incidence, OrbitCell,
-                           OrbitComplex, classify_component,
-                           connected_components, edge_end_assignments,
+                           OrbitComplex, classify_components, edge_end_assignments,
                            parse_complex, serialize_complex,
                            torsion_subcomplex)
 from tsr.groups import (FiniteGroup, are_isomorphic, catalog_group, compose, invert,
                         subgroups)
+from tsr.reduction import reduce_complex
 from tsr.series import ORACLE_STABILIZERS
 
 from documents import FIXTURES, load
@@ -362,37 +362,71 @@ def test_parse_refuses_a_non_rigid_document(rigid):
     assert str(err.value) == "$.rigid: rigid must be true"
 
 
+def connected_components(cx):
+    """The reference partition: one complex per component, by least cell id."""
+    parent = {c.id: c.id for c in cx.cells}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for inc in cx.incidences:
+        a, b = find(inc.face), find(inc.coface)
+        if a != b:
+            parent[a] = b
+    cells, incs = {}, {}
+    for c in cx.cells:
+        cells.setdefault(find(c.id), []).append(c)
+    for inc in cx.incidences:
+        incs.setdefault(find(inc.face), []).append(inc)
+    comps = [OrbitComplex._derived(cs, incs.get(r, ())) for r, cs in cells.items()]
+    comps.sort(key=lambda comp: min(c.id for c in comp.cells))
+    return comps
+
+
+def classify_component(cx):
+    """The reference shape of one component, read from its own complex."""
+    if cx.dimension != 1:
+        lone = cx.dimension == 0 and len(cx.cells) == 1
+        return "Point" if lone else "Other"
+    vertices = cx.cells_of_dim(0)
+    edges = cx.cells_of_dim(1)
+    if len(edges) == 1:
+        ends = cx.faces(edges[0].id)
+        total = sum(i.multiplicity for i in ends)
+        if total != 2:
+            return "Other"
+        if len(ends) == 1 and len(vertices) == 1:
+            return "Circle"
+        if len(ends) == 2 and len(vertices) == 2:
+            return "Edge"
+        return "Other"
+    noncyclic = sorted(v.stabilizer for v in vertices
+                       if v.stabilizer in ("D2", "D3", "A4", "D4", "D6", "S4"))
+    if noncyclic == ["D2", "D2"]:
+        return "GraphFive"
+    if noncyclic == ["A4", "D2"]:
+        return "GraphTwo"
+    return "Other"
+
+
+def _matches_the_reference(cx):
+    assert classify_components(cx) == [
+        (min(c.id for c in comp.cells), classify_component(comp))
+        for comp in connected_components(cx)]
+
+
 def test_connected_components_empty():
-    assert connected_components(OrbitComplex((), ())) == []
+    assert classify_components(OrbitComplex((), ())) == []
 
 
 def test_connected_components_two_loops():
     cells = (OrbitCell("u", 0, "C2"), OrbitCell("a", 1, "C2"),
              OrbitCell("v", 0, "C2"), OrbitCell("b", 1, "C2"))
     incs = (Incidence("u", "a", 2), Incidence("v", "b", 2))
-    comps = connected_components(OrbitComplex(cells, incs))
-    assert len(comps) == 2
-    assert sum(len(c.cells) for c in comps) == 4
-
-
-def _components_by_rescan(cx):
-    """The partition read off one rescan of all records per component."""
-    parent = {c.id: c.id for c in cx.cells}
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for inc in cx.incidences:
-        parent[find(inc.face)] = find(inc.coface)
-    groups = {}
-    for c in cx.cells:
-        groups.setdefault(find(c.id), set()).add(c.id)
-    comps = [OrbitComplex(tuple(c for c in cx.cells if c.id in ids),
-                          tuple(i for i in cx.incidences if i.face in ids))
-             for ids in groups.values()]
-    return sorted(comps, key=lambda comp: min(c.id for c in comp.cells))
+    assert classify_components(OrbitComplex(cells, incs)) == [("a", "Circle"), ("b", "Circle")]
 
 
 def _random_graph(rng):
@@ -410,44 +444,98 @@ def _random_graph(rng):
     return OrbitComplex(tuple(cells), tuple(incs))
 
 
-def test_connected_components_match_rescan():
+def test_components_match_the_reference_on_random_graphs():
     rng = random.Random(20261018)
     for _ in range(200):
-        cx = _random_graph(rng)
-        assert connected_components(cx) == _components_by_rescan(cx)
+        _matches_the_reference(_random_graph(rng))
+
+
+@st.composite
+def _graphs(draw) -> OrbitComplex:
+    """Up to four vertices and four edges, in any record order, with the
+    tags the shapes tell apart; each edge has up to two ends, each of
+    multiplicity 1 to 3, and a face may lie on some of the edges."""
+    tags = st.sampled_from(["C2", "D2", "D3", "A4"])
+    vertices = [OrbitCell(f"v{k}", 0, draw(tags)) for k in range(draw(st.integers(1, 4)))]
+    edges = [OrbitCell(f"e{k}", 1, draw(tags)) for k in range(draw(st.integers(0, 4)))]
+    faces = [OrbitCell("f", 2, "C1")] if edges and draw(st.booleans()) else []
+    ends = st.sets(st.sampled_from([v.id for v in vertices]), max_size=2)
+    incs = [Incidence(v, e.id, draw(st.integers(1, 3))) for e in edges for v in draw(ends)]
+    incs += [Incidence(e, "f") for f in faces
+             for e in draw(st.sets(st.sampled_from([e.id for e in edges]), min_size=1))]
+    return OrbitComplex(tuple(draw(st.permutations(vertices + edges + faces))), tuple(incs))
+
+
+@settings(max_examples=600, deadline=None)
+@given(st.one_of(_complexes(), _graphs()))
+def test_components_match_the_reference(cx):
+    # 2-cells, lone cells of any dimension, edges with any number of ends,
+    # multiplicities up to 10^12, and graphs whose edges carry tags too
+    _matches_the_reference(cx)
+
+
+@pytest.mark.parametrize("multiplicities,shape", [
+    ((2,), "Circle"), ((1, 1), "Edge"), ((), "Other"), ((1,), "Other"), ((3,), "Other"),
+    ((1, 2), "Other"), ((10**12, 1), "Other")])
+def test_a_lone_edge_is_read_from_its_end_multiplicities(multiplicities, shape):
+    cells = [OrbitCell("e", 1, "C2")] + [OrbitCell(f"v{k}", 0, "D2") for k in (0, 1)]
+    incs = tuple(Incidence(f"v{k}", "e", m) for k, m in enumerate(multiplicities))
+    cx = OrbitComplex(tuple(cells[:1 + len(incs)]), incs)
+    assert classify_components(cx) == [("e", shape)]
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+@pytest.mark.parametrize("ell", [2, 3])
+def test_components_match_the_reference_on_fixtures(name, ell):
+    cx = load(name)
+    _matches_the_reference(torsion_subcomplex(cx, ell))
+    _matches_the_reference(reduce_complex(cx, ell)[0])
 
 
 def test_sl3_two_subcomplex_connected():
     sub = torsion_subcomplex(load("sl3z_soule.json"), 2)
-    assert len(connected_components(sub)) == 1
+    assert classify_components(sub) == [("M", "Other")]
 
 
 def test_classification_of_fixtures():
-    assert classify_component(load("bianchi_circle2.json")) == "Circle"
-    assert classify_component(load("bianchi_edge3.json")) == "Edge"
-    assert classify_component(load("graphfive.json")) == "GraphFive"
-    assert classify_component(load("graphtwo.json")) == "GraphTwo"
+    assert classify_components(load("bianchi_circle2.json")) == [("e1", "Circle")]
+    assert classify_components(load("bianchi_edge3.json")) == [("e1", "Edge")]
+    assert classify_components(load("graphfive.json")) == [("a", "GraphFive")]
+    assert classify_components(load("graphtwo.json")) == [("f", "GraphTwo")]
 
 
 def test_classification_edge_with_a4_endpoints():
     cx = OrbitComplex((OrbitCell("u", 0, "A4"), OrbitCell("v", 0, "A4"),
                        OrbitCell("e", 1, "C2")),
                       (Incidence("u", "e"), Incidence("v", "e")))
-    assert classify_component(cx) == "Edge"
+    assert classify_components(cx) == [("e", "Edge")]
+
+
+def test_graph_shapes_read_vertex_tags_only():
+    cx = load("graphfive.json")
+    for tag in ("D2", "D3", "A4"):
+        tagged = OrbitComplex(tuple(c._replace(stabilizer=tag) if c.dim else c
+                                    for c in cx.cells), cx.incidences)
+        assert classify_components(tagged) == [("a", "GraphFive")]
 
 
 def test_classification_invariant_under_reordering():
     cx = load("graphfive.json")
     shuffled = OrbitComplex(tuple(reversed(cx.cells)),
                             tuple(reversed(cx.incidences)))
-    assert classify_component(shuffled) == "GraphFive"
+    assert classify_components(shuffled) == [("a", "GraphFive")]
 
 
 def test_classification_of_a_point_and_a_two_dimensional_component():
-    assert classify_component(OrbitComplex((OrbitCell("v", 0, "D3"),), ())) == "Point"
+    point = OrbitComplex((OrbitCell("v", 0, "D3"),), ())
+    assert classify_components(point) == [("v", "Point")]
+    circle = load("bianchi_circle2.json")
+    disc = OrbitComplex(circle.cells + (OrbitCell("f", 2, "C1"),),
+                        circle.incidences + (Incidence("e1", "f"),))
+    assert classify_components(disc) == [("e1", "Other")]
     sub = torsion_subcomplex(load("sl3z_soule.json"), 2)
-    assert sub.dimension == 2 and len(connected_components(sub)) == 1
-    assert classify_component(sub) == "Other"
+    assert sub.dimension == 2
+    assert classify_components(sub) == [("M", "Other")]
 
 
 def test_edge_end_assignments_theta():

@@ -80,6 +80,11 @@ def json_dumps(out: str, doc: str) -> bool:
         indent=2) + "\n"
 
 
+def shapes(least_ids, shape: str) -> str:
+    # classify prints one line per component, sorted by its least id
+    return "".join(f"{i}: {shape}\n" for i in sorted(least_ids))
+
+
 GRAPHFIVE = FIXTURES.joinpath("graphfive.json").read_bytes()
 Row = namedtuple("Row", "argv code out err timeout stdin memory",
                  defaults=(0, None, "", None, None, None))
@@ -109,7 +114,9 @@ ROWS = [
     Row(["extract", "--prime", "2", "--input", "@circles"], out=json_dumps, timeout=20),
     Row(["reduce", "--prime", "2", "--input", "@circles"], out=reduced, timeout=20),
     Row(["reduce", "--json", "--prime", "2", "--input", "@circles"], out=reduced, timeout=20),
-    Row(["classify", "--prime", "2", "--input", "@circles"], timeout=20),
+    # each circle's least id is its edge's
+    Row(["classify", "--prime", "2", "--input", "@circles"], timeout=20,
+        out=shapes([f"e{i}" for i in range(20_000)], "Circle")),
     # and so is the graph-of-groups reading that Bredon and the oracle share
     Row(["bredon", "--input", "@circles"], out=total, timeout=20),
     Row(["bredon", "--json", "--input", "@circles"], out=total, timeout=20),
@@ -118,6 +125,9 @@ ROWS = [
     Row(["oracle", "--prime", "2", "--degrees", "200", "--input", "@circles"], timeout=10),
     # each θ component's Z/2 is read off the elimination's core, not an SNF
     Row(["bredon", "--input", "@graphfive1000"], out=total, timeout=20),
+    # each θ copy's least id is its edge a's
+    Row(["classify", "--prime", "2", "--input", "@graphfive1000"], timeout=20,
+        out=shapes([f"a_{k}" for k in range(1000)], "GraphFive")),
     # 2-cells; the elimination keeps echelon form, so its pivot rows do not fill
     Row(["bredon", "--input", "@strip500"], out=total, timeout=5),
     Row(["bredon", "--input", "@strip2000"], out=total, timeout=5),
