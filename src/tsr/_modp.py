@@ -20,8 +20,9 @@ pivot columns, and no pivot row changes once it is made.  Clearing each
 new pivot column from every older row would scan them all and fill
 them (psi_1 of a 1,000-triangle strip: 823,202 pivot nonzeros against
 11,818).  ``rank_mod`` reads only the rank; ``nullspace_mod`` alone
-needs the reduced echelon form, and clears its own pivot rows into it
-once, newest first.
+needs the reduced echelon form: it clears its own pivot rows into it once,
+newest first, and reads its basis off them in one pass, as ``{column: entry}``
+rows like every other row here.  Both refuse a modulus that is not prime.
 
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
@@ -37,12 +38,15 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
+from .complexes import _check_prime
+
 
 def _row(vec, p: int) -> dict[int, int]:
     """The nonzero entries of a dense or dict row, reduced mod p if p > 0."""
     items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-    out = {j: int(x) % p if p else int(x) for j, x in items if x}
-    return {j: x for j, x in out.items() if x} if p else out
+    if p:
+        return {j: y for j, x in items if x and (y := int(x) % p)}
+    return {j: int(x) for j, x in items if x}
 
 
 def _subtract(row: dict[int, int], a: int, v: dict[int, int], p: int) -> None:
@@ -155,7 +159,7 @@ class SpanTracker:
         v = self._echelon(v)
         if not v:
             return False
-        units = [j for j, x in v.items() if p or x in (1, -1)]
+        units = v if p else [j for j, x in v.items() if x in (1, -1)]  # F_p: all of v
         if not units:
             self._core.append(v)
             return True
@@ -171,28 +175,33 @@ class SpanTracker:
 
 def rank_mod(mat, p: int) -> int:
     """Rank over F_p of a matrix given as a list of rows."""
+    _check_prime(p)
     return SpanTracker(p, mat).rank
 
 
-def nullspace_mod(mat, p: int, cols: int) -> list[list[int]]:
+def nullspace_mod(mat, p: int, cols: int) -> list[dict[int, int]]:
     """Basis of the right null space over F_p of a matrix with ``cols``
-    columns, one vector per returned row.  The basis is the canonical one
+    columns, given as dense or dict rows.  The basis is the canonical one
     read off the RREF (the identity on the free columns), so it is
-    deterministic."""
-    pivots = SpanTracker(p, mat).pivots
+    deterministic: one clean ``{column: entry}`` row per free column, in
+    column order, with entries in 1..p-1 and 1 at its free column."""
+    _check_prime(p)
+    tracker = SpanTracker(p)
+    for vec in mat:
+        tracker._add(_row(vec, p))
+    pivots = tracker.pivots
+    # the pivot rows span the rows, so an entry outside the columns shows in one
+    if any(min(row) < 0 or max(row) >= cols for row in pivots.values()):
+        raise ValueError(f"a row has an entry outside range({cols})")
     # into reduced echelon form, newest pivot first: each row is zero in
     # the older pivot columns, and every newer row is reduced already
     for c, row in reversed(pivots.items()):
         for d in [d for d in row if d != c and d in pivots]:
             _subtract(row, row[d], pivots[d], p)
-    basis = []
-    for f in range(cols):
-        if f in pivots:
-            continue
-        vec = [0] * cols
-        vec[f] = 1
-        for c, row in pivots.items():
-            if f in row:
-                vec[c] = p - row[f]
-        basis.append(vec)
-    return basis
+    # the other entries of a reduced pivot row all sit in free columns
+    basis = {f: {f: 1} for f in range(cols) if f not in pivots}
+    for c, row in pivots.items():
+        for f, x in row.items():
+            if f != c:
+                basis[f][c] = p - x
+    return list(basis.values())

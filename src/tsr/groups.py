@@ -391,7 +391,10 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
     degree by degree from kernel computations, tensors it down to
     F_ell and reads the dimensions off the ranks.  The matrices stay
     small: each degree's kernel is generated as a module, not as a
-    vector space.
+    vector space.  Every vector is a clean ``{column: entry}`` row: a
+    translate g.v permutes the keys of v, and each generator's n
+    translates, made once, span the kernel and give the next map's
+    columns, whose rows are read off them.
     """
     _check_prime(ell)
     if q_max < 0:
@@ -405,53 +408,41 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
     index = {g: i for i, g in enumerate(elems)}
     lperm = [[index[compose(a, b)] for b in elems] for a in elems]
 
-    def left_act(v: list[int], gi: int) -> list[int]:
-        out = [0] * len(v)
-        perm = lperm[gi]
-        for k, x in enumerate(v):
-            if x:
-                out[k - k % n + perm[k % n]] = x
-        return out
-
-    def module_generators(basis: list[list[int]]) -> list[list[int]]:
+    def module_generators(basis: list[dict[int, int]], width: int) -> list[list[dict[int, int]]]:
+        """Greedy generators of the submodule of F_ell[G]^(width / n) that basis
+        spans, each as its translates by elements[0] (the identity), elements[1], ..."""
+        moves = [[k - k % n + perm[k % n] for k in range(width)] for perm in lperm[1:]]
         tracker = SpanTracker(ell)
-        gens = []
+        orbits = []
         for v in basis:
-            # elements[0] is the identity, so v is its own first translate
-            if not tracker.add(v):
+            if not tracker._add(dict(v)):  # the tracker owns the rows it takes
                 continue
-            gens.append(v)
-            for gi in range(1, n):
-                tracker.add(left_act(v, gi))
+            orbits.append([v] + [{move[k]: x for k, x in v.items()} for move in moves])
+            for t in orbits[-1][1:]:
+                tracker._add(dict(t))
                 if tracker.rank == len(basis):  # the span is the whole kernel
-                    return gens
-        return gens
+                    return orbits
+        return orbits
 
-    kernel = nullspace_mod([[1] * n], ell, n)
-    ranks = [1]
-    tensored: list[list[list[int]]] = []
-    slots = 1
-    for _ in range(q_max + 1):
-        gens = module_generators(kernel)
-        r_new = len(gens)
-        tensored.append([[sum(v[s * n:(s + 1) * n]) % ell for v in gens]
-                         for s in range(slots)])
-        if r_new == 0:
-            kernel = []
-            ranks.append(0)
-            slots = 0
-            continue
-        # column k * n + gi of phi is g_gi acting on gens[k]
-        phi_cols = [left_act(v, gi) for v in gens for gi in range(n)]
-        kernel = nullspace_mod([list(row) for row in zip(*phi_cols)], ell, n * r_new)
-        ranks.append(r_new)
-        slots = r_new
-    t_ranks = [rank_mod(T, ell) for T in tensored]
-    dims = [ranks[0] - t_ranks[0]]
-    for q in range(1, q_max + 1):
-        ker_dim = ranks[q] - t_ranks[q - 1]
-        dims.append(ker_dim - (t_ranks[q] if q < len(t_ranks) else 0))
-    return dims
+    kernel = nullspace_mod([dict.fromkeys(range(n), 1)], ell, n)
+    ranks, t_ranks = [1], []
+    while len(t_ranks) <= q_max and ranks[-1]:  # after a rank 0, every degree is 0
+        orbits = module_generators(kernel, n * ranks[-1])
+        tensored = [{} for _ in range(ranks[-1])]  # generator k's entries summed per summand
+        phi = [{} for _ in range(n * ranks[-1])]
+        for k, orbit in enumerate(orbits):
+            for j, x in orbit[0].items():
+                tensored[j // n][k] = tensored[j // n].get(k, 0) + x
+            # column k * n + gi of phi is elements[gi] acting on generator k
+            for col, t in enumerate(orbit, k * n):
+                for j, x in t.items():
+                    phi[j][col] = x
+        t_ranks.append(rank_mod(tensored, ell))
+        kernel = nullspace_mod(phi, ell, n * len(orbits))
+        ranks.append(len(orbits))
+    # H_q = ker(d_{q-1} (x) F_ell) / im(d_q (x) F_ell), with d_{-1} = 0
+    dims = [r - t - t_next for r, t, t_next in zip(ranks, [0] + t_ranks, t_ranks)]
+    return dims + [0] * (q_max + 1 - len(dims))
 
 
 # --------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from tsr.groups import (CATALOG_TAGS, CHARACTER_TABLES, FUSIONS, TAG_ORDERS,
                         mod_ell_homology_bruteforce, normal_subgroups,
                         normalizer, perm_order, quotient_group, subgroups,
                         sylow_subgroup, all_sylow_subgroups)
+from tsr.series import stabilizer_cohomology_dim
 
 
 def test_catalog_orders():
@@ -226,6 +227,31 @@ def test_bruteforce_d3_mod3_matches_formula():
     dims = mod_ell_homology_bruteforce(catalog_group("D3"), 3, 4)
     assert dims == [1, 0, 0, 1, 1]
     assert dims == [dihedral_mod_ell_homology(3, 3, q) for q in range(5)]
+
+
+#: Every brute-force case the census-oracles benchmark workload times, as
+#: (tag, ell, q_max), checked against the pinned stabilizer table, or, when
+#: marked "dihedral", against the closed form for the dihedral group D_n.
+BENCH_BRUTEFORCE_CASES = [
+    ("C1", 2, 8), ("C2", 2, 15), ("C2", 3, 15), ("C3", 3, 9), ("C3", 2, 9),
+    ("D2", 2, 7), ("D2", 3, 7), ("D3", 2, 5), ("D3", 3, 5),
+    ("D3", 3, 5, "dihedral"), ("D4", 3, 4, "dihedral"), ("D5", 3, 4, "dihedral"),
+    ("D5", 5, 4, "dihedral"), ("D6", 3, 3, "dihedral"), ("D7", 7, 3, "dihedral"),
+    ("D7", 3, 3, "dihedral"),
+]
+
+
+@pytest.mark.parametrize("case", BENCH_BRUTEFORCE_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_bruteforce_matches_the_pinned_dims(case):
+    tag, ell, q_max = case[:3]
+    if len(case) == 4:
+        n = int(tag[1:])
+        group, want = dihedral_group(n), [dihedral_mod_ell_homology(n, ell, q)
+                                          for q in range(q_max + 1)]
+    else:
+        group = catalog_group(tag)
+        want = [stabilizer_cohomology_dim(tag, ell, q) for q in range(q_max + 1)]
+    assert mod_ell_homology_bruteforce(group, ell, q_max) == want
 
 
 def test_bruteforce_resource_bound():

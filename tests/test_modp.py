@@ -27,6 +27,15 @@ def matrices(draw):
     return np.array(entries, dtype=np.int64).reshape(rows, cols), p
 
 
+def _dense(rows, cols):
+    """The {column: entry} rows as one dense len(rows) x cols array."""
+    out = np.zeros((len(rows), cols), dtype=np.int64)
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            out[i, j] = x
+    return out
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_nullspace_and_rank(case):
@@ -35,7 +44,7 @@ def test_nullspace_and_rank(case):
     rank = rank_mod(a, p)
     assert rank == rank_mod(a.T, p)
     basis = nullspace_mod(a, p, cols)
-    n = np.array(basis, dtype=np.int64).reshape(len(basis), cols)
+    n = _dense(basis, cols)
     if cols == 0:
         assert n.size == 0
         return
@@ -47,6 +56,45 @@ def test_nullspace_and_rank(case):
     assert len(free) == len(n)
     assert (n[:, free] == np.eye(len(free), dtype=np.int64)).all()
     assert ((n >= 0) & (n < p)).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_nullspace_rows_are_clean_and_sparse(case):
+    a, p = case
+    cols = a.shape[1]
+    basis = nullspace_mod(a, p, cols)
+    free = [j for j in range(cols)
+            if rank_mod(a[:, :j + 1], p) == rank_mod(a[:, :j], p)]
+    assert len(basis) == len(free)
+    for f, row in zip(free, basis):
+        assert all(type(j) is int and 0 <= j < cols and type(x) is int and 0 < x < p
+                   for j, x in row.items())
+        assert row[f] == 1 and not any(g in row for g in free if g != f)
+    # dict rows, zeros and entries outside 0..p-1 kept, give the same basis
+    assert nullspace_mod([dict(enumerate(r)) for r in a.tolist()], p, cols) == basis
+
+
+@pytest.mark.parametrize("mat, p, cols", [
+    ([[2]], 0, None), ([[3]], 1, None), ([[1, 2], [2, 4]], 6, None), ([[2]], 4, None),
+    ([[2, 0]], 0, 2), ([[1, 0, 1]], 4, 2),  # the last also misfits: the prime check is first
+])
+def test_a_modulus_that_is_not_prime_is_refused(mat, p, cols):
+    # cols None: rank_mod
+    with pytest.raises(ValueError, match=rf"^{p} is not prime$"):
+        rank_mod(mat, p) if cols is None else nullspace_mod(mat, p, cols)
+
+
+@pytest.mark.parametrize("row", [[1, 0, 1], {0: 1, 5: 1}, {-1: 1, 0: 1}, {2: 1}])
+def test_nullspace_refuses_an_entry_outside_its_columns(row):
+    # the last two rows reduce to zero against the first two: the pivot
+    # rows still hold the entry
+    with pytest.raises(ValueError, match=r"^a row has an entry outside range\(2\)$"):
+        nullspace_mod([[1, 1], row, [1, 1], row], 2, 2)
+    with pytest.raises(ValueError, match=r"^a row has an entry outside range\(2\)$"):
+        nullspace_mod([row, {0: 1, 2: 1}], 3, 2)
+    # an entry that is zero mod p is no entry
+    assert nullspace_mod([[1, 1], [0, 0, 2]], 2, 2) == [{1: 1, 0: 1}]
 
 
 def _assert_echelon(tracker):

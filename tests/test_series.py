@@ -406,7 +406,8 @@ def _cochain_cohomology_restriction_rank(vtag, etag, fusion, ell, q):
         d_up = delta(elems, degree)
         from tsr._modp import nullspace_mod
         z = nullspace_mod(d_up, ell, d_up.shape[1])
-        z = np.array(z, dtype=np.int64).reshape(len(z), d_up.shape[1])
+        z = np.array([[row.get(j, 0) for j in range(d_up.shape[1])] for row in z],
+                     dtype=np.int64).reshape(len(z), d_up.shape[1])
         d_down = delta(elems, degree - 1) if degree >= 1 else None
         return z, d_down
 
