@@ -20,8 +20,8 @@ import os
 import sys
 
 from . import __version__
-from .complexes import (ComplexSchemaError, _unique_keys, classify_components, parse_complex,
-                        serialize_complex, torsion_subcomplex)
+from .complexes import (ComplexSchemaError, _listed, _quote, _unique_keys, classify_components,
+                        parse_complex, serialize_complex, torsion_subcomplex)
 
 
 class CliError(Exception):
@@ -114,17 +114,20 @@ def _cmd_reduce(args) -> None:
     # agree record by record, in order
     if replay(cx, log, args.prime) != reduced:
         raise AssertionError("reduction log replay diverged from the fixpoint")
-    text = serialize_complex(reduced)
     if args.json:
-        _emit_json({
-            "complex": json.loads(text),
-            "moves": [json.loads(m.to_json()) for m in log.moves],
-        })
+        # the bytes of _emit_json({"complex": ..., "moves": ...}) from texts:
+        # the complex's under sorted keys, indented two more spaces, and
+        # each move's fields, sorted, every one a string
+        moves = ",\n".join("    {\n" + ",\n".join(
+            f'      "{k}": {_quote(v)}' for k, v in sorted(m._doc().items())) + "\n    }"
+            for m in log.moves)
+        text = serialize_complex(reduced, sort_keys=True)[:-1].replace("\n", "\n  ")
+        sys.stdout.write(f'{{\n  "complex": {text},\n  "moves": {_listed(moves)}\n}}\n')
     else:
         print(f"moves: {len(log.moves)}")
         sys.stdout.write(log.to_jsonl())
         print("log verified")
-        sys.stdout.write(text)
+        sys.stdout.write(serialize_complex(reduced))
 
 
 def _cmd_poincare(args) -> None:

@@ -264,7 +264,7 @@ def parse_complex(text: str) -> OrbitComplex:
               for r in doc["incidences"]))
 
 
-def serialize_complex(cx: OrbitComplex) -> str:
+def serialize_complex(cx: OrbitComplex, *, sort_keys: bool = False) -> str:
     """Canonical serialization, byte-stable across runs: one object with
     the keys rigid (always true), cells and incidences, in that order;
     cells sorted by (dim, id), each with the keys id, dim, stabilizer,
@@ -272,17 +272,30 @@ def serialize_complex(cx: OrbitComplex) -> str:
     keys face, coface, multiplicity.  Two-space indent, one key or list
     item per line, an empty list as [], strings with ASCII-only JSON
     escapes, a newline at the end.  These are the bytes of
-    json.dumps(doc, indent=2) + "\\n", the tests' reference, written by a
-    template: the C escaper of json.dumps quotes every string."""
+    json.dumps(doc, indent=2, sort_keys=sort_keys) + "\\n", the tests'
+    reference, written by a template: the C escaper of json.dumps quotes
+    every string.  Under sort_keys every object lists its keys sorted."""
+    cells = sorted(cx.cells, key=attrgetter("dim", "id"))
+    incidences = sorted(cx.incidences, key=attrgetter("face", "coface"))
+    if sort_keys:
+        cells = ",\n".join(
+            f'    {{\n      "dim": {_int(c.dim)},\n      "id": {_quote(c.id)},\n'
+            f'      "self_identified": {"true" if c.self_identified else "false"},\n'
+            f'      "stabilizer": {_quote(c.stabilizer)}\n    }}' for c in cells)
+        incidences = ",\n".join(
+            f'    {{\n      "coface": {_quote(i.coface)},\n      "face": {_quote(i.face)},\n'
+            f'      "multiplicity": {_int(i.multiplicity)}\n    }}' for i in incidences)
+        return (f'{{\n  "cells": {_listed(cells)},\n  "incidences": {_listed(incidences)},\n'
+                f'  "rigid": true\n}}\n')
     cells = ",\n".join(
         f'    {{\n      "id": {_quote(c.id)},\n      "dim": {_int(c.dim)},\n'
         f'      "stabilizer": {_quote(c.stabilizer)},\n'
         f'      "self_identified": {"true" if c.self_identified else "false"}\n    }}'
-        for c in sorted(cx.cells, key=attrgetter("dim", "id")))
+        for c in cells)
     incidences = ",\n".join(
         f'    {{\n      "face": {_quote(i.face)},\n      "coface": {_quote(i.coface)},\n'
         f'      "multiplicity": {_int(i.multiplicity)}\n    }}'
-        for i in sorted(cx.incidences, key=attrgetter("face", "coface")))
+        for i in incidences)
     return (f'{{\n  "rigid": true,\n  "cells": {_listed(cells)},\n'
             f'  "incidences": {_listed(incidences)}\n}}\n')
 

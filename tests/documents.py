@@ -82,6 +82,20 @@ def d3_c2_path(n: int) -> str:
                        for k in range(n) for t in (0, 1)]})
 
 
+def d3_c2_circle(n: int) -> str:
+    """n >= 2 D3 vertices v0..v(n-1) joined in a circle by the n C2 edges
+    e0..e(n-1), ek from vk to v(k+1 mod n); at ell = 2 it merges into one
+    loop, nearly every merge taking a cell an earlier one made."""
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": f"v{k}", "dim": 0, "stabilizer": "D3", "self_identified": False}
+                  for k in range(n)]
+        + [{"id": f"e{k}", "dim": 1, "stabilizer": "C2", "self_identified": False}
+           for k in range(n)],
+        "incidences": [{"face": f"v{(k + t) % n}", "coface": f"e{k}"}
+                       for k in range(n) for t in (0, 1)]})
+
+
 def wound_loop(m: int) -> str:
     """A C1 face f whose boundary winds the C1 loop e on the C1 vertex v m
     times: one incidence of multiplicity m, so H_1 of the total is Z/m."""

@@ -17,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tsr.cli import main
-from tsr.complexes import OrbitComplex, parse_complex
+from tsr.complexes import Incidence, OrbitCell, OrbitComplex, parse_complex, serialize_complex
+from tsr.reduction import reduce_complex
 from tsr.series import SubgroupCensus
 
 from documents import deep_json, non_rigid, run_cli, two_vertex_path, wound_loop
@@ -106,6 +107,41 @@ def test_reduce_json_roundtrip():
     cx = parse_complex(json.dumps(doc["complex"]))
     assert len(cx.cells) == 3
     assert doc["moves"][0]["kind"] == "merge"
+
+
+#: Ids that need JSON escapes (a lone surrogate among them), non-ASCII
+#: and astral ones, and "+", with which merged ids end.
+_IDS = st.text(st.sampled_from('"\\\x01\xe9\u2028\U0001f600\ud800+ab'), min_size=1, max_size=4)
+
+
+@st.composite
+def circle_beside_path(draw) -> OrbitComplex:
+    """A D3-C2 circle of 2 to 5 edges beside a D3-C2 path of 1 to 4, its
+    ids drawn from _IDS: reduced at ell = 2, the path is cut and the
+    circle merged into one loop."""
+    n, m = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    ids = draw(st.lists(_IDS, min_size=2 * (n + m) + 1, max_size=2 * (n + m) + 1, unique=True))
+    vs, es = ids[:n + m + 1], ids[n + m + 1:]
+    return OrbitComplex(
+        tuple(OrbitCell(v, 0, "D3") for v in vs) + tuple(OrbitCell(e, 1, "C2") for e in es),
+        tuple(Incidence(vs[(k + t) % n], es[k]) for k in range(n) for t in (0, 1))
+        + tuple(Incidence(vs[k + t], es[k]) for k in range(n, n + m) for t in (0, 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(circle_beside_path())
+def test_reduce_json_writes_the_bytes_of_json_dumps(fuzz_input, cx):
+    # reduce --json writes its document from texts; json.dumps of the
+    # parsed complex and moves is the reference
+    reduced, log = reduce_complex(cx, 2)
+    assert {m.kind for m in log.moves} == {"cut", "merge"}
+    fuzz_input.write_text(serialize_complex(cx))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["reduce", "--json", "--prime", "2", "--input", str(fuzz_input)]) == 0
+    assert out.getvalue() == json.dumps({
+        "complex": json.loads(serialize_complex(reduced)),
+        "moves": [json.loads(m.to_json()) for m in log.moves]}, indent=2, sort_keys=True) + "\n"
 
 
 def test_poincare_inline_census():

@@ -77,6 +77,8 @@ def _complexes(draw) -> OrbitComplex:
 def test_serialize_writes_the_bytes_of_json_dumps(cx):
     text = serialize_complex(cx)
     assert text == json.dumps(reference_doc(cx), indent=2) + "\n"
+    assert serialize_complex(cx, sort_keys=True) == json.dumps(
+        reference_doc(cx), indent=2, sort_keys=True) + "\n"
     assert serialize_complex(parse_complex(text)) == text
 
 

@@ -13,7 +13,7 @@ from tsr.reduction import (Move, ReductionLog, _rule_failure, apply_move,
                            check_condition_B_prime, reduce_complex, replay,
                            scripted_merge)
 
-from documents import circles, load, non_rigid
+from documents import circles, d3_c2_circle, d3_c2_path, load, non_rigid
 
 
 # --------------------------------------------------------------------------
@@ -71,15 +71,27 @@ def test_condition_a_blocked_by_higher_cells():
     # 2-dimensional SL3 complex, Q bounds three edges that bound triangles
     move = Move("merge", "s", ("t1", "t2"), "")
     assert apply_move(two_edges_at_s(), move, 2).cells_of_dim(1)[0].id == "t1+"
-    assert refusal(two_edges_at_s(triangle_over_t1=True), move) == "merge at 's': condition A fails"
+    blocked = two_edges_at_s(triangle_over_t1=True)
+    for incs in (blocked.incidences, blocked.incidences[::-1]):  # s reads t1 first, then last
+        assert refusal(OrbitComplex(blocked.cells, incs), move) == "merge at 's': condition A fails"
     move = Move("merge", "Q", ("e01_QN", "e08_MQ"), "")
     assert refusal(load("sl3z_soule.json"), move) == "merge at 'Q': condition A fails"
 
 
+def test_condition_a_needs_multiplicity_one_on_both_taus():
+    # s bounds t1 twice: whichever of its two incidences s reads first
+    cx = two_edges_at_s()
+    incs = (Incidence("s", "t1", 2),) + cx.incidences[1:]
+    move = Move("merge", "s", ("t1", "t2"), "")
+    for order in (incs, incs[::-1]):
+        assert refusal(OrbitComplex(cx.cells, order), move) == "merge at 's': condition A fails"
+
+
 def test_condition_a_self_identified_blocks():
     move = Move("merge", "s", ("t1", "t2"), "")
-    assert refusal(two_edges_at_s(t1_self_identified=True), move) == (
-        "merge at 's': condition A fails")
+    cx = two_edges_at_s(t1_self_identified=True)
+    for incs in (cx.incidences, cx.incidences[::-1]):  # s reads t1 first, then last
+        assert refusal(OrbitComplex(cx.cells, incs), move) == "merge at 's': condition A fails"
 
 
 # --------------------------------------------------------------------------
@@ -280,6 +292,7 @@ FORGED_MOVES = [
      "cut at 'N': its top cells are ['f4_PN']"),
     ("path_c2_d3_c2.json", Move("swap", "v2", ("e1", "e2"), ""),
      "swap at 'v2': unknown move kind"),
+    ("path_c2_d3_c2.json", Move("cut", "v2", ("e1",), ""), "cut at 'v2': not a terminal pair"),
 ]
 
 
@@ -375,6 +388,15 @@ def test_merged_id_skips_taken_ids():
     assert sorted(c.id for c in reduced.cells) == ["a+", "a++", "v", "w", "x", "y"]
 
 
+def test_merged_id_that_ends_in_plus_is_kept():
+    # round a circle each merge takes the cell the last one made; its id
+    # ends in "+" and is free once the merge drops it, so ids do not grow
+    reduced, log = reduce_complex(parse_complex(d3_c2_circle(3)), 2)
+    assert [(m.sigma, m.taus, m.merged) for m in log.moves] == [
+        ("v0", ("e0", "e2"), "e0+"), ("v1", ("e0+", "e1"), "e0+")]
+    assert sorted(c.id for c in reduced.cells) == ["e0+", "v2"]
+
+
 def test_reduce_reexamines_merges_after_a_merge_and_a_cut():
     # the merge along sigma leaves a terminal, and cutting it leaves x
     # between two like edges: a merge at a vertex that the reducer had
@@ -450,6 +472,34 @@ def test_reduce_tries_only_cells_that_can_start_a_move(monkeypatch, n):
     reduced, log = reduce_complex(parse_complex(circles(n)), 2)
     assert (len(reduced.cells), log.moves) == (2 * n, ())
     assert sorted(calls) == sorted(("cut", f"v{i}") for i in range(n))
+
+
+@pytest.mark.parametrize("document", (d3_c2_path, d3_c2_circle))
+def test_reduce_looks_at_each_queued_entry_once(monkeypatch, document):
+    # at ell = 2 the path is cut from both ends and the circle merged into
+    # one loop: 1,000 and 999 moves from 1,001 and 1,000 initial entries.
+    # An entry is popped once, skipped if its cell is gone, and queued
+    # again only once popped, so no check is made on a gone cell, none
+    # twice on one complex, and no more than one per move and entry
+    import tsr.reduction
+    calls, move_at = [], tsr.reduction._move_at
+
+    def counted(cx, kind, sigma, ell):
+        found = move_at(cx, kind, sigma, ell)
+        calls.append((kind, sigma, sigma in cx._cells, isinstance(found, str)))
+        return found
+
+    monkeypatch.setattr(tsr.reduction, "_move_at", counted)
+    cx = parse_complex(document(1000))
+    tx = torsion_subcomplex(cx, 2)
+    initial = sum(len(tx.cofaces(c.id)) in (1, 2) for c in tx.cells)
+    _, log = reduce_complex(cx, 2)
+    assert len(calls) <= len(log.moves) + initial
+    assert all(live for _, _, live, _ in calls)
+    failed = set()
+    for kind, sigma, _, failure in calls:
+        assert (kind, sigma) not in failed
+        failed = failed | {(kind, sigma)} if failure else set()
 
 
 def test_scripted_merge_reaches_final_chain():
@@ -566,9 +616,11 @@ def reference_reduce(cx: OrbitComplex, ell: int):
                 continue
             clause = check_condition_B_prime(c.stabilizer, t1.stabilizer, ell)
             if clause is not None:
-                merged = t1.id + "+"
-                while any(x.id == merged for x in cx.cells):
+                merged = t1.id
+                if not merged.endswith("+"):
                     merged += "+"
+                    while any(x.id == merged for x in cx.cells):
+                        merged += "+"
                 return Move("merge", c.id, (t1.id, t2.id), clause, merged)
         return None
 
@@ -639,16 +691,20 @@ def test_reduce_matches_reference_search(ell_and_complex):
 def test_logged_moves_apply_one_at_a_time(ell_and_complex):
     # each move of the log passes apply_move on the complex it was made
     # on; a merge given with its taus swapped passes too, and names its
-    # new cell after the tau given first
+    # new cell after the tau given first: that tau's id if it ends in "+"
     ell, cx = ell_and_complex
     reduced, log = reduce_complex(cx, ell)
     state = torsion_subcomplex(cx, ell)
     for move in log.moves:
         if move.kind == "merge":
             swapped = apply_move(state, move._replace(taus=move.taus[::-1]), ell)
-            (new,) = {c.id for c in swapped.cells} - {c.id for c in state.cells}
+            kept = {c.id for c in state.cells} - {move.sigma, *move.taus}
+            (new,) = {c.id for c in swapped.cells} - kept
             first = move.taus[1]
-            assert new[:len(first)] == first and set(new[len(first):]) == {"+"}, move
+            if first.endswith("+"):
+                assert new == first, move
+            else:
+                assert new[:len(first)] == first and set(new[len(first):]) == {"+"}, move
         state = apply_move(state, move, ell)
     assert serialize_complex(state) == serialize_complex(reduced)
 

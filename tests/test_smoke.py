@@ -18,8 +18,8 @@ from collections import namedtuple
 
 import pytest
 
-from documents import (FIXTURES, circles, d3_c2_path, escaped_ids, graphfive_copies, run_cli,
-                       strip, wound_loop)
+from documents import (FIXTURES, circles, d3_c2_circle, d3_c2_path, escaped_ids,
+                       graphfive_copies, run_cli, strip, wound_loop)
 from tsr.bredon import bredon_complex, homology
 from tsr.complexes import parse_complex, serialize_complex
 from tsr.reduction import reduce_complex
@@ -30,6 +30,7 @@ DOCUMENTS = {
     "strip500": lambda: strip(500),
     "strip2000": lambda: strip(2000),
     "d3c2path8000": lambda: d3_c2_path(8000),
+    "circle20000": lambda: d3_c2_circle(20_000),
     "escaped": escaped_ids,
     "wound100000": lambda: wound_loop(100_000),
     "wound1e12": lambda: wound_loop(10 ** 12),
@@ -131,6 +132,12 @@ ROWS = [
     # 2-cells; the elimination keeps echelon form, so its pivot rows do not fill
     Row(["bredon", "--input", "@strip500"], out=total, timeout=5),
     Row(["bredon", "--input", "@strip2000"], out=total, timeout=5),
+    # 19,999 merges, 19,994 of them taking a cell an earlier one made: a
+    # merged id that ends in "+" is kept, so ids, log and memory stay linear
+    Row(["reduce", "--prime", "2", "--input", "@circle20000"], out=reduced, timeout=20,
+        memory=300 * 2 ** 20),
+    Row(["reduce", "--json", "--prime", "2", "--input", "@circle20000"], out=reduced,
+        timeout=20, memory=300 * 2 ** 20),
     # the one large document with a 3-torsion block
     Row(["bredon", "--input", "@d3c2path8000"], out=total, timeout=20),
     Row(["extract", "--prime", "2", "--input", "@escaped"], out=json_dumps),
