@@ -27,9 +27,14 @@ rows like every other row here.  Both refuse a modulus that is not prime.
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
 is a signed sum of small per-inclusion blocks at the cells' offsets.
-It drops an entry whose terms cancel as it sums, so its rows are clean
-over Z (nonzero Python ints) and the Bredon chain check takes them as
-they are; over F_p ``rank_mod`` still reduces them with ``_row``.
+It builds the matrices of all parts in one pass over the terms: a cell
+spans ``widths(tag)[w]`` rows or columns of part w, the block callback
+returns a key's block for each part, read once per key, and the result
+is one list of rows per part (one part for the Bredon total and the
+oracle's maps, three for the Bredon split).  It drops an entry whose
+terms cancel as it sums, so its rows are clean over Z (nonzero Python
+ints) and the Bredon chain check takes them as they are; over F_p
+``rank_mod`` still reduces them with ``_row``.
 The module holds elimination and assembly only.
 """
 
@@ -59,31 +64,40 @@ def _subtract(row: dict[int, int], a: int, v: dict[int, int], p: int) -> None:
             del row[j]
 
 
-def assemble(terms, rows, cols, width, block) -> list[dict[int, int]]:
-    """Sparse rows of the sum of sign * block(column tag, row tag, emb)
-    over the terms (row cell, column cell, sign, emb), given as indices
-    into the cell sequences rows and cols; a cell spans width(its tag)
-    rows or columns, and a block is a list of rows, read once per key.
-    An entry whose terms cancel is dropped when it reaches zero, so the
-    rows hold no zeros: with integer blocks they are clean over Z, and
-    ``bredon`` builds its chain complexes from them without a copy."""
-    roff, coff = (list(accumulate((width(c.stabilizer) for c in cells), initial=0))
-                  for cells in (rows, cols))
-    out: list[dict[int, int]] = [{} for _ in range(roff[-1])]
-    entries: dict[tuple, list[tuple[int, int, int]]] = {}
+def assemble(terms, rows, cols, widths, block,
+             parts: int = 1) -> list[list[dict[int, int]]]:
+    """Per part w, the sparse rows of the sum of sign * block(column tag,
+    row tag, emb)[w] over the terms (row cell, column cell, sign, emb),
+    given as indices into the cell sequences rows and cols; a cell spans
+    widths(its tag)[w] rows or columns of part w.  Returns parts lists of
+    rows, however few the cells.  An entry whose terms cancel is dropped
+    when it reaches zero, so the rows hold no zeros."""
+    offsets = []
+    for cells in (rows, cols):
+        ws = [widths(c.stabilizer) for c in cells]
+        offsets.append([list(accumulate((w[p] for w in ws), initial=0))
+                        for p in range(parts)])
+    outs: list[list[dict[int, int]]] = [[{} for _ in range(roff[-1])]
+                                        for roff in offsets[0]]
+    # per key, the parts it adds to: (rows, row offsets, column offsets, entries)
+    entries: dict[tuple, list[tuple]] = {}
     for i, j, sign, emb in terms:
         key = (cols[j].stabilizer, rows[i].stabilizer, emb)
         if key not in entries:
-            entries[key] = [(r, c, x) for r, brow in enumerate(block(*key))
-                            for c, x in enumerate(brow) if x]
-        for r, c, x in entries[key]:
-            row, c = out[roff[i] + r], coff[j] + c
-            x = row.get(c, 0) + sign * x
-            if x:
-                row[c] = x
-            else:  # cancelled: the entry was there, and goes
-                del row[c]
-    return out
+            entries[key] = [(out, roff, coff, es) for out, roff, coff, part
+                            in zip(outs, *offsets, block(*key))
+                            if (es := [(r, c, x) for r, brow in enumerate(part)
+                                       for c, x in enumerate(brow) if x])]
+        for out, roff, coff, es in entries[key]:
+            r0, c0 = roff[i], coff[j]
+            for r, c, x in es:
+                row, c = out[r0 + r], c0 + c
+                x = row.get(c, 0) + sign * x
+                if x:
+                    row[c] = x
+                else:  # cancelled: the entry was there, and goes
+                    del row[c]
+    return outs
 
 
 class SpanTracker:

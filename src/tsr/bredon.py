@@ -8,12 +8,17 @@ every pinned block from the character tables, class fusions and
 splitting bases in ``tsr.groups``, by Frobenius reciprocity.
 Each block of the split sums the split blocks' corners on its part
 over the incidence terms of the complex, as sparse rows that go
-straight to the elimination; ``split_blocks`` checks every split block
-it reads for an entry that links two parts.  Assembled rows are clean,
-so a built complex keeps them without a copy and checks them once;
-only rows from outside, given to ``IntegerChainComplex``, are
+straight to the elimination; the three blocks of a differential come
+from one pass over its terms, and ``split_blocks`` checks every split
+block it reads for an entry that links two parts.  Assembled rows are
+clean, so a built complex keeps them without a copy and checks them
+once; only rows from outside, given to ``IntegerChainComplex``, are
 normalised first.  The total, whose homology
 is the blocks' direct sum, is assembled only by ``BredonComplex.chain``.
+The elimination takes the nonempty rows sparsest first, so a dense row
+(a star's hub, a book's spine) is reduced against sparse pivots last
+instead of filling every row after it, and its cost does not depend on
+how the cells are spelled.
 Dense rows are made only for the Smith normal form of the elimination's
 core and for the dense ``BredonComplex.psi1``/``psi2`` views.
 """
@@ -224,13 +229,17 @@ def elementary_divisors(mat) -> list[int]:
     quotient and its pivots count g each; this repeats on whatever core
     is left.  Only a core of content 1 with no unit entry goes to the
     Smith normal form."""
-    return _divisors([_row(r, 0) for r in mat])
+    return _divisors([row for r in mat if (row := _row(r, 0))])
 
 
 def _divisors(rows: list[dict[int, int]]) -> list[int]:
-    """elementary_divisors of clean rows, which the elimination takes over."""
+    """elementary_divisors of nonempty clean rows, which the elimination
+    takes over, shortest first: the order changes no divisor, and a dense
+    row fed last is reduced against the sparse pivots instead of filling
+    every later row."""
     out, scale = [], 1
     while rows:
+        rows.sort(key=len)
         span = SpanTracker(0)
         for row in rows:
             span._add(row)
@@ -247,16 +256,23 @@ def _divisors(rows: list[dict[int, int]]) -> list[int]:
     return out
 
 
+def _in_range(rows, n: int) -> bool:
+    """Whether the least and greatest key of the nonempty rows are in range(n)."""
+    rows = list(filter(None, rows))
+    return not rows or (min(map(min, rows)) >= 0 and max(map(max, rows)) < n)
+
+
 def _check_chain(psi1, psi2, dims: tuple[int, int, int]) -> None:
-    """ValueError unless the sparse rows fit dims and psi1 @ psi2 = 0.  A
-    row's columns are in range when its least and greatest key are; the
-    product is formed one row at a time, up to the first nonzero row."""
+    """ValueError unless the sparse rows fit dims and psi1 @ psi2 = 0.  The
+    product is formed one row at a time, up to the first nonzero row, and
+    only when psi2 has an entry: a zero psi2 composes to zero."""
     n0, n1, n2 = dims
-    if (len(psi1) != n0 or len(psi2) != n1
-            or any(row and (min(row) < 0 or max(row) >= n1) for row in psi1)
-            or any(row and (min(row) < 0 or max(row) >= n2) for row in psi2)):
+    if not (len(psi1) == n0 and len(psi2) == n1
+            and _in_range(psi1, n1) and _in_range(psi2, n2)):
         raise ValueError("psi1 and psi2 are not composable with dims "
                          f"{dims}")
+    if not any(psi2):
+        return
     for row in psi1:
         acc: dict[int, int] = {}
         for k, x in row.items():
@@ -294,8 +310,10 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
     elementary divisors of both differentials (the complex checked
     itself when it was built)."""
     n0, n1, n2 = chain.dims
-    # the stored rows are clean; the elimination edits its own copies
-    div1, div2 = (_divisors([dict(r) for r in rows]) for rows in (chain.psi1, chain.psi2))
+    # the stored rows are clean; the elimination edits its own copies of
+    # the nonempty ones
+    div1, div2 = (_divisors([dict(r) for r in rows if r])
+                  for rows in (chain.psi1, chain.psi2))
     rank1, rank2 = len(div1), len(div2)
     h0 = AbelianGroup(n0 - rank1, tuple(d for d in div1 if d > 1))
     h1 = AbelianGroup((n1 - rank1) - rank2, tuple(d for d in div2 if d > 1))
@@ -327,16 +345,19 @@ class BredonComplex(namedtuple("BredonComplex", "vertices edges faces terms1 ter
 
     def chain(self) -> IntegerChainComplex:
         """The total chain complex, assembled and checked on each call."""
-        return _summed(self, RANKS.__getitem__, induction_matrix)
+        return _summed(self, {t: (n,) for t, n in RANKS.items()}.__getitem__,
+                       lambda *key: (induction_matrix(*key),), 1)[0]
 
 
-def _summed(bc: BredonComplex, width, block) -> IntegerChainComplex:
-    """The chain complex summed from bc's terms: a cell spans width(tag)
-    coordinates, an inclusion adds block(source, target, embedding)."""
-    psi1 = assemble(bc.terms1, bc.vertices, bc.edges, width, block)
-    psi2 = assemble(bc.terms2, bc.edges, bc.faces, width, block)
-    return IntegerChainComplex._of_clean_rows(psi1, psi2, (len(psi1), len(psi2), sum(
-        width(f.stabilizer) for f in bc.faces)))
+def _summed(bc: BredonComplex, widths, block, parts: int) -> list[IntegerChainComplex]:
+    """The chain complexes, one per part, summed from bc's terms in one
+    pass per differential: a cell spans widths(tag)[w] coordinates of
+    part w, and an inclusion adds block(source, target, embedding)[w]."""
+    n2 = [sum(widths(f.stabilizer)[w] for f in bc.faces) for w in range(parts)]
+    return [IntegerChainComplex._of_clean_rows(psi1, psi2, (len(psi1), len(psi2), cols))
+            for psi1, psi2, cols in zip(
+                assemble(bc.terms1, bc.vertices, bc.edges, widths, block, parts),
+                assemble(bc.terms2, bc.edges, bc.faces, widths, block, parts), n2)]
 
 
 def _oriented_boundary_walk(face_id: str, uses: list[int],
@@ -404,39 +425,43 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
                    for k, sign in _oriented_boundary_walk(f.id, [
                        use for inc in cx._faces.get(f.id, ())
                        for use in [eindex[inc.face]] * inc.multiplicity], terms1))
-    for i, j, _, emb in terms1:
-        check_inclusion(edges[j].stabilizer, vertices[i].stabilizer, emb)
+    # once per distinct inclusion, in the order of first use
+    for key in dict.fromkeys((edges[j].stabilizer, vertices[i].stabilizer, emb)
+                             for i, j, _, emb in terms1):
+        check_inclusion(*key)
     return BredonComplex(vertices, edges, faces, terms1, terms2)
 
 
 SplitBlocks = namedtuple("SplitBlocks", "trivial two three")
 
 
+def _corners(source: str, target: str, emb: int) -> list[list[list[int]]]:
+    """The corners of the split block on the rows and columns of each part
+    in BLOCK_PARTS; BlockSplitError at its first entry, in row order, that
+    links two parts."""
+    mat = transformed_induction(source, target, emb)
+    rparts, cparts = BLOCK_PARTS[target], BLOCK_PARTS[source]
+    rpart, cpart = ({k: w for w, idx in enumerate(parts) for k in idx}
+                    for parts in (rparts, cparts))
+    for r, row in enumerate(mat):
+        for c, x in enumerate(row):
+            if x and rpart[r] != cpart[c]:
+                raise BlockSplitError(
+                    f"off-block entry {x} at ({r}, {c}) of the split block "
+                    f"of {source!r} in {target!r} (embedding {emb})")
+    return [[[mat[r][c] for c in cols] for r in rows] for rows, cols in zip(rparts, cparts)]
+
+
 def split_blocks(bc: BredonComplex) -> SplitBlocks:
     """The Bredon differentials in the pinned splitting bases, split into
-    the orbit-space block and the 2- and 3-torsion blocks.  Block w is
-    summed from the same terms as chain(), with each induction replaced
-    by the corner of its split block on the rows and columns of part w
-    in BLOCK_PARTS, so a cell spans its part w.  Each split block read
-    raises BlockSplitError at an entry that links two parts."""
-
-    def block(w: int) -> IntegerChainComplex:
-        width = {tag: len(parts[w]) for tag, parts in BLOCK_PARTS.items()}.__getitem__
-
-        def corner(source, target, emb):
-            mat = transformed_induction(source, target, emb)
-            rows, cols = BLOCK_PARTS[target][w], BLOCK_PARTS[source][w]
-            for r, row in enumerate(mat):
-                for c, x in enumerate(row):
-                    if x and (r in rows) != (c in cols):
-                        raise BlockSplitError(
-                            f"off-block entry {x} at ({r}, {c}) of the split block "
-                            f"of {source!r} in {target!r} (embedding {emb})")
-            return [[mat[r][c] for c in cols] for r in rows]
-
-        return _summed(bc, width, corner)
-
-    return SplitBlocks(*map(block, range(3)))
+    the orbit-space block and the 2- and 3-torsion blocks.  The blocks
+    are summed from the same terms as chain(), all three in one pass per
+    differential, with each induction replaced by the corners of its
+    split block on the rows and columns of each part in BLOCK_PARTS, so
+    a cell spans its part w in block w.  Each split block read raises
+    BlockSplitError at an entry that links two parts."""
+    widths = {tag: tuple(map(len, parts)) for tag, parts in BLOCK_PARTS.items()}
+    return SplitBlocks(*_summed(bc, widths.__getitem__, _corners, 3))
 
 
 # --------------------------------------------------------------------------

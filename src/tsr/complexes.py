@@ -351,9 +351,11 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
     for j, e in enumerate(edges):
         for face, sign in zip(pairs[e.id], (1, -1)):
             i = index[face]
-            n = counters.get((i, e.stabilizer), 0)
-            counters[i, e.stabilizer] = n + 1
             classes = INCLUSIONS.get((e.stabilizer, vertices[i].stabilizer), 1)
+            n = 0
+            if classes > 1:  # counted only where the ends rotate
+                n = counters.get((i, e.stabilizer), 0)
+                counters[i, e.stabilizer] = n + 1
             ends.append((i, j, sign, n % classes))
     return tuple(vertices), tuple(edges), tuple(ends)
 

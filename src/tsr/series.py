@@ -367,7 +367,7 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
         blocks = {k: restriction_block(*k, ell, q) for k in incl}
         key = (tuple(dim.values()), tuple(tuple(map(tuple, b)) for b in blocks.values()))
         if key not in ranks:
-            mat = assemble(terms, edges, vertices, dim.__getitem__, lambda *k: blocks[k])
+            mat, = assemble(terms, edges, vertices, lambda t: (dim[t],), lambda *k: (blocks[k],))
             ranks[key] = rank_mod(mat, ell)
         maps[q] = ranks[key], *(sum(dim[t] * n for t, n in c.items()) for c in (ecount, vcount))
         return maps[q]

@@ -137,3 +137,29 @@ def non_rigid(name: str) -> str:
 def deep_json() -> str:
     """100,000 opening brackets: deeper than any JSON parser recurses."""
     return "[" * 100_000
+
+
+def star(n: int, hub_first: bool = True) -> str:
+    """One D3 hub joined by the n C2 spokes e0.. to the n C2 leaves v0..;
+    the hub is spelled "a", sorting before every leaf, or "z", after."""
+    hub = "a" if hub_first else "z"
+    return json.dumps({
+        "rigid": True,
+        "cells": [{"id": hub, "dim": 0, "stabilizer": "D3", "self_identified": False}]
+        + [{"id": f"{k}{i}", "dim": d, "stabilizer": "C2", "self_identified": False}
+           for i in range(n) for k, d in (("v", 0), ("e", 1))],
+        "incidences": [{"face": v, "coface": f"e{i}"} for i in range(n) for v in (hub, f"v{i}")]})
+
+
+def book(n: int) -> str:
+    """n C1 bigons f0.. on the C1 vertices a and b: each bounded by the
+    spine edge x, which sorts before the pages' edges y0.., and its own
+    page edge."""
+    cell = lambda i, d: {"id": i, "dim": d, "stabilizer": "C1", "self_identified": False}
+    return json.dumps({
+        "rigid": True,
+        "cells": [cell("a", 0), cell("b", 0), cell("x", 1)]
+        + [cell(f"{k}{i}", d) for i in range(n) for k, d in (("y", 1), ("f", 2))],
+        "incidences": [{"face": v, "coface": e} for e in ["x"] + [f"y{i}" for i in range(n)]
+                       for v in "ab"]
+        + [{"face": e, "coface": f"f{i}"} for i in range(n) for e in ("x", f"y{i}")]})

@@ -159,6 +159,17 @@ def test_elementary_divisors_match_the_smith_normal_form(m):
 
 
 @settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.randoms(use_true_random=False))
+def test_elementary_divisors_do_not_depend_on_the_row_order(m, rng):
+    # the elimination takes the rows shortest first, whatever their order
+    _, d, _ = smith_normal_form(m)
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    rows = list(m)
+    rng.shuffle(rows)
+    assert elementary_divisors(rows) == elementary_divisors(m) == [x for x in diag if x]
+
+
+@settings(max_examples=300, deadline=None)
 @given(integer_matrices(), st.sampled_from((2, 3, 5)))
 def test_rank_mod_p_counts_divisors_prime_to_p(m, p):
     assert rank_mod(m, p) == sum(1 for d in elementary_divisors(m) if d % p)

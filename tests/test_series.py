@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import tsr._modp
 from tsr._modp import rank_mod
 from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, edge_end_assignments,
                            parse_complex)
@@ -22,7 +23,7 @@ from tsr.series import (ORACLE_STABILIZERS, CensusError, RationalSeries, Subgrou
                         poincare_3torsion, restriction_block, sl2_mod2_dims,
                         stabilizer_cohomology_dim, triangle_group_homology)
 
-from documents import load, non_rigid
+from documents import load, non_rigid, star
 
 
 def ints(coeffs):
@@ -792,3 +793,16 @@ def test_census_series_match_pinned_outputs(census, two, three):
         assert str(s) == text
         coeffs = ",".join(str(x) for x in s.expand(120))
         assert hashlib.sha256(coeffs.encode()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("hub_first", [pytest.param(True, marks=pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 19: rank_mod takes rows in id order, so a hub "
+    "that sorts first fills every leaf's row")), False])
+def test_oracle_work_does_not_depend_on_the_spelling_of_a_star(monkeypatch, hub_first):
+    # a work count, not a timing: the heap pops of the elimination, which
+    # are 1,999,000 with the hub first and none with the hub last
+    n, pops, pop = 2000, [], tsr._modp.heappop
+    monkeypatch.setattr(tsr._modp, "heappop", lambda heap: pops.append(1) or pop(heap))
+    cx = parse_complex(star(n, hub_first))
+    assert equivariant_graph_cohomology_oracle(cx, 2, (1, 2)) == {1: 1, 2: 1}
+    assert len(pops) <= 4 * n
