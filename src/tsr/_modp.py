@@ -19,10 +19,19 @@ The form is the same in every ring: a pivot row is zero in the older
 pivot columns, and no pivot row changes once it is made.  Clearing each
 new pivot column from every older row would scan them all and fill
 them (psi_1 of a 1,000-triangle strip: 823,202 pivot nonzeros against
-11,818).  ``rank_mod`` reads only the rank; ``nullspace_mod`` alone
-needs the reduced echelon form: it clears its own pivot rows into it once,
-newest first, and reads its basis off them in one pass, as ``{column: entry}``
-rows like every other row here.  Both refuse a modulus that is not prime.
+11,818).  ``rank_mod`` reads only the rank, which no order of rows or
+columns changes: it renumbers the columns by how many rows use them,
+fewest first, and feeds the rows shortest first, so a dense row or
+column (a star's hub) pivots last and fills nothing, however its ids
+sort.  ``nullspace_mod`` keeps the given order, as its canonical basis
+depends on which columns are pivots, and alone needs the reduced echelon
+form: it clears its own pivot rows into it once, newest first, and reads
+its basis off them in one pass, as ``{column: entry}`` rows like every
+other row here.  Both refuse a modulus that is not prime, and
+``nullspace_mod`` a row with an entry outside its columns; both
+normalise outside rows with ``_row``.  ``_nullspace`` is its entry for
+clean rows (nonzero ints reduced mod p, in range), which the brute-force
+group homology builds, as ``SpanTracker._add`` is ``add``'s.
 
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
@@ -40,6 +49,7 @@ The module holds elimination and assembly only.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
@@ -188,9 +198,19 @@ class SpanTracker:
 
 
 def rank_mod(mat, p: int) -> int:
-    """Rank over F_p of a matrix given as a list of rows."""
+    """Rank over F_p of a matrix given as a list of rows.  The rank does
+    not depend on the order of rows or columns, so the columns are
+    renumbered by how many rows use them, fewest first, and the rows are
+    fed shortest first: a dense row or column then pivots last, against
+    sparse pivots, whatever its ids (a star's hub fills nothing)."""
     _check_prime(p)
-    return SpanTracker(p, mat).rank
+    rows = [v for vec in mat if (v := _row(vec, p))]
+    uses = Counter(j for v in rows for j in v)
+    order = {j: k for k, j in enumerate(sorted(uses, key=uses.__getitem__))}
+    tracker = SpanTracker(p)
+    for v in sorted(rows, key=len):
+        tracker._add({order[j]: x for j, x in v.items()})
+    return tracker.rank
 
 
 def nullspace_mod(mat, p: int, cols: int) -> list[dict[int, int]]:
@@ -200,13 +220,19 @@ def nullspace_mod(mat, p: int, cols: int) -> list[dict[int, int]]:
     deterministic: one clean ``{column: entry}`` row per free column, in
     column order, with entries in 1..p-1 and 1 at its free column."""
     _check_prime(p)
-    tracker = SpanTracker(p)
-    for vec in mat:
-        tracker._add(_row(vec, p))
-    pivots = tracker.pivots
-    # the pivot rows span the rows, so an entry outside the columns shows in one
-    if any(min(row) < 0 or max(row) >= cols for row in pivots.values()):
+    rows = [_row(vec, p) for vec in mat]
+    if any(min(v) < 0 or max(v) >= cols for v in rows if v):
         raise ValueError(f"a row has an entry outside range({cols})")
+    return _nullspace(rows, p, cols)
+
+
+def _nullspace(rows, p: int, cols: int) -> list[dict[int, int]]:
+    """``nullspace_mod`` of clean rows (nonzero int entries reduced mod p,
+    columns in range(cols)), which it takes as they are and edits."""
+    tracker = SpanTracker(p)
+    for v in rows:
+        tracker._add(v)
+    pivots = tracker.pivots
     # into reduced echelon form, newest pivot first: each row is zero in
     # the older pivot columns, and every newer row is reduced already
     for c, row in reversed(pivots.items()):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from ._modp import SpanTracker, nullspace_mod, rank_mod
+from ._modp import SpanTracker, _nullspace, rank_mod
 from .complexes import TAG_ORDERS, _check_prime
 from .series import dihedral_mod_ell_homology  # noqa: F401  (re-exported)
 
@@ -394,7 +394,8 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
     vector space.  Every vector is a clean ``{column: entry}`` row: a
     translate g.v permutes the keys of v, and each generator's n
     translates, made once, span the kernel and give the next map's
-    columns, whose rows are read off them.
+    columns, whose rows are read off them, clean, so the null space
+    takes them as they are (``_modp._nullspace``).
     """
     _check_prime(ell)
     if q_max < 0:
@@ -406,7 +407,7 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
     elems = list(G.elements)
     n = len(elems)
     index = {g: i for i, g in enumerate(elems)}
-    lperm = [[index[compose(a, b)] for b in elems] for a in elems]
+    lperm = [[index[tuple(map(a.__getitem__, b))] for b in elems] for a in elems]  # a * b
 
     def module_generators(basis: list[dict[int, int]], width: int) -> list[list[dict[int, int]]]:
         """Greedy generators of the submodule of F_ell[G]^(width / n) that basis
@@ -424,7 +425,7 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
                     return orbits
         return orbits
 
-    kernel = nullspace_mod([dict.fromkeys(range(n), 1)], ell, n)
+    kernel = _nullspace([dict.fromkeys(range(n), 1)], ell, n)
     ranks, t_ranks = [1], []
     while len(t_ranks) <= q_max and ranks[-1]:  # after a rank 0, every degree is 0
         orbits = module_generators(kernel, n * ranks[-1])
@@ -438,7 +439,7 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
                 for j, x in t.items():
                     phi[j][col] = x
         t_ranks.append(rank_mod(tensored, ell))
-        kernel = nullspace_mod(phi, ell, n * len(orbits))
+        kernel = _nullspace(phi, ell, n * len(orbits))
         ranks.append(len(orbits))
     # H_q = ker(d_{q-1} (x) F_ell) / im(d_q (x) F_ell), with d_{-1} = 0
     dims = [r - t - t_next for r, t, t_next in zip(ranks, [0] + t_ranks, t_ranks)]

@@ -6,10 +6,17 @@ content 1, cancelled by their primitive gcd over Z, with den(0) != 0
 and den's leading coefficient positive.  With den = c * p, p primitive,
 the coefficient of t^k is b_k / (c * p0^(k+1)) for the integers
 b_k = p0^k num_k - sum_j p_j p0^(j-1) b_(k-j); p0 = +-1 for every series
-tsr builds, so ``expand`` is an exact recurrence on small integers.  The
+tsr builds, so ``expand`` is an exact recurrence on small integers, and
+when c = 1 each coefficient is the integer +-b_k, made without a gcd.  The
 generating functions encode stabilizer cohomology dimensions above the
 virtual cohomological dimension (which is 2 for the groups treated
 here, so every series vanishes below degree 3).
+
+A census series is a weighted sum of the pinned component series.  Per
+prime, their numerators over one common denominator are computed once
+from the pinned series, so a census costs one integer numerator and one
+normalisation (one polynomial gcd); the normal form is unique, so this
+is the series that scaling and adding the components gives.
 """
 
 from __future__ import annotations
@@ -151,6 +158,7 @@ class RationalSeries:
         p0, *tail = (x // c for x in self.den)
         steps = [(j, pj * p0 ** (j - 1)) for j, pj in enumerate(tail, 1) if pj]
         b, out, power = [0] * (n + 1), [0] * (n + 1), 1  # an absurd n fails here
+        unit = c == 1 and p0 in (1, -1)  # then b_k / (c * p0^(k+1)) needs no gcd
         for k in range(n + 1):
             acc = power * self.num[k] if k < len(self.num) else 0
             for j, e in steps:
@@ -159,7 +167,7 @@ class RationalSeries:
                 acc -= e * b[k - j]
             b[k] = acc
             power *= p0
-            out[k] = Fraction(acc, c * power)
+            out[k] = Fraction(acc * power) if unit else Fraction(acc, c * power)
         return out
 
     def __str__(self) -> str:
@@ -187,6 +195,18 @@ _CANONICAL = {
     SERIES_D2STAR: RationalSeries([0, 0, 0, 5, -3], [2, -4, 2]),
     SERIES_A4STAR: RationalSeries([0, 0, 0, 3, -2, 2, -1], [2, -2, 0, -2, 2]),
 }
+
+
+def _over_one_denominator(*kinds: str) -> tuple[Coeffs, list[Coeffs]]:
+    """The pinned series of kinds over their least common denominator
+    den in Z[t]: (den, nums), series k being nums[k] / den."""
+    den: Coeffs = (1,)
+    for kind in kinds:
+        d = _CANONICAL[kind].den
+        g = gcd(gcd(*den), gcd(*d))  # gcd(den, d) is g times the primitive gcd
+        den = _poly_exquo(_poly_mul(den, d), tuple(g * x for x in _poly_gcd(den, d)))
+    return den, [_poly_mul(_CANONICAL[kind].num, _poly_exquo(den, _CANONICAL[kind].den))
+                 for kind in kinds]
 
 
 def canonical_series(kind: str) -> RationalSeries:
@@ -276,22 +296,37 @@ def _validated_expansion(series: RationalSeries, what: str) -> None:
                 f"census inconsistency: {what} has coefficient {cq} at degree {q}")
 
 
+#: Per prime, the components the census weighs, over one denominator.
+_COMPONENTS = {2: _over_one_denominator(SERIES_CIRCLE, SERIES_D2STAR, SERIES_A4STAR),
+               3: _over_one_denominator(SERIES_CIRCLE, SERIES_EDGE3)}
+
+
+def _weighted(ell: int, *weights) -> RationalSeries:
+    """The sum of the weights (ints or Fractions) times the ell-components,
+    as one numerator over their common denominator, normalised once."""
+    den, nums = _COMPONENTS[ell]
+    m = lcm(*[w.denominator for w in weights])
+    num = [0] * max(map(len, nums))
+    for w, coeffs in zip(weights, nums):
+        w = w.numerator * (m // w.denominator)
+        for i, x in enumerate(coeffs):
+            num[i] += w * x
+    return RationalSeries(num, [m * x for x in den])
+
+
 def poincare_2torsion(census: SubgroupCensus) -> RationalSeries:
     """Generating function of the mod-2 homology dimensions above the vcd:
     the circle / D2-excess / A4-excess combination weighted by the census."""
-    s = canonical_series(SERIES_CIRCLE).scale(
-        Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2))
-    s = s + canonical_series(SERIES_D2STAR).scale(census.mu2 - census.muT)
-    s = s + canonical_series(SERIES_A4STAR).scale(census.muT)
+    s = _weighted(2, Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2),
+                  census.mu2 - census.muT, census.muT)
     _validated_expansion(s, "2-torsion series")
     return s
 
 
 def poincare_3torsion(census: SubgroupCensus) -> RationalSeries:
     """Mod-3 counterpart: circles plus single edges, weighted by the census."""
-    s = canonical_series(SERIES_CIRCLE).scale(
-        Fraction(census.lambda6) - Fraction(census.mu3, 2))
-    s = s + canonical_series(SERIES_EDGE3).scale(Fraction(census.mu3, 2))
+    s = _weighted(3, Fraction(census.lambda6) - Fraction(census.mu3, 2),
+                  Fraction(census.mu3, 2))
     _validated_expansion(s, "3-torsion series")
     return s
 

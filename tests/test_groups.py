@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import tsr.groups as groups
 from tsr._modp import rank_mod
 from tsr.groups import (CATALOG_TAGS, CHARACTER_TABLES, FUSIONS, TAG_ORDERS,
                         FiniteGroup, are_isomorphic, catalog_group, center,
@@ -252,6 +253,32 @@ def test_bruteforce_matches_the_pinned_dims(case):
         group = catalog_group(tag)
         want = [stabilizer_cohomology_dim(tag, ell, q) for q in range(q_max + 1)]
     assert mod_ell_homology_bruteforce(group, ell, q_max) == want
+
+
+def test_bruteforce_translates_act_from_the_left(monkeypatch):
+    # column k * n + g of each phi is elements[g] acting on generator k
+    # (column k * n, elements[0] being the identity) by left multiplication;
+    # D3 is not abelian, so a right action would differ
+    G = catalog_group("D3")
+    elems, phis, kernel = list(G.elements), [], groups._nullspace
+    n, index = len(elems), {g: i for i, g in enumerate(elems)}
+
+    def record(rows, p, cols):
+        phis.append(([dict(r) for r in rows], cols))
+        return kernel(rows, p, cols)
+
+    monkeypatch.setattr(groups, "_nullspace", record)
+    assert mod_ell_homology_bruteforce(G, 3, 3) == [1, 0, 0, 1]
+    assert len(phis) == 5  # the augmentation's kernel, then one phi per degree
+    for rows, cols in phis[1:]:
+        columns = [{} for _ in range(cols)]
+        for j, row in enumerate(rows):
+            for c, x in row.items():
+                columns[c][j] = x
+        for k in range(0, cols, n):
+            for gi, g in enumerate(elems):
+                assert columns[k + gi] == {j - j % n + index[compose(g, elems[j % n])]: x
+                                           for j, x in columns[k].items()}
 
 
 def test_bruteforce_resource_bound():

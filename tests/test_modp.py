@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsr._modp
 import tsr.bredon
-from tsr._modp import SpanTracker, nullspace_mod, rank_mod
+from tsr._modp import SpanTracker, _nullspace, nullspace_mod, rank_mod
 from tsr.bredon import bredon_complex, elementary_divisors, smith_normal_form
 from tsr.complexes import parse_complex
 
@@ -73,6 +74,51 @@ def test_nullspace_rows_are_clean_and_sparse(case):
         assert row[f] == 1 and not any(g in row for g in free if g != f)
     # dict rows, zeros and entries outside 0..p-1 kept, give the same basis
     assert nullspace_mod([dict(enumerate(r)) for r in a.tolist()], p, cols) == basis
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_clean_row_entry_gives_the_public_basis(case):
+    a, p = case
+    cols = a.shape[1]
+    clean = [{j: x % p for j, x in enumerate(r) if x % p} for r in a.tolist()]
+    assert _nullspace(clean, p, cols) == nullspace_mod(a, p, cols)
+
+
+def test_public_nullspace_reduces_outside_rows():
+    # dense, negative, >= p and zero-mod-p entries, as the one clean row {0: 2, 1: 1}
+    want = [{1: 1, 0: 1}, {2: 1}, {3: 1}]
+    assert _nullspace([{0: 2, 1: 1}], 3, 4) == want
+    assert nullspace_mod([[-1, 4, 0, 3]], 3, 4) == want
+    assert nullspace_mod(np.array([[5, -2, 3, -6]]), 3, 4) == want
+    assert nullspace_mod([{0: -4, 1: 7, 2: 0, 3: 9}], 3, 4) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices())
+def test_rank_does_not_depend_on_the_elimination_order(case):
+    # rank_mod renumbers the columns and sorts the rows; the tracker takes them as given
+    a, p = case
+    assert rank_mod(a, p) == SpanTracker(p, a).rank == SpanTracker(p, a[::-1, ::-1]).rank
+
+
+def test_rank_mod_eliminates_a_dense_row_last(monkeypatch):
+    # a work count: the pivot rows' nonzeros.  The full row, given first,
+    # would fill the rows of the cycle after it (500,000 nonzeros at
+    # n = 1,000); taken last, it is reduced against pivots of <= 2 entries
+    trackers = []
+
+    class Tracker(SpanTracker):
+        def __init__(self, p):
+            super().__init__(p)
+            trackers.append(self)
+
+    monkeypatch.setattr(tsr._modp, "SpanTracker", Tracker)
+    n = 1000
+    cycle = [{i: 1, (i + 1) % n: 1} for i in range(n)]
+    for p in (2, 3):  # n is even: the full row is an alternating sum of the cycle
+        assert rank_mod([dict.fromkeys(range(n), 1)] + cycle, p) == n - 1
+        assert sum(map(len, trackers.pop().pivots.values())) <= 2 * n
 
 
 @pytest.mark.parametrize("mat, p, cols", [

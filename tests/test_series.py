@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,12 +13,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsr._modp
+import tsr.series
 from tsr._modp import rank_mod
 from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, edge_end_assignments,
                            parse_complex)
 from tsr.groups import catalog_group, compose, identity_perm, mod_ell_homology_bruteforce
 from tsr.series import (ORACLE_STABILIZERS, CensusError, RationalSeries, SubgroupCensus,
-                        canonical_series, coxeter_homology, e2_page,
+                        _validated_expansion, canonical_series, coxeter_homology, e2_page,
                         equivariant_graph_cohomology_oracle,
                         farrell_tate_sl2_dims, poincare_2torsion,
                         poincare_3torsion, restriction_block, sl2_mod2_dims,
@@ -699,6 +701,85 @@ def test_d2star_expansion_at_large_degree():
     assert all(coeffs[q] == q - Fraction(1, 2) for q in range(3, 2001))
 
 
+def fraction_expansion(num, den, n):
+    """Coefficients 0..n of num/den by the plain recurrence in Fractions."""
+    out = []
+    for k in range(n + 1):
+        acc = Fraction(num[k] if k < len(num) else 0)
+        for j in range(1, min(k, len(den) - 1) + 1):
+            acc -= den[j] * out[k - j]
+        out.append(acc / den[0])
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_polys, st.lists(st.integers(min_value=-6, max_value=6), max_size=4),
+       st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 6)),
+       st.integers(min_value=0, max_value=30))
+def test_expand_matches_the_fraction_recurrence(num, tail, p0, content, n):
+    # den(0) = p0 * content: a unit p0 of either sign takes the path
+    # without a gcd when the content is 1, and a content > 1 the other
+    den = [content * x for x in [p0] + tail]
+    coeffs = RationalSeries(num, den).expand(n)
+    assert all(type(x) is Fraction for x in coeffs)
+    assert coeffs == fraction_expansion(num, den, n)
+
+
+def scale_and_add_2torsion(census):
+    """poincare_2torsion before validation, as the sum of the scaled
+    component series: one normalisation per scale and per sum."""
+    s = canonical_series("Circle").scale(
+        Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2))
+    s = s + canonical_series("D2star").scale(census.mu2 - census.muT)
+    return s + canonical_series("A4star").scale(census.muT)
+
+
+def scale_and_add_3torsion(census):
+    s = canonical_series("Circle").scale(Fraction(census.lambda6) - Fraction(census.mu3, 2))
+    return s + canonical_series("Edge3").scale(Fraction(census.mu3, 2))
+
+
+counts = st.integers(min_value=0, max_value=39)
+
+
+@st.composite
+def censuses(draw):
+    """bench/families.random_census's consistent censuses, or free counts,
+    where an odd mu2 makes the circle weight half-integral (every such
+    census is refused) and most draws are inconsistent; zero counts give
+    zero weights."""
+    if draw(st.booleans()):
+        o2, i2, th, rh, o3, i3 = (draw(counts) for _ in range(6))
+        return SubgroupCensus(lambda4=o2 + i2 + 3 * th + 2 * rh, lambda4star=i2 + 3 * th + 2 * rh,
+                              mu2=2 * (i2 + th + rh), muT=2 * i2 + rh,
+                              lambda6=o3 + i3, lambda6star=i3, mu3=2 * i3)
+    lambda4, lambda6 = draw(counts), draw(counts)
+    return SubgroupCensus(lambda4=lambda4, lambda4star=draw(st.integers(0, lambda4)),
+                          mu2=draw(counts), muT=draw(counts), lambda6=lambda6,
+                          lambda6star=draw(st.integers(0, lambda6)), mu3=2 * draw(counts))
+
+
+def outcome(f):
+    """f()'s series, or the message it is refused with."""
+    try:
+        s = f()
+    except CensusError as e:
+        return str(e)
+    return s.num, s.den, str(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(censuses())
+def test_census_series_equal_the_scale_and_add_construction(census):
+    for f, ref, what in ((poincare_2torsion, scale_and_add_2torsion, "2-torsion series"),
+                         (poincare_3torsion, scale_and_add_3torsion, "3-torsion series")):
+        want = ref(census)
+        with mock.patch.object(tsr.series, "_validated_expansion"):  # the refused ones too
+            assert outcome(lambda: f(census)) == outcome(lambda: want)
+        assert outcome(lambda: f(census)) == outcome(
+            lambda: _validated_expansion(want, what) or want)
+
+
 # Seeded censuses with the mod-2 and mod-3 series as the Fraction-coefficient
 # implementation printed them, each with the first 16 hex digits of the
 # SHA-256 of its comma-joined coefficients to degree 120.
@@ -795,12 +876,11 @@ def test_census_series_match_pinned_outputs(census, two, three):
         assert hashlib.sha256(coeffs.encode()).hexdigest()[:16] == digest
 
 
-@pytest.mark.parametrize("hub_first", [pytest.param(True, marks=pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 19: rank_mod takes rows in id order, so a hub "
-    "that sorts first fills every leaf's row")), False])
+@pytest.mark.parametrize("hub_first", [True, False])
 def test_oracle_work_does_not_depend_on_the_spelling_of_a_star(monkeypatch, hub_first):
-    # a work count, not a timing: the heap pops of the elimination, which
-    # are 1,999,000 with the hub first and none with the hub last
+    # a work count, not a timing: the heap pops of the elimination, none in
+    # either spelling, as rank_mod numbers the hub's column last (in id
+    # order the hub first made 1,999,000)
     n, pops, pop = 2000, [], tsr._modp.heappop
     monkeypatch.setattr(tsr._modp, "heappop", lambda heap: pops.append(1) or pop(heap))
     cx = parse_complex(star(n, hub_first))

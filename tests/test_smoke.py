@@ -156,6 +156,9 @@ ROWS = [
         "2-torsion block: H_0 = Z, H_1 = 0, H_2 = 0\n"
         "3-torsion block: H_0 = Z, H_1 = 0, H_2 = 0\n"
         "total: H_0 = Z^3, H_1 = 0, H_2 = 0\n")),
+    # the oracle's rank numbers the hub's column, which every row holds, last
+    Row(["oracle", "--prime", "2", "--input", "@star20000", "--degrees", "5"], timeout=10,
+        out="q:   3 4 5\ndim: 1 1 1\n"),
     Row(["bredon", "--input", "@book20000"], timeout=10, out=(
         "orbit block: H_0 = Z, H_1 = 0, H_2 = 0\n"
         "2-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
