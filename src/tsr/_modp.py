@@ -2,9 +2,10 @@
 
 One kernel serves every caller: ``SpanTracker(p)`` keeps a row space in
 echelon form as rows are added one at a time (p = 0 means Z).  Rows are
-``{column: entry}`` dicts.  A pivot must be a unit (any nonzero residue
-over F_p, +-1 over Z); a row's pivot is its least unit column once the
-row is reduced, scaled to 1.  A reduced row is the one element of its
+clean ``{column: entry}`` dicts of nonzero ints, reduced mod p, which a
+kernel takes over.  A pivot must be a unit (any nonzero residue over
+F_p, +-1 over Z); a row's pivot is its least unit column once the row
+is reduced, scaled to 1.  A reduced row is the one element of its
 coset, modulo the pivot rows, that is zero in every pivot column, so
 the pivots do not depend on the echelon form kept.  Over Z a reduced
 row with no unit joins the ``core``, read zero in every pivot column,
@@ -12,8 +13,8 @@ so the elementary divisors are one 1 per pivot plus those of the core
 (Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  When the
 core's entries share a factor g, its divisors are g times those of the
 core divided by g, which the same elimination peels again
-(``bredon.elementary_divisors``); only a core of content 1 with no unit
-entry is left to a dense Smith normal form.
+(``bredon._divisors``); only a core of content 1 with no unit entry is
+left to a dense Smith normal form.
 
 The form is the same in every ring: a pivot row is zero in the older
 pivot columns, and no pivot row changes once it is made.  Clearing each
@@ -28,10 +29,8 @@ depends on which columns are pivots, and alone needs the reduced echelon
 form: it clears its own pivot rows into it once, newest first, and reads
 its basis off them in one pass, as ``{column: entry}`` rows like every
 other row here.  Both refuse a modulus that is not prime, and
-``nullspace_mod`` a row with an entry outside its columns; both
-normalise outside rows with ``_row``.  ``_nullspace`` is its entry for
-clean rows (nonzero ints reduced mod p, in range), which the brute-force
-group homology builds, as ``SpanTracker._add`` is ``add``'s.
+``nullspace_mod`` a row with an entry outside its columns; ``rank_mod``
+reduces its integer rows mod p with ``_row``.
 
 ``assemble`` builds those rows: every matrix of a cell complex here (the
 Bredon differentials, their split, the graph oracle's restriction maps)
@@ -42,8 +41,7 @@ returns a key's block for each part, read once per key, and the result
 is one list of rows per part (one part for the Bredon total and the
 oracle's maps, three for the Bredon split).  It drops an entry whose
 terms cancel as it sums, so its rows are clean over Z (nonzero Python
-ints) and the Bredon chain check takes them as they are; over F_p
-``rank_mod`` still reduces them with ``_row``.
+ints) and the Bredon chain check takes them as they are.
 The module holds elimination and assembly only.
 """
 
@@ -122,20 +120,16 @@ class SpanTracker:
     so a subtraction only brings in newer ones), and no row is cleared
     afterwards.  The core is cleared when ``core`` is read.
 
-    ``add`` and the constructor take any dense or dict row
-    and normalise it once with ``_row``, into a new dict of Python ints
-    that the tracker then owns.  ``_add`` takes a clean row (nonzero int
-    entries, reduced mod p) as it is and keeps it, so a caller passes a
-    copy of any row it still reads."""
+    ``add`` takes a clean row (nonzero int entries, reduced mod p) as it
+    is and keeps it, so a caller passes a copy of any row it still
+    reads."""
 
-    def __init__(self, p: int, rows=()):
+    def __init__(self, p: int):
         self.p = p
         self.pivots: dict[int, dict[int, int]] = {}
         self._index: dict[int, int] = {}  # pivot column -> creation index
         self._created: list[tuple[int, dict[int, int]]] = []  # (column, row) by index
         self._core: list[dict[int, int]] = []
-        for row in rows:
-            self.add(row)
 
     @property
     def rank(self) -> int:
@@ -174,11 +168,8 @@ class SpanTracker:
                         del v[j]
         return v
 
-    def add(self, vec) -> bool:
-        """Add a row; returns True if it enlarged the span."""
-        return self._add(_row(vec, self.p))
-
-    def _add(self, v: dict[int, int]) -> bool:
+    def add(self, v: dict[int, int]) -> bool:
+        """Add a clean row; returns True if it enlarged the span."""
         p = self.p
         v = self._echelon(v)
         if not v:
@@ -209,29 +200,23 @@ def rank_mod(mat, p: int) -> int:
     order = {j: k for k, j in enumerate(sorted(uses, key=uses.__getitem__))}
     tracker = SpanTracker(p)
     for v in sorted(rows, key=len):
-        tracker._add({order[j]: x for j, x in v.items()})
+        tracker.add({order[j]: x for j, x in v.items()})
     return tracker.rank
 
 
-def nullspace_mod(mat, p: int, cols: int) -> list[dict[int, int]]:
+def nullspace_mod(rows, p: int, cols: int) -> list[dict[int, int]]:
     """Basis of the right null space over F_p of a matrix with ``cols``
-    columns, given as dense or dict rows.  The basis is the canonical one
-    read off the RREF (the identity on the free columns), so it is
-    deterministic: one clean ``{column: entry}`` row per free column, in
-    column order, with entries in 1..p-1 and 1 at its free column."""
+    columns, given as clean rows, which it takes as they are and edits.
+    The basis is the canonical one read off the RREF (the identity on the
+    free columns), so it is deterministic: one clean ``{column: entry}``
+    row per free column, in column order, with entries in 1..p-1 and 1 at
+    its free column."""
     _check_prime(p)
-    rows = [_row(vec, p) for vec in mat]
     if any(min(v) < 0 or max(v) >= cols for v in rows if v):
         raise ValueError(f"a row has an entry outside range({cols})")
-    return _nullspace(rows, p, cols)
-
-
-def _nullspace(rows, p: int, cols: int) -> list[dict[int, int]]:
-    """``nullspace_mod`` of clean rows (nonzero int entries reduced mod p,
-    columns in range(cols)), which it takes as they are and edits."""
     tracker = SpanTracker(p)
     for v in rows:
-        tracker._add(v)
+        tracker.add(v)
     pivots = tracker.pivots
     # into reduced echelon form, newest pivot first: each row is zero in
     # the older pivot columns, and every newer row is reduced already

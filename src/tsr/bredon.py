@@ -12,10 +12,10 @@ straight to the elimination; the three blocks of a differential come
 from one pass over its terms, and ``split_blocks`` checks every split
 block it reads for an entry that links two parts.  Assembled rows are
 clean, so a built complex keeps them without a copy and checks them
-once; only rows from outside, given to ``IntegerChainComplex``, are
-normalised first.  The total, whose homology
-is the blocks' direct sum, is assembled only by ``BredonComplex.chain``.
-The elimination takes the nonempty rows sparsest first, so a dense row
+once; rows from outside are normalised by ``IntegerChainComplex``.  The
+total, whose homology is the blocks' direct sum, is assembled only by
+``BredonComplex.chain``.  ``_divisors``, the one integer elimination,
+takes the nonempty rows sparsest first, so a dense row
 (a star's hub, a book's spine) is reduced against sparse pivots last
 instead of filling every row after it, and its cost does not depend on
 how the cells are spelled.
@@ -220,29 +220,23 @@ def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[
     return u, a, v
 
 
-def elementary_divisors(mat) -> list[int]:
-    """The nonzero elementary divisors of a matrix given as a list of
-    dense or dict rows, in divisibility order: one 1 per unit pivot of
-    the sparse elimination, then those of the core it leaves.  When the
-    core's entries share a factor g > 1, its divisors are g times those
-    of the core divided by g, so the elimination runs again on the
-    quotient and its pivots count g each; this repeats on whatever core
-    is left.  Only a core of content 1 with no unit entry goes to the
-    Smith normal form."""
-    return _divisors([row for r in mat if (row := _row(r, 0))])
-
-
 def _divisors(rows: list[dict[int, int]]) -> list[int]:
-    """elementary_divisors of nonempty clean rows, which the elimination
-    takes over, shortest first: the order changes no divisor, and a dense
-    row fed last is reduced against the sparse pivots instead of filling
-    every later row."""
+    """The nonzero elementary divisors of a matrix given as clean rows,
+    which the elimination takes over, in divisibility order: one 1 per
+    unit pivot of the sparse elimination, then those of the core it
+    leaves.  When the core's entries share a factor g > 1, its divisors
+    are g times those of the core divided by g, so the elimination runs
+    again on the quotient and its pivots count g each; this repeats on
+    whatever core is left.  Only a core of content 1 with no unit entry
+    goes to the Smith normal form.  The rows are fed shortest first: the
+    order changes no divisor, and a dense row fed last is reduced against
+    the sparse pivots instead of filling every later row."""
     out, scale = [], 1
     while rows:
         rows.sort(key=len)
         span = SpanTracker(0)
         for row in rows:
-            span._add(row)
+            span.add(row)
         out += [scale] * span.rank
         rows = [row for row in span.core if row]
         g = gcd(*(x for row in rows for x in row.values()))

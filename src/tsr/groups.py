@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from math import gcd
 
-from ._modp import SpanTracker, _nullspace, rank_mod
+from ._modp import SpanTracker, nullspace_mod, rank_mod
 from .complexes import TAG_ORDERS, _check_prime
 from .series import dihedral_mod_ell_homology  # noqa: F401  (re-exported)
 
@@ -395,7 +395,7 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
     translate g.v permutes the keys of v, and each generator's n
     translates, made once, span the kernel and give the next map's
     columns, whose rows are read off them, clean, so the null space
-    takes them as they are (``_modp._nullspace``).
+    takes them as they are (``_modp.nullspace_mod``).
     """
     _check_prime(ell)
     if q_max < 0:
@@ -416,16 +416,16 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
         tracker = SpanTracker(ell)
         orbits = []
         for v in basis:
-            if not tracker._add(dict(v)):  # the tracker owns the rows it takes
+            if not tracker.add(dict(v)):  # the tracker owns the rows it takes
                 continue
             orbits.append([v] + [{move[k]: x for k, x in v.items()} for move in moves])
             for t in orbits[-1][1:]:
-                tracker._add(dict(t))
+                tracker.add(dict(t))
                 if tracker.rank == len(basis):  # the span is the whole kernel
                     return orbits
         return orbits
 
-    kernel = _nullspace([dict.fromkeys(range(n), 1)], ell, n)
+    kernel = nullspace_mod([dict.fromkeys(range(n), 1)], ell, n)
     ranks, t_ranks = [1], []
     while len(t_ranks) <= q_max and ranks[-1]:  # after a rank 0, every degree is 0
         orbits = module_generators(kernel, n * ranks[-1])
@@ -439,7 +439,7 @@ def mod_ell_homology_bruteforce(G: FiniteGroup, ell: int, q_max: int) -> list[in
                 for j, x in t.items():
                     phi[j][col] = x
         t_ranks.append(rank_mod(tensored, ell))
-        kernel = _nullspace(phi, ell, n * len(orbits))
+        kernel = nullspace_mod(phi, ell, n * len(orbits))
         ranks.append(len(orbits))
     # H_q = ker(d_{q-1} (x) F_ell) / im(d_q (x) F_ell), with d_{-1} = 0
     dims = [r - t - t_next for r, t, t_next in zip(ranks, [0] + t_ranks, t_ranks)]

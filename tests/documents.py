@@ -1,6 +1,8 @@
-"""The documents the tests generate, one generator each, and the one
-runner of ``tsr`` as a fresh process.  Only the standard library and
-``tsr`` are imported: the source tree's or an installed package's."""
+"""The documents the tests generate, one generator each, the one
+runner of ``tsr`` as a fresh process, and the one map of a dense or dict
+matrix into the elimination kernels' clean rows.  Only the standard
+library and ``tsr`` are imported: the source tree's or an installed
+package's."""
 
 import json
 import os
@@ -9,6 +11,7 @@ import sys
 from pathlib import Path
 
 import tsr
+from tsr._modp import _row
 from tsr.complexes import parse_complex
 
 FIXTURES = Path(tsr.__file__).parent / "fixtures"
@@ -17,6 +20,12 @@ FIXTURES = Path(tsr.__file__).parent / "fixtures"
 def load(name: str):
     """The bundled fixture name, parsed."""
     return parse_complex(FIXTURES.joinpath(name).read_text())
+
+
+def clean(mat, p: int = 0) -> list[dict[int, int]]:
+    """The rows of a dense or dict matrix as the kernels take them: fresh
+    {column: entry} dicts of nonzero Python ints, reduced mod p if p > 0."""
+    return [_row(r, p) for r in mat]
 
 
 #: PYTHONPATH with its relative entries (such as ``PYTHONPATH=src``) made

@@ -13,7 +13,7 @@ from tsr.bredon import (BLOCK_PARTS, RANKS, SUPPORTED_EDGE_TAGS,
                         SUPPORTED_VERTEX_TAGS, AbelianGroup, BlockSplitError,
                         IntegerChainComplex, bredon_complex,
                         bredon_homology_formula, chen_ruan_dims,
-                        elementary_divisors, homology,
+                        _divisors, homology,
                         induction_matrix, k_homology, smith_normal_form,
                         SplitBlocks, split_blocks, transformed_induction)
 from tsr.cli import main
@@ -26,7 +26,7 @@ from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
 from tsr.reduction import apply_move, reduce_complex
 from tsr.series import SubgroupCensus, equivariant_graph_cohomology_oracle, restriction_block
 
-from documents import (FIXTURES, book, circles, d3_c2_circle, d3_c2_path, escaped_ids,
+from documents import (FIXTURES, book, circles, clean, d3_c2_circle, d3_c2_path, escaped_ids,
                        graphfive_copies, star, strip, two_vertex_path, wound_loop)
 
 INCLUSIONS = [("C2", "D2"), ("C2", "D3"), ("C3", "D3"), ("C2", "A4"),
@@ -402,11 +402,10 @@ def test_homology_reads_dense_rows(psi1, psi2, dims, want):
 
 
 def test_outside_dict_rows_become_python_ints():
-    # dict rows from outside are normalised too: int64 entries would wrap
-    # at 3**60 in the elimination
+    # dict rows from outside are normalised by the complex: int64 entries
+    # would wrap at 3**60 in the elimination
     big, one = np.int64(3 ** 30), np.int64(1)
     rows = [{0: big, 1: one}, {0: one, 1: big}]
-    assert elementary_divisors(rows) == [1, 3 ** 60 - 1]
     assert homology(IntegerChainComplex(rows, [{}, {}], (2, 2, 0)))[0] == \
         AbelianGroup(0, (3 ** 60 - 1,))
 
@@ -470,7 +469,7 @@ def test_fixture_blocks_match_formula():
 
 def test_edge3_block3_rank_one():
     blocks = split_blocks(bredon_complex(load("bianchi_edge3")))
-    assert elementary_divisors(blocks.three.psi1) == [1]
+    assert _divisors(clean(blocks.three.psi1)) == [1]
 
 
 def test_splitting_theorem_direct_sum():
@@ -997,7 +996,7 @@ def test_chain_check_refuses_a_nonzero_product_and_accepts_an_empty_psi2():
 def _pivot_fill(monkeypatch, doc: str) -> int:
     """The nonzeros of the new pivot rows of every elimination that the
     homology of the total and of the three blocks runs."""
-    fill, add = [0], SpanTracker._add
+    fill, add = [0], SpanTracker.add
 
     def counting(self, v):
         rank = self.rank
@@ -1008,7 +1007,7 @@ def _pivot_fill(monkeypatch, doc: str) -> int:
 
     bc = bredon_complex(parse_complex(doc))
     with monkeypatch.context() as patch:
-        patch.setattr(SpanTracker, "_add", counting)
+        patch.setattr(SpanTracker, "add", counting)
         for chain in (bc.chain(), *split_blocks(bc)):
             homology(chain)
     return fill[0]

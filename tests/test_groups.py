@@ -260,14 +260,14 @@ def test_bruteforce_translates_act_from_the_left(monkeypatch):
     # (column k * n, elements[0] being the identity) by left multiplication;
     # D3 is not abelian, so a right action would differ
     G = catalog_group("D3")
-    elems, phis, kernel = list(G.elements), [], groups._nullspace
+    elems, phis, kernel = list(G.elements), [], groups.nullspace_mod
     n, index = len(elems), {g: i for i, g in enumerate(elems)}
 
     def record(rows, p, cols):
         phis.append(([dict(r) for r in rows], cols))
         return kernel(rows, p, cols)
 
-    monkeypatch.setattr(groups, "_nullspace", record)
+    monkeypatch.setattr(groups, "nullspace_mod", record)
     assert mod_ell_homology_bruteforce(G, 3, 3) == [1, 0, 0, 1]
     assert len(phis) == 5  # the augmentation's kernel, then one phi per degree
     for rows, cols in phis[1:]:

@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 
 import tsr._modp
 import tsr.bredon
-from tsr._modp import SpanTracker, _nullspace, nullspace_mod, rank_mod
-from tsr.bredon import bredon_complex, elementary_divisors, smith_normal_form
+from tsr._modp import SpanTracker, nullspace_mod, rank_mod
+from tsr.bredon import (AbelianGroup, IntegerChainComplex, _divisors, bredon_complex,
+                        homology, smith_normal_form)
 from tsr.complexes import parse_complex
 
-from documents import strip
+from documents import clean, strip
 
 
 @st.composite
@@ -44,7 +45,7 @@ def test_nullspace_and_rank(case):
     cols = a.shape[1]
     rank = rank_mod(a, p)
     assert rank == rank_mod(a.T, p)
-    basis = nullspace_mod(a, p, cols)
+    basis = nullspace_mod(clean(a, p), p, cols)
     n = _dense(basis, cols)
     if cols == 0:
         assert n.size == 0
@@ -64,7 +65,7 @@ def test_nullspace_and_rank(case):
 def test_nullspace_rows_are_clean_and_sparse(case):
     a, p = case
     cols = a.shape[1]
-    basis = nullspace_mod(a, p, cols)
+    basis = nullspace_mod(clean(a, p), p, cols)
     free = [j for j in range(cols)
             if rank_mod(a[:, :j + 1], p) == rank_mod(a[:, :j], p)]
     assert len(basis) == len(free)
@@ -72,26 +73,6 @@ def test_nullspace_rows_are_clean_and_sparse(case):
         assert all(type(j) is int and 0 <= j < cols and type(x) is int and 0 < x < p
                    for j, x in row.items())
         assert row[f] == 1 and not any(g in row for g in free if g != f)
-    # dict rows, zeros and entries outside 0..p-1 kept, give the same basis
-    assert nullspace_mod([dict(enumerate(r)) for r in a.tolist()], p, cols) == basis
-
-
-@settings(max_examples=200, deadline=None)
-@given(matrices())
-def test_clean_row_entry_gives_the_public_basis(case):
-    a, p = case
-    cols = a.shape[1]
-    clean = [{j: x % p for j, x in enumerate(r) if x % p} for r in a.tolist()]
-    assert _nullspace(clean, p, cols) == nullspace_mod(a, p, cols)
-
-
-def test_public_nullspace_reduces_outside_rows():
-    # dense, negative, >= p and zero-mod-p entries, as the one clean row {0: 2, 1: 1}
-    want = [{1: 1, 0: 1}, {2: 1}, {3: 1}]
-    assert _nullspace([{0: 2, 1: 1}], 3, 4) == want
-    assert nullspace_mod([[-1, 4, 0, 3]], 3, 4) == want
-    assert nullspace_mod(np.array([[5, -2, 3, -6]]), 3, 4) == want
-    assert nullspace_mod([{0: -4, 1: 7, 2: 0, 3: 9}], 3, 4) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -99,7 +80,8 @@ def test_public_nullspace_reduces_outside_rows():
 def test_rank_does_not_depend_on_the_elimination_order(case):
     # rank_mod renumbers the columns and sorts the rows; the tracker takes them as given
     a, p = case
-    assert rank_mod(a, p) == SpanTracker(p, a).rank == SpanTracker(p, a[::-1, ::-1]).rank
+    assert rank_mod(a, p) == _tracker(clean(a, p), p).rank == \
+        _tracker(clean(a[::-1, ::-1], p), p).rank
 
 
 def test_rank_mod_eliminates_a_dense_row_last(monkeypatch):
@@ -128,7 +110,7 @@ def test_rank_mod_eliminates_a_dense_row_last(monkeypatch):
 def test_a_modulus_that_is_not_prime_is_refused(mat, p, cols):
     # cols None: rank_mod
     with pytest.raises(ValueError, match=rf"^{p} is not prime$"):
-        rank_mod(mat, p) if cols is None else nullspace_mod(mat, p, cols)
+        rank_mod(mat, p) if cols is None else nullspace_mod(clean(mat), p, cols)
 
 
 @pytest.mark.parametrize("row", [[1, 0, 1], {0: 1, 5: 1}, {-1: 1, 0: 1}, {2: 1}])
@@ -136,11 +118,19 @@ def test_nullspace_refuses_an_entry_outside_its_columns(row):
     # the last two rows reduce to zero against the first two: the pivot
     # rows still hold the entry
     with pytest.raises(ValueError, match=r"^a row has an entry outside range\(2\)$"):
-        nullspace_mod([[1, 1], row, [1, 1], row], 2, 2)
+        nullspace_mod(clean([[1, 1], row, [1, 1], row], 2), 2, 2)
     with pytest.raises(ValueError, match=r"^a row has an entry outside range\(2\)$"):
-        nullspace_mod([row, {0: 1, 2: 1}], 3, 2)
+        nullspace_mod(clean([row, {0: 1, 2: 1}], 3), 3, 2)
     # an entry that is zero mod p is no entry
-    assert nullspace_mod([[1, 1], [0, 0, 2]], 2, 2) == [{1: 1, 0: 1}]
+    assert nullspace_mod(clean([[1, 1], [0, 0, 2]], 2), 2, 2) == [{1: 1, 0: 1}]
+
+
+def _tracker(rows, p):
+    """A SpanTracker over F_p (Z if p = 0) that the clean rows were added to."""
+    tracker = SpanTracker(p)
+    for row in rows:
+        tracker.add(row)
+    return tracker
 
 
 def _assert_echelon(tracker):
@@ -157,11 +147,11 @@ def _assert_echelon(tracker):
 def test_span_tracker_spans_the_rows(case):
     a, p = case
     tracker = SpanTracker(p)
-    grew = [tracker.add(row) for row in a]
+    grew = [tracker.add(row) for row in clean(a, p)]
     assert sum(grew) == tracker.rank == rank_mod(a, p)
     _assert_echelon(tracker)
     # a row of the span, or a combination of the rows, leaves the rank as it is
-    for row in (*a, np.arange(len(a)) @ a):
+    for row in clean([*a, np.arange(len(a)) @ a], p):
         assert not tracker.add(row)
         assert tracker.rank == rank_mod(a, p)
 
@@ -201,7 +191,12 @@ def integer_matrices(draw):
 def test_elementary_divisors_match_the_smith_normal_form(m):
     _, d, _ = smith_normal_form(m)
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    assert elementary_divisors(m) == [x for x in diag if x]
+    divisors = [x for x in diag if x]
+    assert _divisors(clean(m)) == divisors
+    # the one path from outside: dense rows, normalised by the complex
+    rows, cols = len(m), len(m[0]) if m else 0
+    h0 = homology(IntegerChainComplex(m, [{}] * cols, (rows, cols, 0)))[0]
+    assert h0 == AbelianGroup(rows - len(divisors), tuple(x for x in divisors if x > 1))
 
 
 @settings(max_examples=300, deadline=None)
@@ -212,13 +207,13 @@ def test_elementary_divisors_do_not_depend_on_the_row_order(m, rng):
     diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     rows = list(m)
     rng.shuffle(rows)
-    assert elementary_divisors(rows) == elementary_divisors(m) == [x for x in diag if x]
+    assert _divisors(clean(rows)) == _divisors(clean(m)) == [x for x in diag if x]
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices(), st.sampled_from((2, 3, 5)))
 def test_rank_mod_p_counts_divisors_prime_to_p(m, p):
-    assert rank_mod(m, p) == sum(1 for d in elementary_divisors(m) if d % p)
+    assert rank_mod(m, p) == sum(1 for d in _divisors(clean(m)) if d % p)
 
 
 @settings(max_examples=300, deadline=None)
@@ -231,13 +226,13 @@ def test_smith_normal_form_sees_only_a_core_of_content_one_without_units(m):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tsr.bredon, "smith_normal_form", dense)
-        elementary_divisors(m)
+        _divisors(clean(m))
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_core_over_z_is_zero_in_every_pivot_column(m):
-    span = SpanTracker(0, m)
+    span = _tracker(clean(m), 0)
     assert not any(c in row for row in span.core for c in span.pivots)
     _assert_echelon(span)
 
@@ -248,7 +243,7 @@ def test_no_pivot_row_changes_once_made(case):
     # over F_p as over Z: the elimination edits only the incoming row
     m, p = case
     tracker, snapshots = SpanTracker(p), {}
-    for row in m:
+    for row in clean(m, p):
         tracker.add(row)
         assert all(tracker.pivots[c] == old for c, old in snapshots.items())
         snapshots.update((c, dict(row)) for c, row in tracker.pivots.items()
@@ -260,5 +255,5 @@ def test_echelon_elimination_of_a_strip_makes_no_fill():
     # psi_1 of 1,000 triangles has 2,004 rows of at most 4 nonzeros; kept
     # in reduced echelon form, its pivot rows filled to 823,202 nonzeros
     psi1 = bredon_complex(parse_complex(strip(1000))).chain().psi1
-    span = SpanTracker(0, psi1)
+    span = _tracker(clean(psi1), 0)
     assert sum(len(row) for row in span.pivots.values()) <= 15_000

@@ -25,7 +25,7 @@ from tsr.series import (ORACLE_STABILIZERS, CensusError, RationalSeries, Subgrou
                         poincare_3torsion, restriction_block, sl2_mod2_dims,
                         stabilizer_cohomology_dim, triangle_group_homology)
 
-from documents import load, non_rigid, star
+from documents import clean, load, non_rigid, star
 
 
 def ints(coeffs):
@@ -408,7 +408,7 @@ def _cochain_cohomology_restriction_rank(vtag, etag, fusion, ell, q):
     def cocycle_basis(elems, degree):
         d_up = delta(elems, degree)
         from tsr._modp import nullspace_mod
-        z = nullspace_mod(d_up, ell, d_up.shape[1])
+        z = nullspace_mod(clean(d_up, ell), ell, d_up.shape[1])
         z = np.array([[row.get(j, 0) for j in range(d_up.shape[1])] for row in z],
                      dtype=np.int64).reshape(len(z), d_up.shape[1])
         d_down = delta(elems, degree - 1) if degree >= 1 else None
