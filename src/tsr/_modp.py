@@ -10,11 +10,8 @@ coset, modulo the pivot rows, that is zero in every pivot column, so
 the pivots do not depend on the echelon form kept.  Over Z a reduced
 row with no unit joins the ``core``, read zero in every pivot column,
 so the elementary divisors are one 1 per pivot plus those of the core
-(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001).  When the
-core's entries share a factor g, its divisors are g times those of the
-core divided by g, which the same elimination peels again
-(``bredon._divisors``); only a core of content 1 with no unit entry is
-left to a dense Smith normal form.
+(Dumas, Saunders & Villard, J. Symbolic Comput. 32, 2001), which
+``bredon._diagonal`` reads off a sparse diagonal form of the core.
 
 The form is the same in every ring: a pivot row is zero in the older
 pivot columns, and no pivot row changes once it is made.  Clearing each

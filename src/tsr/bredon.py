@@ -14,19 +14,20 @@ block it reads for an entry that links two parts.  Assembled rows are
 clean, so a built complex keeps them without a copy and checks them
 once; rows from outside are normalised by ``IntegerChainComplex``.  The
 total, whose homology is the blocks' direct sum, is assembled only by
-``BredonComplex.chain``.  ``_divisors``, the one integer elimination,
-takes the nonempty rows sparsest first, so a dense row
-(a star's hub, a book's spine) is reduced against sparse pivots last
-instead of filling every row after it, and its cost does not depend on
-how the cells are spelled.
-Dense rows are made only for the Smith normal form of the elimination's
-core and for the dense ``BredonComplex.psi1``/``psi2`` views.
+``BredonComplex.chain``.  ``smith_normal_form``, the one integer
+elimination, runs in two stages.  The unit pivots of ``SpanTracker(0)``
+take the nonempty rows sparsest first, so a dense row (a star's hub, a
+book's spine) is reduced against sparse pivots last instead of filling
+every row after it, however the cells are spelled; ``_diagonal`` then
+diagonalises the core they leave, sparsely.  Dense rows are made only
+for the ``BredonComplex.psi1``/``psi2`` views.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import namedtuple
+from collections import defaultdict, namedtuple
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 from ._modp import SpanTracker, _row, assemble
@@ -161,93 +162,79 @@ class AbelianGroup(namedtuple("AbelianGroup", "free_rank torsion")):
         return " ⊕ ".join(parts) if parts else "0"
 
 
-def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """(U, D, V) with U, V unimodular, D = U @ mat @ V diagonal with a
-    divisibility chain, each as a list of rows.  Exact integer arithmetic
-    throughout; the reference the sparse elimination is tested against."""
-    a = [[int(x) for x in row] for row in mat]
-    rows = len(a)
-    cols = len(a[0]) if a else 0
-    if any(len(row) != cols for row in a):
-        raise ValueError("expected a matrix")
-    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
-    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
-
-    def axpy(x, q, y):  # the row x + q * y
-        return [s + q * t for s, t in zip(x, y)]
-
-    k = 0
-    while k < min(rows, cols):
-        # locate a pivot of least magnitude, the first in row-major order
-        nonzero = [(abs(a[i][j]), i, j) for i in range(k, rows)
-                   for j in range(k, cols) if a[i][j]]
-        if not nonzero:
-            break
-        _, bi, bj = min(nonzero)
-        a[k], a[bi] = a[bi], a[k]
-        u[k], u[bi] = u[bi], u[k]
-        for m in (a, v):
-            for row in m:
-                row[k], row[bj] = row[bj], row[k]
-        piv = a[k][k]
-        dirty = False
-        for i in range(k + 1, rows):
-            q = a[i][k] // piv
-            if q:
-                a[i] = axpy(a[i], -q, a[k])
-                u[i] = axpy(u[i], -q, u[k])
-            dirty = dirty or a[i][k] != 0
-        for j in range(k + 1, cols):
-            q = a[k][j] // piv
-            if q:
-                for m in (a, v):
-                    for row in m:
-                        row[j] -= q * row[k]
-            dirty = dirty or a[k][j] != 0
-        if dirty:
-            continue
-        # enforce divisibility of the remaining block
-        offender = next((i for i in range(k + 1, rows)
-                         if any(a[i][j] % piv for j in range(k + 1, cols))), None)
-        if offender is not None:
-            a[k] = axpy(a[k], 1, a[offender])
-            u[k] = axpy(u[k], 1, u[offender])
-            continue
-        if piv < 0:
-            a[k] = [-x for x in a[k]]
-            u[k] = [-x for x in u[k]]
-        k += 1
-    return u, a, v
-
-
-def _divisors(rows: list[dict[int, int]]) -> list[int]:
-    """The nonzero elementary divisors of a matrix given as clean rows,
-    which the elimination takes over, in divisibility order: one 1 per
-    unit pivot of the sparse elimination, then those of the core it
-    leaves.  When the core's entries share a factor g > 1, its divisors
-    are g times those of the core divided by g, so the elimination runs
-    again on the quotient and its pivots count g each; this repeats on
-    whatever core is left.  Only a core of content 1 with no unit entry
-    goes to the Smith normal form.  The rows are fed shortest first: the
+def smith_normal_form(mat) -> list[int]:
+    """The nonzero elementary divisors of an integer matrix, in
+    divisibility order: one 1 per unit pivot of the sparse elimination,
+    then those of the core it leaves, read off the diagonal of
+    ``_diagonal``.  Clean ``{column: entry}`` rows, as a built complex
+    stores them, are copied with ``dict``; dense rows, numpy's included,
+    are normalised with ``_row``.  The rows are fed shortest first: the
     order changes no divisor, and a dense row fed last is reduced against
     the sparse pivots instead of filling every later row."""
-    out, scale = [], 1
-    while rows:
-        rows.sort(key=len)
-        span = SpanTracker(0)
-        for row in rows:
-            span.add(row)
-        out += [scale] * span.rank
-        rows = [row for row in span.core if row]
-        g = gcd(*(x for row in rows for x in row.values()))
-        if g > 1:
-            scale *= g
-            rows = [{j: x // g for j, x in row.items()} for row in rows]
-        elif rows and not any(x in (1, -1) for row in rows for x in row.values()):
-            cols = sorted({j for row in rows for j in row})
-            _, d, _ = smith_normal_form([[row.get(j, 0) for j in cols] for row in rows])
-            return out + [scale * d[i][i] for i in range(min(len(d), len(cols))) if d[i][i]]
-    return out
+    if isinstance(next(iter(mat), None), dict):
+        rows = list(map(dict, filter(None, mat)))
+    else:
+        rows = [v for r in mat if (v := _row(r, 0))]
+    if not rows:
+        return []
+    span = SpanTracker(0)
+    for row in sorted(rows, key=len):
+        span.add(row)
+    core = [row for row in span.core if row]
+    if not core:
+        return [1] * span.rank
+    diag = _diagonal(core)
+    chain = _invariant_factors(diag)
+    return [1] * (span.rank + len(diag) - len(chain)) + list(chain)
+
+
+def _diagonal(rows: list[dict[int, int]]) -> list[int]:
+    """The absolute diagonal of a diagonal form of the clean rows, which
+    it takes over, by unimodular row and column operations.  Each pivot
+    is an entry of least absolute value, from a heap of the entries as
+    they are written.  Row operations clear its column and then column
+    operations, which touch the pivot row alone, clear its row, each by
+    floor division.  A remainder is less than the pivot, so a lesser
+    pivot comes next, until a pivot is alone in its row and column."""
+    at: dict[int, set[int]] = defaultdict(set)  # column -> the rows with an entry there
+    heap = []
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            at[j].add(i)
+            heap.append((abs(x), i, j))
+    heapify(heap)
+    diag = []
+    while heap:
+        a, i, j = heappop(heap)
+        prow = rows[i]
+        if abs(prow.get(j, 0)) != a:  # rewritten since, or its row is done
+            continue
+        for k in at[j] - {i} if len(at[j]) > 1 else ():
+            row = rows[k]
+            q = row[j] // prow[j]  # nonzero, as the pivot is least
+            for c, x in prow.items():
+                if y := row.get(c, 0) - q * x:
+                    row[c] = y
+                    at[c].add(k)
+                    heappush(heap, (abs(y), k, c))
+                else:
+                    del row[c]
+                    at[c].discard(k)
+        if len(at[j]) == 1:  # the column is clear: the column operations touch prow alone
+            for c in [c for c in prow if c != j]:
+                if y := prow[c] % prow[j]:
+                    prow[c] = y
+                    heappush(heap, (abs(y), i, c))
+                else:
+                    del prow[c]
+                    at[c].discard(i)
+        if len(at[j]) > 1 or len(prow) > 1:  # remainders
+            heappush(heap, (a, i, j))
+        else:
+            diag.append(a)
+            prow.clear()
+            del at[j]
+    return diag
 
 
 def _in_range(rows, n: int) -> bool:
@@ -304,10 +291,7 @@ def homology(chain: IntegerChainComplex) -> list[AbelianGroup]:
     elementary divisors of both differentials (the complex checked
     itself when it was built)."""
     n0, n1, n2 = chain.dims
-    # the stored rows are clean; the elimination edits its own copies of
-    # the nonempty ones
-    div1, div2 = (_divisors([dict(r) for r in rows if r])
-                  for rows in (chain.psi1, chain.psi2))
+    div1, div2 = smith_normal_form(chain.psi1), smith_normal_form(chain.psi2)
     rank1, rank2 = len(div1), len(div2)
     h0 = AbelianGroup(n0 - rank1, tuple(d for d in div1 if d > 1))
     h1 = AbelianGroup((n1 - rank1) - rank2, tuple(d for d in div2 if d > 1))

@@ -1,13 +1,15 @@
 """The documents the tests generate, one generator each, the one
-runner of ``tsr`` as a fresh process, and the one map of a dense or dict
-matrix into the elimination kernels' clean rows.  Only the standard
-library and ``tsr`` are imported: the source tree's or an installed
-package's."""
+runner of ``tsr`` as a fresh process, the one map of a dense or dict
+matrix into the elimination kernels' clean rows, and the dense Smith
+normal form that the sparse elimination is checked against.  Only the
+standard library and ``tsr`` are imported: the source tree's or an
+installed package's."""
 
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import tsr
@@ -26,6 +28,65 @@ def clean(mat, p: int = 0) -> list[dict[int, int]]:
     """The rows of a dense or dict matrix as the kernels take them: fresh
     {column: entry} dicts of nonzero Python ints, reduced mod p if p > 0."""
     return [_row(r, p) for r in mat]
+
+
+def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """(U, D, V) with U, V unimodular, D = U @ mat @ V diagonal with a
+    divisibility chain, each as a list of rows.  Exact integer arithmetic
+    throughout; the reference the sparse elimination is tested against."""
+    a = [[int(x) for x in row] for row in mat]
+    rows = len(a)
+    cols = len(a[0]) if a else 0
+    if any(len(row) != cols for row in a):
+        raise ValueError("expected a matrix")
+    u = [[int(i == j) for j in range(rows)] for i in range(rows)]
+    v = [[int(i == j) for j in range(cols)] for i in range(cols)]
+
+    def axpy(x, q, y):  # the row x + q * y
+        return [s + q * t for s, t in zip(x, y)]
+
+    k = 0
+    while k < min(rows, cols):
+        # locate a pivot of least magnitude, the first in row-major order
+        nonzero = [(abs(a[i][j]), i, j) for i in range(k, rows)
+                   for j in range(k, cols) if a[i][j]]
+        if not nonzero:
+            break
+        _, bi, bj = min(nonzero)
+        a[k], a[bi] = a[bi], a[k]
+        u[k], u[bi] = u[bi], u[k]
+        for m in (a, v):
+            for row in m:
+                row[k], row[bj] = row[bj], row[k]
+        piv = a[k][k]
+        dirty = False
+        for i in range(k + 1, rows):
+            q = a[i][k] // piv
+            if q:
+                a[i] = axpy(a[i], -q, a[k])
+                u[i] = axpy(u[i], -q, u[k])
+            dirty = dirty or a[i][k] != 0
+        for j in range(k + 1, cols):
+            q = a[k][j] // piv
+            if q:
+                for m in (a, v):
+                    for row in m:
+                        row[j] -= q * row[k]
+            dirty = dirty or a[k][j] != 0
+        if dirty:
+            continue
+        # enforce divisibility of the remaining block
+        offender = next((i for i in range(k + 1, rows)
+                         if any(a[i][j] % piv for j in range(k + 1, cols))), None)
+        if offender is not None:
+            a[k] = axpy(a[k], 1, a[offender])
+            u[k] = axpy(u[k], 1, u[offender])
+            continue
+        if piv < 0:
+            a[k] = [-x for x in a[k]]
+            u[k] = [-x for x in u[k]]
+        k += 1
+    return u, a, v
 
 
 #: PYTHONPATH with its relative entries (such as ``PYTHONPATH=src``) made
@@ -172,3 +233,20 @@ def book(n: int) -> str:
         "incidences": [{"face": v, "coface": e} for e in ["x"] + [f"y{i}" for i in range(n)]
                        for v in "ab"]
         + [{"face": e, "coface": f"f{i}"} for i in range(n) for e in ("x", f"y{i}")]})
+
+
+def coprime(n: int) -> str:
+    """One C1 vertex v, the n C1 loops a0.. on it and the n C1 faces f0..,
+    fi bounded by ai^2 a(i+1)^3, indices mod n: H_1 of the total is
+    Z/|2^n - (-3)^n|, the determinant of that circulant."""
+    cell = lambda i, d: {"id": i, "dim": d, "stabilizer": "C1", "self_identified": False}
+    uses = Counter()
+    for i in range(n):
+        uses[f"a{i}", f"f{i}"] += 2
+        uses[f"a{(i + 1) % n}", f"f{i}"] += 3
+    return json.dumps({
+        "rigid": True,
+        "cells": [cell("v", 0)] + [cell(f"{k}{i}", d) for i in range(n)
+                                   for k, d in (("a", 1), ("f", 2))],
+        "incidences": [{"face": "v", "coface": f"a{i}", "multiplicity": 2} for i in range(n)]
+        + [{"face": e, "coface": f, "multiplicity": m} for (e, f), m in uses.items()]})

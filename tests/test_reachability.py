@@ -12,9 +12,8 @@ out, as no other module imports it: it is the reference the runtime is
 checked against, and its callers are the tests.
 
 Matching is by name only, so it can miss an unreached method whose
-name collides with another name: ``RationalSeries.scale`` counts as
-reached through a local variable of ``bredon._divisors``,
-``OrbitComplex.faces`` through the field of ``BredonComplex``, and
+name collides with another name: ``OrbitComplex.faces`` counts as
+reached through the field of ``BredonComplex``, and
 ``BredonComplex.psi1`` through the field of ``IntegerChainComplex``.
 What the walk lists is unreached; what it does not list may still be.
 The list must equal ``ALLOWED``, which only shrinks: a new public name
@@ -39,6 +38,8 @@ ALLOWED = {
     "series.triangle_group_homology",
     # read by bench/ and the tests
     "series.canonical_series",
+    # the reference that the tests check series._weighted against
+    "series.RationalSeries.scale",
     # the brute-force group homology's kernel, which moves with tsr.groups (item 9)
     "_modp.nullspace_mod",
     # library entries the CLI does not use
@@ -123,5 +124,5 @@ def test_the_walk_finds_a_public_function_without_a_caller():
     modules = _modules()
     modules["bredon"].body += ast.parse(
         "def elementary_divisors(mat):\n"
-        "    return _divisors([row for r in mat if (row := _row(r, 0))])\n").body
+        "    return smith_normal_form(mat)\n").body
     assert unreached(modules) == sorted(ALLOWED | {"bredon.elementary_divisors"})

@@ -18,8 +18,8 @@ from collections import namedtuple
 
 import pytest
 
-from documents import (FIXTURES, book, circles, d3_c2_circle, d3_c2_path, escaped_ids,
-                       graphfive_copies, run_cli, star, strip, wound_loop)
+from documents import (FIXTURES, book, circles, coprime, d3_c2_circle, d3_c2_path,
+                       escaped_ids, graphfive_copies, run_cli, star, strip, wound_loop)
 from tsr.bredon import bredon_complex, homology
 from tsr.complexes import parse_complex, serialize_complex
 from tsr.reduction import reduce_complex
@@ -36,6 +36,7 @@ DOCUMENTS = {
     "wound1e12": lambda: wound_loop(10 ** 12),
     "star20000": lambda: star(20_000),
     "book20000": lambda: book(20_000),
+    "coprime1000": lambda: coprime(1000),
 }
 
 
@@ -164,6 +165,13 @@ ROWS = [
         "2-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
         "3-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
         "total: H_0 = Z, H_1 = 0, H_2 = 0\n")),
+    # psi2 has content 1 and no unit entry: it is diagonalised sparsely,
+    # down to one divisor of 478 digits
+    Row(["bredon", "--input", "@coprime1000"], timeout=10, out=(
+        f"orbit block: H_0 = Z, H_1 = Z/{3 ** 1000 - 2 ** 1000}, H_2 = 0\n"
+        "2-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
+        "3-torsion block: H_0 = 0, H_1 = 0, H_2 = 0\n"
+        f"total: H_0 = Z, H_1 = Z/{3 ** 1000 - 2 ** 1000}, H_2 = 0\n")),
     # a face's uses are one list of its incidences' multiplicities: one
     # of 10^12 is refused when it is allocated, not after 10^12 appends
     Row(["bredon", "--input", "@wound1e12"], code=1, out="", err="error: out of memory\n",
