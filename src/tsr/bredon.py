@@ -6,21 +6,22 @@ map in unimodular splitting bases, where it is block diagonal: a rank-1
 block, a 2-torsion block and a 3-torsion block.  The test suite rebuilds
 every pinned block from the character tables, class fusions and
 splitting bases in ``tsr.groups``, by Frobenius reciprocity.
-Each block of the split sums the split blocks' corners on its part
-over the incidence terms of the complex, as sparse rows that go
-straight to the elimination; the three blocks of a differential come
-from one pass over its terms, and ``split_blocks`` checks every split
+Each block of the split sums the split blocks' corners on its part over
+the incidence terms of ``complexes.edge_end_assignments``, the one
+cellular reading, which a Bredon complex holds verbatim, as sparse rows
+that go straight to the elimination; the three blocks of a differential
+come from one pass over its terms, and ``split_blocks`` checks every split
 block it reads for an entry that links two parts.  Assembled rows are
-clean, so a built complex keeps them without a copy and checks them
-once; rows from outside are normalised by ``IntegerChainComplex``.  The
-total, whose homology is the blocks' direct sum, is assembled only by
+clean, so a built complex keeps them without a copy and checks them once;
+rows from outside are normalised by ``IntegerChainComplex``.  The total,
+whose homology is the blocks' direct sum, is assembled only by
 ``BredonComplex.chain``.  ``smith_normal_form``, the one integer
 elimination, runs in two stages.  The unit pivots of ``SpanTracker(0)``
 take the nonempty rows sparsest first, so a dense row (a star's hub, a
 book's spine) is reduced against sparse pivots last instead of filling
 every row after it, however the cells are spelled; ``_diagonal`` then
-diagonalises the core they leave, sparsely.  Dense rows are made only
-for the ``BredonComplex.psi1``/``psi2`` views.
+diagonalises the core they leave, sparsely.  Dense rows are made only for
+the ``BredonComplex.psi1``/``psi2`` views.
 """
 
 from __future__ import annotations
@@ -338,54 +339,14 @@ def _summed(bc: BredonComplex, widths, block, parts: int) -> list[IntegerChainCo
                 assemble(bc.terms2, bc.edges, bc.faces, widths, block, parts), n2)]
 
 
-def _oriented_boundary_walk(face_id: str, uses: list[int],
-                            ends: tuple) -> list[tuple[int, int]]:
-    """Sign a 2-cell boundary, given as one edge index per use, by a
-    depth-first walk from its least vertex: the top vertex takes its first
-    unused use, and a vertex with none left is popped.  A use, once taken,
-    stays taken, so each vertex keeps a cursor into its uses that only
-    moves forward, and the walk is linear in the uses.  Each use is signed
-    by the direction in which the walk first takes it, compared with the
-    edge's intrinsic direction (second end slot -> first end slot); returns
-    (edge index, sign) per use, in the order of uses.  Edge j's end slots
-    are ends[2j] and ends[2j + 1], as edge_end_assignments orders them."""
-    # each use is an undirected connection (tail, head) between end vertices
-    joins = [(ends[2 * j + 1][0], ends[2 * j][0]) for j in uses]
-    adj: dict[int, list[int]] = {}
-    for k, (tail, head) in enumerate(joins):
-        adj.setdefault(tail, []).append(k)
-        adj.setdefault(head, []).append(k)
-    if any(len(v) % 2 for v in adj.values()):
-        raise ValueError(f"boundary of {face_id!r} is not a closed walk")
-    signs = [0] * len(uses)  # 0 until the walk takes the use
-    cursor = dict.fromkeys(adj, 0)
-    st: list[int] = [min(adj)] if adj else []
-    while st:
-        v = st[-1]
-        at, n = adj[v], cursor[v]
-        while n < len(at) and signs[at[n]]:
-            n += 1
-        cursor[v] = n
-        if n == len(at):
-            st.pop()
-        else:
-            tail, head = joins[at[n]]
-            signs[at[n]] = 1 if v == tail else -1
-            st.append(head if v == tail else tail)
-    if not all(signs):
-        raise ValueError(f"boundary of {face_id!r} is not connected")
-    return list(zip(uses, signs))
-
-
 #: The stabilizers bredon_complex supports on cells of each dimension.
 _SUPPORTED_TAGS = {0: SUPPORTED_VERTEX_TAGS, 1: SUPPORTED_EDGE_TAGS, 2: ("C1",)}
 
 
 def bredon_complex(cx: OrbitComplex) -> BredonComplex:
     """The terms of the chain complex of representation rings, refusing a
-    non-inclusion: psi1's are the edge end terms of edge_end_assignments,
-    taken verbatim, and psi2's come from oriented 2-cell boundaries
-    through the regular representation.  No matrix is assembled."""
+    non-inclusion: those of edge_end_assignments, verbatim, with a face's
+    block the induction from C1, the regular representation."""
     if cx.dimension > 2:
         raise ValueError("complex dimension must be <= 2")
     # the first unsupported cell by (dimension, id) is the one reported
@@ -395,19 +356,12 @@ def bredon_complex(cx: OrbitComplex) -> BredonComplex:
         raise ValueError((f"unsupported vertex stabilizer {bad.stabilizer!r}",
                           f"edge stabilizer {bad.stabilizer!r} is not cyclic of order <= 3",
                           "cells of dimension 2 must be trivially stabilized")[bad.dim])
-    vertices, edges, terms1 = edge_end_assignments(cx)
-    faces = tuple(sorted(cx.cells_of_dim(2), key=lambda c: c.id))
-    eindex = {e.id: j for j, e in enumerate(edges)}
-    # a face's block is the induction from C1: the regular representation
-    terms2 = tuple((k, j, sign, 0) for j, f in enumerate(faces)
-                   for k, sign in _oriented_boundary_walk(f.id, [
-                       use for inc in cx._faces.get(f.id, ())
-                       for use in [eindex[inc.face]] * inc.multiplicity], terms1))
+    vertices, edges, _, terms1, _ = bc = BredonComplex(*edge_end_assignments(cx))
     # once per distinct inclusion, in the order of first use
     for key in dict.fromkeys((edges[j].stabilizer, vertices[i].stabilizer, emb)
                              for i, j, _, emb in terms1):
         check_inclusion(*key)
-    return BredonComplex(vertices, edges, faces, terms1, terms2)
+    return bc
 
 
 SplitBlocks = namedtuple("SplitBlocks", "trivial two three")

@@ -11,6 +11,8 @@ and ``parse_complex`` refuses any other value.
 
 ``parse_complex`` checks the shape of a document and of each record, and
 the ``OrbitComplex`` constructor every field, parsed or built by hand.
+``edge_end_assignments`` is the one reading of a complex as cellular
+chains; outside this module only the reducer reads a complex's index.
 """
 
 from __future__ import annotations
@@ -201,9 +203,6 @@ class OrbitComplex:
     def dimension(self) -> int:
         return max((c.dim for c in self.cells), default=-1)
 
-    def cells_of_dim(self, d: int) -> list[OrbitCell]:
-        return [c for c in self.cells if c.dim == d]
-
     def cofaces(self, cell_id: str) -> list[Incidence]:
         return list(self._cofaces.get(cell_id, {}).values())
 
@@ -314,22 +313,21 @@ def torsion_subcomplex(cx: OrbitComplex, ell: int) -> OrbitComplex:
         i for i in cx.incidences if i.face in keep and i.coface in keep])
 
 
-def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
-    """The one reading of a complex as a graph of groups, which the Bredon
-    differentials and the cohomology oracle both assemble.
-
-    Returns (vertices, edges, ends): the 0- and 1-cells, each sorted by
-    id, and one term (vertex index, edge index, sign, embedding index)
-    per end slot, edge by edge.  An edge's two slots are taken in
-    (vertex id, slot) order; the first carries sign +1 and the second
-    sign -1.  A multiplicity-2 incidence (a loop) contributes both slots
-    on one vertex.  Embedding indices enumerate the ends at each vertex,
-    grouped by edge tag and ordered by (edge id, slot), and rotate
-    through the conjugacy classes counted in INCLUSIONS (a pair outside
-    it gets 0, for its consumer to refuse).  An edge without exactly two
-    end slots raises ValueError.
-    """
-    vertices, edges, pairs = [], [], {}
+def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple, tuple, tuple]:
+    """The one reading of a complex as cellular chains: (vertices, edges,
+    faces, ends, boundaries), the 0-, 1- and 2-cells, each sorted by id,
+    one term (vertex index, edge index, sign, embedding index) per end
+    slot, edge by edge, and one term (edge index, face index, sign, 0)
+    per boundary use, face by face, signed by _oriented_boundary_walk.
+    An edge's two slots are taken in (vertex id, slot) order; the first
+    carries sign +1 and the second sign -1.  A multiplicity-2 incidence
+    (a loop) contributes both slots on one vertex.  Embedding indices
+    enumerate the ends at each vertex, grouped by edge tag and ordered by
+    (edge id, slot), and rotate through the conjugacy classes counted in
+    INCLUSIONS (a pair outside it gets 0, for its consumer to refuse).
+    ValueError names the first edge without exactly two end slots, else
+    the first face whose boundary is no closed connected walk."""
+    vertices, edges, faces, pairs = [], [], [], {}
     for c in cx.cells:  # in record order, so the first bad edge is named
         if c.dim == 0:
             vertices.append(c)
@@ -343,8 +341,10 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
             else:
                 raise ValueError(f"edge {c.id!r} must have exactly two end slots")
             edges.append(c)
-    vertices.sort(key=attrgetter("id"))
-    edges.sort(key=attrgetter("id"))
+        elif c.dim == 2:
+            faces.append(c)
+    for cells in (vertices, edges, faces):
+        cells.sort(key=attrgetter("id"))
     index = {v.id: i for i, v in enumerate(vertices)}
     counters: dict[tuple[int, str], int] = {}  # ends so far per (vertex, edge tag)
     ends = []
@@ -357,7 +357,53 @@ def edge_end_assignments(cx: OrbitComplex) -> tuple[tuple, tuple, tuple]:
                 n = counters.get((i, e.stabilizer), 0)
                 counters[i, e.stabilizer] = n + 1
             ends.append((i, j, sign, n % classes))
-    return tuple(vertices), tuple(edges), tuple(ends)
+    ends, boundaries = tuple(ends), ()
+    if faces:
+        eindex = {e.id: j for j, e in enumerate(edges)}
+        boundaries = tuple((k, j, sign, 0) for j, f in enumerate(faces)
+                           for k, sign in _oriented_boundary_walk(f.id, [
+                               use for inc in cx._faces.get(f.id, ())
+                               for use in [eindex[inc.face]] * inc.multiplicity], ends))
+    return tuple(vertices), tuple(edges), tuple(faces), ends, boundaries
+
+
+def _oriented_boundary_walk(face_id: str, uses: list[int],
+                            ends: tuple) -> list[tuple[int, int]]:
+    """Sign a 2-cell boundary, given as one edge index per use, by a
+    depth-first walk from its least vertex: the top vertex takes its first
+    unused use, and a vertex with none left is popped.  A use, once taken,
+    stays taken, so each vertex keeps a cursor into its uses that only
+    moves forward, and the walk is linear in the uses.  Each use is signed
+    by the direction in which the walk first takes it, compared with the
+    edge's intrinsic direction (second end slot -> first end slot); returns
+    (edge index, sign) per use, in the order of uses.  Edge j's end slots
+    are ends[2j] and ends[2j + 1], as edge_end_assignments orders them."""
+    # each use is an undirected connection (tail, head) between end vertices
+    joins = [(ends[2 * j + 1][0], ends[2 * j][0]) for j in uses]
+    adj: dict[int, list[int]] = {}
+    for k, (tail, head) in enumerate(joins):
+        adj.setdefault(tail, []).append(k)
+        adj.setdefault(head, []).append(k)
+    if any(len(v) % 2 for v in adj.values()):
+        raise ValueError(f"boundary of {face_id!r} is not a closed walk")
+    signs = [0] * len(uses)  # 0 until the walk takes the use
+    cursor = dict.fromkeys(adj, 0)
+    st: list[int] = [min(adj)] if adj else []
+    while st:
+        v = st[-1]
+        at, n = adj[v], cursor[v]
+        while n < len(at) and signs[at[n]]:
+            n += 1
+        cursor[v] = n
+        if n == len(at):
+            st.pop()
+        else:
+            tail, head = joins[at[n]]
+            signs[at[n]] = 1 if v == tail else -1
+            st.append(head if v == tail else tail)
+    if not all(signs):
+        raise ValueError(f"boundary of {face_id!r} is not connected")
+    return list(zip(uses, signs))
 
 
 def classify_components(cx: OrbitComplex) -> list[tuple[str, str]]:

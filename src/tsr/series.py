@@ -385,7 +385,7 @@ def equivariant_graph_cohomology_oracle(cx: OrbitComplex, ell: int,
     for c in cx.cells:
         if c.stabilizer not in ORACLE_STABILIZERS:
             raise ValueError(f"unsupported stabilizer {c.stabilizer!r} on {c.id!r}")
-    vertices, edges, ends = edge_end_assignments(cx)
+    vertices, edges, _, ends, _ = edge_end_assignments(cx)
     # alpha_q restricts from vertices to edges: rows and columns swapped
     terms = [(j, i, sign, emb) for i, j, sign, emb in ends]
     vcount, ecount = (Counter(c.stabilizer for c in cells) for cells in (vertices, edges))

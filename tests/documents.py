@@ -1,9 +1,9 @@
 """The documents the tests generate, one generator each, the one
-runner of ``tsr`` as a fresh process, the one map of a dense or dict
-matrix into the elimination kernels' clean rows, and the dense Smith
-normal form that the sparse elimination is checked against.  Only the
-standard library and ``tsr`` are imported: the source tree's or an
-installed package's."""
+runner of ``tsr`` as a fresh process, a complex's cells of one
+dimension, the one map of a dense or dict matrix into the elimination
+kernels' clean rows, and the dense Smith normal form that the sparse
+elimination is checked against.  Only the standard library and ``tsr``
+are imported: the source tree's or an installed package's."""
 
 import json
 import os
@@ -22,6 +22,11 @@ FIXTURES = Path(tsr.__file__).parent / "fixtures"
 def load(name: str):
     """The bundled fixture name, parsed."""
     return parse_complex(FIXTURES.joinpath(name).read_text())
+
+
+def cells_of_dim(cx, d: int) -> list:
+    """The cells of dimension d, in record order."""
+    return [c for c in cx.cells if c.dim == d]
 
 
 def clean(mat, p: int = 0) -> list[dict[int, int]]:

@@ -23,7 +23,7 @@ from tsr.series import (SubgroupCensus, canonical_series,
                         equivariant_graph_cohomology_oracle, poincare_2torsion,
                         poincare_3torsion, sl2_mod2_dims)
 
-from documents import load, run_cli
+from documents import cells_of_dim, load, run_cli
 
 EXPECTED = Path(__file__).parent / "expected"
 
@@ -56,7 +56,7 @@ def test_criterion_02():
     # path: a single merge leaves one C2 edge
     path = load("path_c2_d3_c2.json")
     reduced, log = reduce_complex(path, 2)
-    edges = reduced.cells_of_dim(1)
+    edges = cells_of_dim(reduced, 1)
     assert len(edges) == 1 and edges[0].stabilizer == "C2"
     assert [m.kind for m in log.moves] == ["merge"]
     # edge3 is already reduced

@@ -18,8 +18,8 @@ from tsr.bredon import (BLOCK_PARTS, RANKS, SUPPORTED_EDGE_TAGS,
                         SplitBlocks, split_blocks, transformed_induction)
 from tsr.cli import main
 from tsr.complexes import INCLUSIONS as CLASSES
-from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, parse_complex,
-                           serialize_complex, torsion_subcomplex)
+from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, _oriented_boundary_walk,
+                           parse_complex, serialize_complex, torsion_subcomplex)
 from tsr.groups import (CHARACTER_TABLES, FUSIONS, SPLITTING_BASES,
                         check_block_diagonal, check_orthogonality, det,
                         induction_by_reciprocity)
@@ -851,7 +851,7 @@ def test_boundary_walk_signs_each_use_where_it_is_first_taken():
     pairs = [(0, 1), (0, 1), (0, 0), (3, 3)]
     ends = tuple(end for j, (tail, head) in enumerate(pairs)
                  for end in ((head, j, 1, 0), (tail, j, -1, 0)))
-    walk = tsr.bredon._oriented_boundary_walk
+    walk = _oriented_boundary_walk
     # from vertex 0 the walk takes e1 forward, e0 backward, then the loop
     assert walk("f", [1, 2, 0], ends) == [(1, 1), (2, 1), (0, -1)]
     assert walk("f", [], ends) == []

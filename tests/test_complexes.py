@@ -18,7 +18,7 @@ from tsr.groups import (FiniteGroup, are_isomorphic, catalog_group, compose, inv
 from tsr.reduction import reduce_complex
 from tsr.series import ORACLE_STABILIZERS
 
-from documents import FIXTURES, load
+from documents import FIXTURES, cells_of_dim, load
 
 ALL_FIXTURES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
@@ -93,9 +93,9 @@ def test_omitted_multiplicity_is_one():
 
 def test_sl3_fixture_contents():
     cx = load("sl3z_soule.json")
-    assert len(cx.cells_of_dim(2)) == 7
-    assert sorted(c.id for c in cx.cells_of_dim(0)) == ["M", "N", "O", "P", "Q"]
-    stabs = {c.id: c.stabilizer for c in cx.cells_of_dim(2)}
+    assert len(cells_of_dim(cx, 2)) == 7
+    assert sorted(c.id for c in cells_of_dim(cx, 0)) == ["M", "N", "O", "P", "Q"]
+    stabs = {c.id: c.stabilizer for c in cells_of_dim(cx, 2)}
     assert sorted(stabs.values()).count("C2") == 6
     assert sorted(stabs.values()).count("D2") == 1
 
@@ -310,7 +310,7 @@ def test_lookups_of_an_unknown_id():
 def test_torsion_subcomplex_sl3():
     cx = load("sl3z_soule.json")
     sub = torsion_subcomplex(cx, 2)
-    assert len(sub.cells_of_dim(2)) == 7
+    assert len(cells_of_dim(sub, 2)) == 7
     assert len(sub.cells) == len(cx.cells)
 
 
@@ -393,8 +393,8 @@ def classify_component(cx):
     if cx.dimension != 1:
         lone = cx.dimension == 0 and len(cx.cells) == 1
         return "Point" if lone else "Other"
-    vertices = cx.cells_of_dim(0)
-    edges = cx.cells_of_dim(1)
+    vertices = cells_of_dim(cx, 0)
+    edges = cells_of_dim(cx, 1)
     if len(edges) == 1:
         ends = cx.faces(edges[0].id)
         total = sum(i.multiplicity for i in ends)
@@ -541,8 +541,9 @@ def test_classification_of_a_point_and_a_two_dimensional_component():
 
 
 def test_edge_end_assignments_theta():
-    vertices, edges, ends = edge_end_assignments(load("graphfive.json"))
+    vertices, edges, faces, ends, boundaries = edge_end_assignments(load("graphfive.json"))
     assert [v.id for v in vertices] == ["u", "v"]
+    assert faces == boundaries == ()
     assert [e.id for e in edges] == ["a", "b", "c"]
     # edge by edge, the +1 end first; at each D2 vertex the three C2
     # edges use the three embedding classes in rotation
@@ -551,9 +552,10 @@ def test_edge_end_assignments_theta():
 
 
 def test_edge_end_assignments_loop():
-    vertices, edges, ends = edge_end_assignments(load("bianchi_circle2.json"))
+    vertices, edges, faces, ends, boundaries = edge_end_assignments(load("bianchi_circle2.json"))
     assert [v.id for v in vertices] == ["v1"] and [e.id for e in edges] == ["e1"]
     assert ends == ((0, 0, 1, 0), (0, 0, -1, 0))
+    assert faces == boundaries == ()
 
 
 def test_edge_end_assignments_rejects_dangling_edge():

@@ -1,5 +1,8 @@
-"""No public function without a caller: a walk over the source of
-``tsr`` from what a ``tsr`` process runs.
+"""No public function without a caller, and no module but the complex
+and the reducer reading the complex's index: two walks over the source
+of ``tsr``.
+
+The first walk goes from what a ``tsr`` process runs.
 
 The walk starts from every subcommand handler (``cli._cmd_*``), from
 ``cli.main`` and ``cli.build_parser``, and from what runs at import:
@@ -18,6 +21,13 @@ reached through the field of ``BredonComplex``, and
 What the walk lists is unreached; what it does not list may still be.
 The list must equal ``ALLOWED``, which only shrinks: a new public name
 without a caller fails the test, and so does a name that gains one.
+
+The second walk lists each use of an attribute of ``OrbitComplex``'s
+index or of its editing (``PRIVATE``) outside ``tsr.complexes`` and
+``tsr.reduction``, the reducer, which edits the complexes it derives.
+Every other module reads a complex through its records, ``cell()``,
+``faces()``, ``cofaces()`` and ``edge_end_assignments``, the one
+cellular reading.
 """
 
 import ast
@@ -50,6 +60,11 @@ ALLOWED = {
     # an argparse hook, called by name from inside argparse
     "cli._Parser.error",
 }
+
+
+#: The attributes of OrbitComplex's index and of its editing.
+PRIVATE = {"_cells", "_faces", "_cofaces", "_records", "_add", "_drop", "_settle",
+           "_derived", "_link"}
 
 
 def _modules() -> dict[str, ast.Module]:
@@ -126,3 +141,24 @@ def test_the_walk_finds_a_public_function_without_a_caller():
         "def elementary_divisors(mat):\n"
         "    return smith_normal_form(mat)\n").body
     assert unreached(modules) == sorted(ALLOWED | {"bredon.elementary_divisors"})
+
+
+def private_uses(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line attribute of each use of a PRIVATE attribute outside
+    complexes and reduction."""
+    return sorted(f"{mod}:{n.lineno} {n.attr}" for mod, tree in modules.items()
+                  if mod not in ("complexes", "reduction") for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in PRIVATE)
+
+
+def test_only_the_complex_and_the_reducer_read_its_index():
+    assert private_uses(_modules()) == []
+
+
+def test_the_walk_finds_a_read_of_the_index():
+    # a module reading a complex's faces behind its back, as bredon_complex did
+    modules = _modules()
+    modules["series"].body += ast.parse(
+        "def _uses(cx, face_id):\n"
+        "    return cx._faces.get(face_id, ())\n").body
+    assert private_uses(modules) == ["series:2 _faces"]

@@ -13,7 +13,7 @@ from tsr.reduction import (Move, ReductionLog, _rule_failure, apply_move,
                            check_condition_B_prime, reduce_complex, replay,
                            scripted_merge)
 
-from documents import circles, d3_c2_circle, d3_c2_path, load, non_rigid
+from documents import cells_of_dim, circles, d3_c2_circle, d3_c2_path, load, non_rigid
 
 
 # --------------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_condition_a_blocked_by_higher_cells():
     # s bounds exactly two like edges, but a triangle sits above t1; in the
     # 2-dimensional SL3 complex, Q bounds three edges that bound triangles
     move = Move("merge", "s", ("t1", "t2"), "")
-    assert apply_move(two_edges_at_s(), move, 2).cells_of_dim(1)[0].id == "t1+"
+    assert cells_of_dim(apply_move(two_edges_at_s(), move, 2), 1)[0].id == "t1+"
     blocked = two_edges_at_s(triangle_over_t1=True)
     for incs in (blocked.incidences, blocked.incidences[::-1]):  # s reads t1 first, then last
         assert refusal(OrbitComplex(blocked.cells, incs), move) == "merge at 's': condition A fails"
@@ -236,8 +236,8 @@ def test_merge_two_edge_loop_gives_circle():
             Incidence("u", "b"), Incidence("v", "b"))
     cx = OrbitComplex(cells, incs)
     out = apply_move(cx, Move("merge", "u", ("a", "b"), ""), 2)
-    assert len(out.cells_of_dim(1)) == 1
-    loop = out.cells_of_dim(1)[0]
+    assert len(cells_of_dim(out, 1)) == 1
+    loop = cells_of_dim(out, 1)[0]
     (inc,) = out.faces(loop.id)
     assert inc.multiplicity == 2
     assert classify_components(out) == [("a+", "Circle")]
@@ -334,9 +334,9 @@ def test_reduce_edge3_is_fixpoint():
 def test_reduce_path_single_merge():
     reduced, log = reduce_complex(load("path_c2_d3_c2.json"), 2)
     assert [m.kind for m in log.moves] == ["merge"]
-    edges = reduced.cells_of_dim(1)
+    edges = cells_of_dim(reduced, 1)
     assert len(edges) == 1 and edges[0].stabilizer == "C2"
-    assert len(reduced.cells_of_dim(0)) == 2
+    assert len(cells_of_dim(reduced, 0)) == 2
 
 
 def test_reduce_sl3_intermediate_cuts_terminal_branch():
@@ -433,9 +433,9 @@ def test_euler_bookkeeping():
         _, log = reduce_complex(state, ell)
         for move in log.moves:
             sigma_dim = state.cell(move.sigma).dim
-            before = [len(state.cells_of_dim(d)) for d in range(3)]
+            before = [len(cells_of_dim(state, d)) for d in range(3)]
             state = apply_move(state, move, ell)
-            after = [len(state.cells_of_dim(d)) for d in range(3)]
+            after = [len(cells_of_dim(state, d)) for d in range(3)]
             assert before[sigma_dim] - after[sigma_dim] == 1, move
             assert before[sigma_dim + 1] - after[sigma_dim + 1] == 1, move
 

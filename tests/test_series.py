@@ -288,7 +288,7 @@ def reference_oracle(cx, ell, q_range):
     """The graph oracle with alpha_q written out as a dense matrix, one
     restriction block per edge end added entry by entry at the offsets of
     its cells, and alpha_{q-1} rebuilt for every degree."""
-    vertices, edges, ends = edge_end_assignments(cx)
+    vertices, edges, _, ends, _ = edge_end_assignments(cx)
 
     def alpha(q):
         vdims = [stabilizer_cohomology_dim(v.stabilizer, ell, q) for v in vertices]
