@@ -245,14 +245,11 @@ def _in_range(rows, n: int) -> bool:
 
 
 def _check_chain(psi1, psi2, dims: tuple[int, int, int]) -> None:
-    """ValueError unless the sparse rows fit dims and psi1 @ psi2 = 0.  The
+    """ValueError unless the row counts fit dims and psi1 @ psi2 = 0.  The
     product is formed one row at a time, up to the first nonzero row, and
     only when psi2 has an entry: a zero psi2 composes to zero."""
-    n0, n1, n2 = dims
-    if not (len(psi1) == n0 and len(psi2) == n1
-            and _in_range(psi1, n1) and _in_range(psi2, n2)):
-        raise ValueError("psi1 and psi2 are not composable with dims "
-                         f"{dims}")
+    if not (len(psi1) == dims[0] and len(psi2) == dims[1]):
+        raise ValueError(f"psi1 and psi2 are not composable with dims {dims}")
     if not any(psi2):
         return
     for row in psi1:
@@ -268,18 +265,21 @@ class IntegerChainComplex(namedtuple("IntegerChainComplex", "psi1 psi2 dims")):
     """0 -> Z^{n2} --psi2--> Z^{n1} --psi1--> Z^{n0} -> 0 with
     dims = (n0, n1, n2).  The differentials may be given as dense or
     sparse rows; the constructor normalises them once with ``_row``
-    into sparse {column: entry} rows of Python ints, which it stores.
-    ``_of_clean_rows`` takes rows that are clean already, as assembled,
-    and keeps them as they are.  Either way a complex is checked once,
-    when it is built: the rows must fit dims and psi1 @ psi2 must
-    vanish, or ValueError is raised."""
+    into sparse {column: entry} rows of Python ints, which it stores, and
+    checks that their columns fit dims.  ``_of_clean_rows`` keeps rows
+    that are clean and in range already, as assembled.  Either way a
+    complex is checked once, when it is built: the row counts must fit
+    dims and psi1 @ psi2 must vanish, or ValueError is raised."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     def __new__(cls, psi1, psi2, dims: tuple[int, int, int]):
-        return cls._of_clean_rows(*([_row(r, 0) for r in rows] for rows in (psi1, psi2)),
-                                  dims)
+        _, n1, n2 = dims
+        psi1, psi2 = ([_row(r, 0) for r in rows] for rows in (psi1, psi2))
+        if not (_in_range(psi1, n1) and _in_range(psi2, n2)):
+            raise ValueError(f"psi1 and psi2 are not composable with dims {dims}")
+        return cls._of_clean_rows(psi1, psi2, dims)
 
     @classmethod
     def _of_clean_rows(cls, psi1, psi2, dims: tuple[int, int, int]) -> IntegerChainComplex:

@@ -7,24 +7,24 @@ and den's leading coefficient positive.  With den = c * p, p primitive,
 the coefficient of t^k is b_k / (c * p0^(k+1)) for the integers
 b_k = p0^k num_k - sum_j p_j p0^(j-1) b_(k-j); p0 = +-1 for every series
 tsr builds, so ``expand`` is an exact recurrence on small integers, and
-when c = 1 each coefficient is the integer +-b_k, made without a gcd.  The
-generating functions encode stabilizer cohomology dimensions above the
-virtual cohomological dimension (which is 2 for the groups treated
-here, so every series vanishes below degree 3).
+each coefficient is one integer divmod of b_k by c * p0^(k+1): an int
+where it divides, a Fraction only where it does not.  The generating
+functions encode stabilizer cohomology dimensions above the virtual
+cohomological dimension (which is 2 for the groups treated here, so
+every series vanishes below degree 3).
 
-A census series is a weighted sum of the pinned component series.  Per
-prime, their numerators over one common denominator are computed once
-from the pinned series, so a census costs one integer numerator and one
-normalisation (one polynomial gcd); the normal form is unique, so this
-is the series that scaling and adding the components gives.
+A census series is half an integer-weighted sum of the pinned component
+series.  Per prime, their numerators over one common denominator are
+computed once, so a census costs one integer numerator over twice that
+denominator and one normalisation (one polynomial gcd); the normal form is
+unique, so this is the series that scaling and adding the components gives.
 """
 
 from __future__ import annotations
 
 from collections import Counter, namedtuple
 from fractions import Fraction
-from itertools import zip_longest
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .complexes import (_ELL_QUOTIENT, OrbitComplex, _check_prime, _is_int, check_inclusion,
                         edge_end_assignments)
@@ -45,10 +45,6 @@ def _poly(coeffs) -> Coeffs:
     while cs and cs[-1] == 0:
         cs.pop()
     return tuple(cs)
-
-
-def _poly_add(a: Coeffs, b: Coeffs) -> list[int]:
-    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
 
 
 def _poly_mul(a: Coeffs, b: Coeffs) -> list[int]:
@@ -117,14 +113,12 @@ def _poly_str(a: Coeffs) -> str:
 
 
 class RationalSeries:
-    """Exact num/den in t, from int or Fraction coefficients, in the normal form above."""
+    """Exact num/den in t, from integer coefficients, in the normal form above."""
 
     __slots__ = ("num", "den")
 
     def __init__(self, num, den=(1,)):
-        num, den = list(num), list(den)
-        m = lcm(*[c.denominator for c in num + den])  # clear denominators once
-        n, d = (_poly(c.numerator * (m // c.denominator) for c in cs) for cs in (num, den))
+        n, d = _poly(num), _poly(den)
         if not d:
             raise ZeroDivisionError("zero denominator")
         g = _poly_gcd(n, d) if n else d  # 0 / d is 0 / 1
@@ -134,15 +128,6 @@ class RationalSeries:
         content = gcd(*n, *d) if d[-1] > 0 else -gcd(*n, *d)
         self.num, self.den = (tuple([x // content for x in p]) for p in (n, d))
 
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        return RationalSeries(
-            _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den)),
-            _poly_mul(self.den, other.den))
-
-    def scale(self, c) -> "RationalSeries":
-        return RationalSeries([c.numerator * x for x in self.num],
-                              [c.denominator * x for x in self.den])
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, RationalSeries)
                 and self.num == other.num and self.den == other.den)
@@ -150,15 +135,15 @@ class RationalSeries:
     def __hash__(self):
         return hash((self.num, self.den))
 
-    def expand(self, n: int) -> list[Fraction]:
-        """Power-series coefficients up to degree n, by the module docstring's recurrence."""
+    def expand(self, n: int) -> list:
+        """Power-series coefficients up to degree n, by the module docstring's
+        recurrence: ints, and a Fraction where a coefficient is not integral."""
         if n < 0:
             raise ValueError("degree must be non-negative")
         c = gcd(*self.den)
         p0, *tail = (x // c for x in self.den)
         steps = [(j, pj * p0 ** (j - 1)) for j, pj in enumerate(tail, 1) if pj]
         b, out, power = [0] * (n + 1), [0] * (n + 1), 1  # an absurd n fails here
-        unit = c == 1 and p0 in (1, -1)  # then b_k / (c * p0^(k+1)) needs no gcd
         for k in range(n + 1):
             acc = power * self.num[k] if k < len(self.num) else 0
             for j, e in steps:
@@ -167,7 +152,8 @@ class RationalSeries:
                 acc -= e * b[k - j]
             b[k] = acc
             power *= p0
-            out[k] = Fraction(acc * power) if unit else Fraction(acc, c * power)
+            quot, rem = divmod(acc, c * power)
+            out[k] = Fraction(acc, c * power) if rem else quot
         return out
 
     def __str__(self) -> str:
@@ -294,6 +280,10 @@ def _validated_expansion(series: RationalSeries, what: str) -> None:
         if cq.denominator != 1 or cq < 0 or (q < 3 and cq != 0):
             raise CensusError(
                 f"census inconsistency: {what} has coefficient {cq} at degree {q}")
+    # from q = 3 a coefficient is a + bq plus a term of period 3 or 4: 12b < 0 goes negative
+    if coeffs[20] < coeffs[8]:
+        raise CensusError(f"census inconsistency: {what} falls from {coeffs[8]} at "
+                          f"degree 8 to {coeffs[20]} at degree 20")
 
 
 #: Per prime, the components the census weighs, over one denominator.
@@ -301,32 +291,29 @@ _COMPONENTS = {2: _over_one_denominator(SERIES_CIRCLE, SERIES_D2STAR, SERIES_A4S
                3: _over_one_denominator(SERIES_CIRCLE, SERIES_EDGE3)}
 
 
-def _weighted(ell: int, *weights) -> RationalSeries:
-    """The sum of the weights (ints or Fractions) times the ell-components,
-    as one numerator over their common denominator, normalised once."""
+def _weighted(ell: int, *weights: int) -> RationalSeries:
+    """Half the sum of the integer weights times the ell-components, as one
+    numerator over twice their common denominator, normalised once."""
     den, nums = _COMPONENTS[ell]
-    m = lcm(*[w.denominator for w in weights])
     num = [0] * max(map(len, nums))
     for w, coeffs in zip(weights, nums):
-        w = w.numerator * (m // w.denominator)
         for i, x in enumerate(coeffs):
             num[i] += w * x
-    return RationalSeries(num, [m * x for x in den])
+    return RationalSeries(num, [2 * x for x in den])
 
 
 def poincare_2torsion(census: SubgroupCensus) -> RationalSeries:
     """Generating function of the mod-2 homology dimensions above the vcd:
     the circle / D2-excess / A4-excess combination weighted by the census."""
-    s = _weighted(2, Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2),
-                  census.mu2 - census.muT, census.muT)
+    s = _weighted(2, 2 * census.lambda4 - 3 * census.mu2 + 2 * census.muT,
+                  2 * (census.mu2 - census.muT), 2 * census.muT)
     _validated_expansion(s, "2-torsion series")
     return s
 
 
 def poincare_3torsion(census: SubgroupCensus) -> RationalSeries:
     """Mod-3 counterpart: circles plus single edges, weighted by the census."""
-    s = _weighted(3, Fraction(census.lambda6) - Fraction(census.mu3, 2),
-                  Fraction(census.mu3, 2))
+    s = _weighted(3, 2 * census.lambda6 - census.mu3, census.mu3)
     _validated_expansion(s, "3-torsion series")
     return s
 
@@ -455,7 +442,7 @@ def triangle_group_homology(p: int, q: int, r: int, ell: int, deg: int) -> int:
         raise ValueError("only odd primes supported")
     if min(p, q, r) < 2:
         raise ValueError("parameters must be >= 2")
-    if Fraction(1, p) + Fraction(1, q) + Fraction(1, r) > 1:
+    if q * r + p * r + p * q > p * q * r:  # 1/p + 1/q + 1/r > 1
         raise ValueError("spherical triple: the group is finite")
     if deg < 1:
         raise ValueError("degree must be >= 1")

@@ -43,7 +43,8 @@ FACE_COMMANDS = [["bredon"], ["bredon", "--json"]]
 #: One refusal of each kind, on the documents beside this file (a
 #: non-rigid one, a repeated key, and the D2-C3-D2 and C3-D3-C3 paths,
 #: whose C3 is no subgroup of D2 and D3 no subgroup of C3), on census
-#: and option values, on a missing file and on absurd degree bounds.
+#: and option values (one census whose series falls below 0 only past
+#: degree 20), on a missing file and on absurd degree bounds.
 ERROR_COMMANDS = [
     ["validate", "--input", "tests/expected/nonrigid.json"],
     ["validate", "--input", "tests/expected/twice.json"],
@@ -51,6 +52,7 @@ ERROR_COMMANDS = [
     ["oracle", "--prime", "3", "--min-degree", "1", "--degrees", "2",
      "--input", "tests/expected/c3_d3_c3.json"],
     ["poincare", "--prime", "2", "--census", '{"lambda_4":1}'],
+    ["poincare", "--prime", "2", "--census", '{"lambda4":10,"mu2":2,"muT":4}'],
     ["poincare", "--prime", "2"],
     ["chenruan", "--census", "{}", "--quotient-dims", '{"0":1}'],
     ["e2page", "--census", "{}", "--chi-xs", "1", "--xs-rows", '{"BOGUS":1}'],

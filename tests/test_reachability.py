@@ -48,8 +48,6 @@ ALLOWED = {
     "series.triangle_group_homology",
     # read by bench/ and the tests
     "series.canonical_series",
-    # the reference that the tests check series._weighted against
-    "series.RationalSeries.scale",
     # the brute-force group homology's kernel, which moves with tsr.groups (item 9)
     "_modp.nullspace_mod",
     # library entries the CLI does not use

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
@@ -9,12 +10,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import tsr._modp
 import tsr.series
 from tsr._modp import rank_mod
+from tsr.cli import main
 from tsr.complexes import (Incidence, OrbitCell, OrbitComplex, edge_end_assignments,
                            parse_complex)
 from tsr.groups import catalog_group, compose, identity_perm, mod_ell_homology_bruteforce
@@ -30,6 +32,31 @@ from documents import clean, load, non_rigid, star
 
 def ints(coeffs):
     return [int(c) for c in coeffs]
+
+
+# --------------------------------------------------------------------------
+# The reference series arithmetic, in the normal form of RationalSeries:
+# the runtime weighs the components in one numerator instead
+
+
+def times(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def scale(s, c):
+    """c * s, for an int or a Fraction c."""
+    return RationalSeries([c.numerator * x for x in s.num], [c.denominator * x for x in s.den])
+
+
+def add(a, b):
+    """a + b, over the product of the denominators."""
+    num = [x + y for x, y in itertools.zip_longest(times(a.num, b.den), times(b.num, a.den),
+                                                   fillvalue=0)]
+    return RationalSeries(num, times(a.den, b.den))
 
 
 # --------------------------------------------------------------------------
@@ -87,10 +114,10 @@ def test_zero_denominator_rejected():
 
 def test_series_add_scale():
     a = canonical_series("Circle")
-    b = a.scale(Fraction(1, 2))
-    c = b + b
+    b = scale(a, Fraction(1, 2))
+    c = add(b, b)
     assert c == a
-    assert ints(a.scale(2).expand(4)) == [0, 0, 0, 4, 4]
+    assert ints(scale(a, 2).expand(4)) == [0, 0, 0, 4, 4]
 
 
 def test_d2star_matches_oracle_excess():
@@ -173,6 +200,18 @@ def test_poincare_2torsion_rejects_inconsistent_census():
         poincare_2torsion(SubgroupCensus(lambda4=2, mu2=1))
 
 
+def test_poincare_2torsion_refuses_a_series_that_falls():
+    # nonnegative up to degree 20, with slope -2 per 3 degrees: -1 at q = 31
+    census = SubgroupCensus(lambda4=10, mu2=2, muT=4)
+    with mock.patch.object(tsr.series, "_validated_expansion"):
+        assert poincare_2torsion(census).expand(31)[19:] == [7, 9, 11, 5, 7, 9, 3, 5, 7,
+                                                              1, 3, 5, -1]
+    with pytest.raises(CensusError) as err:
+        poincare_2torsion(census)
+    assert str(err.value) == ("census inconsistency: 2-torsion series falls from 17 at "
+                              "degree 8 to 9 at degree 20")
+
+
 def test_poincare_3torsion_cases():
     assert poincare_3torsion(SubgroupCensus(lambda6=1, mu3=2)) == \
         canonical_series("Edge3")
@@ -201,6 +240,34 @@ def component_census(o2, i2, th, rh, o3, i3):
     )
 
 
+def test_the_census_path_builds_no_fraction(monkeypatch, capsys):
+    # an accepted census series has integral coefficients: neither the
+    # series, nor its expansion, nor tsr poincare needs a Fraction
+    rng = random.Random(44)
+    cases = [component_census(*(rng.randrange(4) for _ in range(6))) for _ in range(20)]
+
+    def run():
+        out = []
+        for census in cases:
+            for ell, poincare in ((2, poincare_2torsion), (3, poincare_3torsion)):
+                s = poincare(census)
+                out.append((str(s), s.expand(120)))
+                for extra in ([], ["--json"]):
+                    argv = ["poincare", "--prime", str(ell), "--degrees", "120",
+                            "--census", json.dumps(census._asdict())]
+                    assert main(argv + extra) == 0
+                    out.append(capsys.readouterr())
+        return out
+
+    want = run()
+
+    def no_fraction(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(tsr.series, "Fraction", no_fraction)
+    assert run() == want
+
+
 def test_poincare_additivity_over_components():
     rng = random.Random(7)
     for _ in range(25):
@@ -209,7 +276,7 @@ def test_poincare_additivity_over_components():
         both = [x + y for x, y in zip(a, b)]
         for poincare in (poincare_2torsion, poincare_3torsion):
             s = poincare(component_census(*both))
-            parts = poincare(component_census(*a)) + poincare(component_census(*b))
+            parts = add(poincare(component_census(*a)), poincare(component_census(*b)))
             assert s == parts
 
 
@@ -623,7 +690,7 @@ def test_rational_series_addition_matches_expansion(a, b):
         sb = RationalSeries(b, [1, 2])
     except (ValueError, ZeroDivisionError):
         return
-    lhs = (sa + sb).expand(8)
+    lhs = add(sa, sb).expand(8)
     rhs = [x + y for x, y in zip(sa.expand(8), sb.expand(8))]
     assert lhs == rhs
 
@@ -634,14 +701,6 @@ def test_rational_series_addition_matches_expansion(a, b):
 int_polys = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=6)
 fraction_values = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
                             st.integers(min_value=1, max_value=9))
-
-
-def times(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def series(num, den):
@@ -661,33 +720,31 @@ def test_denominator_times_expansion_is_numerator(num, den, n):
 
 
 @settings(max_examples=200, deadline=None)
-@given(int_polys, int_polys, int_polys, st.integers(min_value=1, max_value=7))
-def test_common_factor_cancels(num, den, g, q):
+@given(int_polys, int_polys, int_polys)
+def test_common_factor_cancels(num, den, g):
     assume(g[0] != 0)
     s = series(num, den)
     assert RationalSeries(times(num, g), times(den, g)) == s
-    assert RationalSeries([Fraction(x, q) for x in times(num, g)], times(den, g)) \
-        == RationalSeries(num, [q * x for x in den])
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_polys, int_polys, fraction_values, st.integers(min_value=0, max_value=20))
 def test_scale_scales_every_coefficient(num, den, c, n):
     s = series(num, den)
-    assert s.scale(c).expand(n) == [c * x for x in s.expand(n)]
+    assert scale(s, c).expand(n) == [c * x for x in s.expand(n)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_polys, int_polys, int_polys, int_polys, st.integers(min_value=0, max_value=20))
 def test_sum_expands_termwise(num_a, den_a, num_b, den_b, n):
     a, b = series(num_a, den_a), series(num_b, den_b)
-    assert (a + b).expand(n) == [x + y for x, y in zip(a.expand(n), b.expand(n))]
+    assert add(a, b).expand(n) == [x + y for x, y in zip(a.expand(n), b.expand(n))]
 
 
 @settings(max_examples=200, deadline=None)
 @given(int_polys, int_polys, fraction_values)
 def test_normal_form(num, den, c):
-    s = series(num, den).scale(c)
+    s = scale(series(num, den), c)
     assert all(type(x) is int for x in s.num + s.den)
     assert math.gcd(*s.num, *s.den) == 1 and s.den[-1] > 0 and s.den[0] != 0
     assert not s.num or s.num[-1] != 0
@@ -717,26 +774,26 @@ def fraction_expansion(num, den, n):
        st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 6)),
        st.integers(min_value=0, max_value=30))
 def test_expand_matches_the_fraction_recurrence(num, tail, p0, content, n):
-    # den(0) = p0 * content: a unit p0 of either sign takes the path
-    # without a gcd when the content is 1, and a content > 1 the other
+    # den(0) = p0 * content, a unit p0 of either sign or not, content 1 or
+    # more: an int exactly where the coefficient is integral
     den = [content * x for x in [p0] + tail]
-    coeffs = RationalSeries(num, den).expand(n)
-    assert all(type(x) is Fraction for x in coeffs)
-    assert coeffs == fraction_expansion(num, den, n)
+    coeffs, want = RationalSeries(num, den).expand(n), fraction_expansion(num, den, n)
+    assert [type(x) for x in coeffs] == [int if x.denominator == 1 else Fraction for x in want]
+    assert coeffs == want
 
 
 def scale_and_add_2torsion(census):
     """poincare_2torsion before validation, as the sum of the scaled
     component series: one normalisation per scale and per sum."""
-    s = canonical_series("Circle").scale(
-        Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2))
-    s = s + canonical_series("D2star").scale(census.mu2 - census.muT)
-    return s + canonical_series("A4star").scale(census.muT)
+    s = scale(canonical_series("Circle"),
+              Fraction(census.lambda4) - Fraction(3 * census.mu2 - 2 * census.muT, 2))
+    s = add(s, scale(canonical_series("D2star"), census.mu2 - census.muT))
+    return add(s, scale(canonical_series("A4star"), census.muT))
 
 
 def scale_and_add_3torsion(census):
-    s = canonical_series("Circle").scale(Fraction(census.lambda6) - Fraction(census.mu3, 2))
-    return s + canonical_series("Edge3").scale(Fraction(census.mu3, 2))
+    s = scale(canonical_series("Circle"), Fraction(census.lambda6) - Fraction(census.mu3, 2))
+    return add(s, scale(canonical_series("Edge3"), Fraction(census.mu3, 2)))
 
 
 counts = st.integers(min_value=0, max_value=39)
@@ -757,6 +814,25 @@ def censuses(draw):
     return SubgroupCensus(lambda4=lambda4, lambda4star=draw(st.integers(0, lambda4)),
                           mu2=draw(counts), muT=draw(counts), lambda6=lambda6,
                           lambda6star=draw(st.integers(0, lambda6)), mu3=2 * draw(counts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(censuses())
+@example(SubgroupCensus(lambda4=10, mu2=2, muT=4))  # -1 at q = 31 when accepted
+# rising by 4 every 3 degrees, with a period-3 swing: 76 at q = 9, 66 at q = 20
+@example(SubgroupCensus(lambda4=22, mu2=26, muT=37))
+def test_accepted_census_series_never_go_negative(census):
+    # and conversely: with counts below 40, a falling series is negative by degree 400
+    for poincare in (poincare_2torsion, poincare_3torsion):
+        with mock.patch.object(tsr.series, "_validated_expansion"):
+            coeffs = poincare(census).expand(400)
+        valid = all(c.denominator == 1 and c >= 0 for c in coeffs) and not any(coeffs[:3])
+        try:
+            s = poincare(census)
+        except CensusError:
+            assert not valid
+            continue
+        assert valid and min(s.expand(200)) >= 0
 
 
 def outcome(f):
