@@ -23,10 +23,11 @@ fewest first, and feeds the rows shortest first, so a dense row or
 column (a star's hub) pivots last and fills nothing, however its ids
 sort.  ``nullspace_mod`` keeps the given order, as its canonical basis
 depends on which columns are pivots, and alone needs the reduced echelon
-form: it clears its own pivot rows into it once, newest first, and reads
-its basis off them in one pass, as ``{column: entry}`` rows like every
-other row here.  Both refuse a modulus that is not prime, and
-``nullspace_mod`` a row with an entry outside its columns; ``rank_mod``
+form: newest first, each pivot row sets its own pivot aside and is
+reduced against the others by ``_echelon``; its basis is read off them
+in one pass, as ``{column: entry}`` rows like every other row here.
+Both refuse a modulus that is not prime, and ``nullspace_mod`` a row
+with an entry outside its columns or outside 1..p-1; ``rank_mod``
 reduces its integer rows mod p with ``_row``.
 
 ``assemble`` builds those rows: every matrix of a cell complex here (the
@@ -57,16 +58,6 @@ def _row(vec, p: int) -> dict[int, int]:
     if p:
         return {j: y for j, x in items if x and (y := int(x) % p)}
     return {j: int(x) for j, x in items if x}
-
-
-def _subtract(row: dict[int, int], a: int, v: dict[int, int], p: int) -> None:
-    """row -= a * v mod p, in place."""
-    for j, x in v.items():
-        y = (row.get(j, 0) - a * x) % p
-        if y:
-            row[j] = y
-        else:
-            del row[j]
 
 
 def assemble(terms, rows, cols, widths, block,
@@ -211,15 +202,18 @@ def nullspace_mod(rows, p: int, cols: int) -> list[dict[int, int]]:
     _check_prime(p)
     if any(min(v) < 0 or max(v) >= cols for v in rows if v):
         raise ValueError(f"a row has an entry outside range({cols})")
+    if any(not 0 < x < p for v in rows for x in v.values()):
+        raise ValueError(f"a row has an entry outside 1..{p - 1}")
     tracker = SpanTracker(p)
     for v in rows:
         tracker.add(v)
     pivots = tracker.pivots
-    # into reduced echelon form, newest pivot first: each row is zero in
-    # the older pivot columns, and every newer row is reduced already
+    # into reduced echelon form, newest pivot first: a row, its pivot set
+    # aside, reduces to free columns, as every newer row is reduced already
     for c, row in reversed(pivots.items()):
-        for d in [d for d in row if d != c and d in pivots]:
-            _subtract(row, row[d], pivots[d], p)
+        del row[c]
+        tracker._echelon(row)
+        row[c] = 1
     # the other entries of a reduced pivot row all sit in free columns
     basis = {f: {f: 1} for f in range(cols) if f not in pivots}
     for c, row in pivots.items():

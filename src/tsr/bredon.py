@@ -16,12 +16,13 @@ clean, so a built complex keeps them without a copy and checks them once;
 rows from outside are normalised by ``IntegerChainComplex``.  The total,
 whose homology is the blocks' direct sum, is assembled only by
 ``BredonComplex.chain``.  ``smith_normal_form``, the one integer
-elimination, runs in two stages.  The unit pivots of ``SpanTracker(0)``
-take the nonempty rows sparsest first, so a dense row (a star's hub, a
-book's spine) is reduced against sparse pivots last instead of filling
-every row after it, however the cells are spelled; ``_diagonal`` then
-diagonalises the core they leave, sparsely.  Dense rows are made only for
-the ``BredonComplex.psi1``/``psi2`` views.
+elimination, reads every row by one rule (a dict with no zero is copied,
+any other row normalised) and runs in two stages: the unit pivots of
+``SpanTracker(0)`` take the nonempty rows sparsest first, so a dense row
+(a star's hub, a book's spine) is reduced last, against sparse pivots,
+filling no row after it, however the cells are spelled; ``_diagonal``
+then diagonalises the core they leave, sparsely.  Dense rows are made
+only for the ``BredonComplex.psi1``/``psi2`` views.
 """
 
 from __future__ import annotations
@@ -167,17 +168,13 @@ def smith_normal_form(mat) -> list[int]:
     """The nonzero elementary divisors of an integer matrix, in
     divisibility order: one 1 per unit pivot of the sparse elimination,
     then those of the core it leaves, read off the diagonal of
-    ``_diagonal``.  Clean ``{column: entry}`` rows, as a built complex
-    stores them, are copied with ``dict``; dense rows, numpy's included,
-    are normalised with ``_row``.  The rows are fed shortest first: the
-    order changes no divisor, and a dense row fed last is reduced against
-    the sparse pivots instead of filling every later row."""
-    if isinstance(next(iter(mat), None), dict):
-        rows = list(map(dict, filter(None, mat)))
-    else:
-        rows = [v for r in mat if (v := _row(r, 0))]
-    if not rows:
-        return []
+    ``_diagonal``.  One rule reads every row: a dict with no zero entry,
+    as a built complex stores them, is copied with ``dict``, any other
+    (dense, numpy's, a dict holding a zero) normalised with ``_row``.
+    The rows are fed shortest first, which changes no divisor: a dense
+    row fed last is reduced against sparse pivots, filling no later row."""
+    rows = [v for r in mat if (v := dict(r) if isinstance(r, dict) and all(r.values())
+                               else _row(r, 0))]
     span = SpanTracker(0)
     for row in sorted(rows, key=len):
         span.add(row)

@@ -563,15 +563,6 @@ def induction_by_reciprocity(source: str, target: str,
     return tuple(mat)
 
 
-def det(mat) -> int:
-    """Determinant by Laplace expansion along the first row (for the
-    small splitting bases)."""
-    if not len(mat):
-        return 1
-    return sum((-1) ** j * x * det([list(row[:j]) + list(row[j + 1:]) for row in mat[1:]])
-               for j, x in enumerate(mat[0]) if x)
-
-
 def check_block_diagonal(mat, row_parts, col_parts) -> None:
     """Raise AssertionError if mat has a nonzero entry linking two
     different parts; row_parts and col_parts partition its row and

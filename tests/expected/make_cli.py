@@ -1,5 +1,6 @@
 """Regenerate cli.json: stdout, stderr and exit code of each pinned
-command on each bundled fixture, of the README's census commands, of
+command on each bundled fixture, of the README's census commands and
+the ``--json`` forms of those that have one, of
 ``bredon`` on the 2-cell documents beside this file, and of one command
 per kind of refusal, each run as a fresh ``tsr`` process from the
 repository root.
@@ -24,8 +25,8 @@ FIXTURES = sorted(p.name for p in (ROOT / "src" / "tsr" / "fixtures").glob("*.js
 COMMANDS = [["validate"]] + [[cmd, "--prime", p] for cmd in ("extract", "reduce", "classify")
                              for p in ("2", "3")] + [["bredon"]] + [
     ["oracle", "--prime", p] for p in ("2", "3")] + [
-    [cmd, "--prime", p, "--json"] for cmd in ("reduce", "oracle") for p in ("2", "3")] + [
-    ["bredon", "--json"]]
+    [cmd, "--prime", p, "--json"] for cmd in ("reduce", "oracle", "classify")
+    for p in ("2", "3")] + [["bredon", "--json"], ["validate", "--json"]]
 #: The census commands of the README, whose arguments hold no spaces.
 CENSUS_COMMANDS = [
     ["poincare", "--prime", "3", "--census", '{"λ6":1,"μ3":2}', "--degrees", "10"],
@@ -34,6 +35,8 @@ CENSUS_COMMANDS = [
      "--quotient-dims", "[1,0,0]"],
     ["e2page", "--census", '{"beta1":1,"v":1,"c":0}', "--chi-xs", "1"],
 ]
+#: The --json forms of the README's khomology, chenruan and e2page commands.
+CENSUS_COMMANDS += [[*cmd, "--json"] for cmd in CENSUS_COMMANDS[1:]]
 #: Documents beside this file whose C1 faces reach the oriented boundary
 #: walk: a strip of six triangles on C2 vertices and edges, and one face
 #: whose boundary passes its D3 vertex twice (two triangles sharing it).

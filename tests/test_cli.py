@@ -404,7 +404,7 @@ def test_golden_corpus(capsys, monkeypatch):
     # the paths of the documents beside it are relative to the repository
     # root; 12 of the entries are refusals, each exit 1
     corpus = json.loads((Path(__file__).parent / "expected" / "cli.json").read_text())
-    assert len(corpus) == 140
+    assert len(corpus) == 167
     monkeypatch.chdir(FIXTURES.parents[2])
     wrong = []
     for command, expected in corpus.items():

@@ -2,6 +2,7 @@
 F_p and over Z (against the dense reference Smith normal form)."""
 
 from math import gcd
+from random import Random
 
 import numpy as np
 import pytest
@@ -125,6 +126,16 @@ def test_nullspace_refuses_an_entry_outside_its_columns(row):
     assert nullspace_mod(clean([[1, 1], [0, 0, 2]], 2), 2, 2) == [{1: 1, 0: 1}]
 
 
+@pytest.mark.parametrize("row", [{0: 1, 1: 0}, {0: 3, 1: 1}, {0: 1, 1: -1}])
+def test_nullspace_refuses_an_entry_outside_the_residues(row):
+    # a zero, an unreduced and a negative entry: the rows must be clean
+    # mod p, as the null space takes them as they are
+    with pytest.raises(ValueError, match=r"^a row has an entry outside 1\.\.2$"):
+        nullspace_mod([row], 3, 2)
+    with pytest.raises(ValueError, match=r"^a row has an entry outside 1\.\.2$"):
+        nullspace_mod([{0: 1, 1: 1}, row], 3, 2)
+
+
 def _tracker(rows, p):
     """A SpanTracker over F_p (Z if p = 0) that the clean rows were added to."""
     tracker = SpanTracker(p)
@@ -223,6 +234,21 @@ def test_elementary_divisors_do_not_depend_on_the_row_order(m, rng):
     rows = list(m)
     rng.shuffle(rows)
     assert smith_normal_form(rows) == smith_normal_form(m) == _reference(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_matrices(), st.randoms(use_true_random=False))
+# written with explicit zeros, [[0, 2]] is [{0: 0, 1: 2}]: a dict row that
+# holds a zero, which a reader chosen by the first row took as clean
+@example([[0, 2]], Random(0))
+def test_every_row_is_read_by_one_rule(m, rng):
+    # one matrix written four ways: dense rows, clean dict rows, dict rows
+    # with explicit zeros, and a mix of the three, row by row
+    ways = [list(m), clean(m), [dict(enumerate(r)) for r in m]]
+    ways.append([rng.choice(forms) for forms in zip(*ways)])
+    divisors = _reference(m)
+    for rows in ways:
+        assert smith_normal_form(rows) == divisors, rows
 
 
 @settings(max_examples=300, deadline=None)

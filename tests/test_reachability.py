@@ -1,6 +1,7 @@
-"""No public function without a caller, and no module but the complex
-and the reducer reading the complex's index: two walks over the source
-of ``tsr``.
+"""No public function without a caller, no module but the complex and
+the reducer reading the complex's index, and none but ``tsr._modp``
+reading a ``SpanTracker``'s echelon form: two walks over the source of
+``tsr``.
 
 The first walk goes from what a ``tsr`` process runs.
 
@@ -22,12 +23,16 @@ What the walk lists is unreached; what it does not list may still be.
 The list must equal ``ALLOWED``, which only shrinks: a new public name
 without a caller fails the test, and so does a name that gains one.
 
-The second walk lists each use of an attribute of ``OrbitComplex``'s
-index or of its editing (``PRIVATE``) outside ``tsr.complexes`` and
-``tsr.reduction``, the reducer, which edits the complexes it derives.
-Every other module reads a complex through its records, ``cell()``,
-``faces()``, ``cofaces()`` and ``edge_end_assignments``, the one
-cellular reading.
+The second walk, over every module, ``tsr.groups`` included, lists
+each use of a private attribute (``PRIVATE``) outside the modules that
+own it.  The attributes of ``OrbitComplex``'s index and of its editing
+belong to ``tsr.complexes`` and ``tsr.reduction``, the reducer, which
+edits the complexes it derives; every other module reads a complex
+through its records, ``cell()``, ``faces()``, ``cofaces()`` and
+``edge_end_assignments``, the one cellular reading.  The echelon form
+of ``SpanTracker`` (its index, its rows by creation, its core and the
+reduction loop) belongs to ``tsr._modp``; every other module reads a
+tracker through ``add``, ``pivots``, ``rank`` and ``core``.
 """
 
 import ast
@@ -60,14 +65,18 @@ ALLOWED = {
 }
 
 
-#: The attributes of OrbitComplex's index and of its editing.
-PRIVATE = {"_cells", "_faces", "_cofaces", "_records", "_add", "_drop", "_settle",
-           "_derived", "_link"}
+#: Private attributes, by the modules that own them: those of
+#: OrbitComplex's index and of its editing, and SpanTracker's echelon form.
+PRIVATE = {
+    ("complexes", "reduction"): {"_cells", "_faces", "_cofaces", "_records", "_add",
+                                 "_drop", "_settle", "_derived", "_link"},
+    ("_modp",): {"_index", "_created", "_core", "_echelon"},
+}
 
 
 def _modules() -> dict[str, ast.Module]:
     return {path.stem: ast.parse(path.read_text(), str(path))
-            for path in sorted(SRC.glob("*.py")) if path.stem != "groups"}
+            for path in sorted(SRC.glob("*.py"))}
 
 
 def _names(nodes) -> set[str]:
@@ -97,6 +106,8 @@ def unreached(modules: dict[str, ast.Module]) -> list[str]:
     defs: dict[str, list[tuple[str, list]]] = {}  # name -> (qualname, nodes to follow)
     public, roots = [], []
     for mod, tree in modules.items():
+        if mod == "groups":  # the reference, which only the tests call
+            continue
         roots += _import_time(tree.body)
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -141,16 +152,20 @@ def test_the_walk_finds_a_public_function_without_a_caller():
     assert unreached(modules) == sorted(ALLOWED | {"bredon.elementary_divisors"})
 
 
-def private_uses(modules: dict[str, ast.Module]) -> list[str]:
-    """module:line attribute of each use of a PRIVATE attribute outside
-    complexes and reduction."""
+def private_uses(modules: dict[str, ast.Module], owners: tuple[str, ...]) -> list[str]:
+    """module:line attribute of each use of a PRIVATE attribute of the
+    owners outside them."""
     return sorted(f"{mod}:{n.lineno} {n.attr}" for mod, tree in modules.items()
-                  if mod not in ("complexes", "reduction") for n in ast.walk(tree)
-                  if isinstance(n, ast.Attribute) and n.attr in PRIVATE)
+                  if mod not in owners for n in ast.walk(tree)
+                  if isinstance(n, ast.Attribute) and n.attr in PRIVATE[owners])
 
 
 def test_only_the_complex_and_the_reducer_read_its_index():
-    assert private_uses(_modules()) == []
+    assert private_uses(_modules(), ("complexes", "reduction")) == []
+
+
+def test_only_modp_reads_the_span_trackers_echelon_form():
+    assert private_uses(_modules(), ("_modp",)) == []
 
 
 def test_the_walk_finds_a_read_of_the_index():
@@ -159,4 +174,13 @@ def test_the_walk_finds_a_read_of_the_index():
     modules["series"].body += ast.parse(
         "def _uses(cx, face_id):\n"
         "    return cx._faces.get(face_id, ())\n").body
-    assert private_uses(modules) == ["series:2 _faces"]
+    assert private_uses(modules, ("complexes", "reduction")) == ["series:2 _faces"]
+
+
+def test_the_walk_finds_a_read_of_the_span_trackers_core():
+    # a module reading the core without clearing it of the pivot columns
+    modules = _modules()
+    modules["bredon"].body += ast.parse(
+        "def _core(span):\n"
+        "    return span._core\n").body
+    assert private_uses(modules, ("_modp",)) == ["bredon:2 _core"]
